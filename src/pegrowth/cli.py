@@ -2,11 +2,12 @@
 
 Every subcommand reads a JSON config (schema "1"), executes one analysis,
 and writes a summary JSON plus CSV artifacts into the output directory.
-Outputs are byte-identical for identical (config, seed), independent of the
-worker count.
+Outputs are byte-identical for identical (config, seed).  Runs are serial;
+``--jobs`` is accepted for compatibility and ignored.
 
-Exit codes: 0 success, 2 config error, 3 numerical diagnostic,
-4 property violation detected.
+Exit codes: 0 success, 2 config error, 3 numerical diagnostic (including a
+library ``ValueError`` once the config has parsed), 4 property violation
+detected.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, control, lie, projective, rates, spinchk
-from .matcore import matrix_from_json, matrix_to_json
+from .matcore import matrix_from_json, multiset_residual
 from .signals import PESignal, SignalClass, validate_pe
 
 EXIT_OK = 0
@@ -59,6 +59,13 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _number(cfg, key, default, kind=float):
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 def _pair(cfg):
     obj = _require(cfg, "pair")
     try:
@@ -82,7 +89,7 @@ def _gain(cfg, pair):
 def _signal_class(cfg):
     try:
         return SignalClass(float(_require(cfg, "T")), float(_require(cfg, "mu")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -141,20 +148,13 @@ def _summary_base(cfg_hash, seed):
     return {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
 
 
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _run_lie_check(cfg, cfg_hash, seed, out, jobs):
+def _run_lie_check(cfg, cfg_hash, seed, out):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
-    shift = float(cfg.get("lambda", 0.0))
+    shift = _number(cfg, "lambda", 0.0)
     audit = lie.inclusion_chain_audit(pair.A, pair.B, k, shift=shift, seed=seed)
     summary = _summary_base(cfg_hash, seed)
     summary["certificates"] = {
@@ -167,14 +167,14 @@ def _run_lie_check(cfg, cfg_hash, seed, out, jobs):
     return EXIT_VIOLATION if audit.violations else EXIT_OK
 
 
-def _run_acc_cert(cfg, cfg_hash, seed, out, jobs):
+def _run_acc_cert(cfg, cfg_hash, seed, out):
     pair = _pair(cfg)
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
     k = _gain(cfg, pair)
     try:
         cert = control.accessibility_certificate(
-            pair.A, pair.B, k, trace_divisor=float(cfg.get("trace_divisor", 1.0)))
+            pair.A, pair.B, k, trace_divisor=_number(cfg, "trace_divisor", 1.0))
     except control.NotControllableError as exc:
         raise RuntimeError(str(exc)) from exc
     summary = _summary_base(cfg_hash, seed)
@@ -183,21 +183,15 @@ def _run_acc_cert(cfg, cfg_hash, seed, out, jobs):
     return EXIT_OK
 
 
-def _rates_rows(A, B, K, family, jobs):
-    def one(item):
-        idx, s = item
-        m = rates.monodromy(A, B, K, s)
-        return (idx, s.period, m.top_rate, m.bottom_rate, "")
-
-    return _parallel_map(one, list(enumerate(family)), jobs)
-
-
-def _run_rates(cfg, cfg_hash, seed, out, jobs, signal_file=None):
+def _run_rates(cfg, cfg_hash, seed, out, signal_file=None):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
-    rows = _rates_rows(pair.A, pair.B, k, family, jobs)
+    rows = []
+    for idx, s in enumerate(family):
+        m = rates.monodromy(pair.A, pair.B, k, s)
+        rows.append((idx, s.period, m.top_rate, m.bottom_rate, ""))
     _write_csv(out / "rates.csv",
                ("signal_id", "period", "top_rate", "bottom_rate", "residual"), rows)
     rc = rates.rc_estimate(pair.A, pair.B, k, cls, family)
@@ -215,12 +209,12 @@ def _run_rates(cfg, cfg_hash, seed, out, jobs, signal_file=None):
     return EXIT_OK
 
 
-def _run_duality(cfg, cfg_hash, seed, out, jobs, signal_file=None):
+def _run_duality(cfg, cfg_hash, seed, out, signal_file=None):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
-    tol = float(cfg.get("tolerance", 1e-8))
+    tol = _number(cfg, "tolerance", 1e-8)
     report = rates.duality_check(pair.A, pair.B, k, cls, family, tol=tol)
     rows = [(i, per, "", "", res) for i, per, res in report.per_signal]
     _write_csv(out / "duality.csv",
@@ -238,16 +232,21 @@ def _run_duality(cfg, cfg_hash, seed, out, jobs, signal_file=None):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _run_invariant_set(cfg, cfg_hash, seed, out, jobs):
+def _run_invariant_set(cfg, cfg_hash, seed, out):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     if pair.d != 2:
         raise ConfigError("invariant-set needs d = 2")
     cls = _signal_class(cfg)
-    lo, hi = cfg.get("control_range", (cls.floor, 1.0))
-    resolution = int(cfg.get("resolution", 4096))
+    try:
+        lo, hi = (float(x) for x in cfg.get("control_range", (cls.floor, 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad control_range: {exc}") from exc
+    resolution = _number(cfg, "resolution", 4096, int)
+    if resolution < 1:
+        raise ConfigError("resolution must be positive")
     result = projective.invariant_control_set_d2(
-        pair.A, pair.B, k, (float(lo), float(hi)), resolution=resolution, seed=seed)
+        pair.A, pair.B, k, (lo, hi), resolution=resolution, seed=seed)
     summary = _summary_base(cfg_hash, seed)
     summary["applicable"] = result.applicable
     summary["resolution"] = result.resolution
@@ -264,23 +263,17 @@ def _run_invariant_set(cfg, cfg_hash, seed, out, jobs):
     return EXIT_OK
 
 
-def _run_spin_audit(cfg, cfg_hash, seed, out, jobs, n_seeds=None):
-    n = int(n_seeds if n_seeds is not None else cfg.get("seeds", 200))
+def _run_spin_audit(cfg, cfg_hash, seed, out, n_seeds=None):
+    n = n_seeds if n_seeds is not None else _number(cfg, "seeds", 200, int)
     if n <= 0:
         raise ConfigError("seeds must be positive")
-
-    def one(i):
+    rows = []
+    for i in range(n):
         m = spinchk.random_spin91(seed + i)
-        g = spinchk.lorentz_form()
-        from .matcore import opnorm
-        membership = opnorm(m.T @ g + g @ m) / (1.0 + opnorm(m))
         ev = np.linalg.eigvals(m)
-        from .matcore import multiset_residual
-        symmetry = multiset_residual(ev, -ev)
-        decomp = spinchk.charpoly_even_decomp(m)
-        return (seed + i, membership, symmetry, decomp.odd_residual)
-
-    rows = _parallel_map(one, range(n), jobs)
+        rows.append((seed + i, spinchk.membership_residual(m),
+                     multiset_residual(ev, -ev),
+                     spinchk.charpoly_even_decomp(m).odd_residual))
     _write_csv(out / "spin.csv",
                ("seed", "membership_residual", "symmetry_residual", "odd_residual"),
                rows)
@@ -295,7 +288,7 @@ def _run_spin_audit(cfg, cfg_hash, seed, out, jobs, n_seeds=None):
     return EXIT_OK
 
 
-def _run_duality_grid(cfg, cfg_hash, seed, out, jobs, signal_file=None):
+def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
     pair = _pair(cfg)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
@@ -309,16 +302,16 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, jobs, signal_file=None):
             scale = float(grid_spec.get("scale", 1.0))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad K_grid: {exc}") from exc
+        if count < 1:
+            raise ConfigError("K_grid count must be positive")
         rng = np.random.default_rng(seed)
         gains = [scale * rng.standard_normal((pair.m, pair.d)) for _ in range(count)]
 
-    def one(item):
-        idx, k = item
+    rows = []
+    for idx, k in enumerate(gains):
         rc = rates.rc_estimate(pair.A, pair.B, k, cls, family).value
         rd = rates.rd_estimate(-pair.A, -pair.B, k, cls, mirrored).value
-        return (idx, rc, rd, int(rc == rd))
-
-    rows = _parallel_map(one, list(enumerate(gains)), jobs)
+        rows.append((idx, rc, rd, int(rc == rd)))
     _write_csv(out / "grid.csv", ("k_index", "rc", "rd_mirror", "equal"), rows)
     sup_rc = max(r[1] for r in rows)
     sup_rd = max(r[2] for r in rows)
@@ -348,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; runs are serial")
         if name in ("rates", "duality", "duality-grid"):
             p.add_argument("--signal-file", default=None,
                            help="JSON file with an explicit signal family")
@@ -362,31 +356,30 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, cfg_hash = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        jobs = max(1, args.jobs)
         if args.subcommand == "lie-check":
-            return _run_lie_check(cfg, cfg_hash, seed, out, jobs)
+            return _run_lie_check(cfg, cfg_hash, seed, out)
         if args.subcommand == "acc-cert":
-            return _run_acc_cert(cfg, cfg_hash, seed, out, jobs)
+            return _run_acc_cert(cfg, cfg_hash, seed, out)
         if args.subcommand == "rates":
-            return _run_rates(cfg, cfg_hash, seed, out, jobs, args.signal_file)
+            return _run_rates(cfg, cfg_hash, seed, out, args.signal_file)
         if args.subcommand == "duality":
-            return _run_duality(cfg, cfg_hash, seed, out, jobs, args.signal_file)
+            return _run_duality(cfg, cfg_hash, seed, out, args.signal_file)
         if args.subcommand == "invariant-set":
-            return _run_invariant_set(cfg, cfg_hash, seed, out, jobs)
+            return _run_invariant_set(cfg, cfg_hash, seed, out)
         if args.subcommand == "spin-audit":
-            return _run_spin_audit(cfg, cfg_hash, seed, out, jobs, args.seeds)
+            return _run_spin_audit(cfg, cfg_hash, seed, out, args.seeds)
         if args.subcommand == "duality-grid":
-            return _run_duality_grid(cfg, cfg_hash, seed, out, jobs,
-                                     getattr(args, "signal_file", None))
+            return _run_duality_grid(cfg, cfg_hash, seed, out, args.signal_file)
         raise ConfigError(f"unknown subcommand {args.subcommand}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (lie.LieClosureError, control.NotControllableError,
-            projective.SteeringError, ArithmeticError, RuntimeError) as exc:
+            projective.SteeringError, ArithmeticError, RuntimeError,
+            ValueError) as exc:  # ValueError covers numpy's LinAlgError
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -27,7 +27,6 @@ __all__ = [
     "spectrum",
     "eig_match_tol",
     "multiset_residual",
-    "multisets_match",
     "nilpotent_shift",
     "parity_matrix",
     "unit_vector",
@@ -174,10 +173,6 @@ def multiset_residual(a, b) -> float:
         used[j] = True
         worst = max(worst, float(dist[j]))
     return worst
-
-
-def multisets_match(a, b, tol: float) -> bool:
-    return multiset_residual(a, b) <= tol
 
 
 def nilpotent_shift(d: int) -> np.ndarray:

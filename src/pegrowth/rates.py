@@ -4,16 +4,19 @@ Per-signal Lyapunov exponents via monodromy matrices, worst-case
 convergence/divergence estimators over finite families of periodic signals,
 and the exact algebraic checks that tie a system to its time reversal.
 
-Time-reversal symmetry is enforced exactly: the tuple (A, B, K, signal) and
-its reversal (-A, -B, K, reversed signal) generate monodromies that are
-inverse to each other, so per-signal log-spectra are evaluated once on a
-canonical orbit representative and negated for the partner.  Convergence
-estimates of a system and divergence estimates of its reversal therefore
-agree bit for bit on mirrored families, for any evaluation order.
+Every period product comes from ``_segment_product``, scaled so that stiff
+and long-period signals give finite logarithms.  Only *top* quantities are
+read from it: the log spectral radius and the log 2-norm.  A *bottom*
+quantity is the negated top quantity of the reversed tuple
+(-A, -B, K, reverse(s)), whose period product is the inverse.  Negation
+and ``reverse`` are exact involutions, so the convergence estimate of a
+system and the divergence estimate of its reversal on the mirrored family
+are one computation and agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,8 @@ __all__ = [
     "ParityDualityReport",
 ]
 
+_LN2 = float(np.log(2.0))
+
 
 def _loop_matrices(A, B, K):
     a = require_square(A, "A")
@@ -58,48 +63,79 @@ def _loop_matrices(A, B, K):
     return a, b, k
 
 
-def _product_over_segments(a, bk, segments) -> np.ndarray:
-    """Ordered product of per-segment exponentials, cached by (value, dt)."""
-    d = a.shape[0]
-    r = np.eye(d)
-    cache: dict[tuple[float, float], np.ndarray] = {}
+def _segment_product(a, bk, segments, table: dict) -> tuple[np.ndarray, float]:
+    """Ordered product of the segment exponentials as ``(Rn, log_scale)``,
+    with ``R = exp(log_scale) Rn``.
+
+    A segment's factor ``e^{M dt}``, ``M = a + value bk``, is taken as
+    ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral abscissa
+    of M, so no factor over- or underflows on its own.  ``table`` maps each
+    value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``; the
+    caller owns it and may share it between calls with the same
+    ``(a, bk)``.  The running product is renormalised by a power of two
+    after every factor, which is exact barring underflow of tiny entries.
+    """
+    rn = np.eye(a.shape[0])
+    shift, exponent = 0.0, 0
     for value, dt in segments:
         if dt == 0.0:
             continue
-        key = (value, dt)
-        e = cache.get(key)
-        if e is None:
-            e = scipy.linalg.expm((a + value * bk) * dt)
-            cache[key] = e
-        r = e @ r
-    return r
+        entry = table.get(value)
+        if entry is None:
+            m = a + value * bk
+            sigma = float(np.linalg.eigvals(m).real.max())
+            entry = table[value] = (m - sigma * np.eye(len(m)), sigma, {})
+        generator, sigma, factors = entry
+        factor = factors.get(dt)
+        if factor is None:
+            factor = factors[dt] = scipy.linalg.expm(generator * dt)
+        rn = factor @ rn
+        e = math.frexp(float(np.abs(rn).max()))[1]
+        rn = np.ldexp(rn, -e)
+        shift += sigma * dt
+        exponent += e
+    return rn, shift + exponent * _LN2
+
+
+def _unscaled(rn: np.ndarray, log_scale: float) -> np.ndarray:
+    """``exp(log_scale) rn``, saturating entrywise to 0 or inf, never nan."""
+    whole, frac = divmod(log_scale, _LN2)
+    with np.errstate(over="ignore"):
+        return np.ldexp(rn * np.exp(frac), int(whole))
+
+
+def _top(rn: np.ndarray, log_scale: float, tau: float, norm: bool = False) -> float:
+    """Log spectral radius (or log 2-norm) of ``exp(log_scale) rn``, over tau."""
+    peak = scipy.linalg.svdvals(rn)[0] if norm else np.abs(np.linalg.eigvals(rn)).max()
+    return float((log_scale + np.log(peak)) / tau)
+
+
+def _period_top(a, bk, s: PESignal, table: dict, norm: bool = False) -> float:
+    return _top(*_segment_product(a, bk, s.period_segments(), table), s.period, norm)
 
 
 def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     """Solution at time t of R' = (A + alpha(t) B K) R, R(0) = I.
 
     Exact product of per-segment matrix exponentials over the segments of
-    [0, t]; deterministic.
+    [0, t]; deterministic.  Entries beyond the float range saturate to inf.
     """
     a, b, k = _loop_matrices(A, B, K)
     if t < 0:
         raise ValueError("need t >= 0")
     if t == 0.0:
         return np.eye(a.shape[0])
-    return _product_over_segments(a, b @ k, s.segments(0.0, t))
-
-
-def _monodromy_matrix(a, bk, s: PESignal) -> np.ndarray:
-    return _product_over_segments(a, bk, s.period_segments())
+    return _unscaled(*_segment_product(a, b @ k, s.segments(0.0, t), {}))
 
 
 @dataclass(frozen=True)
 class Monodromy:
     """Fundamental solution over one signal period and the induced rates.
 
-    ``top_rate``/``bottom_rate`` are log spectral radius of R and of its
-    inverse (negated), divided by the period: the extreme Lyapunov exponents
-    of the periodic system.
+    ``top_rate`` is the log spectral radius of R over the period;
+    ``bottom_rate`` is the negated top rate of the reversed tuple, whose
+    monodromy is the inverse of R.  They are the extreme Lyapunov exponents
+    of the periodic system, and stay finite where R itself saturates.
     """
 
     R: np.ndarray
@@ -112,58 +148,10 @@ def monodromy(A, B, K, s: PESignal) -> Monodromy:
     a, b, k = _loop_matrices(A, B, K)
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
-    r = _monodromy_matrix(a, b @ k, s)
-    mods = np.abs(np.linalg.eigvals(r))
-    if mods.min() <= 0.0:  # pragma: no cover - fundamental solutions are invertible
-        raise ArithmeticError("numerically singular fundamental solution")
-    tau = s.period
-    return Monodromy(R=r, tau=tau,
-                     top_rate=float(np.log(mods.max()) / tau),
-                     bottom_rate=float(np.log(mods.min()) / tau))
-
-
-# -- canonical orbit evaluation -------------------------------------------
-
-
-def _triple_encoding(a, b, k, s: PESignal) -> bytes:
-    return (np.ascontiguousarray(a).tobytes()
-            + np.ascontiguousarray(b).tobytes()
-            + np.ascontiguousarray(k).tobytes()
-            + s.encoding_key())
-
-
-def _orbit_log_spectra(a, b, k, s: PESignal, want_svals: bool):
-    """Sorted log eigenvalue moduli (and optionally log singular values) of
-    the monodromy, evaluated on the canonical member of the time-reversal
-    orbit and negated for the other member.
-
-    Guarantees the exact spectral-level identities
-    ``bottom(-A,-B,K,rev s) = -top(A,B,K,s)`` and the corresponding
-    norm/conorm pair, independent of which member is queried.
-    """
-    s_rev = reverse(s)
-    here = _triple_encoding(a, b, k, s)
-    there = _triple_encoding(-a, -b, k, s_rev)
-    if here <= there:
-        r = _monodromy_matrix(a, b @ k, s)
-        flip = False
-    else:
-        r = _monodromy_matrix(-a, -(b @ k), s_rev)
-        flip = True
-    logmod = np.sort(np.log(np.abs(np.linalg.eigvals(r))))
-    if flip:
-        logmod = -logmod[::-1]
-    if not want_svals:
-        return logmod, None
-    logsv = np.sort(np.log(scipy.linalg.svdvals(r)))
-    if flip:
-        logsv = -logsv[::-1]
-    return logmod, logsv
-
-
-def _signal_log_moduli(A, B, K, s: PESignal) -> np.ndarray:
-    a, b, k = _loop_matrices(A, B, K)
-    return _orbit_log_spectra(a, b, k, s, want_svals=False)[0]
+    rn, log_scale = _segment_product(a, b @ k, s.period_segments(), {})
+    return Monodromy(R=_unscaled(rn, log_scale), tau=s.period,
+                     top_rate=_top(rn, log_scale, s.period),
+                     bottom_rate=-_period_top(-a, (-b) @ k, reverse(s), {}))
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -199,18 +187,17 @@ def _spectral_component(r: np.ndarray, thresh: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(z @ proj))
 
 
-def _per_vector_exponent(r: np.ndarray, tau: float, x0: np.ndarray,
-                         tol: float = 1e-9) -> float:
-    logmods = np.log(np.abs(np.linalg.eigvals(r)))
-    classes = _modulus_classes(logmods)
-    if len(classes) == 1:
-        return classes[0] / tau
-    scale = tol * np.linalg.norm(x0)
+def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float,
+                         x0: np.ndarray, tol: float = 1e-9) -> float:
+    """Log-modulus class of ``exp(log_scale) rn`` that x0 touches, over tau."""
+    classes = _modulus_classes(np.log(np.abs(np.linalg.eigvals(rn))))
+    level = classes[-1]
     for i, c in enumerate(classes[:-1]):
         thresh = np.exp(0.5 * (c + classes[i + 1]))
-        if _spectral_component(r, thresh, x0) > scale:
-            return c / tau
-    return classes[-1] / tau
+        if _spectral_component(rn, thresh, x0) > tol * np.linalg.norm(x0):
+            level = c
+            break
+    return (level + log_scale) / tau
 
 
 def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
@@ -226,9 +213,10 @@ def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != a.shape[0] or np.linalg.norm(x) == 0.0:
         raise ValueError("x0 must be a nonzero vector of matching dimension")
+    bk = b @ k
     if s.period is not None:
-        r = _monodromy_matrix(a, b @ k, s)
-        lam = _per_vector_exponent(r, s.period, x)
+        rn, log_scale = _segment_product(a, bk, s.period_segments(), {})
+        lam = _per_vector_exponent(rn, log_scale, s.period, x)
         return lam, lam
     if horizon is None or horizon <= 0:
         raise ValueError("aperiodic signals need a positive horizon")
@@ -237,13 +225,13 @@ def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
     logn = float(np.log(np.linalg.norm(x)))
     cur = x / np.linalg.norm(x)
     prev = 0.0
-    bk = b @ k
+    table = {}
     for tj in times:
-        for value, dt in s.segments(prev, tj):
-            cur = scipy.linalg.expm((a + value * bk) * dt) @ cur
-            nrm = np.linalg.norm(cur)
-            cur /= nrm
-            logn += np.log(nrm)
+        rn, log_scale = _segment_product(a, bk, s.segments(prev, tj), table)
+        cur = rn @ cur
+        nrm = np.linalg.norm(cur)
+        cur /= nrm
+        logn += log_scale + np.log(nrm)
         prev = tj
         rates.append(logn / tj)
     tail = [r for tj, r in zip(times, rates) if tj >= horizon / 2.0]
@@ -270,6 +258,10 @@ class SearchBudget:
     size: int = 32
     include_constants: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.n_periods, self.time_grid, self.size) < 1:
+            raise ValueError("n_periods, time_grid and size must be positive")
 
 
 def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
@@ -372,17 +364,13 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
 
 
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
+    a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    best = None
-    for s in sigs:
-        lm = _signal_log_moduli(A, B, K, s)
-        if kind == "rc":
-            value = -(lm[-1] / s.period)
-        else:
-            value = lm[0] / s.period
-        entry = (value, s.encoding_key(), s)
-        if best is None or entry[:2] < best[:2]:
-            best = entry
+    if kind == "rd":  # bottom exponents: negated top exponents of the reversal
+        a, b = -a, -b
+    bk, table = b @ k, {}
+    best = min(((-_period_top(a, bk, reverse(s) if kind == "rd" else s, table),
+                 s.encoding_key(), s) for s in sigs), key=lambda e: e[:2])
     return RateEstimate(value=best[0], bound="upper", witness=best[2],
                         method=f"{kind}/periodic-monodromy-min/{len(sigs)}")
 
@@ -424,21 +412,24 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
 
     For each signal alpha of period tau the product
     ``R(tau; -A,-B,K, alpha_rev) R(tau; A,B,K, alpha)`` must be the identity
-    (both factors are computed independently; the residual is reported).
-    Aggregately, the convergence estimate of (A, B, K) and the divergence
-    estimate of (-A, -B, K) on the mirrored family must coincide exactly.
+    (both factors are computed independently; the residual is reported,
+    as inf where the product leaves the float range).  Aggregately, the
+    convergence estimate of (A, B, K) and the divergence estimate of
+    (-A, -B, K) on the mirrored family must coincide exactly.
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    d = a.shape[0]
-    eye = np.eye(d)
-    bk = b @ k
+    eye = np.eye(a.shape[0])
+    bk, bk_rev = b @ k, (-b) @ k
+    table, table_rev = {}, {}
     rows = []
     worst = 0.0
     for i, s in enumerate(sigs):
-        r = _monodromy_matrix(a, bk, s)
-        r_rev = _monodromy_matrix(-a, -bk, reverse(s))
-        res = opnorm(r_rev @ r - eye)
+        rn, log_scale = _segment_product(a, bk, s.period_segments(), table)
+        rn_rev, log_scale_rev = _segment_product(
+            -a, bk_rev, reverse(s).period_segments(), table_rev)
+        prod = _unscaled(rn_rev @ rn, log_scale_rev + log_scale)
+        res = opnorm(prod - eye) if np.isfinite(prod).all() else np.inf
         worst = max(worst, res)
         rows.append((i, s.period, res))
     rc = rc_estimate(a, b, k, cls, sigs)
@@ -462,29 +453,27 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     """Extremal log-norm and log-conorm growth over the family.
 
     The norm envelope is bounded below by the best signal found; the conorm
-    envelope is bounded above.  The exact mirror identity (the conorm
-    envelope of a system is the negated norm envelope of its reversal) is
-    evaluated on the mirrored family and reported.
+    envelope is bounded above.  The log conorm of R is the negated log norm
+    of its inverse, the monodromy of the reversed tuple.  The exact mirror
+    identity (the conorm envelope of a system is the negated norm envelope
+    of its reversal) is evaluated again on the mirrored family and reported.
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
+    mirrored = mirror_family(sigs)
 
-    def collect(aa, bb, fam):
-        tops, bottoms = [], []
-        for s in fam:
-            _, ls = _orbit_log_spectra(aa, bb, k, s, want_svals=True)
-            tops.append((ls[-1] / s.period, s.encoding_key(), s))
-            bottoms.append((ls[0] / s.period, s.encoding_key(), s))
-        return tops, bottoms
+    def log_norms(aa, bb, fam, table):
+        bk = bb @ k
+        return [_period_top(aa, bk, s, table, norm=True) for s in fam]
 
-    tops, bottoms = collect(a, b, sigs)
-    top = max(tops, key=lambda e: (e[0], e[1]))
-    bottom = min(bottoms, key=lambda e: (e[0], e[1]))
+    keys = [s.encoding_key() for s in sigs]
+    mirror_table = {}
+    top = max(zip(log_norms(a, b, sigs, {}), keys, sigs), key=lambda e: e[:2])
+    bottom = min(zip([-v for v in log_norms(-a, -b, mirrored, mirror_table)], keys, sigs),
+                 key=lambda e: e[:2])
     delta_hat = RateEstimate(top[0], "lower", top[2], "delta/log-norm-max")
     delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
-
-    mtops, _ = collect(-a, -b, mirror_family(sigs))
-    mirror_delta = max(mtops, key=lambda e: (e[0], e[1]))[0]
+    mirror_delta = max(log_norms(-a, -b, mirrored, mirror_table))
     return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
                        mirror_identity_exact=bool(delta_star.value == -mirror_delta),
                        ordered=bool(delta_star.value <= delta_hat.value))
@@ -594,6 +583,8 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     k_minus = ((-1.0) ** d) * (k @ parity)
     j = nilpotent_shift(d)
     ed = unit_vector(d, d - 1).reshape(d, 1)
+    bk, bk_minus = ed @ k.reshape(1, d), ed @ k_minus.reshape(1, d)
+    table, table_minus = {}, {}
     rows = []
     worst = 0.0
     for i, s in enumerate(family):
@@ -601,9 +592,10 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
             raise ValueError(f"family[{i}] is not periodic")
         if cls is not None and not validate_pe(s, cls).valid:
             raise ValueError(f"family[{i}] fails the excitation check")
-        ev = np.linalg.eigvals(_monodromy_matrix(j, ed @ k.reshape(1, d), s))
-        ev_minus = np.linalg.eigvals(
-            _monodromy_matrix(j, ed @ k_minus.reshape(1, d), reverse(s)))
+        ev = np.linalg.eigvals(_unscaled(*_segment_product(
+            j, bk, s.period_segments(), table)))
+        ev_minus = np.linalg.eigvals(_unscaled(*_segment_product(
+            j, bk_minus, reverse(s).period_segments(), table_minus)))
         res = multiset_residual(ev_minus, 1.0 / ev)
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))

@@ -19,6 +19,7 @@ from .matcore import multiset_residual, opnorm, require_square
 __all__ = [
     "LORENTZ_DIM",
     "lorentz_form",
+    "membership_residual",
     "is_spin91",
     "random_spin91",
     "bordered_decomposition",
@@ -45,11 +46,16 @@ def _require_lorentz(M) -> np.ndarray:
     return m
 
 
-def is_spin91(M, tol: float = 1e-10) -> bool:
-    """Membership test: ||M' G + G M|| <= tol (1 + ||M||)."""
+def membership_residual(M) -> float:
+    """Relative membership residual ||M' G + G M|| / (1 + ||M||)."""
     m = _require_lorentz(M)
     g = lorentz_form()
-    return opnorm(m.T @ g + g @ m) <= tol * (1.0 + opnorm(m))
+    return opnorm(m.T @ g + g @ m) / (1.0 + opnorm(m))
+
+
+def is_spin91(M, tol: float = 1e-10) -> bool:
+    """Membership test: membership_residual(M) <= tol."""
+    return membership_residual(M) <= tol
 
 
 def random_spin91(seed: int) -> np.ndarray:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pegrowth import cli
+from pegrowth import cli, rates
 from pegrowth.matcore import matrix_to_json
 
 
@@ -85,6 +91,19 @@ class TestDuality:
         sig_path.write_text(json.dumps({"signals": [
             {"breakpoints": [0.0, 0.1], "values": [1.0, 0.0], "period": 1.0}]}))
         assert run("duality", cfg, tmp_path / "x", "--signal-file", str(sig_path)) == 2
+
+
+    def test_stiff_triple_finite_without_traceback(self, tmp_path, capsys):
+        cfg = base_config(family={"size": 8})
+        cfg["pair"]["A"] = matrix_to_json(100 * np.array([[-10.0, 1.0], [0.0, -20.0]]))
+        cfg["pair"]["B"] = matrix_to_json(100 * np.array([[0.0], [1.0]]))
+        out = tmp_path / "stiff"
+        assert run("duality", write_config(tmp_path, cfg), out) in (0, 4)
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["rc"]["value"])
+        assert summary["rc"]["value"] == summary["rd_mirror"]["value"]
+        assert summary["estimates_equal"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRates:
@@ -183,6 +202,94 @@ class TestDualityGrid:
         lines = (out / "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 13
         assert all(line.endswith(",1") for line in lines[1:])
+
+
+class TestExitCodes:
+    def test_empty_gain_grid_is_config_error(self, tmp_path):
+        cfg = base_config(K_grid={"count": 0})
+        del cfg["K"]
+        assert run("duality-grid", write_config(tmp_path, cfg), tmp_path / "g") == 2
+
+    def test_zero_resolution_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(resolution=0))
+        assert run("invariant-set", cfg, tmp_path / "i") == 2
+
+    def test_empty_family_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(family={"size": 0}))
+        assert run("rates", cfg, tmp_path / "r") == 2
+
+    def test_malformed_control_range_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(control_range="lo-hi"))
+        assert run("invariant-set", cfg, tmp_path / "i") == 2
+
+    def test_library_value_error_is_numerical(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(control_range=[1.0, 0.5]))
+        assert run("invariant-set", cfg, tmp_path / "i") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical diagnostic:") and err.count("\n") == 1
+
+    def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rates, "duality_check", fail)
+        assert run("duality", write_config(tmp_path, base_config()), tmp_path / "d") == 3
+        assert capsys.readouterr().err == "numerical diagnostic: SVD did not converge\n"
+
+
+def _entries(lo, hi, n):
+    return st.lists(st.floats(lo, hi, allow_nan=False, width=32), min_size=n, max_size=n)
+
+
+# Each is applied on its own to otherwise valid configs.
+EDGES = {
+    "none": {},
+    "family size 0": {"family": {"size": 0}},
+    "one-cell family grid": {"family": {"size": 3, "n_periods": 1, "time_grid": 1}},
+    "n_periods 0": {"family": {"size": 2, "n_periods": 0}},
+    "grid count 0": {"K_grid": {"count": 0}},
+    "resolution 0": {"resolution": 0},
+    "resolution 1": {"resolution": 1},
+    "mu 0": {"mu": 0.0},
+    "mu above T": {"mu": 1.5},
+    "seeds 0": {"seeds": 0},
+    "empty control range": {"control_range": [0.5, 0.5]},
+}
+
+
+@st.composite
+def small_configs(draw):
+    """Planar configs with small families, at ordinary and stiff scales."""
+    scale = draw(st.sampled_from([1.0, 30.0, 0.0]))
+    return {
+        "schema": "1",
+        "pair": {"A": {"rows": 2, "cols": 2, "data": [scale * x for x in draw(_entries(-1, 1, 4))]},
+                 "B": {"rows": 2, "cols": 1, "data": [scale * x for x in draw(_entries(-1, 1, 2))]}},
+        "K": {"rows": 1, "cols": 2, "data": draw(_entries(-3, 3, 2))},
+        "T": 1.0,
+        "mu": draw(st.sampled_from([0.4, 0.9])),
+        "family": {"size": draw(st.integers(1, 3))},
+        "K_grid": {"count": draw(st.integers(1, 2)), "scale": draw(st.sampled_from([1.0, 50.0]))},
+        "resolution": 16,
+        "seeds": 1,
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(cfg=small_configs())
+def test_every_config_maps_to_a_documented_exit(edge, cfg):
+    cfg.update(EDGES[edge])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        for sub in cli.SUBCOMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(sub, path, Path(tmp) / sub)
+            assert code in (0, 2, 3, 4), (sub, code)
+            assert "Traceback" not in err.getvalue()
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def test_unknown_config_schema(tmp_path):

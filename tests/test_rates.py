@@ -88,6 +88,50 @@ class TestMonodromy:
             rates.monodromy(a, b, k, PESignal([0.0], [1.0]))
 
 
+class TestStiffAndLongPeriod:
+    """Rates stay finite and right where the period product leaves the float
+    range: scaled copies of a stiff triple and a long constant period."""
+
+    STIFF_A = np.array([[-10.0, 1.0], [0.0, -20.0]])
+    STIFF_K = np.array([[-2.0, -3.0]])
+
+    @pytest.mark.parametrize("scale", [1, 10, 100, 1000])
+    def test_stiff_triple_finite_and_dual(self, scale):
+        a, b, k = scale * self.STIFF_A, scale * E2, self.STIFF_K
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=10, seed=0))
+        rc = rates.rc_estimate(a, b, k, CLS, fam).value
+        rd_mirror = rates.rd_estimate(-a, -b, k, CLS, rates.mirror_family(fam)).value
+        rd = rates.rd_estimate(a, b, k, CLS, fam).value
+        assert np.isfinite(rc) and np.isfinite(rd)
+        assert rc == rd_mirror
+        bound = min(-np.linalg.eigvals(a + v * (b @ k)).real.max() for v in (CLS.floor, 1.0))
+        assert rc <= bound + 1e-9 * abs(bound)  # both constants are in the family
+
+    @pytest.mark.parametrize("scale", [1, 10, 100, 1000])
+    def test_stiff_constant_family_matches_eigenvalues(self, scale):
+        a, b, k = scale * self.STIFF_A, scale * E2, self.STIFF_K
+        levels = np.linspace(CLS.floor, 1.0, 7)
+        fam = rates.constant_family(CLS, 7)
+        spectra = [np.linalg.eigvals(a + v * (b @ k)).real for v in levels]
+        best_rc = min(-ev.max() for ev in spectra)
+        best_rd = min(ev.min() for ev in spectra)
+        assert rates.rc_estimate(a, b, k, CLS, fam).value == pytest.approx(best_rc, rel=1e-9)
+        assert rates.rd_estimate(a, b, k, CLS, fam).value == pytest.approx(best_rd, rel=1e-9)
+
+    def test_long_period_saddle(self):
+        m = rates.monodromy(np.diag([-5.0, 5.0]), np.zeros((2, 1)), np.zeros((1, 2)),
+                            PESignal.constant(1.0, period=200.0))
+        assert (m.top_rate, m.bottom_rate) == (pytest.approx(5.0, abs=1e-12),
+                                               pytest.approx(-5.0, abs=1e-12))
+
+    def test_overflowing_residual_reported_as_inf(self):
+        a, b, k = 100 * self.STIFF_A, 100 * E2, self.STIFF_K
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=6, seed=0))
+        rep = rates.duality_check(a, b, k, CLS, fam)
+        assert rep.estimates_equal and np.isfinite(rep.rc.value)
+        assert rep.max_residual == np.inf and not rep.ok
+
+
 class TestLyapExponents:
     def test_scalar_embedding(self):
         lam = 0.7

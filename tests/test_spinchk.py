@@ -25,6 +25,14 @@ class TestMembership:
         with pytest.raises(ValueError):
             spinchk.is_spin91(np.zeros((9, 9)))
 
+    def test_membership_residual(self):
+        m = spinchk.random_spin91(3)
+        assert spinchk.membership_residual(m) <= 1e-15
+        g = spinchk.lorentz_form()
+        bent = m + np.outer(np.eye(10)[0], np.eye(10)[9])
+        expected = opnorm(bent.T @ g + g @ bent) / (1.0 + opnorm(bent))
+        assert spinchk.membership_residual(bent) == expected > 0.1
+
 
 class TestRandomDraws:
     def test_draws_pass_everything(self):

@@ -21,10 +21,11 @@ from .control import (AccCertificate, ControllabilityDecomposition,
                       controllability_decomposition, controllability_matrix,
                       controllable_form_si, kalman_rank,
                       spectral_halfplane_gate)
-from .rates import (DeltaReport, DualityReport, Monodromy, RateEstimate,
-                    SearchBudget, bang_bang_family, constant_family,
-                    coordinate_invariance_check, delta_quantities,
-                    duality_check, fundamental_solution, lyap_exponents,
+from .rates import (DeltaReport, DualityGridReport, DualityReport, FamilyRates,
+                    Monodromy, RateEstimate, SearchBudget, bang_bang_family,
+                    constant_family, coordinate_invariance_check,
+                    delta_quantities, duality_check, duality_grid,
+                    family_rates, fundamental_solution, lyap_exponents,
                     mirror_family, monodromy, parity_duality_check,
                     rc_estimate, rd_estimate, shift_law_check)
 from .projective import (CircleArcSet, InvariantSetResult, SteerResult,

@@ -188,19 +188,16 @@ def _run_rates(cfg, cfg_hash, seed, out, signal_file=None):
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
-    rows = []
-    for idx, s in enumerate(family):
-        m = rates.monodromy(pair.A, pair.B, k, s)
-        rows.append((idx, s.period, m.top_rate, m.bottom_rate, ""))
+    report = rates.family_rates(pair.A, pair.B, k, cls, family)
+    rows = [(idx, s.period, top, bottom, "") for idx, (s, top, bottom) in enumerate(
+        zip(report.signals, report.top_rates, report.bottom_rates))]
     _write_csv(out / "rates.csv",
                ("signal_id", "period", "top_rate", "bottom_rate", "residual"), rows)
-    rc = rates.rc_estimate(pair.A, pair.B, k, cls, family)
-    rd = rates.rd_estimate(pair.A, pair.B, k, cls, family)
-    delta = rates.delta_quantities(pair.A, pair.B, k, cls, family)
+    delta = report.delta
     summary = _summary_base(cfg_hash, seed)
     summary.update({
         "T": cls.T, "mu": cls.mu, "n_signals": len(family),
-        "rc": rc.to_json(), "rd": rd.to_json(),
+        "rc": report.rc.to_json(), "rd": report.rd.to_json(),
         "delta": delta.delta_hat.to_json(),
         "delta_star": delta.delta_star_hat.to_json(),
         "delta_mirror_identity": delta.mirror_identity_exact,
@@ -292,7 +289,6 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
     pair = _pair(cfg)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
-    mirrored = rates.mirror_family(family)
     grid_spec = cfg.get("K_grid", {"count": 100, "scale": 1.0})
     if "K" in cfg and "K_grid" not in cfg:
         gains = [_gain(cfg, pair)]
@@ -307,11 +303,9 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
         rng = np.random.default_rng(seed)
         gains = [scale * rng.standard_normal((pair.m, pair.d)) for _ in range(count)]
 
-    rows = []
-    for idx, k in enumerate(gains):
-        rc = rates.rc_estimate(pair.A, pair.B, k, cls, family).value
-        rd = rates.rd_estimate(-pair.A, -pair.B, k, cls, mirrored).value
-        rows.append((idx, rc, rd, int(rc == rd)))
+    report = rates.duality_grid(pair.A, pair.B, gains, cls, family)
+    rows = [(idx, rc.value, rd.value, int(rc.value == rd.value))
+            for idx, (rc, rd) in enumerate(zip(report.rc, report.rd_mirror))]
     _write_csv(out / "grid.csv", ("k_index", "rc", "rd_mirror", "equal"), rows)
     sup_rc = max(r[1] for r in rows)
     sup_rd = max(r[2] for r in rows)

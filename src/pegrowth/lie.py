@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .matcore import DEFAULT_RANK_TOL, as_matrix, fronorm, require_square
+from .matcore import (DEFAULT_RANK_TOL, as_matrix, canonical_unit, fronorm,
+                      require_square)
 
 __all__ = [
     "LieBasis",
@@ -205,24 +206,13 @@ def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
     return RankCertificate("LARC0", verdict, basis.dim, tol=tol)
 
 
-def _canonical_direction(v: np.ndarray, tol: float = 1e-12) -> np.ndarray | None:
-    n = np.linalg.norm(v)
-    if n <= tol:
-        return None
-    u = v / n
-    for x in u:
-        if abs(x) > tol:
-            return u if x > 0 else -u
-    return None
-
-
 def _real_eig_directions(M, tol=1e-9) -> list[np.ndarray]:
     """Real and imaginary parts of eigenvectors, canonicalised to unit reps."""
     w, v = np.linalg.eig(M)
     out = []
     for j in range(w.size):
         for part in (v[:, j].real, v[:, j].imag):
-            u = _canonical_direction(part)
+            u = canonical_unit(part)
             if u is not None:
                 out.append(u)
     return out
@@ -239,14 +229,14 @@ def _quasi_uniform_directions(d: int, n: int, seed: int) -> list[np.ndarray]:
             z = 1.0 - (2.0 * i + 1.0) / n
             r = np.sqrt(max(0.0, 1.0 - z * z))
             phi = golden * i
-            u = _canonical_direction(np.array([r * np.cos(phi), r * np.sin(phi), z]))
+            u = canonical_unit(np.array([r * np.cos(phi), r * np.sin(phi), z]))
             if u is not None:
                 pts.append(u)
         return pts
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(n):
-        u = _canonical_direction(rng.standard_normal(d))
+        u = canonical_unit(rng.standard_normal(d))
         if u is not None:
             pts.append(u)
     return pts
@@ -327,7 +317,7 @@ def check_irreducible(L: LieBasis, trials: int | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     seeds: list[np.ndarray] = []
     for _ in range(trials):
-        u = _canonical_direction(rng.standard_normal(d))
+        u = canonical_unit(rng.standard_normal(d))
         if u is not None:
             seeds.append(u)
     stacked = L.stacked()

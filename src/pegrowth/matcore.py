@@ -30,6 +30,7 @@ __all__ = [
     "nilpotent_shift",
     "parity_matrix",
     "unit_vector",
+    "canonical_unit",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -190,6 +191,21 @@ def unit_vector(d: int, i: int) -> np.ndarray:
     v = np.zeros(d)
     v[i] = 1.0
     return v
+
+
+def canonical_unit(v, tol: float = 1e-12) -> np.ndarray | None:
+    """Unit representative of the line through v, signed so that its first
+    coordinate above tol is positive (antipodal identification); None when
+    the norm of v is at most tol."""
+    v = np.asarray(v, dtype=float).ravel()
+    n = np.linalg.norm(v)
+    if n <= tol:
+        return None
+    u = v / n
+    for x in u:
+        if abs(x) > tol:
+            return u if x > 0 else -u
+    return u
 
 
 def matrix_to_json(M) -> dict:

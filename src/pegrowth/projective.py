@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .matcore import as_matrix, require_square
+from .matcore import as_matrix, canonical_unit, require_square
 from .signals import PESignal
 
 __all__ = [
@@ -41,16 +41,11 @@ def proj_point(x) -> np.ndarray:
     """Canonical unit representative of a projective point.
 
     Normalises and flips sign so the first nonzero coordinate is positive
-    (antipodal identification).
+    (antipodal identification); see ``matcore.canonical_unit``.
     """
-    v = np.asarray(x, dtype=float).ravel()
-    n = np.linalg.norm(v)
-    if n <= 1e-12:
+    u = canonical_unit(x)
+    if u is None:
         raise ValueError("cannot project the zero vector")
-    u = v / n
-    for c in u:
-        if abs(c) > 1e-12:
-            return u if c > 0 else -u
     return u
 
 

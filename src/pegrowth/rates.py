@@ -5,7 +5,10 @@ convergence/divergence estimators over finite families of periodic signals,
 and the exact algebraic checks that tie a system to its time reversal.
 
 Every period product comes from ``_segment_product``, scaled so that stiff
-and long-period signals give finite logarithms.  Only *top* quantities are
+and long-period signals give finite logarithms.  It evaluates a stack of
+gains at once, one ``expm`` per distinct segment for the whole stack, and
+each slice equals the one-gain product bit for bit; ``duality_grid`` reads
+a whole grid of gains in one pass per side.  Only *top* quantities are
 read from it: the log spectral radius and the log 2-norm.  A *bottom*
 quantity is the negated top quantity of the reversed tuple
 (-A, -B, K, reverse(s)), whose period product is the inverse.  Negation
@@ -40,6 +43,10 @@ __all__ = [
     "rd_estimate",
     "duality_check",
     "DualityReport",
+    "duality_grid",
+    "DualityGridReport",
+    "family_rates",
+    "FamilyRates",
     "delta_quantities",
     "DeltaReport",
     "shift_law_check",
@@ -63,38 +70,43 @@ def _loop_matrices(A, B, K):
     return a, b, k
 
 
-def _segment_product(a, bk, segments, table: dict) -> tuple[np.ndarray, float]:
-    """Ordered product of the segment exponentials as ``(Rn, log_scale)``,
-    with ``R = exp(log_scale) Rn``.
+def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[float]]:
+    """Ordered products of the segment exponentials for a stack of gains, as
+    ``(Rn, log_scale)`` with ``R[g] = exp(log_scale[g]) Rn[g]``.
 
-    A segment's factor ``e^{M dt}``, ``M = a + value bk``, is taken as
-    ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral abscissa
-    of M, so no factor over- or underflows on its own.  ``table`` maps each
-    value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``; the
-    caller owns it and may share it between calls with the same
-    ``(a, bk)``.  The running product is renormalised by a power of two
-    after every factor, which is exact barring underflow of tiny entries.
+    ``bks`` stacks the loop gains ``B K`` as ``(G, d, d)``; one gain is a
+    stack of one.  A segment's factor ``e^{M dt}``, ``M = a + value bk``, is
+    taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
+    abscissa of M, so no factor over- or underflows on its own.  ``table``
+    maps each value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``,
+    each stacked over the gains, so a distinct segment costs one ``expm``
+    call for the whole stack.  The caller owns the table and may share it
+    between calls with the same ``(a, bks)``.  Each running product is
+    renormalised by its own power of two after every factor, which is exact
+    barring underflow of tiny entries.
     """
-    rn = np.eye(a.shape[0])
-    shift, exponent = 0.0, 0
+    g, d = bks.shape[0], a.shape[0]
+    rn = np.broadcast_to(np.eye(d), bks.shape)
+    shift, exponent = [0.0] * g, [0] * g
     for value, dt in segments:
         if dt == 0.0:
             continue
         entry = table.get(value)
         if entry is None:
-            m = a + value * bk
-            sigma = float(np.linalg.eigvals(m).real.max())
-            entry = table[value] = (m - sigma * np.eye(len(m)), sigma, {})
+            m = a + value * bks
+            sigma = np.linalg.eigvals(m).real.max(axis=1)
+            entry = table[value] = (m - sigma[:, None, None] * np.eye(d), sigma.tolist(), {})
         generator, sigma, factors = entry
         factor = factors.get(dt)
         if factor is None:
             factor = factors[dt] = scipy.linalg.expm(generator * dt)
         rn = factor @ rn
-        e = math.frexp(float(np.abs(rn).max()))[1]
+        e = np.frexp(np.abs(rn).max(axis=(1, 2), keepdims=True))[1]
         rn = np.ldexp(rn, -e)
-        shift += sigma * dt
-        exponent += e
-    return rn, shift + exponent * _LN2
+        for i, eg in enumerate(e.ravel().tolist()):
+            shift[i] += sigma[i] * dt
+            exponent[i] += eg
+    return rn, [sh + ex * _LN2 for sh, ex in zip(shift, exponent)]
 
 
 def _unscaled(rn: np.ndarray, log_scale: float) -> np.ndarray:
@@ -104,14 +116,18 @@ def _unscaled(rn: np.ndarray, log_scale: float) -> np.ndarray:
         return np.ldexp(rn * np.exp(frac), int(whole))
 
 
-def _top(rn: np.ndarray, log_scale: float, tau: float, norm: bool = False) -> float:
-    """Log spectral radius (or log 2-norm) of ``exp(log_scale) rn``, over tau."""
-    peak = scipy.linalg.svdvals(rn)[0] if norm else np.abs(np.linalg.eigvals(rn)).max()
-    return float((log_scale + np.log(peak)) / tau)
+def _top(rn: np.ndarray, log_scale, tau: float, norm: bool = False) -> list[float]:
+    """Per gain, the log spectral radius (or log 2-norm) of
+    ``exp(log_scale[g]) rn[g]``, over tau."""
+    # scipy's batched svdvals loops over the slices itself, at more than
+    # twice the cost of one call per slice.
+    peak = (np.array([scipy.linalg.svdvals(r)[0] for r in rn]) if norm
+            else np.abs(np.linalg.eigvals(rn)).max(axis=1))
+    return ((np.asarray(log_scale) + np.log(peak)) / tau).tolist()
 
 
-def _period_top(a, bk, s: PESignal, table: dict, norm: bool = False) -> float:
-    return _top(*_segment_product(a, bk, s.period_segments(), table), s.period, norm)
+def _period_top(a, bks, s: PESignal, table: dict, norm: bool = False) -> list[float]:
+    return _top(*_segment_product(a, bks, s.period_segments(), table), s.period, norm)
 
 
 def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
@@ -125,7 +141,8 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
         raise ValueError("need t >= 0")
     if t == 0.0:
         return np.eye(a.shape[0])
-    return _unscaled(*_segment_product(a, b @ k, s.segments(0.0, t), {}))
+    rn, log_scale = _segment_product(a, (b @ k)[None], s.segments(0.0, t), {})
+    return _unscaled(rn[0], log_scale[0])
 
 
 @dataclass(frozen=True)
@@ -148,10 +165,10 @@ def monodromy(A, B, K, s: PESignal) -> Monodromy:
     a, b, k = _loop_matrices(A, B, K)
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
-    rn, log_scale = _segment_product(a, b @ k, s.period_segments(), {})
-    return Monodromy(R=_unscaled(rn, log_scale), tau=s.period,
-                     top_rate=_top(rn, log_scale, s.period),
-                     bottom_rate=-_period_top(-a, (-b) @ k, reverse(s), {}))
+    rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
+    return Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
+                     top_rate=_top(rn, log_scale, s.period)[0],
+                     bottom_rate=-_period_top(-a, ((-b) @ k)[None], reverse(s), {})[0])
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -213,10 +230,10 @@ def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != a.shape[0] or np.linalg.norm(x) == 0.0:
         raise ValueError("x0 must be a nonzero vector of matching dimension")
-    bk = b @ k
+    bks = (b @ k)[None]
     if s.period is not None:
-        rn, log_scale = _segment_product(a, bk, s.period_segments(), {})
-        lam = _per_vector_exponent(rn, log_scale, s.period, x)
+        rn, log_scale = _segment_product(a, bks, s.period_segments(), {})
+        lam = _per_vector_exponent(rn[0], log_scale[0], s.period, x)
         return lam, lam
     if horizon is None or horizon <= 0:
         raise ValueError("aperiodic signals need a positive horizon")
@@ -227,11 +244,11 @@ def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
     prev = 0.0
     table = {}
     for tj in times:
-        rn, log_scale = _segment_product(a, bk, s.segments(prev, tj), table)
-        cur = rn @ cur
+        rn, log_scale = _segment_product(a, bks, s.segments(prev, tj), table)
+        cur = rn[0] @ cur
         nrm = np.linalg.norm(cur)
         cur /= nrm
-        logn += log_scale + np.log(nrm)
+        logn += log_scale[0] + np.log(nrm)
         prev = tj
         rates.append(logn / tj)
     tail = [r for tj, r in zip(times, rates) if tj >= horizon / 2.0]
@@ -351,8 +368,10 @@ class RateEstimate:
 
 
 def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
+    """The PE-valid periodic signals of a family.  A ``SearchBudget`` family
+    is valid by construction; a sequence is validated here, once."""
     if isinstance(family, SearchBudget):
-        family = bang_bang_family(cls, family)
+        return bang_bang_family(cls, family)
     sigs = list(family)
     for i, s in enumerate(sigs):
         if s.period is None:
@@ -363,16 +382,34 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     return valid
 
 
+def _signal_rates(a, b, gains, sigs, kind: str, table: dict) -> list[list[float]]:
+    """Per gain, the rate of every signal in one stacked pass: the negated
+    top exponent (kind "rc"), or the bottom exponent, the negated top
+    exponent of the reversed tuple (-a, -b, K, reverse(s)) (kind "rd").
+    ``table`` is the factor table of the tuple that is evaluated."""
+    if kind == "rd":
+        a, b, sigs = -a, -b, [reverse(s) for s in sigs]
+    bks = np.stack([b @ k for k in gains])
+    tops = [_period_top(a, bks, s, table) for s in sigs]
+    return [[-t[g] for t in tops] for g in range(len(gains))]
+
+
+def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
+    """Per gain, the family minimum of the signal rates; ties go to the
+    smaller encoding key."""
+    keys = [s.encoding_key() for s in sigs]
+    method = f"{kind}/periodic-monodromy-min/{len(sigs)}"
+    out = []
+    for values in per_gain:
+        best = min(zip(values, keys, sigs), key=lambda e: e[:2])
+        out.append(RateEstimate(value=best[0], bound="upper", witness=best[2], method=method))
+    return out
+
+
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    if kind == "rd":  # bottom exponents: negated top exponents of the reversal
-        a, b = -a, -b
-    bk, table = b @ k, {}
-    best = min(((-_period_top(a, bk, reverse(s) if kind == "rd" else s, table),
-                 s.encoding_key(), s) for s in sigs), key=lambda e: e[:2])
-    return RateEstimate(value=best[0], bound="upper", witness=best[2],
-                        method=f"{kind}/periodic-monodromy-min/{len(sigs)}")
+    return _minima(_signal_rates(a, b, [k], sigs, kind, {}), sigs, kind)[0]
 
 
 def rc_estimate(A, B, K, cls: SignalClass, family) -> RateEstimate:
@@ -420,23 +457,54 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
     eye = np.eye(a.shape[0])
-    bk, bk_rev = b @ k, (-b) @ k
+    bks, bks_rev = (b @ k)[None], ((-b) @ k)[None]
     table, table_rev = {}, {}
     rows = []
     worst = 0.0
     for i, s in enumerate(sigs):
-        rn, log_scale = _segment_product(a, bk, s.period_segments(), table)
+        rn, log_scale = _segment_product(a, bks, s.period_segments(), table)
         rn_rev, log_scale_rev = _segment_product(
-            -a, bk_rev, reverse(s).period_segments(), table_rev)
-        prod = _unscaled(rn_rev @ rn, log_scale_rev + log_scale)
+            -a, bks_rev, reverse(s).period_segments(), table_rev)
+        prod = _unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
         res = opnorm(prod - eye) if np.isfinite(prod).all() else np.inf
         worst = max(worst, res)
         rows.append((i, s.period, res))
-    rc = rc_estimate(a, b, k, cls, sigs)
-    rd = rd_estimate(-a, -b, k, cls, mirror_family(sigs))
+    mirrored = _resolve_family(cls, mirror_family(sigs))
+    rc = _minima(_signal_rates(a, b, [k], sigs, "rc", table), sigs, "rc")[0]
+    rd = _minima(_signal_rates(-a, -b, [k], mirrored, "rd", {}), mirrored, "rd")[0]
     return DualityReport(per_signal=tuple(rows), max_residual=worst,
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
+
+
+@dataclass(frozen=True)
+class DualityGridReport:
+    """Per gain, ``rc(A, B, K)`` and ``rd(-A, -B, K)`` on the mirrored family."""
+
+    rc: tuple         # of RateEstimate, one per gain
+    rd_mirror: tuple  # of RateEstimate, one per gain
+
+
+def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
+    """Time-reversal duality of the estimates over a grid of gains.
+
+    The family and its mirror are validated once each.  ``rc`` is one pass
+    over the family with every gain stacked.  ``rd_mirror`` is a second pass
+    along ``rd_estimate``'s own path: the negated tuple on the reversed
+    mirrored family, with its own factor table.  It never reads the ``rc``
+    values, so per-gain equality stays a check of the duality.  Each entry
+    equals the corresponding ``rc_estimate``/``rd_estimate`` bit for bit.
+    """
+    if len(gains) == 0:
+        raise ValueError("need at least one gain")
+    loops = [_loop_matrices(A, B, K) for K in gains]
+    a, b = loops[0][:2]
+    ks = [k for _, _, k in loops]
+    sigs = _resolve_family(cls, family)
+    mirrored = _resolve_family(cls, mirror_family(sigs))
+    rc = _minima(_signal_rates(a, b, ks, sigs, "rc", {}), sigs, "rc")
+    rd = _minima(_signal_rates(-a, -b, ks, mirrored, "rd", {}), mirrored, "rd")
+    return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
 @dataclass(frozen=True)
@@ -449,6 +517,27 @@ class DeltaReport:
     ordered: bool                  # delta_star_hat <= delta_hat
 
 
+def _delta(a, b, k, sigs, table: dict, mirror_table: dict) -> DeltaReport:
+    """``delta_quantities`` on validated signals; ``table`` serves (a, bk)
+    and ``mirror_table`` the reversed tuple (-a, -bk)."""
+    mirrored = mirror_family(sigs)
+
+    def log_norms(aa, bb, fam, tab):
+        bks = (bb @ k)[None]
+        return [_period_top(aa, bks, s, tab, norm=True)[0] for s in fam]
+
+    keys = [s.encoding_key() for s in sigs]
+    top = max(zip(log_norms(a, b, sigs, table), keys, sigs), key=lambda e: e[:2])
+    bottom = min(zip([-v for v in log_norms(-a, -b, mirrored, mirror_table)], keys, sigs),
+                 key=lambda e: e[:2])
+    delta_hat = RateEstimate(top[0], "lower", top[2], "delta/log-norm-max")
+    delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
+    mirror_delta = max(log_norms(-a, -b, mirrored, mirror_table))
+    return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
+                       mirror_identity_exact=bool(delta_star.value == -mirror_delta),
+                       ordered=bool(delta_star.value <= delta_hat.value))
+
+
 def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     """Extremal log-norm and log-conorm growth over the family.
 
@@ -459,24 +548,39 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     of its reversal) is evaluated again on the mirrored family and reported.
     """
     a, b, k = _loop_matrices(A, B, K)
+    return _delta(a, b, k, _resolve_family(cls, family), {}, {})
+
+
+@dataclass(frozen=True)
+class FamilyRates:
+    """Per-signal monodromy rates of a family and the estimates they give."""
+
+    signals: tuple       # the PE-valid signals, in family order
+    top_rates: tuple     # Monodromy.top_rate of each signal
+    bottom_rates: tuple  # Monodromy.bottom_rate of each signal
+    rc: RateEstimate
+    rd: RateEstimate
+    delta: DeltaReport
+
+
+def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
+    """Per-signal rates with ``rc``, ``rd`` and the delta envelopes.
+
+    The family is validated once.  One factor table serves (A, BK): the top
+    rates, ``rc`` and the norm envelope.  One serves the reversed tuple
+    (-A, -BK): the bottom rates, ``rd`` and the conorm envelope.  Every value
+    equals what ``monodromy``, ``rc_estimate``, ``rd_estimate`` and
+    ``delta_quantities`` give on their own, bit for bit.
+    """
+    a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    mirrored = mirror_family(sigs)
-
-    def log_norms(aa, bb, fam, table):
-        bk = bb @ k
-        return [_period_top(aa, bk, s, table, norm=True) for s in fam]
-
-    keys = [s.encoding_key() for s in sigs]
-    mirror_table = {}
-    top = max(zip(log_norms(a, b, sigs, {}), keys, sigs), key=lambda e: e[:2])
-    bottom = min(zip([-v for v in log_norms(-a, -b, mirrored, mirror_table)], keys, sigs),
-                 key=lambda e: e[:2])
-    delta_hat = RateEstimate(top[0], "lower", top[2], "delta/log-norm-max")
-    delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
-    mirror_delta = max(log_norms(-a, -b, mirrored, mirror_table))
-    return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
-                       mirror_identity_exact=bool(delta_star.value == -mirror_delta),
-                       ordered=bool(delta_star.value <= delta_hat.value))
+    table, table_rev = {}, {}
+    neg_tops = _signal_rates(a, b, [k], sigs, "rc", table)
+    bottoms = _signal_rates(a, b, [k], sigs, "rd", table_rev)
+    return FamilyRates(signals=tuple(sigs), top_rates=tuple(-v for v in neg_tops[0]),
+                       bottom_rates=tuple(bottoms[0]),
+                       rc=_minima(neg_tops, sigs, "rc")[0], rd=_minima(bottoms, sigs, "rd")[0],
+                       delta=_delta(a, b, k, sigs, table, table_rev))
 
 
 @dataclass(frozen=True)
@@ -583,7 +687,7 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     k_minus = ((-1.0) ** d) * (k @ parity)
     j = nilpotent_shift(d)
     ed = unit_vector(d, d - 1).reshape(d, 1)
-    bk, bk_minus = ed @ k.reshape(1, d), ed @ k_minus.reshape(1, d)
+    bks, bks_minus = (ed @ k.reshape(1, d))[None], (ed @ k_minus.reshape(1, d))[None]
     table, table_minus = {}, {}
     rows = []
     worst = 0.0
@@ -592,10 +696,11 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
             raise ValueError(f"family[{i}] is not periodic")
         if cls is not None and not validate_pe(s, cls).valid:
             raise ValueError(f"family[{i}] fails the excitation check")
-        ev = np.linalg.eigvals(_unscaled(*_segment_product(
-            j, bk, s.period_segments(), table)))
-        ev_minus = np.linalg.eigvals(_unscaled(*_segment_product(
-            j, bk_minus, reverse(s).period_segments(), table_minus)))
+        rn, log_scale = _segment_product(j, bks, s.period_segments(), table)
+        rn_minus, log_scale_minus = _segment_product(
+            j, bks_minus, reverse(s).period_segments(), table_minus)
+        ev = np.linalg.eigvals(_unscaled(rn[0], log_scale[0]))
+        ev_minus = np.linalg.eigvals(_unscaled(rn_minus[0], log_scale_minus[0]))
         res = multiset_residual(ev_minus, 1.0 / ev)
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))

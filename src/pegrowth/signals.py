@@ -151,34 +151,31 @@ class PESignal:
     def _cum_at_breakpoints(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.values * self.durations)])
 
+    def _antiderivative(self, x) -> np.ndarray:
+        """Exact integral of the signal from 0 (periodic) or from the first
+        breakpoint (aperiodic) to each entry of x, elementwise."""
+        x = np.asarray(x, dtype=float)
+        if self.period is not None:
+            per = self.period
+            cum = self._cum_at_breakpoints()
+            k = np.floor(x / per)
+            r = x - k * per
+            wrap = r >= per  # floating wrap guard
+            k = np.where(wrap, k + 1, k)
+            r = np.where(wrap, r - per, r)
+            i = np.searchsorted(self.breakpoints, r, side="right") - 1
+            return k * cum[-1] + cum[i] + self.values[i] * (r - self.breakpoints[i])
+        bk, vals = self.breakpoints, self.values
+        cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
+        i = np.minimum(np.searchsorted(bk, x, side="right") - 1, bk.size - 1)
+        return np.where(x <= bk[0], vals[0] * (x - bk[0]), cum[i] + vals[i] * (x - bk[i]))
+
     def integrate(self, t0: float, t1: float) -> float:
         """Exact integral of the signal over [t0, t1]."""
         if t1 < t0:
             raise ValueError("need t1 >= t0")
-        if self.period is not None:
-            per = self.period
-            cum = self._cum_at_breakpoints()
-            total = cum[-1]
-
-            def F(x):
-                k = np.floor(x / per)
-                r = x - k * per
-                if r >= per:  # floating wrap guard
-                    k, r = k + 1, r - per
-                i = int(np.searchsorted(self.breakpoints, r, side="right")) - 1
-                return k * total + cum[i] + self.values[i] * (r - self.breakpoints[i])
-
-            return float(F(t1) - F(t0))
-        bk, vals = self.breakpoints, self.values
-        cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
-
-        def G(x):
-            if x <= bk[0]:
-                return vals[0] * (x - bk[0])
-            i = min(int(np.searchsorted(bk, x, side="right")) - 1, bk.size - 1)
-            return cum[i] + vals[i] * (x - bk[i])
-
-        return float(G(t1) - G(t0))
+        lo, hi = self._antiderivative([t0, t1])
+        return float(hi - lo)
 
     def segments(self, t0: float, t1: float):
         """(value, duration) pairs covering [t0, t1], in time order."""
@@ -270,7 +267,8 @@ def validate_pe(s: PESignal, cls: SignalClass, horizon: float | None = None) -> 
     For a piecewise-constant signal the window integral is piecewise linear
     in the window start, so the minimum is attained where the start or the
     end of the window hits a breakpoint; only that finite candidate set is
-    evaluated.  Periodic signals are checked over one period; aperiodic
+    evaluated, in one vectorised pass, and the first minimal start is
+    reported.  Periodic signals are checked over one period; aperiodic
     signals need an explicit ``horizon`` and are checked on [0, horizon].
     """
     T, mu = cls.T, cls.mu
@@ -285,15 +283,13 @@ def validate_pe(s: PESignal, cls: SignalClass, horizon: float | None = None) -> 
             raise ValueError("horizon shorter than the window length T")
         cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
         cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
-    worst_t = 0.0
-    worst = np.inf
-    for t in cand:
-        val = s.integrate(t, t + T)
-        if val < worst:
-            worst, worst_t = val, float(t)
+    end, start = s._antiderivative([cand + T, cand])
+    window = end - start
+    j = int(np.argmin(window))
+    worst = float(window[j])
     return PEValidation(valid=bool(worst >= mu - EP_TOL),
-                        worst_window_start=worst_t,
-                        worst_integral=float(worst))
+                        worst_window_start=float(cand[j]),
+                        worst_integral=worst)
 
 
 def reverse(s: PESignal) -> PESignal:

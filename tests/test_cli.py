@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pegrowth import cli, rates
 from pegrowth.matcore import matrix_to_json
+from pegrowth.signals import PESignal, SignalClass
 
 
 def base_config(**extra):
@@ -202,6 +203,42 @@ class TestDualityGrid:
         lines = (out / "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 13
         assert all(line.endswith(",1") for line in lines[1:])
+
+    @staticmethod
+    def grid_config(tmp_path):
+        cfg = base_config(K_grid={"count": 8, "scale": 1.0}, family={"size": 60})
+        del cfg["K"]
+        return write_config(tmp_path, cfg)
+
+    def test_validates_family_and_mirror_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate_pe = rates.validate_pe
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return validate_pe(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "validate_pe", counted)
+        family = rates.bang_bang_family(SignalClass(1.0, 0.4),
+                                        rates.SearchBudget(size=60, seed=7))
+        attempts = len(calls)
+        calls.clear()
+        assert run("duality-grid", self.grid_config(tmp_path), tmp_path / "g") == 0
+        assert len(calls) <= attempts + 2 * len(family)
+
+    def test_rd_mirror_is_evaluated_on_its_own_path(self, tmp_path, monkeypatch):
+        reverse = rates.reverse
+
+        def perturbed(s):
+            r = reverse(s)
+            durations = r.durations.copy()
+            durations[0] *= 1.0 + 1e-6
+            return PESignal(r.breakpoints, r.values, r.period, durations=durations)
+
+        monkeypatch.setattr(rates, "reverse", perturbed)
+        out = tmp_path / "g"
+        assert run("duality-grid", self.grid_config(tmp_path), out) == 4
+        assert not json.loads((out / "summary.json").read_text())["per_gain_equal"]
 
 
 class TestExitCodes:

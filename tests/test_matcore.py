@@ -143,3 +143,22 @@ def test_parity_matrix_signs():
     t = matcore.parity_matrix(4)
     np.testing.assert_array_equal(np.diag(t), [1.0, -1.0, 1.0, -1.0])
     np.testing.assert_array_equal(t @ t, np.eye(4))
+
+
+class TestCanonicalUnit:
+    def test_sign_and_norm(self):
+        u = matcore.canonical_unit([0.0, -3.0, 4.0])
+        np.testing.assert_array_equal(u, [0.0, 0.6, -0.8])
+
+    def test_zero_has_no_direction(self):
+        assert matcore.canonical_unit(np.zeros(3)) is None
+        assert matcore.canonical_unit([1e-13, 0.0]) is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, 4, elements=st.floats(-3.0, 3.0, width=64)))
+    def test_antipodes_share_a_representative(self, v):
+        u = matcore.canonical_unit(v)
+        if u is None:
+            assert np.linalg.norm(v) <= 1e-12
+        else:
+            np.testing.assert_array_equal(u, matcore.canonical_unit(-v))

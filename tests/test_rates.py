@@ -264,6 +264,90 @@ class TestDuality:
         assert rep.ok
 
 
+def same_estimate(x, y):
+    """Equal value (bit for bit), bound, method and witness."""
+    return x.to_json() == y.to_json()
+
+
+class TestGainStack:
+    """The stacked engine reproduces the one-gain engine slice by slice."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_stack_equals_single_gains(self, d):
+        rng = np.random.default_rng(300 + d)
+        a = rng.standard_normal((d, d))
+        bks = np.stack([rng.standard_normal((d, 1)) @ rng.standard_normal((1, d))
+                        for _ in range(5)])
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=8, seed=d))
+        table, single = {}, [{} for _ in bks]
+        for s in fam:
+            rn, log_scale = rates._segment_product(a, bks, s.period_segments(), table)
+            for g, bk in enumerate(bks):
+                rn_g, log_scale_g = rates._segment_product(
+                    a, bk[None], s.period_segments(), single[g])
+                np.testing.assert_array_equal(rn[g], rn_g[0])
+                assert log_scale[g] == log_scale_g[0]
+                assert (rates._top(rn, log_scale, s.period)[g]
+                        == rates._top(rn_g, log_scale_g, s.period)[0])
+
+
+class TestDualityGrid:
+    @pytest.mark.parametrize("count", [1, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_equals_per_gain_estimates(self, d, count):
+        rng = np.random.default_rng(40 + d)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        b = rng.standard_normal((d, 1))
+        gains = [rng.standard_normal((1, d)) for _ in range(count)]
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=d))
+        mirrored = rates.mirror_family(fam)
+        rep = rates.duality_grid(a, b, gains, CLS, fam)
+        assert len(rep.rc) == len(rep.rd_mirror) == count
+        for k, rc, rd in zip(gains, rep.rc, rep.rd_mirror):
+            assert same_estimate(rc, rates.rc_estimate(a, b, k, CLS, fam))
+            assert same_estimate(rd, rates.rd_estimate(-a, -b, k, CLS, mirrored))
+            assert rc.value == rd.value
+
+    def test_stiff_triple_with_scaled_gain(self):
+        a, b = TestStiffAndLongPeriod.STIFF_A, E2
+        k = TestStiffAndLongPeriod.STIFF_K
+        gains = [k, 100.0 * k]
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=10, seed=0))
+        rep = rates.duality_grid(a, b, gains, CLS, fam)
+        for kk, rc, rd in zip(gains, rep.rc, rep.rd_mirror):
+            assert np.isfinite(rc.value)
+            assert same_estimate(rc, rates.rc_estimate(a, b, kk, CLS, fam))
+            assert same_estimate(rd, rates.rd_estimate(-a, -b, kk, CLS,
+                                                        rates.mirror_family(fam)))
+            assert rc.value == rd.value
+
+    def test_needs_a_gain(self):
+        a, b, _ = random_system(15)
+        with pytest.raises(ValueError):
+            rates.duality_grid(a, b, [], CLS, rates.constant_family(CLS, 2))
+
+
+class TestFamilyRates:
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_equals_separate_calls(self, d):
+        rng = np.random.default_rng(60 + d)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        b = rng.standard_normal((d, 1))
+        k = rng.standard_normal((1, d))
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=d))
+        rep = rates.family_rates(a, b, k, CLS, fam)
+        assert len(rep.signals) == len(fam)
+        for s, top, bottom in zip(rep.signals, rep.top_rates, rep.bottom_rates):
+            m = rates.monodromy(a, b, k, s)
+            assert (top, bottom) == (m.top_rate, m.bottom_rate)
+        assert same_estimate(rep.rc, rates.rc_estimate(a, b, k, CLS, fam))
+        assert same_estimate(rep.rd, rates.rd_estimate(a, b, k, CLS, fam))
+        delta = rates.delta_quantities(a, b, k, CLS, fam)
+        assert same_estimate(rep.delta.delta_hat, delta.delta_hat)
+        assert same_estimate(rep.delta.delta_star_hat, delta.delta_star_hat)
+        assert rep.delta.mirror_identity_exact == delta.mirror_identity_exact
+
+
 class TestDelta:
     def test_scalar_block(self):
         lam = 0.3

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pegrowth.signals import (PESignal, SignalClass, SpliceError, periodize,
-                              reverse, splice_periodic, validate_pe)
+from pegrowth.signals import (EP_TOL, PESignal, PEValidation, SignalClass,
+                              SpliceError, periodize, reverse, splice_periodic,
+                              validate_pe)
 
 CLS = SignalClass(1.0, 0.4)
 
@@ -83,6 +86,78 @@ class TestPESignal:
         s = PESignal.from_segments([(1.0, 0.5), (1.0, 0.25), (0.0, 0.25)], period=1.0)
         assert s.n_segments == 2
         np.testing.assert_array_equal(s.values, [1.0, 0.0])
+
+
+def scalar_integral(s, t0, t1):
+    """Exact integral over [t0, t1] from the antiderivative, one point at a time."""
+    if s.period is not None:
+        per = s.period
+        cum = np.concatenate([[0.0], np.cumsum(s.values * s.durations)])
+
+        def F(x):
+            k = np.floor(x / per)
+            r = x - k * per
+            if r >= per:
+                k, r = k + 1, r - per
+            i = int(np.searchsorted(s.breakpoints, r, side="right")) - 1
+            return k * cum[-1] + cum[i] + s.values[i] * (r - s.breakpoints[i])
+
+        return float(F(t1) - F(t0))
+    bk, vals = s.breakpoints, s.values
+    cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
+
+    def G(x):
+        if x <= bk[0]:
+            return vals[0] * (x - bk[0])
+        i = min(int(np.searchsorted(bk, x, side="right")) - 1, bk.size - 1)
+        return cum[i] + vals[i] * (x - bk[i])
+
+    return float(G(t1) - G(t0))
+
+
+def scalar_validate_pe(s, cls, horizon=None):
+    """Reference: every candidate window start in turn, first strict minimum."""
+    T = cls.T
+    if s.period is not None:
+        cand = np.concatenate([s.breakpoints, np.mod(s.breakpoints - T, s.period)])
+        cand = np.unique(np.mod(cand, s.period))
+    else:
+        cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
+        cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
+    worst_t, worst = 0.0, np.inf
+    for t in cand:
+        val = scalar_integral(s, t, t + T)
+        if val < worst:
+            worst, worst_t = val, float(t)
+    return PEValidation(bool(worst >= cls.mu - EP_TOL), worst_t, float(worst))
+
+
+@st.composite
+def signal_cases(draw):
+    """Periodic and aperiodic signals, on a grid (ties between windows) or
+    with free durations, against classes at mu in {0.4, 0.95, 1}."""
+    n = draw(st.integers(1, 6))
+    levels = st.sampled_from([0.0, 0.4, 0.95, 1.0]) | st.floats(0.0, 1.0)
+    values = draw(st.lists(levels, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        durations = [c / 16 for c in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))]
+    else:
+        durations = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    periodic = draw(st.booleans())
+    s = PESignal.from_segments(zip(values, durations),
+                               period=sum(durations) if periodic else None)
+    cls = SignalClass(1.0, draw(st.sampled_from([0.4, 0.95, 1.0])))
+    horizon = None if periodic else cls.T + draw(st.floats(0.0, 5.0))
+    return s, cls, horizon
+
+
+class TestValidateAgainstScalarLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=signal_cases(), t=st.floats(-3.0, 6.0), width=st.floats(0.0, 4.0))
+    def test_same_verdict_start_and_integral(self, case, t, width):
+        s, cls, horizon = case
+        assert validate_pe(s, cls, horizon) == scalar_validate_pe(s, cls, horizon)
+        assert s.integrate(t, t + width) == scalar_integral(s, t, t + width)
 
 
 class TestValidatePE:

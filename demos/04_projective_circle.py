@@ -2,9 +2,12 @@
 
 On the half-circle of directions, the controlled flow
 theta' = f(theta, alpha) with alpha in [mu/T, 1] has a unique compact
-invariant control set.  This script computes its grid approximation, audits
-forward invariance under random admissible controls, and steers between
-directions with greedy bang-bang controls.
+invariant control set.  The angular speed is a first-degree trigonometric
+polynomial in 2 theta, so the set is exact: its endpoints are closed-form
+zeros of the speeds at the two ends of the control range.  This script
+computes it, audits forward invariance under random admissible controls
+(an independent RK4 simulation), and steers between directions with greedy
+bang-bang controls whose switch and arrival times are exact integrals.
 """
 
 import numpy as np
@@ -32,8 +35,9 @@ for theta in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
 
 res = invariant_control_set_d2(A, B, K, crange, resolution=4096)
 lo, hi = res.arcs.arcs[0]
-print(f"\ninvariant control set: arc [{lo:.4f}, {hi:.4f}) "
-      f"(width {hi - lo:.4f} rad, resolution {res.resolution})")
+print(f"\ninvariant control set: arc [{lo:.6f}, {hi:.6f}) "
+      f"(width {hi - lo:.6f} rad, exact endpoints; "
+      f"audit scale pi/{res.resolution})")
 
 pts = boundary_points(res.arcs, 40, res.resolution)
 audit = forward_invariance_audit(A, B, K, crange, res.arcs, pts,
@@ -55,7 +59,8 @@ for _ in range(3):
                   max_time=bound + 5.0)
     print(f"  from theta={float(np.arctan2(q0[1], q0[0])) % np.pi:.3f}: "
           f"arrived in tau={st.tau:.3f} (<= {bound:.3f}), "
-          f"{st.signal.n_segments} control segments")
+          f"{st.signal.n_segments} control segments, switching at "
+          f"{[round(t, 4) for t in st.signal.breakpoints[1:].tolist()]}")
 
 # The steering segment has values inside [mu/T, 1], so it can close a
 # periodic excitation-compliant signal around any admissible prefix.

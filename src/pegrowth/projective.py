@@ -1,13 +1,29 @@
 """Dynamics on real projective space.
 
 General-dimension projected fields, plus the planar (d = 2) toolkit: angle
-dynamics on the half-circle [0, pi), a grid approximation of the invariant
-control set of the projected bilinear system, and greedy bang-bang steering
-between directions.
+dynamics on the half-circle [0, pi), the exact invariant control set of the
+projected bilinear system, and greedy bang-bang steering between directions
+with exact switch and arrival times.
+
+The planar toolkit reads everything from one representation.  The angular
+speed of ``x' = M x`` at ``q = (cos theta, sin theta)`` is the first-degree
+trigonometric polynomial
+
+    f(theta) = c0 + c1 cos 2theta + c2 sin 2theta,
+    (c0, c1, c2) = ((m10 - m01)/2, (m10 + m01)/2, (m11 - m00)/2),
+
+affine in alpha for ``M = A + alpha BK``.  In polar form it is
+``big cos^2 v + small sin^2 v`` with ``v = theta - shift``,
+``big, small = c0 +- hypot(c1, c2)`` and ``shift = atan2(c2, c1) / 2``.
+Its zeros on the half-circle are closed-form (at most two), and the time to
+cross an arc free of zeros is an elementary integral: an ``atan`` form when
+``big`` and ``small`` share a sign, an ``atanh`` (logarithmic) form when
+they do not.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,48 +100,131 @@ def project_field(M, q) -> np.ndarray:
     return mx - (x @ mx) * x
 
 
+def _speed_coeffs(m) -> tuple:
+    """(c0, c1, c2): the angular speed of ``x' = m x`` is
+    ``c0 + c1 cos 2theta + c2 sin 2theta``."""
+    return ((m[1, 0] - m[0, 1]) / 2.0, (m[1, 0] + m[0, 1]) / 2.0,
+            (m[1, 1] - m[0, 0]) / 2.0)
+
+
+def _radial_coeffs(m) -> tuple:
+    """(c0, c1, c2): the radial log-derivative of ``x' = m x`` is
+    ``c0 + c1 cos 2theta + c2 sin 2theta``."""
+    return ((m[0, 0] + m[1, 1]) / 2.0, (m[0, 0] - m[1, 1]) / 2.0,
+            (m[0, 1] + m[1, 0]) / 2.0)
+
+
+def _planar_loop(A, B, K):
+    a = require_square(A, "A")
+    if a.shape != (2, 2):
+        raise ValueError("angle dynamics need d = 2")
+    return a, as_matrix(B, "B") @ as_matrix(K, "K")
+
+
 def angle_dynamics_d2(A, B, K):
     """Polar reduction of the planar projected system.
 
     Returns (f, g) with ``f(theta, alpha)`` the angular speed and
     ``g(theta, alpha)`` the radial log-derivative of
     ``x' = (A + alpha B K) x`` along ``q = (cos theta, sin theta)``.
-    Both are pi-periodic in theta and accept arrays.
+    Both are first-degree trigonometric polynomials in 2 theta, affine in
+    alpha, so they are pi-periodic in theta; they accept arrays.
     """
-    a = require_square(A, "A")
-    if a.shape != (2, 2):
-        raise ValueError("angle dynamics need d = 2")
-    b = as_matrix(B, "B")
-    k = as_matrix(K, "K")
-    bk = b @ k
+    a, bk = _planar_loop(A, B, K)
 
-    def rates(theta, alpha, m):
-        c, s = np.cos(theta), np.sin(theta)
-        qx = m[0, 0] * c + m[0, 1] * s
-        qy = m[1, 0] * c + m[1, 1] * s
-        return c, s, qx, qy
+    def trig(base, pert):
+        def field(theta, alpha):
+            c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+            return (base[0] + base[1] * c2 + base[2] * s2
+                    + np.asarray(alpha) * (pert[0] + pert[1] * c2 + pert[2] * s2))
+        return field
 
-    def f(theta, alpha):
-        m0 = a
-        c, s, q0x, q0y = rates(theta, alpha, m0)
-        base = -s * q0x + c * q0y
-        c, s, q1x, q1y = rates(theta, alpha, bk)
-        return base + np.asarray(alpha) * (-s * q1x + c * q1y)
+    return (trig(_speed_coeffs(a), _speed_coeffs(bk)),
+            trig(_radial_coeffs(a), _radial_coeffs(bk)))
 
-    def g(theta, alpha):
-        c, s, q0x, q0y = rates(theta, alpha, a)
-        base = c * q0x + s * q0y
-        c, s, q1x, q1y = rates(theta, alpha, bk)
-        return base + np.asarray(alpha) * (c * q1x + s * q1y)
 
-    return f, g
+def _polar(coeffs) -> tuple:
+    """(big, small, shift) of the speed ``c0 + c1 cos 2theta + c2 sin 2theta``:
+    it equals ``big cos^2 v + small sin^2 v`` with ``v = theta - shift``."""
+    c0, c1, c2 = (float(c) for c in coeffs)
+    rho = math.hypot(c1, c2)
+    return c0 + rho, c0 - rho, 0.5 * math.atan2(c2, c1)
+
+
+def _speed_at(field, theta: float) -> float:
+    big, small, shift = field
+    v = theta - shift
+    return big * math.cos(v) ** 2 + small * math.sin(v) ** 2
+
+
+def _wrap(theta: float) -> float:
+    """``theta`` mod pi as a float in [0, pi) (``%`` can round up to pi)."""
+    r = theta % math.pi
+    return 0.0 if r >= math.pi else r
+
+
+def _zeros(field) -> tuple:
+    """Sorted zeros of the speed on [0, pi): none, one (a double root) or two.
+
+    An identically zero speed has no isolated zeros and returns none.
+    """
+    big, small, shift = field
+    if big * small > 0.0 or (big == 0.0 and small == 0.0):
+        return ()
+    v0 = math.atan2(math.sqrt(big), math.sqrt(-small))  # big >= 0 >= small
+    return tuple(sorted({_wrap(shift + v0), _wrap(shift - v0)}))
+
+
+def _atanh(x: float) -> float:
+    # |x| >= 1 only by rounding at an end that is a zero of the speed
+    return math.atanh(x) if abs(x) < 1.0 else math.copysign(math.inf, x)
+
+
+def _arc_time(field, t1: float, t2: float) -> float:
+    """Exact ``integral of d theta / f`` from t1 to t2 over an arc free of
+    zeros of f; positive when the flow runs from t1 to t2."""
+    big, small, shift = field
+    v1, v2 = t1 - shift, t2 - shift
+    if big * small > 0.0:
+        # atan form, lifted continuously across the poles of tan v
+        rb, rs = math.sqrt(abs(big)), math.sqrt(abs(small))
+
+        def lift(v):
+            n = round(v / math.pi)
+            r = v - n * math.pi
+            return math.atan2(rs * math.sin(r), rb * math.cos(r)) + n * math.pi
+
+        return math.copysign(1.0, big) * (lift(v2) - lift(v1)) / (rb * rs)
+    if big > 0.0 > small:
+        # logarithmic form: atanh of (rs/rb) tan v where the speed is
+        # positive, of (rb/rs) cot v where it is negative
+        rb, rs = math.sqrt(big), math.sqrt(-small)
+        vm = 0.5 * (v1 + v2)
+        if big * math.cos(vm) ** 2 + small * math.sin(vm) ** 2 > 0.0:
+            h1, h2 = (_atanh(rs * math.tan(v) / rb) for v in (v1, v2))
+        else:
+            h1, h2 = (_atanh(rb * math.cos(v) / (rs * math.sin(v))) for v in (v1, v2))
+        return (h2 - h1) / (rb * rs)
+    if small < 0.0:  # big == 0: speed small sin^2 v, double root at v = 0
+        s1, s2 = math.sin(v1), math.sin(v2)
+        if s1 == 0.0 or s2 == 0.0:
+            return math.inf
+        return (math.cos(v1) / s1 - math.cos(v2) / s2) / small
+    if big > 0.0:  # small == 0: speed big cos^2 v, double root at v = pi/2
+        return (math.tan(v2) - math.tan(v1)) / big
+    return math.inf  # identically zero speed
 
 
 @dataclass(frozen=True)
 class CircleArcSet:
-    """Disjoint arcs [lo, hi) on the half-circle [0, pi)."""
+    """Disjoint arcs [lo, hi) on the half-circle [0, pi).
 
-    arcs: tuple  # of (lo, hi), 0 <= lo < hi <= pi
+    Each arc has ``0 <= lo < pi`` and ``lo < hi <= lo + pi``; an arc that
+    wraps across pi has ``hi > pi`` and covers [lo, pi) and [0, hi - pi).
+    The whole half-circle is the single arc (0, pi).
+    """
+
+    arcs: tuple  # of (lo, hi)
 
     @property
     def whole(self) -> bool:
@@ -159,79 +258,146 @@ class InvariantSetResult:
     certificate: lie.RankCertificate | None
 
 
-def _arcs_from_mask(mask: np.ndarray, resolution: int) -> CircleArcSet:
-    h = np.pi / resolution
-    if mask.all():
-        return CircleArcSet(arcs=((0.0, np.pi),))
-    idx = np.flatnonzero(mask)
-    arcs = []
-    start = prev = None
-    for j in idx:
-        if start is None:
-            start = prev = j
-        elif j == prev + 1:
-            prev = j
-        else:
-            arcs.append((start, prev))
-            start = prev = j
-    if start is not None:
-        arcs.append((start, prev))
-    # merge a wrap-around run (last cell adjacent to first)
-    if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == mask.size - 1:
-        first = arcs.pop(0)
-        last = arcs.pop()
-        arcs.append((last[0], first[1] + mask.size))
-    out = []
-    for a, b in arcs:
-        lo = (a % mask.size) * h
-        hi = lo + (b - a + 1) * h
-        out.append((float(lo), float(hi)))
-    out.sort()
-    return CircleArcSet(arcs=tuple(out))
+class _Planar:
+    """The planar toolkit on one representation: the speeds of BK and of
+    ``A + alpha BK`` at both ends of the control range, in polar form,
+    with their zeros on the half-circle."""
+
+    def __init__(self, A, B, K, control_range):
+        a, bk = _planar_loop(A, B, K)
+        ca, cb = _speed_coeffs(a), _speed_coeffs(bk)
+        self.lo, self.hi = float(control_range[0]), float(control_range[1])
+        self.switch = _polar(cb)
+        self.cuts = _zeros(self.switch)
+        self.fields = {v: _polar(tuple(x + v * y for x, y in zip(ca, cb)))
+                       for v in (self.lo, self.hi)}
+        self.zeros = {v: _zeros(f) for v, f in self.fields.items()}
+
+    def sink_arcs(self) -> tuple:
+        """Sink strongly connected components of the zero/arc graph, as arcs.
+
+        The nodes, in circular order, are the zeros of the two extremal
+        speeds and the open arcs between them (at most four of each); the
+        sign of each speed is constant on a node.  A node hands the flow to
+        its upper neighbour when the larger speed is positive on it, and to
+        its lower neighbour when the smaller speed is negative.  Returns the
+        sink components as (lo, hi) pairs, and their count.
+        """
+        f_lo, f_hi = self.fields[self.lo], self.fields[self.hi]
+        zl, zh = self.zeros[self.lo], self.zeros[self.hi]
+        zeros = sorted(set(zl + zh))
+        if not zeros:
+            return ((0.0, math.pi),), 1
+        nz = len(zeros)
+        n = 2 * nz
+        # node 2i is zeros[i]; node 2i+1 the arc from zeros[i] to the next zero
+        ends = []
+        for i, z in enumerate(zeros):
+            nxt = zeros[i + 1] if i + 1 < nz else zeros[0] + math.pi
+            ends.append((z, z))
+            ends.append((z, nxt))
+        up, down = [], []
+        for j, (left, right) in enumerate(ends):
+            if j % 2 == 0:
+                speeds = (0.0 if left in zl else _speed_at(f_lo, left),
+                          0.0 if left in zh else _speed_at(f_hi, left))
+            else:
+                mid = 0.5 * (left + right)
+                speeds = (_speed_at(f_lo, mid), _speed_at(f_hi, mid))
+            up.append(max(speeds) > 0.0)
+            down.append(min(speeds) < 0.0)
+
+        def reach(j):
+            seen, todo = {j}, [j]
+            while todo:
+                i = todo.pop()
+                for k, edge in (((i + 1) % n, up[i]), ((i - 1) % n, down[i])):
+                    if edge and k not in seen:
+                        seen.add(k)
+                        todo.append(k)
+            return seen
+
+        reached = [reach(j) for j in range(n)]
+        sinks = {frozenset(r) for j, r in enumerate(reached)
+                 if all(j in reached[k] for k in r)}
+        if any(len(c) == n for c in sinks):
+            return ((0.0, math.pi),), 1
+        arcs = []
+        for comp in sinks:
+            # a component is a run of consecutive nodes; walk it from its start
+            first = next(j for j in comp if (j - 1) % n not in comp)
+            last = first
+            while (last + 1) % n in comp:
+                last += 1
+            lo = ends[first][0]
+            hi = ends[last % n][1] + (math.pi if last >= n else 0.0)
+            arcs.append((float(lo), float(hi)))
+        return tuple(sorted(arcs)), len(sinks)
+
+    def sense(self, theta0: float, target: float, sigma: float, max_time: float):
+        """Greedy steering along one sense, as (tau, segments); tau is inf
+        when the sense is infeasible or slower than ``max_time``.
+
+        The greedy control is ``hi`` where ``sigma * f1 >= 0`` and ``lo``
+        elsewhere, ``f1`` being the speed of BK; so the switch points are
+        the zeros of ``f1``.  On each piece between them the arrival time is
+        the exact integral of ``1 / f``.  A sense is infeasible when its
+        chosen speed reaches zero on the closed path (a tangential double
+        root included) or points backwards: such a path is dominated
+        pointwise by the other sense.
+        """
+        end = theta0 + sigma * _wrap(sigma * (target - theta0))
+        pts = [theta0]
+        pts += sorted((c for c in (theta0 + sigma * _wrap(sigma * (z - theta0))
+                                   for z in self.cuts)
+                       if sigma * (end - c) > 0.0 and c != theta0), key=lambda c: sigma * c)
+        pts.append(end)
+        total, segs = 0.0, []
+        for t1, t2 in zip(pts, pts[1:]):
+            mid = 0.5 * (t1 + t2)
+            alpha = self.hi if sigma * _speed_at(self.switch, mid) >= 0.0 else self.lo
+            field = self.fields[alpha]
+            left, right = min(t1, t2), max(t1, t2)
+            if (sigma * _speed_at(field, mid) <= 0.0
+                    or any(left + _wrap(z - left) <= right for z in self.zeros[alpha])):
+                return math.inf, []
+            dt = _arc_time(field, t1, t2)
+            total += dt
+            if not total <= max_time:
+                return math.inf, []
+            segs.append((alpha, dt))
+        return total, segs
+
+    def fastest(self, theta0: float, target: float, tol: float, max_time: float):
+        """The faster sense as (tau, segments); (0, []) within ``tol``."""
+        if abs(angle_distance(target, theta0)) <= tol:
+            return 0.0, []
+        return min(self.sense(theta0, target, +1.0, max_time),
+                   self.sense(theta0, target, -1.0, max_time), key=lambda r: r[0])
 
 
 def invariant_control_set_d2(A, B, K, control_range, resolution: int = 4096,
                              plarc_samples: int = 64, seed: int = 0) -> InvariantSetResult:
-    """Grid approximation of the invariant control set on the half-circle.
+    """Exact invariant control set on the half-circle.
 
-    Builds a reachability graph on ``resolution`` cells: a cell can hand the
-    flow to its upper neighbour when the maximal angular speed over the
-    control range is positive at both cell ends, and symmetrically downward.
-    The invariant control set is the union of the sink strongly connected
-    components, accurate to one cell.  Requires the projected rank
-    certificate; otherwise the result is flagged not applicable.
+    Control sets of a one-dimensional system are arcs bounded by equilibria
+    of the extremal controls, so the set is read from a graph of at most
+    eight nodes: the zeros of the angular speeds at both ends of the control
+    range and the arcs between them (see ``_Planar.sink_arcs``).  The invariant
+    control set is the union of the sink components, with closed-form
+    endpoints.  ``resolution`` is only the reporting scale (it sets the
+    inflation of ``forward_invariance_audit`` and ``boundary_points``).
+    Requires the projected rank certificate; otherwise the result is
+    flagged not applicable.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     cert = lie.check_plarc(A, B, K, samples=plarc_samples, seed=seed)
     if not cert.verdict:
         return InvariantSetResult(False, None, resolution, 0, cert)
     lo, hi = float(control_range[0]), float(control_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
-    f, _ = angle_dynamics_d2(A, B, K)
-    n = int(resolution)
-    theta = np.arange(n) * (np.pi / n)
-    f_lo = f(theta, lo)
-    f_hi = f(theta, hi)
-    fmin = np.minimum(f_lo, f_hi)
-    fmax = np.maximum(f_lo, f_hi)
-    nxt = np.roll(np.arange(n), -1)
-    up = (fmax > 0.0) & (np.roll(fmax, -1) > 0.0)
-    down = (fmin < 0.0) & (np.roll(fmin, 1) < 0.0)
-    rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
-    cols = np.concatenate([nxt[up], np.roll(np.arange(n), 1)[down]])
-    graph = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    has_exit = np.zeros(n_comp, dtype=bool)
-    for u, v in zip(rows, cols):
-        if labels[u] != labels[v]:
-            has_exit[labels[u]] = True
-    sinks = np.flatnonzero(~has_exit)
-    mask = np.isin(labels, sinks)
-    return InvariantSetResult(True, _arcs_from_mask(mask, n), n,
-                              int(sinks.size), cert)
+    arcs, n_sinks = _Planar(A, B, K, (lo, hi)).sink_arcs()
+    return InvariantSetResult(True, CircleArcSet(arcs=arcs), int(resolution), n_sinks, cert)
 
 
 def boundary_points(arcs: CircleArcSet, n: int, resolution: int) -> np.ndarray:
@@ -322,103 +488,46 @@ class SteerResult:
     final_distance: float
 
 
-def _directional_times(f, starts: np.ndarray, target: float, lo: float, hi: float,
-                       tol: float, dt: float, max_time: float) -> np.ndarray:
-    """First hitting times of the target for both rotation senses, vectorised.
-
-    Column j of the result pairs start j; rows are the two senses.  Inf
-    marks a sense that never arrives within ``max_time``.  Steps shrink near
-    the target so the tolerance window cannot be overshot.
-    """
-    n = starts.size
-    theta = np.concatenate([starts, starts])
-    sense = np.concatenate([np.ones(n), -np.ones(n)])
-    t_acc = np.zeros(2 * n)
-    done = np.abs(angle_distance(target, theta)) <= tol
-    max_iter = int(np.ceil(max_time / dt)) + 256
-    for _ in range(max_iter):
-        if done.all() or t_acc[~done].min() > max_time:
-            break
-        cand_lo = f(theta, lo)
-        cand_hi = f(theta, hi)
-        alpha = np.where(sense * cand_hi >= sense * cand_lo, hi, lo)
-        k1 = f(theta, alpha)
-        dist = np.abs(angle_distance(target, theta))
-        h = np.minimum(dt, 0.45 * dist / np.maximum(np.abs(k1), 1e-12))
-        k2 = f(theta + 0.5 * h * k1, alpha)
-        k3 = f(theta + 0.5 * h * k2, alpha)
-        k4 = f(theta + h * k3, alpha)
-        move = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        theta = np.where(done, theta, theta + move)
-        t_acc = np.where(done, t_acc, t_acc + h)
-        done |= np.abs(angle_distance(target, theta)) <= tol
-    times = np.where(done, t_acc, np.inf)
-    return times.reshape(2, n)
-
-
 def steer_d2(q0, q_target, A, B, K, control_range, resolution: int = 4096,
-             dt: float = 1.0 / 256.0, max_time: float = 100.0) -> SteerResult:
+             max_time: float = 100.0) -> SteerResult:
     """Greedy bang-bang steering between two directions on the half-circle.
 
-    At every step the control takes the endpoint of the range that pushes
-    the angle fastest in the chosen rotation sense; both senses are
-    attempted and the faster one is replayed to produce the control segment.
-    Raises ``SteeringError`` when neither sense arrives.
+    The control takes the endpoint of the range that pushes the angle
+    fastest in the chosen rotation sense; both senses are evaluated in
+    closed form (see ``_Planar.sense``) and the faster one is returned,
+    with the exact switch times as its segments.  The path ends on the
+    target; a start within ``pi / resolution`` of it counts as already
+    there.  Raises ``SteeringError`` when neither sense arrives within
+    ``max_time``.
     """
-    lo, hi = float(control_range[0]), float(control_range[1])
-    f, _ = angle_dynamics_d2(A, B, K)
     theta0 = angle_of(q0)
     target = angle_of(q_target)
-    tol = np.pi / resolution
-    if abs(angle_distance(target, theta0)) <= tol:
-        return SteerResult(signal=PESignal.constant(hi), tau=0.0, final_distance=0.0)
-    times = _directional_times(f, np.array([theta0]), target, lo, hi, tol, dt, max_time)
-    best_sense = int(np.argmin(times[:, 0]))
-    if not np.isfinite(times[best_sense, 0]):
+    tol = math.pi / resolution
+    tau, segs = _Planar(A, B, K, control_range).fastest(theta0, target, tol, max_time)
+    if not math.isfinite(tau):
         raise SteeringError(
             f"target unreachable within {max_time:.3g} time units",
             best_distance=float(abs(angle_distance(target, theta0))))
-    sense = 1.0 if best_sense == 0 else -1.0
-    theta = theta0
-    segs = []
-    t = 0.0
-    while abs(angle_distance(target, theta)) > tol:
-        a_lo, a_hi = f(theta, lo), f(theta, hi)
-        alpha = hi if sense * a_hi >= sense * a_lo else lo
-        k1 = f(theta, alpha)
-        dist = abs(angle_distance(target, theta))
-        h = min(dt, 0.45 * dist / max(abs(k1), 1e-12))
-        k2 = f(theta + 0.5 * h * k1, alpha)
-        k3 = f(theta + 0.5 * h * k2, alpha)
-        k4 = f(theta + h * k3, alpha)
-        theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        segs.append((alpha, h))
-        t += h
-        if t > max_time + 1.0:  # pragma: no cover - guarded by the probe above
-            raise SteeringError("steering replay stalled",
-                                best_distance=float(abs(angle_distance(target, theta))))
-    sig = PESignal.from_segments(segs) if segs else PESignal.constant(hi)
-    return SteerResult(signal=sig, tau=t,
-                       final_distance=float(abs(angle_distance(target, theta))))
+    sig = PESignal.from_segments(segs) if segs else PESignal.constant(float(control_range[1]))
+    return SteerResult(signal=sig, tau=tau, final_distance=0.0)
 
 
 def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096,
-                        mesh: int = 96, dt: float = 1.0 / 256.0,
-                        max_time: float = 100.0, slack: float = 1.25) -> float:
+                        mesh: int = 96, max_time: float = 100.0,
+                        slack: float = 1.25) -> float:
     """Empirical uniform steering-time bound to one target direction.
 
-    Steers from a mesh of starting angles and returns the worst arrival time
-    with a safety factor; a fresh starting point lies within one mesh cell
-    of a probed one, so its greedy arrival time is covered by the slack.
+    Takes the exact greedy arrival times from a mesh of starting angles and
+    returns the worst with a safety factor; a fresh starting point lies
+    within one mesh cell of a probed one, so its greedy arrival time is
+    covered by the slack.
     """
-    lo, hi = float(control_range[0]), float(control_range[1])
-    f, _ = angle_dynamics_d2(A, B, K)
+    planar = _Planar(A, B, K, control_range)
     target = angle_of(q_target)
-    tol = np.pi / resolution
+    tol = math.pi / resolution
     starts = wrap_angle(np.linspace(0.0, np.pi, mesh, endpoint=False))
-    times = _directional_times(f, starts, target, lo, hi, tol, dt, max_time)
-    per_start = times.min(axis=0)
-    if not np.all(np.isfinite(per_start)):
+    worst = max(planar.fastest(float(t), target, tol, max_time)[0] for t in starts)
+    if not math.isfinite(worst):
         raise SteeringError("some mesh starts cannot reach the target",
                             best_distance=np.nan)
-    return float(slack * per_start.max() + 1.0)
+    return float(slack * worst + 1.0)

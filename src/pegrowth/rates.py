@@ -527,12 +527,12 @@ def _delta(a, b, k, sigs, table: dict, mirror_table: dict) -> DeltaReport:
         return [_period_top(aa, bks, s, tab, norm=True)[0] for s in fam]
 
     keys = [s.encoding_key() for s in sigs]
+    mirror_norms = log_norms(-a, -b, mirrored, mirror_table)
     top = max(zip(log_norms(a, b, sigs, table), keys, sigs), key=lambda e: e[:2])
-    bottom = min(zip([-v for v in log_norms(-a, -b, mirrored, mirror_table)], keys, sigs),
-                 key=lambda e: e[:2])
+    bottom = min(zip([-v for v in mirror_norms], keys, sigs), key=lambda e: e[:2])
     delta_hat = RateEstimate(top[0], "lower", top[2], "delta/log-norm-max")
     delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
-    mirror_delta = max(log_norms(-a, -b, mirrored, mirror_table))
+    mirror_delta = max(mirror_norms)
     return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
                        mirror_identity_exact=bool(delta_star.value == -mirror_delta),
                        ordered=bool(delta_star.value <= delta_hat.value))
@@ -543,9 +543,11 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
 
     The norm envelope is bounded below by the best signal found; the conorm
     envelope is bounded above.  The log conorm of R is the negated log norm
-    of its inverse, the monodromy of the reversed tuple.  The exact mirror
-    identity (the conorm envelope of a system is the negated norm envelope
-    of its reversal) is evaluated again on the mirrored family and reported.
+    of its inverse, the monodromy of the reversed tuple.  The conorm
+    envelope is read from the norms of the reversed tuple on the mirrored
+    family, so the exact mirror identity (the conorm envelope of a system is
+    the negated norm envelope of its reversal) holds by construction; it is
+    still reported, as ``mirror_identity_exact``.
     """
     a, b, k = _loop_matrices(A, B, K)
     return _delta(a, b, k, _resolve_family(cls, family), {}, {})

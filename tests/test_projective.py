@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pegrowth import projective as prj
 from pegrowth import rates
@@ -54,7 +57,46 @@ class TestProjectField:
                 prj.project_field(m, q), atol=1e-10)
 
 
+def rotated(triple, angle):
+    """The triple in coordinates rotated by ``angle``: directions move by
+    ``angle`` on the half-circle."""
+    a, b, k = triple
+    r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return r @ a @ r.T, r @ b, k @ r.T
+
+
+def random_pairs(n, seed=11):
+    """Seeded random planar triples with control ranges, lo = 0 about half
+    the time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a, b, k = (rng.standard_normal(shape) for shape in ((2, 2), (2, 1), (1, 2)))
+        lo = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.8)
+        yield a, b, k, (lo, 1.0)
+
+
 class TestAngleDynamics:
+    def test_closed_form_matches_project_field(self):
+        rng = np.random.default_rng(8)
+        for a, b, k, _ in random_pairs(20, seed=8):
+            f, g = prj.angle_dynamics_d2(a, b, k)
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
+            alpha = rng.uniform(0.0, 1.0, 5)
+            # arrays in, arrays out
+            np.testing.assert_allclose(f(theta, alpha), [
+                f(t, al) for t, al in zip(theta, alpha)], rtol=1e-14, atol=1e-14)
+            for t, al in zip(theta, alpha):
+                m = a + al * (b @ k)
+                q = prj.point_of(t)
+                normal = np.array([-np.sin(t), np.cos(t)])
+                # project_field picks the canonical sign; the angular speed
+                # is sign-free
+                u = prj.proj_point(q)
+                sgn = float(np.sign(u @ q))
+                speed = sgn * (normal @ prj.project_field(m, q))
+                assert f(t, al) == pytest.approx(speed, abs=1e-13)
+                assert g(t, al) == pytest.approx(q @ m @ q, abs=1e-13)
+
     def test_pure_rotation(self):
         f, g = prj.angle_dynamics_d2(ROT, *ZERO_IN)
         for theta in np.linspace(0, np.pi, 7):
@@ -103,6 +145,119 @@ class TestAngleDynamics:
         assert ell == pytest.approx(np.log(np.linalg.norm(x_t)), abs=1e-6)
 
 
+def grid_control_set(A, B, K, control_range, resolution):
+    """The cell-graph approximation of the invariant control set, kept as
+    the reference: a cell hands the flow to its upper neighbour when the
+    larger extremal speed is positive at both cell ends, and symmetrically
+    downward; the set is the union of the sink components, to one cell.
+    Returns (arcs, n_sinks)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    f, _ = prj.angle_dynamics_d2(A, B, K)
+    n = int(resolution)
+    theta = np.arange(n) * (np.pi / n)
+    f_lo, f_hi = f(theta, control_range[0]), f(theta, control_range[1])
+    fmin, fmax = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+    nxt = np.roll(np.arange(n), -1)
+    up = (fmax > 0.0) & (np.roll(fmax, -1) > 0.0)
+    down = (fmin < 0.0) & (np.roll(fmin, 1) < 0.0)
+    rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
+    cols = np.concatenate([nxt[up], np.roll(np.arange(n), 1)[down]])
+    graph = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    has_exit = np.zeros(n_comp, dtype=bool)
+    for u, v in zip(rows, cols):
+        if labels[u] != labels[v]:
+            has_exit[labels[u]] = True
+    sinks = np.flatnonzero(~has_exit)
+    mask = np.isin(labels, sinks)
+    h = np.pi / n
+    if mask.all():
+        return ((0.0, np.pi),), int(sinks.size)
+    runs = []
+    for j in np.flatnonzero(mask):
+        if runs and j == runs[-1][1] + 1:
+            runs[-1][1] = j
+        else:
+            runs.append([j, j])
+    # merge a run through the last cell with one through the first
+    if len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n - 1:
+        first = runs.pop(0)
+        runs[-1][1] = first[1] + n
+    arcs = sorted((a * h, (b + 1) * h) for a, b in runs)
+    return tuple(arcs), int(sinks.size)
+
+
+def endpoint_gap_cells(exact, grid, resolution):
+    """Largest distance, in cells, between matched endpoints (mod pi)."""
+    e = sorted(prj.wrap_angle(np.ravel(exact)))
+    g = sorted(prj.wrap_angle(np.ravel(grid)))
+    assert len(e) == len(g)
+    gaps = [abs(prj.angle_distance(x, y)) for x, y in zip(e, g)]
+    return max(gaps, default=0.0) * resolution / np.pi
+
+
+class TestCircleArcSet:
+    def test_wrapping_arc_contains_both_sides_of_pi(self):
+        arcs = prj.CircleArcSet(arcs=((2.9, 3.4),))  # [2.9, pi) and [0, 3.4 - pi)
+        assert arcs.contains(3.0) and arcs.contains(np.pi - 1e-9)
+        assert arcs.contains(0.0) and arcs.contains(0.2)
+        assert arcs.contains(3.3)  # the same direction as 3.3 - pi
+        assert not arcs.contains(3.4 - np.pi + 1e-9)
+        assert not arcs.contains(2.8) and not arcs.contains(1.5)
+        np.testing.assert_array_equal(arcs.contains(np.array([3.0, 0.1, 1.0])),
+                                      [True, True, False])
+        assert arcs.measure() == pytest.approx(0.5)
+
+
+class TestClosedForms:
+    def test_zeros_are_zeros(self):
+        for a, b, k, crange in random_pairs(50, seed=3):
+            f, _ = prj.angle_dynamics_d2(a, b, k)
+            planar = prj._Planar(a, b, k, crange)
+            for alpha in crange:
+                for z in planar.zeros[alpha]:
+                    assert 0.0 <= z < np.pi
+                    assert abs(f(z, alpha)) <= 1e-12 * (1 + np.abs(a).max() + np.abs(b @ k).max())
+
+    def test_double_roots(self):
+        shear = np.array([[0.0, 1.0], [0.0, 0.0]])   # speed -sin^2: double root at 0
+        field = prj._polar(prj._speed_coeffs(shear))
+        assert prj._zeros(field) == (0.0,)
+        assert prj._zeros(prj._polar(prj._speed_coeffs(shear.T))) == (np.pi / 2,)
+
+    @pytest.mark.parametrize("m", [
+        [[0.0, -1.0], [1.0, 0.0]],     # rotation: no zeros, atan form
+        [[0.3, -2.0], [1.5, -0.4]],    # focus: no zeros, atan form
+        [[0.3, 2.0], [-1.5, -0.4]],    # the focus turning the other way
+        [[1.0, 0.2], [0.7, -1.0]],     # saddle: zeros, logarithmic form
+        [[0.0, 1.0], [0.0, 0.0]],      # shear: double root, cot form
+        [[0.0, 0.0], [1.0, 0.0]],      # shear: double root, tan form
+    ])
+    def test_arc_time_matches_quadrature(self, m):
+        m = np.array(m)
+        field = prj._polar(prj._speed_coeffs(m))
+        f, _ = prj.angle_dynamics_d2(m, *ZERO_IN)
+        zeros = list(prj._zeros(field))
+        lifted = zeros + [z + np.pi for z in zeros]
+        rng = np.random.default_rng(4)
+        checked = 0
+        for _ in range(60):
+            t1 = rng.uniform(0.0, np.pi)
+            t2 = t1 + rng.uniform(-np.pi, np.pi) * 0.999
+            lo_, hi_ = min(t1, t2), max(t1, t2)
+            if any(lo_ - 1e-3 <= z + s <= hi_ + 1e-3
+                   for z in lifted for s in (-np.pi, 0.0, np.pi)):
+                continue
+            exact = prj._arc_time(field, t1, t2)
+            ref = quad(lambda t: 1.0 / f(t, 0.0), t1, t2, epsabs=0.0, epsrel=1e-13,
+                       limit=400)[0]
+            assert exact == pytest.approx(ref, rel=1e-10, abs=0.0)
+            checked += 1
+        assert checked >= 10
+
+
 class TestInvariantSet:
     def test_rotation_whole_circle(self):
         res = prj.invariant_control_set_d2(ROT, *ZERO_IN, RANGE, resolution=1024)
@@ -132,6 +287,66 @@ class TestInvariantSet:
         res = prj.invariant_control_set_d2(np.diag([1.0, 2.0]), *ZERO_IN, RANGE,
                                            resolution=512)
         assert not res.applicable and res.arcs is None
+
+    def test_c12_matches_grid(self):
+        a, b, k = SADDLE
+        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=4096)
+        arcs, n_sinks = grid_control_set(a, b, k, RANGE, 4096)
+        assert res.n_sinks == n_sinks == 1
+        assert endpoint_gap_cells(res.arcs.arcs, arcs, 4096) <= 2.0
+
+    def test_random_pairs_match_grid(self):
+        resolution = 4096
+        compared = 0
+        for a, b, k, crange in random_pairs(220):
+            res = prj.invariant_control_set_d2(a, b, k, crange, resolution=resolution)
+            if not res.applicable:
+                continue
+            arcs, n_sinks = grid_control_set(a, b, k, crange, resolution)
+            assert endpoint_gap_cells(res.arcs.arcs, arcs, resolution) <= 2.0
+            # a set narrower than a few cells can split into several grid sinks
+            if all(hi - lo > 2 * np.pi / resolution for lo, hi in arcs):
+                assert res.n_sinks == n_sinks
+            else:
+                assert res.n_sinks == 1 and res.arcs.measure() <= 4 * np.pi / resolution
+            compared += 1
+        assert compared >= 200
+
+    def test_whole_circle_with_zeros(self):
+        # A is a saddle (zeros at 0 and pi/2 for alpha = 0), A + BK a centre
+        # whose speed is negative everywhere: the flow can go all the way round
+        a = np.diag([1.0, -1.0])
+        b = np.array([[1.0], [1.0]])
+        k = np.array([[-3.0, 3.0]])
+        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0), resolution=1024)
+        assert res.applicable and res.arcs.whole and res.n_sinks == 1
+        assert grid_control_set(a, b, k, (0.0, 1.0), 1024) == (((0.0, np.pi),), 1)
+
+    def test_arc_wrapping_pi(self):
+        base = prj.invariant_control_set_d2(*SADDLE, RANGE).arcs.arcs[0]
+        shift = np.pi - base[0] - 0.1   # moves the arc across pi
+        turned = rotated(SADDLE, shift)
+        res = prj.invariant_control_set_d2(*turned, RANGE, resolution=4096)
+        (lo, hi), = res.arcs.arcs
+        assert lo < np.pi < hi <= lo + np.pi
+        assert lo == pytest.approx(base[0] + shift, abs=1e-12)
+        assert hi - lo == pytest.approx(base[1] - base[0], abs=1e-12)
+        arcs, n_sinks = grid_control_set(*turned, RANGE, 4096)
+        assert n_sinks == 1 and endpoint_gap_cells(res.arcs.arcs, arcs, 4096) <= 2.0
+        assert res.arcs.contains(np.pi - 0.05) and res.arcs.contains(0.05)
+
+    def test_tangential_double_root_boundary(self):
+        # lo = 0: the speed of A is -sin^2, tangent to zero at theta = 0; the
+        # speed at alpha = 1 is cos 2 theta; the set is [0, pi/4]
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        b = np.array([[0.0], [1.0]])
+        k = np.array([[1.0, 0.0]])
+        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0), resolution=4096)
+        assert res.applicable and res.n_sinks == 1
+        (lo, hi), = res.arcs.arcs
+        assert lo == 0.0 and hi == pytest.approx(np.pi / 4, abs=1e-15)
+        arcs, n_sinks = grid_control_set(a, b, k, (0.0, 1.0), 4096)
+        assert n_sinks == 1 and endpoint_gap_cells(res.arcs.arcs, arcs, 4096) <= 2.0
 
     def test_forward_invariance_audit(self):
         a, b, k = SADDLE
@@ -172,6 +387,69 @@ class TestSteering:
             st = prj.steer_d2(q0, target, ROT, *ZERO_IN, RANGE, resolution=1024)
             assert st.tau <= bound
 
+    def test_segments_are_bang_bang_and_sum_to_tau(self):
+        rng = np.random.default_rng(9)
+        for a, b, k, crange in random_pairs(30, seed=5):
+            res = prj.invariant_control_set_d2(a, b, k, crange)
+            if not res.applicable or res.arcs.measure() < 0.05:
+                continue
+            lo, hi = res.arcs.arcs[0]
+            target = prj.point_of(rng.uniform(lo + 0.01, hi - 0.01))
+            for start in rng.uniform(0.0, np.pi, 4):
+                try:
+                    st = prj.steer_d2(prj.point_of(start), target, a, b, k, crange,
+                                      max_time=1e3)
+                except prj.SteeringError:
+                    continue
+                segs = st.signal.segments(0.0, st.tau)
+                assert {v for v, _ in segs} <= set(crange)
+                assert st.signal.breakpoints[-1] < st.tau
+                assert sum(dt for _, dt in segs) == pytest.approx(st.tau, rel=1e-14)
+                assert st.final_distance == 0.0
+
+    def test_arrival_time_matches_quadrature(self):
+        # integrate 1/f along the greedy path, piece by piece between switches
+        a, b, k = SADDLE
+        f, _ = prj.angle_dynamics_d2(a, b, k)
+        planar = prj._Planar(a, b, k, RANGE)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
+        lo, hi = res.arcs.arcs[0]
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            theta0, target = rng.uniform(0.0, np.pi), rng.uniform(lo + 1e-3, hi - 1e-3)
+            tau, segs = planar.fastest(theta0, target, 0.0, 100.0)
+            for sigma in (1.0, -1.0):
+                t_sense, segs = planar.sense(theta0, target, sigma, 100.0)
+                if not math.isfinite(t_sense):
+                    continue
+                theta, total = theta0, 0.0
+                end = theta0 + sigma * prj._wrap(sigma * (target - theta0))
+                for alpha, dt in segs:
+                    # the piece ends where the time under alpha runs out
+                    nxt = min((c for c in (theta + sigma * prj._wrap(sigma * (z - theta))
+                                           for z in planar.cuts)
+                               if sigma * (c - theta) > 0.0), key=lambda c: sigma * c,
+                              default=end)
+                    nxt = nxt if sigma * (end - nxt) > 0.0 else end
+                    ref = quad(lambda t: 1.0 / f(t, alpha), theta, nxt,
+                               epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                    assert dt == pytest.approx(ref, rel=1e-10, abs=0.0)
+                    theta, total = nxt, total + dt
+                assert theta == end and total == pytest.approx(t_sense, rel=1e-15)
+                assert tau <= t_sense
+
+    @pytest.mark.parametrize("start, target", [(0.1, 3.0), (3.0, 0.1)])
+    def test_rotation_with_input(self, start, target):
+        # speed 1 - 0.3 alpha sin^2: no zeros, so only the increasing sense
+        # arrives, with the low control throughout; (3.0, 0.1) crosses pi
+        a, b, k = ROT, np.array([[1.0], [0.0]]), np.array([[0.0, 0.3]])
+        st = prj.steer_d2(prj.point_of(start), prj.point_of(target), a, b, k, RANGE)
+        f, _ = prj.angle_dynamics_d2(a, b, k)
+        end = start + (target - start) % np.pi
+        ref = quad(lambda t: 1.0 / f(t, RANGE[0]), start, end, epsabs=0.0, epsrel=1e-13)[0]
+        assert st.tau == pytest.approx(ref, rel=1e-10)
+        assert st.signal.values.tolist() == [RANGE[0]]
+
     def test_closes_the_splice_loop(self):
         # steering output is admissible input for the periodic splice
         from pegrowth.signals import splice_periodic, validate_pe
@@ -190,6 +468,24 @@ def test_unreachable_raises():
     # pure saddle with no input: from a generic angle the flow never reaches
     # the repelling axis
     a = np.diag([1.0, -1.0])
-    with pytest.raises((prj.SteeringError, Exception)):
+    with pytest.raises(prj.SteeringError):
         prj.steer_d2([1.0, 1.0], [0.0, 1.0], a, *ZERO_IN, RANGE,
                      resolution=512, max_time=5.0)
+
+
+@pytest.mark.parametrize("b, k", [ZERO_IN, (np.array([[1.0], [0.0]]),
+                                            np.array([[0.0, 1.0]]))])
+def test_tangential_double_root_blocks_both_senses(b, k):
+    # every admissible speed is -(1 + alpha b k01) sin^2 theta: it touches
+    # zero at theta = 0 without changing sign, so the decreasing sense
+    # stalls there and the increasing sense runs backwards
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    planar = prj._Planar(a, b, k, RANGE)
+    assert planar.sense(0.5, 2.0, 1.0, 1e6)[0] == math.inf
+    assert planar.sense(0.5, 2.0, -1.0, 1e6)[0] == math.inf
+    with pytest.raises(prj.SteeringError):
+        prj.steer_d2(prj.point_of(0.5), prj.point_of(2.0), a, b, k, RANGE, max_time=1e6)
+    # the other way round the path stays clear of the double root
+    st = prj.steer_d2(prj.point_of(2.0), prj.point_of(0.5), a, b, k, RANGE)
+    speed = 1.0 + (RANGE[1] if k[0, 1] else 0.0)  # the greedy control is hi
+    assert st.tau == pytest.approx((1 / np.tan(0.5) - 1 / np.tan(2.0)) / speed, rel=1e-12)

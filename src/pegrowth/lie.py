@@ -6,6 +6,17 @@ real projective space span the full tangent space at every point.  PLARC is
 certified numerically at a finite sample of directions, so a true verdict is
 evidence at the sampled points rather than a proof (the sample count is part
 of the certificate).
+
+For two generators X, Y, Lie(X, Y) = span{X, Y} + D, where D is the span of
+the nested brackets of length >= 2.  The identity is central, so D is the
+same for (A + lambda*I, BK), (A, BK) and the traceless parts (A0, F0), and
+it lies in sl(d).  The certificates share one computed D, spanned by the
+breadth-first brackets of [A0, F0] with {A0, F0} and kept orthogonal to the
+identity: LARC is dim(D + span{A + lambda*I, BK}), LARC0 is
+dim(D + span{A0, F0}), at most d*d - 1 by construction, and PLARC samples
+the basis of D + span{A, BK}.  ``inclusion_chain_audit`` computes D once for
+all three, so LARC => LARC0 holds by construction: both sides add two
+generators with the same traceless parts to the same D.
 """
 
 from __future__ import annotations
@@ -13,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (DEFAULT_RANK_TOL, as_matrix, canonical_unit, fronorm,
                       require_square)
@@ -70,40 +80,87 @@ def bracket(M, N) -> np.ndarray:
     return m @ n - n @ m
 
 
-class _FrobeniusBasis:
-    """Incrementally orthonormalised family of vectorised matrices."""
+class _OrthoBasis:
+    """Orthonormal rows spanning a growing subspace of R^n.
 
-    def __init__(self, d: int, tol: float):
-        self.d = d
+    The rows live in a preallocated (n, n) array.  A candidate is projected
+    off them by classical Gram-Schmidt applied twice, two matrix-vector
+    products a pass, which is as orthogonal as the modified process (Giraud,
+    Langou & Rozloznik, 2005).  It joins when its residual exceeds
+    ``tol * (1 + |candidate|)``.
+    """
+
+    def __init__(self, n: int, tol: float):
+        self.q = np.zeros((n, n))
+        self.k = 0
         self.tol = tol
-        self.rows: list[np.ndarray] = []
 
-    def insert(self, mat: np.ndarray) -> bool:
-        v = mat.ravel().astype(float)
-        scale = np.linalg.norm(v)
-        if scale <= self.tol:
+    @property
+    def rows(self) -> np.ndarray:
+        return self.q[:self.k]
+
+    def insert(self, v) -> bool:
+        if self.k == len(self.q):
             return False
-        for _ in range(2):  # twice-is-enough reorthogonalisation
-            for r in self.rows:
-                v = v - (r @ v) * r
+        v = np.array(v, dtype=float).ravel()
+        scale = np.linalg.norm(v)
+        q = self.rows
+        for _ in range(2):  # twice is enough
+            v -= q.T @ (q @ v)
         res = np.linalg.norm(v)
         if res <= self.tol * (1.0 + scale):
             return False
-        self.rows.append(v / res)
+        self.q[self.k] = v / res
+        self.k += 1
         return True
 
-    def matrices(self) -> list[np.ndarray]:
-        return [r.reshape(self.d, self.d) for r in self.rows]
+    def copy(self, start: int = 0) -> _OrthoBasis:
+        """A new basis holding the rows from ``start`` on."""
+        out = _OrthoBasis(len(self.q), self.tol)
+        out.k = self.k - start
+        out.q[:out.k] = self.q[start:self.k]
+        return out
+
+
+def _unit_generators(gens, tol: float) -> list[np.ndarray]:
+    """The generators scaled to unit Frobenius norm; numerically zero ones dropped."""
+    return [g / n for g in gens if (n := fronorm(g)) > tol]
+
+
+def _grow(basis: _OrthoBasis, seeds, gens, d: int, max_depth: int) -> int:
+    """Add the seeds and their nested brackets with ``gens`` to ``basis``.
+
+    Breadth-first: each round brackets the rows found in the previous round
+    against the generators only.  Stops when a round finds nothing or the
+    basis is full; returns the depth reached.  Raises ``LieClosureError``
+    (carrying the partial basis) if the depth budget is exhausted while the
+    dimension is still growing.
+    """
+    found = basis.k
+    for s in seeds:
+        basis.insert(s)
+    depth = 0
+    while found < basis.k < len(basis.q):
+        if depth >= max_depth:
+            partial = _lie_basis(basis, depth, d)
+            raise LieClosureError(
+                f"closure still growing at depth {depth} (dim {partial.dim})", partial)
+        frontier = basis.q[found:basis.k].reshape(-1, d, d)
+        found = basis.k
+        cands = np.stack([frontier @ g - g @ frontier for g in gens], axis=1)
+        for c in cands.reshape(-1, d * d):
+            basis.insert(c)
+        depth += 1
+    return depth
 
 
 def lie_closure(generators, tol: float = DEFAULT_RANK_TOL,
                 max_depth: int | None = None) -> LieBasis:
     """Smallest matrix Lie algebra containing the generators.
 
-    Breadth-first: each round brackets the newly found basis elements
-    against the generators only, then re-orthonormalises.  Stops when the
-    dimension stabilises or reaches d*d.  Deterministic for a fixed input
-    order.
+    Breadth-first from the generators scaled to unit norm (see ``_grow``);
+    stops when the dimension stabilises or reaches d*d.  Deterministic for a
+    fixed input order.
 
     Raises ``LieClosureError`` (carrying the partial basis) if the depth
     budget is exhausted while the dimension is still growing.
@@ -117,41 +174,46 @@ def lie_closure(generators, tol: float = DEFAULT_RANK_TOL,
             raise ValueError(f"generators[{i}] has shape {g.shape}, expected {(d, d)}")
     if max_depth is None:
         max_depth = d * d
-    full = d * d
-
-    basis = _FrobeniusBasis(d, tol)
-    frontier: list[np.ndarray] = []
-    scaled_gens = []
-    for g in gens:
-        ng = fronorm(g)
-        if ng > tol:
-            scaled_gens.append(g / ng)
-    for g in scaled_gens:
-        if basis.insert(g):
-            frontier.append(basis.rows[-1].reshape(d, d))
-
-    depth = 0
-    while frontier and len(basis.rows) < full:
-        if depth >= max_depth:
-            partial = _finish(basis, depth, tol)
-            raise LieClosureError(
-                f"closure still growing at depth {depth} (dim {partial.dim})", partial)
-        new: list[np.ndarray] = []
-        for x in frontier:
-            for g in scaled_gens:
-                cand = x @ g - g @ x
-                if basis.insert(cand):
-                    new.append(basis.rows[-1].reshape(d, d))
-        frontier = new
-        depth += 1
-    return _finish(basis, depth, tol)
+    basis = _OrthoBasis(d * d, tol)
+    unit = _unit_generators(gens, tol)
+    depth = _grow(basis, unit, unit, d, max_depth)
+    return _lie_basis(basis, depth, d)
 
 
-def _finish(basis: _FrobeniusBasis, depth: int, tol: float) -> LieBasis:
-    mats = tuple(basis.matrices())
+def _lie_basis(basis: _OrthoBasis, depth: int, d: int) -> LieBasis:
+    mats = tuple(basis.rows.reshape(-1, d, d).copy())
     traceless = all(abs(np.trace(m)) <= 1e-9 * (1.0 + fronorm(m)) for m in mats)
     return LieBasis(dim=len(mats), basis=mats, all_traceless=traceless,
                     depth_reached=depth)
+
+
+def _traceless(m: np.ndarray) -> np.ndarray:
+    d = m.shape[0]
+    return m - (np.trace(m) / d) * np.eye(d)
+
+
+def _derived_algebra(a: np.ndarray, f: np.ndarray, tol: float) -> _OrthoBasis:
+    """D, the span of the brackets of length >= 2 of ``a`` and ``f``.
+
+    Row 0 is vec(I)/sqrt(d), so every row after it is orthogonal to the
+    identity: D lies in sl(d), and rounding cannot leak out of it.
+    """
+    d = a.shape[0]
+    basis = _OrthoBasis(d * d, tol)
+    basis.insert(np.eye(d) / np.sqrt(d))
+    gens = _unit_generators([_traceless(a), _traceless(f)], tol)
+    if len(gens) == 2:
+        x, y = gens
+        _grow(basis, [x @ y - y @ x], gens, d, d * d)
+    return basis
+
+
+def _plus_span(derived: _OrthoBasis, gens, keep_identity: bool) -> _OrthoBasis:
+    """D + span(gens), behind the identity row when ``keep_identity``."""
+    basis = derived.copy(start=0 if keep_identity else 1)
+    for g in _unit_generators(gens, basis.tol):
+        basis.insert(g)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -187,23 +249,34 @@ def _closed_loop(A, B, K):
     return a, b @ k
 
 
-def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
-    """Does Lie(A, BK) span all of the d x d matrices?"""
+def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
+               derived: _OrthoBasis | None = None) -> RankCertificate:
+    """Does Lie(A, BK) = D + span{A, BK} span all of the d x d matrices?
+
+    ``derived`` is the D of ``(A, BK)`` when the caller has it already
+    (``inclusion_chain_audit`` shares one among the three certificates).
+    """
     a, f = _closed_loop(A, B, K)
     d = a.shape[0]
-    basis = lie_closure([a, f], tol=tol)
-    return RankCertificate("LARC", basis.dim == d * d, basis.dim, tol=tol)
+    if derived is None:
+        derived = _derived_algebra(a, f, tol)
+    dim = _plus_span(derived, [a, f], False).k
+    return RankCertificate("LARC", dim == d * d, dim, tol=tol)
 
 
-def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
-    """Do the traceless parts of A and BK generate sl(d)?"""
+def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
+                derived: _OrthoBasis | None = None) -> RankCertificate:
+    """Do the traceless parts A0, F0 of A and BK generate sl(d)?
+
+    The dimension is that of D + span{A0, F0}, orthogonal to the identity
+    and so at most d*d - 1.  ``derived`` as in ``check_larc``.
+    """
     a, f = _closed_loop(A, B, K)
     d = a.shape[0]
-    a0 = a - (np.trace(a) / d) * np.eye(d)
-    f0 = f - (np.trace(f) / d) * np.eye(d)
-    basis = lie_closure([a0, f0], tol=tol)
-    verdict = basis.dim == d * d - 1 and basis.all_traceless
-    return RankCertificate("LARC0", verdict, basis.dim, tol=tol)
+    if derived is None:
+        derived = _derived_algebra(a, f, tol)
+    dim = _plus_span(derived, [_traceless(a), _traceless(f)], True).k - 1
+    return RankCertificate("LARC0", dim == d * d - 1, dim, tol=tol)
 
 
 def _real_eig_directions(M, tol=1e-9) -> list[np.ndarray]:
@@ -243,7 +316,8 @@ def _quasi_uniform_directions(d: int, n: int, seed: int) -> list[np.ndarray]:
 
 
 def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
-                tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
+                tol: float = DEFAULT_RANK_TOL, *,
+                derived: _OrthoBasis | None = None) -> RankCertificate:
     """Sampled certificate for the projected rank condition.
 
     At each sampled direction x the vectors ``Mx - (x'Mx)x`` over the closure
@@ -251,7 +325,8 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
     quasi-uniform directions with the eigendirections of A, A + BK, and of a
     few random elements of the closure itself: rank deficiency lives on
     invariant subspaces, and eigendirections of algebra elements land inside
-    them even when the uniform samples miss.
+    them even when the uniform samples miss.  The closure basis is that of
+    D + span{A, BK}; ``derived`` as in ``check_larc``.
     """
     a, f = _closed_loop(A, B, K)
     d = a.shape[0]
@@ -259,42 +334,40 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
         samples = max(2 * d, 64)
     if samples < 2 * d:
         raise ValueError(f"need at least {2 * d} samples for d={d}")
-    basis = lie_closure([a, f], tol=tol)
-    if basis.dim == 0:
+    if derived is None:
+        derived = _derived_algebra(a, f, tol)
+    basis = _plus_span(derived, [a, f], False)
+    if basis.k == 0:
         return RankCertificate("PLARC", False, 0, tol=tol, n_samples=0)
-    L = basis.stacked()
+    L = basis.rows.reshape(-1, d, d)
 
     pts = _quasi_uniform_directions(d, samples, seed)
     pts.extend(_real_eig_directions(a))
     pts.extend(_real_eig_directions(a + f))
     rng = np.random.default_rng(seed + 1)
     for _ in range(3):
-        coeffs = rng.standard_normal(basis.dim)
+        coeffs = rng.standard_normal(basis.k)
         pts.extend(_real_eig_directions(np.tensordot(coeffs, L, axes=1)))
 
     seen = set()
-    failing = []
-    n_used = 0
+    unique = []
     for x in pts:
         key = tuple(np.round(x, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        n_used += 1
-        lx = L @ x
-        radial = lx @ x
-        tang = lx - np.outer(radial, x)
-        sv = scipy.linalg.svdvals(tang)
-        smax = sv[0] if sv.size else 0.0
-        # absolute floor: basis matrices are unit Frobenius norm, so a
-        # numerically-zero tangent stack must not count as rank >= 1
-        rank = int(np.count_nonzero(sv > tol * max(1.0, smax)))
-        if rank < d - 1:
-            failing.append(x.copy())
-    verdict = not failing
-    return RankCertificate("PLARC", verdict, basis.dim,
-                           failing_samples=tuple(failing), tol=tol,
-                           n_samples=n_used)
+        if key not in seen:
+            seen.add(key)
+            unique.append(x)
+    X = np.array(unique)
+    tang = np.einsum("kij,nj->nki", L, X)  # (sample, basis element, coordinate)
+    radial = np.einsum("nki,ni->nk", tang, X)
+    for i in range(d):  # in place, one coordinate at a time: no second stack
+        tang[:, :, i] -= radial * X[:, i:i + 1]
+    sv = np.linalg.svd(tang, compute_uv=False)
+    # absolute floor: basis matrices are unit Frobenius norm, so a
+    # numerically-zero tangent stack must not count as rank >= 1
+    rank = np.count_nonzero(sv > tol * np.maximum(1.0, sv[:, :1]), axis=1)
+    failing = tuple(X[rank < d - 1])
+    return RankCertificate("PLARC", not failing, basis.k, failing_samples=failing,
+                           tol=tol, n_samples=len(unique))
 
 
 def check_irreducible(L: LieBasis, trials: int | None = None, seed: int = 0,
@@ -335,23 +408,18 @@ def check_irreducible(L: LieBasis, trials: int | None = None, seed: int = 0,
 
 def _invariant_subspace_dim(L: LieBasis, v: np.ndarray, tol: float) -> int:
     d = L.matrix_dim
-    rows = [v / np.linalg.norm(v)]
+    span = _OrthoBasis(d, tol)
+    span.insert(v)
     grew = True
-    while grew and len(rows) < d:
+    while grew and span.k < d:
         grew = False
         for m in L.basis:
-            for w in list(rows):
-                u = m @ w
-                for _ in range(2):
-                    for r in rows:
-                        u = u - (r @ u) * r
-                nu = np.linalg.norm(u)
-                if nu > tol * (1.0 + np.linalg.norm(m @ w)):
-                    rows.append(u / nu)
+            for w in span.rows:  # the rows as the pass over m starts
+                if span.insert(m @ w):
                     grew = True
-                    if len(rows) == d:
+                    if span.k == d:
                         return d
-    return len(rows)
+    return span.k
 
 
 @dataclass(frozen=True)
@@ -373,14 +441,16 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, samples: int | None = Non
                           seed: int = 0, tol: float = DEFAULT_RANK_TOL) -> ChainAudit:
     """Check LARC(A + shift*I, B) => LARC0(A, B) => PLARC(A, B) on one triple.
 
-    Violations are reported, not raised; an empty list means the implication
-    chain held at certificate level.
+    The derived algebra D is computed once and shared by the three
+    certificates.  Violations are reported, not raised; an empty list means
+    the implication chain held at certificate level.
     """
-    a = require_square(A, "A")
+    a, f = _closed_loop(A, B, K)
     d = a.shape[0]
-    larc = check_larc(a + shift * np.eye(d), B, K, tol=tol)
-    larc0 = check_larc0(a, B, K, tol=tol)
-    plarc = check_plarc(a, B, K, samples=samples, seed=seed, tol=tol)
+    derived = _derived_algebra(a, f, tol)
+    larc = check_larc(a + shift * np.eye(d), B, K, tol=tol, derived=derived)
+    larc0 = check_larc0(a, B, K, tol=tol, derived=derived)
+    plarc = check_plarc(a, B, K, samples=samples, seed=seed, tol=tol, derived=derived)
     violations = []
     if larc.verdict and not larc0.verdict:
         violations.append("LARC holds but LARC0 fails")

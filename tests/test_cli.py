@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -337,3 +340,19 @@ def test_unknown_config_schema(tmp_path):
 def test_missing_config_file(tmp_path):
     assert cli.main(["duality", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    help_run = subprocess.run([sys.executable, "-m", "pegrowth", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+    assert help_run.returncode == 0, help_run.stderr
+    assert "lie-check" in help_run.stdout
+    missing = subprocess.run([sys.executable, "-m", "pegrowth", "lie-check", "--config",
+                              str(tmp_path / "nope.json"), "--out", str(tmp_path)],
+                             cwd=tmp_path, env=env, capture_output=True, text=True,
+                             timeout=120)
+    assert missing.returncode == 2, missing.stderr

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pegrowth import lie
-from pegrowth.matcore import fronorm, nilpotent_shift, span_rank, unit_vector
+from pegrowth.matcore import (DEFAULT_RANK_TOL, fronorm, nilpotent_shift, span_rank,
+                              unit_vector)
 
 J2 = nilpotent_shift(2)
 E21 = np.outer(unit_vector(2, 1), unit_vector(2, 0))  # e_2 e_1'
@@ -24,6 +26,106 @@ def random_controllable(rng, d, m=1):
         b = rng.standard_normal((d, m))
         if kalman_rank(a, b) == d:
             return a, b
+
+
+def reference_closure(generators, tol=DEFAULT_RANK_TOL):
+    """Orthonormal basis rows of the Lie closure by the per-row loop the
+    library used before its basis became array-backed: modified Gram-Schmidt,
+    applied twice, one basis row at a time, and the same breadth-first
+    bracketing."""
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    d = gens[0].shape[0]
+    rows = []
+
+    def insert(mat):
+        v = mat.ravel().astype(float)
+        scale = np.linalg.norm(v)
+        if scale <= tol:
+            return False
+        for _ in range(2):
+            for r in rows:
+                v = v - (r @ v) * r
+        res = np.linalg.norm(v)
+        if res <= tol * (1.0 + scale):
+            return False
+        rows.append(v / res)
+        return True
+
+    scaled = [g / fronorm(g) for g in gens if fronorm(g) > tol]
+    frontier = [rows[-1].reshape(d, d) for g in scaled if insert(g)]
+    while frontier and len(rows) < d * d:
+        new = []
+        for x in frontier:
+            for g in scaled:
+                if insert(x @ g - g @ x):
+                    new.append(rows[-1].reshape(d, d))
+        frontier = new
+    return rows
+
+
+def reference_plarc(a, f, seed=0, tol=DEFAULT_RANK_TOL):
+    """(verdict, dim) of the projected rank certificate by the per-sample
+    loop over the reference closure, with the library's sample set."""
+    d = a.shape[0]
+    L = np.array(reference_closure([a, f], tol)).reshape(-1, d, d)
+    pts = lie._quasi_uniform_directions(d, max(2 * d, 64), seed)
+    pts += lie._real_eig_directions(a) + lie._real_eig_directions(a + f)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        pts += lie._real_eig_directions(np.tensordot(rng.standard_normal(len(L)), L, axes=1))
+    verdict = True
+    for x in pts:
+        lx = L @ x
+        sv = scipy.linalg.svdvals(lx - np.outer(lx @ x, x))
+        verdict &= np.count_nonzero(sv > tol * max(1.0, sv[0])) >= d - 1
+    return verdict, len(L)
+
+
+def structured_generators(rng, d, n, kind):
+    """``n`` random generators of a known kind of algebra, in random coordinates."""
+    gens = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d))
+        if kind == "traceless":
+            g -= np.trace(g) / d * np.eye(d)
+        elif kind == "skew":
+            g = g - g.T
+        elif kind == "upper":
+            g = np.triu(g)
+        elif kind == "block":
+            g[d // 2:, :d // 2] = 0.0
+        elif kind == "diagonal":
+            g = np.diag(np.diag(g))
+        gens.append(g)
+    p = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    pinv = np.linalg.inv(p)
+    return [p @ g @ pinv for g in gens]
+
+
+# seed-1 triple_sweep triple "triple_d07_01" (python3 bench/gen.py --workload
+# triple_sweep --seed 1): LARC(A, B, K) holds, and a closure of the traceless
+# parts that drifts out of sl(7) reports LARC0 dim 49
+PINNED_A = np.array(
+    [[-0.21215693480390385, -0.3443603584265117, -0.15834242178122704, 0.3804376450218182,
+      0.42437148643942674, 0.2310638716389922, -0.12317299692691307],
+     [0.12212770004526989, 0.004609903572220961, -0.28619655374436065, 0.12933596442899503,
+      0.09812557141410899, -0.09069459710197024, -0.042290155944359635],
+     [-0.019190479123198156, -0.19187068474635138, -0.12491063534165277, -0.24607688989310605,
+      -0.3072254807057858, -0.22000307714813094, 0.08766581808840773],
+     [-0.2690340369572499, -0.06722899963008033, -0.2726545787954051, -0.04190822642413535,
+      0.28895898899944555, -0.8908670134264882, 0.49127028949989354],
+     [-0.28672239034054264, -0.1375759044810008, -0.20184803163682064, -0.4228287633318998,
+      -0.008920846927175798, -0.23311459781879923, -0.5549536236581273],
+     [-0.2637820088943402, -0.3416501194389854, 0.5749433322157016, -0.16167421768450083,
+      0.05412998824349305, -0.14415166786794914, 0.4532178882457606],
+     [0.1957773349572372, 0.28403190653889276, 0.292694627424062, -0.13453293577796924,
+      -0.5739878177428202, -0.017507744740354728, -0.07092948979628474]])
+PINNED_B = np.array([[0.49801193748178735], [1.0255591290929948], [1.5531431069134554],
+                     [-1.6798357366900019], [-1.8729025094232932], [1.1876680660435375],
+                     [0.5060609696556986]])
+PINNED_K = np.array([[-0.41402022350520207, -0.8060413405394026, -0.041335654467300496,
+                      -0.13350860736669262, 0.0165252340369986, 0.6700854216537587,
+                      -0.01934638674458645]])
 
 
 class TestBracket:
@@ -97,8 +199,8 @@ class TestClosure:
     def test_matches_all_pairs_bruteforce(self):
         # independent closure: bracket all pairs until the span stabilises
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            gens = [rng.standard_normal((3, 3)) for _ in range(2)]
+        for kind in ("generic", "traceless", "skew", "upper", "block"):
+            gens = structured_generators(rng, 3, 2, kind)
             mats = list(gens)
             dim = span_rank(mats)
             while True:
@@ -109,7 +211,26 @@ class TestClosure:
                     break
                 mats += extra
                 dim = new
-            assert lie.lie_closure(gens).dim == dim
+            assert lie.lie_closure(gens).dim == dim == len(reference_closure(gens))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 3),
+           st.sampled_from(["generic", "traceless", "skew", "upper", "block", "diagonal"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, d, n, kind, seed):
+        gens = structured_generators(np.random.default_rng(seed), d, n, kind)
+        assert lie.lie_closure(gens).dim == len(reference_closure(gens))
+
+    @pytest.mark.parametrize("d", [6, 8, 10])
+    @pytest.mark.parametrize("kind", ["generic", "skew"])
+    def test_orthonormal_at_large_d(self, d, kind):
+        # gl(d), and so(d) in random coordinates; the dimension alone cannot
+        # show a basis that lost orthogonality, since it is capped at d*d
+        gens = structured_generators(np.random.default_rng(d), d, 2, kind)
+        basis = lie.lie_closure(gens)
+        assert basis.dim == (d * d if kind == "generic" else d * (d - 1) // 2)
+        q = basis.stacked().reshape(basis.dim, -1)
+        assert np.max(np.abs(q @ q.T - np.eye(basis.dim))) <= 1e-12
 
 
 class TestLarc:
@@ -145,6 +266,21 @@ class TestLarc0:
 
 
 class TestPlarc:
+    def test_batched_ranks_match_per_sample_loop(self):
+        rng = np.random.default_rng(12)
+        cases = [(ROT, np.zeros((2, 2))), (np.diag([1.0, 2.0]), np.ones((2, 2)))]
+        for d in (2, 3, 4, 5):
+            a, b = random_controllable(rng, d)
+            cases.append((a, b @ rng.standard_normal((1, d))))
+            # a common invariant subspace: PLARC fails
+            f = structured_generators(rng, d, 1, "block")[0]
+            cases.append((np.linalg.inv(f - 3 * np.eye(d)) @ f, f))
+        for a, f in cases:
+            d = a.shape[0]
+            cert = lie.check_plarc(a, np.eye(d), f)
+            assert (cert.verdict, cert.dim) == reference_plarc(a, f)
+            assert cert.verdict == (not cert.failing_samples)
+
     def test_rotation_without_input(self):
         cert = lie.check_plarc(ROT, np.zeros((2, 1)), [[0.0, 0.0]])
         assert cert.verdict
@@ -176,6 +312,12 @@ class TestIrreducible:
         basis = lie.lie_closure([np.diag([1.0, -1.0])])
         assert not lie.check_irreducible(basis)
 
+    @pytest.mark.parametrize("kind, irreducible", [("generic", True), ("block", False),
+                                                    ("upper", False), ("skew", True)])
+    def test_structured_d5(self, kind, irreducible):
+        gens = structured_generators(np.random.default_rng(11), 5, 2, kind)
+        assert lie.check_irreducible(lie.lie_closure(gens)) == irreducible
+
     def test_chain_closure_irreducible(self):
         k = np.array([[1.0, 1.0, 1.0]])
         e3 = unit_vector(3, 2).reshape(3, 1)
@@ -203,3 +345,28 @@ class TestChainAudit:
             shift = float(rng.uniform(-1.0, 1.0))
             audit = lie.inclusion_chain_audit(a, b, k, shift=shift, seed=i)
             assert audit.ok, audit.violations
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(2, 10), st.floats(0.3, 30.0), st.integers(0, 2**32 - 1))
+    def test_chain_and_dimension_invariants(self, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((d, d)) / np.sqrt(d)
+        b = rng.standard_normal((d, 1))
+        k = scale * rng.standard_normal((1, d)) / np.sqrt(d)
+        shift = float(rng.uniform(-1.0, 1.0))
+        audit = lie.inclusion_chain_audit(a, b, k, shift=shift, seed=seed % 997)
+        assert audit.ok, audit.violations
+        assert audit.larc0.dim <= d * d - 1
+        assert lie.check_larc(a + shift * np.eye(d), b, k).dim == audit.larc_shifted.dim
+        assert lie.check_larc0(a, b, k).dim == audit.larc0.dim
+        plarc = lie.check_plarc(a, b, k, seed=seed % 997)
+        assert (plarc.dim, plarc.verdict, plarc.n_samples) == (
+            audit.plarc.dim, audit.plarc.verdict, audit.plarc.n_samples)
+
+    def test_pinned_d7_triple(self):
+        audit = lie.inclusion_chain_audit(PINNED_A, PINNED_B, PINNED_K)
+        assert audit.larc_shifted.dim == 49 and audit.larc_shifted.verdict
+        assert audit.larc0.dim == 48 and audit.larc0.verdict
+        assert audit.plarc.dim == 49 and audit.plarc.verdict
+        assert audit.ok, audit.violations
+        assert lie.check_larc0(PINNED_A, PINNED_B, PINNED_K).dim == 48

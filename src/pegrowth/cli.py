@@ -13,6 +13,7 @@ detected.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -95,6 +96,8 @@ def _signal_class(cfg):
 
 def _budget(cfg, seed):
     fam = cfg.get("family", {})
+    if not isinstance(fam, dict):
+        raise ConfigError("bad family spec: family must be a JSON object")
     try:
         return rates.SearchBudget(
             n_periods=int(fam.get("n_periods", 4)),
@@ -107,17 +110,23 @@ def _budget(cfg, seed):
         raise ConfigError(f"bad family spec: {exc}") from exc
 
 
+def _signals(objs):
+    if not isinstance(objs, list):
+        raise ValueError("signals must be a JSON list")
+    return [PESignal.from_json(o) for o in objs]
+
+
 def _family(cfg, cls, seed, signal_file=None):
     sigs = []
     if signal_file is not None:
         try:
             payload = json.loads(Path(signal_file).read_text())
-            sigs = [PESignal.from_json(o) for o in payload["signals"]]
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            sigs = _signals(payload["signals"])
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad signal file: {exc}") from exc
     elif "signals" in cfg:
         try:
-            sigs = [PESignal.from_json(o) for o in cfg["signals"]]
+            sigs = _signals(cfg["signals"])
         except ValueError as exc:
             raise ConfigError(f"bad signals entry: {exc}") from exc
     if sigs:
@@ -346,8 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg, cfg_hash = _load_config(args.config)
         seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)

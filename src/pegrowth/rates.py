@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .matcore import (as_matrix, multiset_residual, opnorm, parity_matrix,
                       nilpotent_shift, require_square, unit_vector)
-from .signals import PESignal, SignalClass, reverse, validate_pe
+from .signals import EP_TOL, PESignal, SignalClass, _periodic, reverse, validate_pe
 
 __all__ = [
     "SearchBudget",
@@ -86,7 +86,8 @@ def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[fl
     barring underflow of tiny entries.
     """
     g, d = bks.shape[0], a.shape[0]
-    rn = np.broadcast_to(np.eye(d), bks.shape)
+    single = g == 1
+    rn = np.eye(d) if single else np.broadcast_to(np.eye(d), bks.shape)
     shift, exponent = [0.0] * g, [0] * g
     for value, dt in segments:
         if dt == 0.0:
@@ -100,12 +101,23 @@ def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[fl
         factor = factors.get(dt)
         if factor is None:
             factor = factors[dt] = scipy.linalg.expm(generator * dt)
+        if single:
+            # The stacked branch below, on one 2-D product: the same
+            # exponent from the same peak, applied in place.
+            rn = factor[0] @ rn
+            e = math.frexp(np.abs(rn).max())[1]
+            np.ldexp(rn, -e, out=rn)
+            shift[0] += sigma[0] * dt
+            exponent[0] += e
+            continue
         rn = factor @ rn
         e = np.frexp(np.abs(rn).max(axis=(1, 2), keepdims=True))[1]
         rn = np.ldexp(rn, -e)
         for i, eg in enumerate(e.ravel().tolist()):
             shift[i] += sigma[i] * dt
             exponent[i] += eg
+    if single:
+        rn = rn[None]
     return rn, [sh + ex * _LN2 for sh, ex in zip(shift, exponent)]
 
 
@@ -289,31 +301,47 @@ def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
     return [PESignal.constant(float(v), period=cls.T) for v in levels]
 
 
+# validate_pe's window integrals are exact up to a few ulps of period + T
+# (at most 1.2 eps (period + T) in a probe of 20000 random candidates); a
+# candidate whose cell minimum lies within this multiple of period + T of
+# the threshold is left to validate_pe.
+_CELL_BAND = 1e-13
+
+
 def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
-    """Deterministic PE-valid family of periodic bang-bang candidates."""
+    """Deterministic PE-valid family of periodic bang-bang candidates.
+
+    A candidate is a cyclic array of equal cells and the window T spans
+    exactly ``time_grid`` of them, so its window integral is linear between
+    cell boundaries and its minimum is the least sum of ``time_grid``
+    consecutive cells.  That sum decides the excitation check exactly;
+    ``validate_pe`` decides only the candidates whose minimum lies within
+    rounding distance of its threshold, so the family is the one that
+    ``validate_pe`` would accept.
+    """
     rng = np.random.default_rng(budget.seed)
-    out: list[PESignal] = []
-    seen: set[bytes] = set()
+    out: dict[bytes, PESignal] = {}
 
     def push(sig: PESignal) -> None:
-        key = sig.encoding_key()
-        if key in seen:
-            return
         if validate_pe(sig, cls).valid:
-            seen.add(key)
-            out.append(sig)
+            add(sig)
+
+    def add(sig: PESignal) -> None:
+        out.setdefault(sig.encoding_key(), sig)
 
     if budget.include_constants:
         push(PESignal.constant(1.0, period=cls.T))
         push(PESignal.constant(cls.floor, period=cls.T))
-    step = cls.T / budget.time_grid
+    grid = budget.time_grid
+    step = cls.T / grid
+    threshold = cls.mu - EP_TOL
     halves = max(1, budget.max_switches // 2)
     attempts = 0
     max_attempts = 80 * budget.size
     while len(out) < budget.size and attempts < max_attempts:
         attempts += 1
         mult = int(rng.integers(1, budget.n_periods + 1))
-        cells = budget.time_grid * mult
+        cells = grid * mult
         k = 2 * int(rng.integers(1, halves + 1))
         if k >= cells:
             continue
@@ -321,14 +349,28 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
         bounds = np.concatenate([[0], idx, [cells]])
         low = 0.0 if rng.random() < 0.7 else cls.floor
         first_high = bool(rng.random() < 0.5)
-        segs = []
-        for i in range(k):
-            high = (i % 2 == 0) == first_high
-            segs.append((1.0 if high else low, (bounds[i + 1] - bounds[i]) * step))
+        is_high = np.arange(k) % 2 != first_high
+        widths = bounds[1:] - bounds[:-1]
+        high = is_high.repeat(widths)
+        ones = np.concatenate([[0], high, high[:grid]]).cumsum()
+        least = int((ones[grid:] - ones[:-grid]).min())
+        worst = (least + low * (grid - least)) * step
+        band = _CELL_BAND * (mult + 1) * cls.T
+        if worst < threshold - band:
+            continue
+        values, durations = np.where(is_high, 1.0, low), widths * step
         try:
-            push(PESignal.from_segments(segs, period=mult * cls.T))
+            if low < 1.0:
+                sig = _periodic(values, durations, mult * cls.T)
+            else:  # the constant 1: from_segments merges the segments
+                sig = PESignal.from_segments(zip(values.tolist(), durations.tolist()),
+                                             period=mult * cls.T)
         except ValueError:
             continue
+        if worst <= threshold + band:
+            push(sig)
+        else:
+            add(sig)
     fill = 3
     while len(out) < budget.size:
         for v in np.linspace(cls.floor, 1.0, fill):
@@ -336,8 +378,9 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
             if len(out) >= budget.size:
                 break
         fill += 2
-    out.sort(key=lambda s: s.encoding_key())
-    return out
+        if cls.floor == 1.0:  # every fill constant is the constant 1
+            break
+    return [out[key] for key in sorted(out)]
 
 
 def mirror_family(family) -> list[PESignal]:
@@ -382,13 +425,11 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     return valid
 
 
-def _signal_rates(a, b, gains, sigs, kind: str, table: dict) -> list[list[float]]:
-    """Per gain, the rate of every signal in one stacked pass: the negated
-    top exponent (kind "rc"), or the bottom exponent, the negated top
-    exponent of the reversed tuple (-a, -b, K, reverse(s)) (kind "rd").
-    ``table`` is the factor table of the tuple that is evaluated."""
-    if kind == "rd":
-        a, b, sigs = -a, -b, [reverse(s) for s in sigs]
+def _neg_tops(a, b, gains, sigs, table: dict) -> list[list[float]]:
+    """Per gain, the negated top exponent of every signal, in one stacked
+    pass over the factor table of (a, b K).  Kind "rc" of a family reads it
+    on (a, b); kind "rd", the bottom exponents, reads it on the reversed
+    tuple (-a, -b) and the mirrored family."""
     bks = np.stack([b @ k for k in gains])
     tops = [_period_top(a, bks, s, table) for s in sigs]
     return [[-t[g] for t in tops] for g in range(len(gains))]
@@ -409,7 +450,9 @@ def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    return _minima(_signal_rates(a, b, [k], sigs, kind, {}), sigs, kind)[0]
+    if kind == "rd":
+        return _minima(_neg_tops(-a, -b, [k], mirror_family(sigs), {}), sigs, kind)[0]
+    return _minima(_neg_tops(a, b, [k], sigs, {}), sigs, kind)[0]
 
 
 def rc_estimate(A, B, K, cls: SignalClass, family) -> RateEstimate:
@@ -459,19 +502,19 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     eye = np.eye(a.shape[0])
     bks, bks_rev = (b @ k)[None], ((-b) @ k)[None]
     table, table_rev = {}, {}
+    reversed_sigs = mirror_family(sigs)
     rows = []
     worst = 0.0
-    for i, s in enumerate(sigs):
+    for i, (s, r) in enumerate(zip(sigs, reversed_sigs)):
         rn, log_scale = _segment_product(a, bks, s.period_segments(), table)
-        rn_rev, log_scale_rev = _segment_product(
-            -a, bks_rev, reverse(s).period_segments(), table_rev)
+        rn_rev, log_scale_rev = _segment_product(-a, bks_rev, r.period_segments(), table_rev)
         prod = _unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
         res = opnorm(prod - eye) if np.isfinite(prod).all() else np.inf
         worst = max(worst, res)
         rows.append((i, s.period, res))
-    mirrored = _resolve_family(cls, mirror_family(sigs))
-    rc = _minima(_signal_rates(a, b, [k], sigs, "rc", table), sigs, "rc")[0]
-    rd = _minima(_signal_rates(-a, -b, [k], mirrored, "rd", {}), mirrored, "rd")[0]
+    mirrored = _resolve_family(cls, reversed_sigs)
+    rc = _minima(_neg_tops(a, b, [k], sigs, table), sigs, "rc")[0]
+    rd = _minima(_neg_tops(a, b, [k], mirror_family(mirrored), {}), mirrored, "rd")[0]
     return DualityReport(per_signal=tuple(rows), max_residual=worst,
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
@@ -502,8 +545,8 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
     mirrored = _resolve_family(cls, mirror_family(sigs))
-    rc = _minima(_signal_rates(a, b, ks, sigs, "rc", {}), sigs, "rc")
-    rd = _minima(_signal_rates(-a, -b, ks, mirrored, "rd", {}), mirrored, "rd")
+    rc = _minima(_neg_tops(a, b, ks, sigs, {}), sigs, "rc")
+    rd = _minima(_neg_tops(a, b, ks, mirror_family(mirrored), {}), mirrored, "rd")
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -517,10 +560,9 @@ class DeltaReport:
     ordered: bool                  # delta_star_hat <= delta_hat
 
 
-def _delta(a, b, k, sigs, table: dict, mirror_table: dict) -> DeltaReport:
-    """``delta_quantities`` on validated signals; ``table`` serves (a, bk)
-    and ``mirror_table`` the reversed tuple (-a, -bk)."""
-    mirrored = mirror_family(sigs)
+def _delta(a, b, k, sigs, mirrored, table: dict, mirror_table: dict) -> DeltaReport:
+    """``delta_quantities`` on validated signals and their mirror; ``table``
+    serves (a, bk) and ``mirror_table`` the reversed tuple (-a, -bk)."""
 
     def log_norms(aa, bb, fam, tab):
         bks = (bb @ k)[None]
@@ -550,7 +592,8 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     still reported, as ``mirror_identity_exact``.
     """
     a, b, k = _loop_matrices(A, B, K)
-    return _delta(a, b, k, _resolve_family(cls, family), {}, {})
+    sigs = _resolve_family(cls, family)
+    return _delta(a, b, k, sigs, mirror_family(sigs), {}, {})
 
 
 @dataclass(frozen=True)
@@ -576,13 +619,14 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
+    mirrored = mirror_family(sigs)
     table, table_rev = {}, {}
-    neg_tops = _signal_rates(a, b, [k], sigs, "rc", table)
-    bottoms = _signal_rates(a, b, [k], sigs, "rd", table_rev)
+    neg_tops = _neg_tops(a, b, [k], sigs, table)
+    bottoms = _neg_tops(-a, -b, [k], mirrored, table_rev)
     return FamilyRates(signals=tuple(sigs), top_rates=tuple(-v for v in neg_tops[0]),
                        bottom_rates=tuple(bottoms[0]),
                        rc=_minima(neg_tops, sigs, "rc")[0], rd=_minima(bottoms, sigs, "rd")[0],
-                       delta=_delta(a, b, k, sigs, table, table_rev))
+                       delta=_delta(a, b, k, sigs, mirrored, table, table_rev))
 
 
 @dataclass(frozen=True)

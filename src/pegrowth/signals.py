@@ -300,10 +300,24 @@ def reverse(s: PESignal) -> PESignal:
     """
     if s.period is None:
         raise ValueError("time reversal is defined for periodic signals only")
-    vals = s.values[::-1]
-    durs = s.durations[::-1]
+    return _periodic(s.values[::-1], s.durations[::-1], s.period)
+
+
+def _periodic(vals, durs, period: float) -> PESignal:
+    """The periodic signal of segment values and durations that are already
+    valid: values in [0, 1], positive finite durations, a positive finite
+    period.  Only the breakpoints, the rounded partial sums of the
+    durations, are checked: if they do not increase strictly and stay below
+    the period, the validating constructor raises."""
     bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
-    return PESignal(bk, vals, s.period, durations=durs)
+    if bk[-1] >= period or np.any(bk[1:] <= bk[:-1]):
+        return PESignal(bk, vals, period, durations=durs)
+    out = object.__new__(PESignal)
+    object.__setattr__(out, "breakpoints", _freeze(bk))
+    object.__setattr__(out, "values", _freeze(vals))
+    object.__setattr__(out, "durations", _freeze(durs))
+    object.__setattr__(out, "period", float(period))
+    return out
 
 
 def splice_periodic(prefix: PESignal, t: float, steering: PESignal, tau: float,

@@ -268,6 +268,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical diagnostic:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
+    def test_family_not_an_object_is_config_error(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, base_config(family=[1, 2]))
+        assert run(sub, cfg, tmp_path / "f") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad family spec") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
+    def test_signals_not_a_list_is_config_error(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, base_config(signals=5))
+        assert run(sub, cfg, tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad signals entry") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", [{"signals": 5}, {"signals": {"period": 1.0}},
+                                         [{"breakpoints": [0.0], "values": [1.0]}]])
+    def test_signal_file_without_signal_list_is_config_error(self, tmp_path, capsys, payload):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, base_config())
+        assert run("rates", cfg, tmp_path / "r", "--signal-file", str(sig_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad signal file") and err.count("\n") == 1
+
     def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -330,6 +354,28 @@ def test_every_config_maps_to_a_documented_exit(edge, cfg):
             assert code in (0, 2, 3, 4), (sub, code)
             assert "Traceback" not in err.getvalue()
             assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, base_config())
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps({"signals": [
+        {"breakpoints": [0.0], "values": [1.0], "period": 1.0}]}))
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run("rates", cfg, tmp_path / "r", "--seed", "99", "--signal-file",
+                   str(sig_path)) == 0
+        assert run("duality", cfg, tmp_path / "d") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    rates_summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert (rates_summary["seed"], rates_summary["n_signals"]) == (99, 1)
+    summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+    assert summary["seed"] == 7
+    assert len((tmp_path / "d" / "duality.csv").read_text().splitlines()) == 1 + 12
 
 
 def test_unknown_config_schema(tmp_path):

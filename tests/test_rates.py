@@ -3,7 +3,7 @@ import pytest
 
 from pegrowth import rates
 from pegrowth.matcore import expm, nilpotent_shift, opnorm, parity_matrix, unit_vector
-from pegrowth.signals import PESignal, SignalClass, reverse
+from pegrowth.signals import EP_TOL, PESignal, SignalClass, reverse, validate_pe
 
 CLS = SignalClass(1.0, 0.4)
 J2 = nilpotent_shift(2)
@@ -187,6 +187,96 @@ class TestFamilies:
             list(np.linspace(0.4, 1.0, 5)))
 
 
+def reference_family(cls, budget):
+    """``bang_bang_family`` as it was before the cell-grid check: every
+    candidate is built as a signal and judged by ``validate_pe``."""
+    rng = np.random.default_rng(budget.seed)
+    out = []
+    seen = set()
+
+    def push(sig):
+        key = sig.encoding_key()
+        if key in seen:
+            return
+        if validate_pe(sig, cls).valid:
+            seen.add(key)
+            out.append(sig)
+
+    if budget.include_constants:
+        push(PESignal.constant(1.0, period=cls.T))
+        push(PESignal.constant(cls.floor, period=cls.T))
+    step = cls.T / budget.time_grid
+    halves = max(1, budget.max_switches // 2)
+    attempts = 0
+    max_attempts = 80 * budget.size
+    while len(out) < budget.size and attempts < max_attempts:
+        attempts += 1
+        mult = int(rng.integers(1, budget.n_periods + 1))
+        cells = budget.time_grid * mult
+        k = 2 * int(rng.integers(1, halves + 1))
+        if k >= cells:
+            continue
+        idx = np.sort(rng.choice(np.arange(1, cells), size=k - 1, replace=False))
+        bounds = np.concatenate([[0], idx, [cells]])
+        low = 0.0 if rng.random() < 0.7 else cls.floor
+        first_high = bool(rng.random() < 0.5)
+        segs = []
+        for i in range(k):
+            high = (i % 2 == 0) == first_high
+            segs.append((1.0 if high else low, (bounds[i + 1] - bounds[i]) * step))
+        try:
+            push(PESignal.from_segments(segs, period=mult * cls.T))
+        except ValueError:
+            continue
+    fill = 3
+    while len(out) < budget.size:
+        for v in np.linspace(cls.floor, 1.0, fill):
+            push(PESignal.constant(float(v), period=cls.T))
+            if len(out) >= budget.size:
+                break
+        fill += 2
+    out.sort(key=lambda s: s.encoding_key())
+    return out
+
+
+def assert_same_families(cls, time_grid, seeds):
+    # Three candidates and no constants per family keep the reference
+    # cheap; the 200 seeds give each (class, grid) a few hundred candidates.
+    for seed in seeds:
+        budget = rates.SearchBudget(time_grid=time_grid, size=3,
+                                    include_constants=False, seed=seed)
+        expected = [s.encoding_key() + s.breakpoints.tobytes()
+                    for s in reference_family(cls, budget)]
+        assert [s.encoding_key() + s.breakpoints.tobytes()
+                for s in rates.bang_bang_family(cls, budget)] == expected, seed
+
+
+class TestCellGridFamily:
+    """The cell-grid check accepts exactly the candidates that validate_pe
+    accepts, so the family is the reference family byte for byte."""
+
+    # (1, 0.5) at 16 cells has windows of exactly mu; (1, 1.0) collapses
+    # every candidate to the constant 1.
+    @pytest.mark.parametrize("time_grid", [16, 10, 7])
+    @pytest.mark.parametrize("T, mu", [(1.0, 0.4), (1.0, 0.95), (1.0, 0.5), (1.0, 1.0),
+                                       (0.3, 0.12), (2.5, 1.7)])
+    def test_equals_validate_pe_family(self, T, mu, time_grid):
+        assert_same_families(SignalClass(T, mu), time_grid, range(200))
+
+    # mu - EP_TOL is a whole number of cells: rounding in validate_pe
+    # decides windows that sit exactly on the threshold.
+    @pytest.mark.parametrize("T, time_grid, cells", [(0.3, 10, 4), (1e5 / 3, 7, 3)])
+    def test_threshold_on_a_cell_boundary(self, T, time_grid, cells):
+        cls = SignalClass(T, cells * (T / time_grid) + EP_TOL)
+        assert_same_families(cls, time_grid, range(200))
+
+    def test_mu_equal_to_T_terminates(self):
+        cls = SignalClass(1.0, 1.0)
+        fam = rates.bang_bang_family(cls, rates.SearchBudget(size=32, seed=0))
+        assert 0 < len(fam) < 32
+        assert all(validate_pe(s, cls).valid and s.values.tolist() == [1.0] for s in fam)
+
+
 class TestRcRdEstimates:
     def test_zero_gain_exact(self):
         a, _, _ = random_system(8)
@@ -289,6 +379,34 @@ class TestGainStack:
                 assert log_scale[g] == log_scale_g[0]
                 assert (rates._top(rn, log_scale, s.period)[g]
                         == rates._top(rn_g, log_scale_g, s.period)[0])
+
+
+class TestSingleGainBranch:
+    """The one-gain engine step picks the exponents of the stacked step, so
+    it reproduces every slice of a stack bit for bit."""
+
+    @staticmethod
+    def assert_slices(a, bks, segments):
+        rn, log_scale = rates._segment_product(a, bks, segments, {})
+        for g, bk in enumerate(bks):
+            rn_g, log_scale_g = rates._segment_product(a, bk[None], segments, {})
+            assert rn_g.shape == (1,) + bk.shape
+            np.testing.assert_array_equal(rn_g[0], rn[g])
+            assert log_scale_g == [log_scale[g]]
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_stiff_triple(self, scale):
+        a = scale * TestStiffAndLongPeriod.STIFF_A
+        bk = (scale * E2) @ TestStiffAndLongPeriod.STIFF_K
+        bks = np.stack([bk, 0.5 * bk, -bk])
+        for s in rates.bang_bang_family(CLS, rates.SearchBudget(size=10, seed=0)):
+            self.assert_slices(a, bks, s.period_segments())
+            self.assert_slices(-a, -bks, reverse(s).period_segments())
+
+    def test_long_period_saddle(self):
+        a = np.diag([-5.0, 5.0])
+        bks = np.stack([np.zeros((2, 2)), np.eye(2)])
+        self.assert_slices(a, bks, PESignal.constant(1.0, period=200.0).period_segments())
 
 
 class TestDualityGrid:

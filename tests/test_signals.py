@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegrowth.rates import SearchBudget, bang_bang_family
 from pegrowth.signals import (EP_TOL, PESignal, PEValidation, SignalClass,
                               SpliceError, periodize, reverse, splice_periodic,
                               validate_pe)
@@ -226,18 +227,47 @@ class TestReverse:
         np.testing.assert_array_equal(r.breakpoints, [0.0, tau - a])
         np.testing.assert_array_equal(r.values, [0.0, 1.0])
 
+    @staticmethod
+    def family():
+        # Cells of T/7: the breakpoints are rounded partial sums.
+        return bang_bang_family(SignalClass(0.3, 0.12),
+                                SearchBudget(time_grid=7, size=24, seed=5))
+
     def test_involution_exact(self):
-        # dyadic data: breakpoints survive the round trip bit for bit
-        s = PESignal([0.0, 0.25, 0.625], [1.0, 0.0, 0.5], period=2.0)
-        rr = reverse(reverse(s))
-        np.testing.assert_array_equal(rr.values, s.values)
-        np.testing.assert_array_equal(rr.durations, s.durations)
-        np.testing.assert_array_equal(rr.breakpoints, s.breakpoints)
-        assert rr.period == s.period
+        # dyadic data, then rounded breakpoints: both survive the round trip
+        # bit for bit, in read-only arrays
+        dyadic = PESignal([0.0, 0.25, 0.625], [1.0, 0.0, 0.5], period=2.0)
+        for s in [dyadic] + self.family():
+            rr = reverse(reverse(s))
+            for name in ("values", "durations", "breakpoints"):
+                np.testing.assert_array_equal(getattr(rr, name), getattr(s, name))
+                assert not getattr(rr, name).flags.writeable
+            assert rr.period == s.period
 
     def test_rejects_aperiodic(self):
         with pytest.raises(ValueError):
             reverse(PESignal([0.0], [1.0]))
+
+    def test_equals_validating_constructor(self):
+        for s in self.family():
+            r = reverse(s)
+            vals, durs = s.values[::-1], s.durations[::-1]
+            ref = PESignal(np.concatenate([[0.0], np.cumsum(durs)[:-1]]), vals, s.period,
+                           durations=durs)
+            for name in ("values", "durations", "breakpoints"):
+                got, want = getattr(r, name), getattr(ref, name)
+                assert (got.dtype, got.shape, got.flags.c_contiguous, got.flags.writeable) \
+                    == (want.dtype, want.shape, want.flags.c_contiguous, want.flags.writeable)
+                np.testing.assert_array_equal(got, want)
+            assert type(r.period) is float and r.period == ref.period
+            assert r.encoding_key() == ref.encoding_key()
+
+    def test_reversed_breakpoints_past_the_period_raise(self):
+        # Durations need not sum to the period; reversed, the first segment
+        # ends past it, and the validating constructor rejects that.
+        s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, 1.5])
+        with pytest.raises(ValueError, match="precede the period"):
+            reverse(s)
 
     def test_pointwise_reflection(self):
         rng = np.random.default_rng(2)

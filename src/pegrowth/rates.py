@@ -4,22 +4,22 @@ Per-signal Lyapunov exponents via monodromy matrices, worst-case
 convergence/divergence estimators over finite families of periodic signals,
 and the exact algebraic checks that tie a system to its time reversal.
 
-Every period product comes from ``_segment_product``, scaled so that stiff
-and long-period signals give finite logarithms.  It evaluates a stack of
-gains at once, one ``expm`` per distinct segment for the whole stack, and
-each slice equals the one-gain product bit for bit; ``duality_grid`` reads
-a whole grid of gains in one pass per side.  Only *top* quantities are
-read from it: the log spectral radius and the log 2-norm.  A *bottom*
-quantity is the negated top quantity of the reversed tuple
-(-A, -B, K, reverse(s)), whose period product is the inverse.  Negation
-and ``reverse`` are exact involutions, so the convergence estimate of a
-system and the divergence estimate of its reversal on the mirrored family
-are one computation and agree bit for bit.
+Every period product comes from ``_family_product``, scaled so that stiff
+and long-period signals give finite logarithms.  It evaluates a whole
+family of signals against a stack of gains in one lockstep pass, with one
+``expm`` per distinct segment for all the gains, and each slice equals the
+product of that one signal and gain bit for bit.  Each estimator computes
+a family's products once per orientation and reads them in batches.  Only
+*top* quantities are read from them: the log spectral radius and the log
+2-norm.  A *bottom* quantity is the negated top quantity of the reversed
+tuple (-A, -B, K, reverse(s)), whose period product is the inverse.
+Negation and ``reverse`` are exact involutions, so the convergence estimate
+of a system and the divergence estimate of its reversal on the mirrored
+family are one computation and agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,76 +70,92 @@ def _loop_matrices(A, B, K):
     return a, b, k
 
 
-def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[float]]:
-    """Ordered products of the segment exponentials for a stack of gains, as
-    ``(Rn, log_scale)`` with ``R[g] = exp(log_scale[g]) Rn[g]``.
+def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products of the segment exponentials of every signal and gain,
+    as ``(Rn, log_scale)`` with ``R[s, g] = exp(log_scale[s, g]) Rn[s, g]``.
 
-    ``bks`` stacks the loop gains ``B K`` as ``(G, d, d)``; one gain is a
-    stack of one.  A segment's factor ``e^{M dt}``, ``M = a + value bk``, is
-    taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
+    ``family`` lists each signal's ``(value, duration)`` segments and
+    ``bks`` stacks the loop gains ``B K`` as ``(G, d, d)``, so ``Rn`` is
+    ``(S, G, d, d)``.  A segment's factor ``e^{M dt}``, ``M = a + value bk``,
+    is taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
     abscissa of M, so no factor over- or underflows on its own.  ``table``
     maps each value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``,
     each stacked over the gains, so a distinct segment costs one ``expm``
     call for the whole stack.  The caller owns the table and may share it
-    between calls with the same ``(a, bks)``.  Each running product is
-    renormalised by its own power of two after every factor, which is exact
-    barring underflow of tiny entries.
+    between calls with the same ``(a, bks)``.
+
+    The signals walk their segments in lockstep: step j gathers the j-th
+    factor of every signal that still has one and multiplies the whole
+    ``(S, G, d, d)`` stack at once.  Zero-duration segments are skipped, and
+    a signal whose segments have run out drops out of the step.  Each
+    running product is then renormalised by the power of two of its own
+    peak, which is exact barring underflow of tiny entries.  Its shifts
+    ``sigma dt`` and exponents are summed in segment order, so every slice
+    equals the product of that one signal and gain bit for bit.
     """
     g, d = bks.shape[0], a.shape[0]
-    single = g == 1
-    rn = np.eye(d) if single else np.broadcast_to(np.eye(d), bks.shape)
-    shift, exponent = [0.0] * g, [0] * g
-    for value, dt in segments:
-        if dt == 0.0:
-            continue
-        entry = table.get(value)
-        if entry is None:
-            m = a + value * bks
-            sigma = np.linalg.eigvals(m).real.max(axis=1)
-            entry = table[value] = (m - sigma[:, None, None] * np.eye(d), sigma.tolist(), {})
-        generator, sigma, factors = entry
-        factor = factors.get(dt)
-        if factor is None:
-            factor = factors[dt] = scipy.linalg.expm(generator * dt)
-        if single:
-            # The stacked branch below, on one 2-D product: the same
-            # exponent from the same peak, applied in place.
-            rn = factor[0] @ rn
-            e = math.frexp(np.abs(rn).max())[1]
-            np.ldexp(rn, -e, out=rn)
-            shift[0] += sigma[0] * dt
-            exponent[0] += e
-            continue
-        rn = factor @ rn
-        e = np.frexp(np.abs(rn).max(axis=(1, 2), keepdims=True))[1]
-        rn = np.ldexp(rn, -e)
-        for i, eg in enumerate(e.ravel().tolist()):
-            shift[i] += sigma[i] * dt
-            exponent[i] += eg
-    if single:
-        rn = rn[None]
-    return rn, [sh + ex * _LN2 for sh, ex in zip(shift, exponent)]
+    index: dict = {}
+    factors, steps, rows = [], [], []
+    for segments in family:
+        row = []
+        for value, dt in segments:
+            if dt == 0.0:
+                continue
+            i = index.get((value, dt))
+            if i is None:
+                entry = table.get(value)
+                if entry is None:
+                    m = a + value * bks
+                    sigma = np.linalg.eigvals(m).real.max(axis=1)
+                    entry = table[value] = (m - sigma[:, None, None] * np.eye(d), sigma, {})
+                generator, sigma, cache = entry
+                factor = cache.get(dt)
+                if factor is None:
+                    factor = cache[dt] = scipy.linalg.expm(generator * dt)
+                i = index[value, dt] = len(factors)
+                factors.append(factor)
+                steps.append(sigma * dt)
+            row.append(i)
+        rows.append(row)
+    pos = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+    for s, row in enumerate(rows):
+        pos[s, :len(row)] = row
+    stack, step = np.array(factors), np.array(steps)
+    rn = np.tile(np.eye(d), (len(rows), g, 1, 1))
+    shift = np.zeros((len(rows), g))
+    exponent = np.zeros((len(rows), g), dtype=np.int64)
+    for col in pos.T:
+        live = np.flatnonzero(col >= 0)
+        at = col[live]
+        prod = stack[at] @ rn[live]
+        e = np.frexp(np.abs(prod).max(axis=(2, 3)))[1]
+        rn[live] = np.ldexp(prod, -e[:, :, None, None])
+        shift[live] += step[at]
+        exponent[live] += e
+    return rn, shift + exponent * _LN2
 
 
-def _unscaled(rn: np.ndarray, log_scale: float) -> np.ndarray:
-    """``exp(log_scale) rn``, saturating entrywise to 0 or inf, never nan."""
-    whole, frac = divmod(log_scale, _LN2)
+def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[float]]:
+    """``_family_product`` of one signal: ``(Rn, log_scale)`` over the gains."""
+    rn, log_scale = _family_product(a, bks, [segments], table)
+    return rn[0], log_scale[0].tolist()
+
+
+def _unscaled(rn: np.ndarray, log_scale) -> np.ndarray:
+    """``exp(log_scale) rn`` per slice, saturating entrywise to 0 or inf,
+    never nan."""
+    whole, frac = np.divmod(np.asarray(log_scale)[..., None, None], _LN2)
     with np.errstate(over="ignore"):
-        return np.ldexp(rn * np.exp(frac), int(whole))
+        return np.ldexp(rn * np.exp(frac), whole.astype(np.int64))
 
 
-def _top(rn: np.ndarray, log_scale, tau: float, norm: bool = False) -> list[float]:
-    """Per gain, the log spectral radius (or log 2-norm) of
-    ``exp(log_scale[g]) rn[g]``, over tau."""
-    # scipy's batched svdvals loops over the slices itself, at more than
-    # twice the cost of one call per slice.
-    peak = (np.array([scipy.linalg.svdvals(r)[0] for r in rn]) if norm
-            else np.abs(np.linalg.eigvals(rn)).max(axis=1))
-    return ((np.asarray(log_scale) + np.log(peak)) / tau).tolist()
-
-
-def _period_top(a, bks, s: PESignal, table: dict, norm: bool = False) -> list[float]:
-    return _top(*_segment_product(a, bks, s.period_segments(), table), s.period, norm)
+def _top(rn: np.ndarray, log_scale, tau, norm: bool = False) -> np.ndarray:
+    """Per slice of ``rn``, the log spectral radius (or log 2-norm) of
+    ``exp(log_scale) rn``, over tau; one ``eigvals`` (or SVD) call reads
+    the whole stack."""
+    peak = (np.linalg.svd(rn, compute_uv=False)[..., 0] if norm
+            else np.abs(np.linalg.eigvals(rn)).max(axis=-1))
+    return (np.asarray(log_scale) + np.log(peak)) / tau
 
 
 def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
@@ -179,8 +195,8 @@ def monodromy(A, B, K, s: PESignal) -> Monodromy:
         raise ValueError("monodromy needs a periodic signal")
     rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
     return Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
-                     top_rate=_top(rn, log_scale, s.period)[0],
-                     bottom_rate=-_period_top(-a, ((-b) @ k)[None], reverse(s), {})[0])
+                     top_rate=float(_top(rn, log_scale, s.period)[0]),
+                     bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)]))[0][0])
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -425,14 +441,26 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     return valid
 
 
-def _neg_tops(a, b, gains, sigs, table: dict) -> list[list[float]]:
-    """Per gain, the negated top exponent of every signal, in one stacked
-    pass over the factor table of (a, b K).  Kind "rc" of a family reads it
-    on (a, b); kind "rd", the bottom exponents, reads it on the reversed
-    tuple (-a, -b) and the mirrored family."""
+def _pass(a, b, gains, sigs):
+    """The period products of every signal and gain of (a, b K), in one
+    family-engine pass with its own factor table: ``(Rn, log_scale,
+    periods)``, with ``periods`` shaped ``(S, 1)`` to divide the ``(S, G)``
+    reads."""
     bks = np.stack([b @ k for k in gains])
-    tops = [_period_top(a, bks, s, table) for s in sigs]
-    return [[-t[g] for t in tops] for g in range(len(gains))]
+    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs], {})
+    return rn, log_scale, np.array([[s.period] for s in sigs])
+
+
+def _neg_tops(rn, log_scale, periods) -> list[list[float]]:
+    """Per gain, the negated top exponent of every signal of a pass.  Kind
+    "rc" of a family reads it on (a, b); kind "rd", the bottom exponents,
+    reads it on the reversed tuple (-a, -b) and the mirrored family."""
+    return (-_top(rn, log_scale, periods)).T.tolist()
+
+
+def _log_norms(rn, log_scale, periods) -> list[float]:
+    """The log 2-norm rate of every signal of a one-gain pass."""
+    return _top(rn, log_scale, periods, norm=True)[:, 0].tolist()
 
 
 def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
@@ -451,8 +479,8 @@ def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
     if kind == "rd":
-        return _minima(_neg_tops(-a, -b, [k], mirror_family(sigs), {}), sigs, kind)[0]
-    return _minima(_neg_tops(a, b, [k], sigs, {}), sigs, kind)[0]
+        return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs))), sigs, kind)[0]
+    return _minima(_neg_tops(*_pass(a, b, [k], sigs)), sigs, kind)[0]
 
 
 def rc_estimate(A, B, K, cls: SignalClass, family) -> RateEstimate:
@@ -499,23 +527,20 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    eye = np.eye(a.shape[0])
-    bks, bks_rev = (b @ k)[None], ((-b) @ k)[None]
-    table, table_rev = {}, {}
     reversed_sigs = mirror_family(sigs)
-    rows = []
-    worst = 0.0
-    for i, (s, r) in enumerate(zip(sigs, reversed_sigs)):
-        rn, log_scale = _segment_product(a, bks, s.period_segments(), table)
-        rn_rev, log_scale_rev = _segment_product(-a, bks_rev, r.period_segments(), table_rev)
-        prod = _unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
-        res = opnorm(prod - eye) if np.isfinite(prod).all() else np.inf
-        worst = max(worst, res)
-        rows.append((i, s.period, res))
+    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs)
+    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs)
+    prod = _unscaled(rn_rev[:, 0] @ rn[:, 0], log_scale_rev[:, 0] + log_scale[:, 0])
+    finite = np.isfinite(prod).all(axis=(1, 2))
+    eye = np.eye(a.shape[0])
+    # A non-finite product is reported as inf; eye keeps the SVD finite.
+    gap = np.where(finite[:, None, None], prod, eye) - eye
+    res = np.where(finite, np.linalg.svd(gap, compute_uv=False).max(axis=-1), np.inf).tolist()
+    rows = [(i, s.period, r) for i, (s, r) in enumerate(zip(sigs, res))]
     mirrored = _resolve_family(cls, reversed_sigs)
-    rc = _minima(_neg_tops(a, b, [k], sigs, table), sigs, "rc")[0]
-    rd = _minima(_neg_tops(a, b, [k], mirror_family(mirrored), {}), mirrored, "rd")[0]
-    return DualityReport(per_signal=tuple(rows), max_residual=worst,
+    rc = _minima(_neg_tops(*fwd), sigs, "rc")[0]
+    rd = _minima(_neg_tops(*_pass(a, b, [k], mirror_family(mirrored))), mirrored, "rd")[0]
+    return DualityReport(per_signal=tuple(rows), max_residual=max([0.0] + res),
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
 
@@ -545,8 +570,8 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
     mirrored = _resolve_family(cls, mirror_family(sigs))
-    rc = _minima(_neg_tops(a, b, ks, sigs, {}), sigs, "rc")
-    rd = _minima(_neg_tops(a, b, ks, mirror_family(mirrored), {}), mirrored, "rd")
+    rc = _minima(_neg_tops(*_pass(a, b, ks, sigs)), sigs, "rc")
+    rd = _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored))), mirrored, "rd")
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -560,17 +585,11 @@ class DeltaReport:
     ordered: bool                  # delta_star_hat <= delta_hat
 
 
-def _delta(a, b, k, sigs, mirrored, table: dict, mirror_table: dict) -> DeltaReport:
-    """``delta_quantities`` on validated signals and their mirror; ``table``
-    serves (a, bk) and ``mirror_table`` the reversed tuple (-a, -bk)."""
-
-    def log_norms(aa, bb, fam, tab):
-        bks = (bb @ k)[None]
-        return [_period_top(aa, bks, s, tab, norm=True)[0] for s in fam]
-
+def _delta(sigs, norms, mirror_norms) -> DeltaReport:
+    """``delta_quantities`` from the log-norm rates of validated signals on
+    (a, bk) and of their mirror on the reversed tuple (-a, -bk)."""
     keys = [s.encoding_key() for s in sigs]
-    mirror_norms = log_norms(-a, -b, mirrored, mirror_table)
-    top = max(zip(log_norms(a, b, sigs, table), keys, sigs), key=lambda e: e[:2])
+    top = max(zip(norms, keys, sigs), key=lambda e: e[:2])
     bottom = min(zip([-v for v in mirror_norms], keys, sigs), key=lambda e: e[:2])
     delta_hat = RateEstimate(top[0], "lower", top[2], "delta/log-norm-max")
     delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
@@ -593,7 +612,8 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    return _delta(a, b, k, sigs, mirror_family(sigs), {}, {})
+    return _delta(sigs, _log_norms(*_pass(a, b, [k], sigs)),
+                  _log_norms(*_pass(-a, -b, [k], mirror_family(sigs))))
 
 
 @dataclass(frozen=True)
@@ -611,22 +631,22 @@ class FamilyRates:
 def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     """Per-signal rates with ``rc``, ``rd`` and the delta envelopes.
 
-    The family is validated once.  One factor table serves (A, BK): the top
-    rates, ``rc`` and the norm envelope.  One serves the reversed tuple
-    (-A, -BK): the bottom rates, ``rd`` and the conorm envelope.  Every value
-    equals what ``monodromy``, ``rc_estimate``, ``rd_estimate`` and
-    ``delta_quantities`` give on their own, bit for bit.
+    The family is validated once.  One pass over (A, BK) gives the top
+    rates, ``rc`` and the norm envelope; one pass over the reversed tuple
+    (-A, -BK) on the mirrored family gives the bottom rates, ``rd`` and the
+    conorm envelope.  Every value equals what ``monodromy``,
+    ``rc_estimate``, ``rd_estimate`` and ``delta_quantities`` give on their
+    own, bit for bit.
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    mirrored = mirror_family(sigs)
-    table, table_rev = {}, {}
-    neg_tops = _neg_tops(a, b, [k], sigs, table)
-    bottoms = _neg_tops(-a, -b, [k], mirrored, table_rev)
+    fwd = _pass(a, b, [k], sigs)
+    rev = _pass(-a, -b, [k], mirror_family(sigs))
+    neg_tops, bottoms = _neg_tops(*fwd), _neg_tops(*rev)
     return FamilyRates(signals=tuple(sigs), top_rates=tuple(-v for v in neg_tops[0]),
                        bottom_rates=tuple(bottoms[0]),
                        rc=_minima(neg_tops, sigs, "rc")[0], rd=_minima(bottoms, sigs, "rd")[0],
-                       delta=_delta(a, b, k, sigs, mirrored, table, table_rev))
+                       delta=_delta(sigs, _log_norms(*fwd), _log_norms(*rev)))
 
 
 @dataclass(frozen=True)

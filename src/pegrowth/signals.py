@@ -62,7 +62,10 @@ class PESignal:
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the last
     segment runs to ``period`` for periodic signals and extends forever for
-    aperiodic ones.  Periodic signals must start at breakpoint 0.
+    aperiodic ones.  Periodic signals must start at breakpoint 0.  Explicit
+    ``durations`` of a periodic signal must be its segment lengths: one per
+    value, positive, with the breakpoints as partial sums and the period as
+    total, to within rounding.
     """
 
     breakpoints: np.ndarray
@@ -92,6 +95,8 @@ class PESignal:
                 raise ValueError("last breakpoint must precede the period")
             if durs is None:
                 durs = np.concatenate([np.diff(bk), [per - bk[-1]]])
+            else:
+                durs = _checked_durations(durs, bk, per)
         else:
             durs = np.diff(bk)
         durs = np.asarray(durs, dtype=float).ravel()
@@ -246,6 +251,27 @@ class PESignal:
                        obj.get("period"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed signal object: {obj!r}") from exc
+
+
+# Explicit durations may miss the period by rounding in their sum; family
+# candidates merged into one segment miss it by up to 2 ulps per segment.
+_PERIOD_ULPS = 4
+
+
+def _checked_durations(durs, bk: np.ndarray, period: float) -> np.ndarray:
+    """Explicit segment durations, checked against the breakpoints they
+    must reproduce as partial sums and the period they must add up to."""
+    durs = np.asarray(durs, dtype=float).ravel()
+    if durs.size != bk.size:
+        raise ValueError(f"need one duration per segment, got {durs.size} for {bk.size}")
+    if not np.all(np.isfinite(durs)) or np.any(durs <= 0.0):
+        raise ValueError("segment durations must be positive and finite")
+    ends = np.cumsum(durs)
+    if np.any(ends[:-1] != bk[1:]):
+        raise ValueError("durations do not reproduce the breakpoints")
+    if abs(ends[-1] - period) > _PERIOD_ULPS * durs.size * np.spacing(period):
+        raise ValueError(f"durations add up to {float(ends[-1])!r}, not the period {period!r}")
+    return durs
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

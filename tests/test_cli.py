@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegrowth import cli, rates
+from pegrowth import cli, rates, signals
 from pegrowth.matcore import matrix_to_json
 from pegrowth.signals import PESignal, SignalClass
 
@@ -233,15 +233,85 @@ class TestDualityGrid:
         reverse = rates.reverse
 
         def perturbed(s):
+            # Raises every value by 1e-6 of its distance to 1, which keeps
+            # the signal PE and its durations consistent.
             r = reverse(s)
-            durations = r.durations.copy()
-            durations[0] *= 1.0 + 1e-6
-            return PESignal(r.breakpoints, r.values, r.period, durations=durations)
+            return PESignal(r.breakpoints, r.values + 1e-6 * (1.0 - r.values), r.period,
+                            durations=r.durations)
 
         monkeypatch.setattr(rates, "reverse", perturbed)
         out = tmp_path / "g"
         assert run("duality-grid", self.grid_config(tmp_path), out) == 4
         assert not json.loads((out / "summary.json").read_text())["per_gain_equal"]
+
+
+class TestValidateOnce:
+    """A budget family is validated once, inside ``bang_bang_family``; the
+    CLI hands the budget to the library, which trusts the family it builds.
+    The mirrored family and explicit signals are still validated."""
+
+    SIGNALS = [{"breakpoints": [0.0], "values": [1.0], "period": 1.0},
+               {"breakpoints": [0.0, 0.5], "values": [1.0, 0.0], "period": 1.0},
+               {"breakpoints": [0.0, 0.25, 1.0], "values": [1.0, 0.4, 1.0], "period": 1.5}]
+
+    @staticmethod
+    def counter(monkeypatch):
+        """Counts ``validate_pe`` calls inside and outside the family."""
+        calls = {"family": 0, "other": 0}
+        inside = []
+        validate_pe, build = signals.validate_pe, rates.bang_bang_family
+
+        def counted(*args, **kwargs):
+            calls["family" if inside else "other"] += 1
+            return validate_pe(*args, **kwargs)
+
+        def family(*args, **kwargs):
+            inside.append(True)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for mod in (signals, rates, cli):
+            monkeypatch.setattr(mod, "validate_pe", counted)
+        monkeypatch.setattr(rates, "bang_bang_family", family)
+        return calls
+
+    @staticmethod
+    def family_size():
+        return len(rates.bang_bang_family(SignalClass(1.0, 0.4), rates.SearchBudget(size=12, seed=7)))
+
+    def test_rates_budget(self, tmp_path, monkeypatch):
+        n = self.family_size()
+        calls = self.counter(monkeypatch)
+        out = tmp_path / "r"
+        assert run("rates", write_config(tmp_path, base_config()), out) == 0
+        assert calls["family"] > 0 and calls["other"] == 0
+        assert f'\n  "n_signals": {n},\n' in (out / "summary.json").read_text()
+
+    @pytest.mark.parametrize("sub", ["duality", "duality-grid"])
+    def test_mirror_validated_once_per_signal(self, tmp_path, monkeypatch, sub):
+        n = self.family_size()
+        calls = self.counter(monkeypatch)
+        assert run(sub, write_config(tmp_path, base_config()), tmp_path / "d") == 0
+        assert calls["family"] > 0 and calls["other"] == n
+
+    @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
+    def test_explicit_signals_validated(self, tmp_path, monkeypatch, sub):
+        calls = self.counter(monkeypatch)
+        out = tmp_path / "e"
+        assert run(sub, write_config(tmp_path, base_config(signals=self.SIGNALS)), out) == 0
+        assert calls["family"] == 0 and calls["other"] >= len(self.SIGNALS)
+        if sub == "rates":
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["n_signals"] == len(self.SIGNALS)
+
+    @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
+    def test_non_pe_signal_is_config_error(self, tmp_path, capsys, sub):
+        bad = self.SIGNALS + [{"breakpoints": [0.0, 0.1], "values": [1.0, 0.0], "period": 1.0}]
+        assert run(sub, write_config(tmp_path, base_config(signals=bad)), tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: signals [3] are not periodic PE signals for this class\n"
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pegrowth import rates
 from pegrowth.matcore import expm, nilpotent_shift, opnorm, parity_matrix, unit_vector
@@ -575,3 +576,253 @@ def test_continuity_probe_report():
         drift.append(abs(rates.rc_estimate(an, bn, kn, CLS, fam).value - target))
     print(f"continuity probe: |rc(n) - rc| along eps=0.1,0.01,0.001 -> {drift}")
     assert all(np.isfinite(drift))
+
+
+# -- the family engine against the per-signal engine ------------------------
+
+LN2 = float(np.log(2.0))
+
+
+def reference_product(a, bks, segments):
+    """The per-signal engine that the family engine replaced: one running
+    ``(G, d, d)`` product, renormalised by each slice's power of two after
+    every factor."""
+    d = a.shape[0]
+    rn = np.broadcast_to(np.eye(d), bks.shape)
+    shift, exponent = [0.0] * len(bks), [0] * len(bks)
+    for value, dt in segments:
+        if dt == 0.0:
+            continue
+        m = a + value * bks
+        sigma = np.linalg.eigvals(m).real.max(axis=1).tolist()
+        rn = scipy.linalg.expm((m - np.array(sigma)[:, None, None] * np.eye(d)) * dt) @ rn
+        e = np.frexp(np.abs(rn).max(axis=(1, 2), keepdims=True))[1]
+        rn = np.ldexp(rn, -e)
+        for i, eg in enumerate(e.ravel().tolist()):
+            shift[i] += sigma[i] * dt
+            exponent[i] += eg
+    return rn, [sh + ex * LN2 for sh, ex in zip(shift, exponent)]
+
+
+def reference_top(rn, log_scale, tau, norm=False):
+    """Per-slice reads: ``scipy.linalg.svdvals`` slice by slice for norms."""
+    peak = (np.array([scipy.linalg.svdvals(r)[0] for r in rn]) if norm
+            else np.abs(np.linalg.eigvals(rn)).max(axis=1))
+    return ((np.asarray(log_scale) + np.log(peak)) / tau).tolist()
+
+
+def reference_unscaled(rn, log_scale):
+    whole, frac = divmod(log_scale, LN2)
+    with np.errstate(over="ignore"):
+        return np.ldexp(rn * np.exp(frac), int(whole))
+
+
+def ragged_family(rng, n, values):
+    """n segment lists of 1 to 12 segments, with repeated values and
+    durations and explicit zero-duration segments."""
+    durations = [0.0, 0.125, 0.3, 0.7, 1.0, 2.5]
+    return [[(float(rng.choice(values)), float(rng.choice(durations)))
+             for _ in range(int(rng.integers(1, 13)))] for _ in range(n)]
+
+
+def assert_family_slices(a, bks, family, periods):
+    rn, log_scale = rates._family_product(a, bks, family, {})
+    assert rn.shape == (len(family),) + bks.shape and log_scale.shape == rn.shape[:2]
+    tau = np.asarray(periods, dtype=float)[:, None]
+    tops, norms = rates._top(rn, log_scale, tau), rates._top(rn, log_scale, tau, norm=True)
+    for s, segments in enumerate(family):
+        ref_rn, ref_scale = reference_product(a, bks, segments)
+        np.testing.assert_array_equal(rn[s], ref_rn)
+        assert log_scale[s].tolist() == ref_scale
+        assert tops[s].tolist() == reference_top(ref_rn, ref_scale, periods[s])
+        assert norms[s].tolist() == reference_top(ref_rn, ref_scale, periods[s], norm=True)
+        for g, bk in enumerate(bks):
+            rn_g, log_scale_g = rates._segment_product(a, bk[None], segments, {})
+            np.testing.assert_array_equal(rn_g[0], rn[s, g])
+            assert log_scale_g == [log_scale[s, g]]
+
+
+class TestFamilyEngine:
+    """Every (signal, gain) slice of a family stack is the per-signal
+    product bit for bit, and the batched reads are the per-slice reads."""
+
+    @pytest.mark.parametrize("gains", [1, 3])
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_ragged_family(self, d, gains):
+        rng = np.random.default_rng(700 + 10 * d + gains)
+        a = rng.standard_normal((d, d))
+        bks = np.stack([rng.standard_normal((d, 1)) @ rng.standard_normal((1, d))
+                        for _ in range(gains)])
+        family = ragged_family(rng, 9, [0.0, 0.4, 1.0, float(rng.random())])
+        periods = [max(sum(dt for _, dt in segs), 0.5) for segs in family]
+        assert_family_slices(a, bks, family, periods)
+
+    def test_zero_duration_only_and_empty(self):
+        a = np.array([[0.0, 1.0], [-2.0, -0.5]])
+        bks = np.array([[[0.0, 0.0], [1.0, 1.0]]])
+        family = [[(1.0, 0.0)], [], [(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)]]
+        rn, log_scale = rates._family_product(a, bks, family, {})
+        for s in (0, 1):
+            np.testing.assert_array_equal(rn[s, 0], np.eye(2))
+            assert log_scale[s, 0] == 0.0
+        assert_family_slices(a, bks, family, [1.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_stiff_triple(self, scale):
+        a = scale * TestStiffAndLongPeriod.STIFF_A
+        bk = (scale * E2) @ TestStiffAndLongPeriod.STIFF_K
+        bks = np.stack([bk, 0.5 * bk, -bk])
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=10, seed=0))
+        periods = [s.period for s in fam]
+        assert_family_slices(a, bks, [s.period_segments() for s in fam], periods)
+        assert_family_slices(-a, -bks, [reverse(s).period_segments() for s in fam], periods)
+
+    def test_long_period_saddle(self):
+        a = np.diag([-5.0, 5.0])
+        bks = np.stack([np.zeros((2, 2)), np.eye(2)])
+        fam = [PESignal.constant(1.0, period=200.0), PESignal.constant(0.4, period=1.0)]
+        assert_family_slices(a, bks, [s.period_segments() for s in fam], [200.0, 1.0])
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_batched_svd_is_svdvals(self, d):
+        rng = np.random.default_rng(800 + d)
+        for log_scale in (-30.0, -5.0, 0.0, 5.0, 30.0):
+            x = np.exp(log_scale) * rng.standard_normal((20, d, d))
+            batched = np.linalg.svd(x, compute_uv=False)[:, 0]
+            assert batched.tolist() == [scipy.linalg.svdvals(r)[0] for r in x]
+
+
+# -- the family-stacked estimators against the per-signal ones ---------------
+
+
+def reference_tops(a, bks, sigs, norm=False):
+    """Per signal, the per-gain reads of its own product."""
+    return [reference_top(*reference_product(a, bks, s.period_segments()), s.period, norm)
+            for s in sigs]
+
+
+def reference_minimum(values, sigs, method, bound="upper", pick=min):
+    """The extreme value with its witness; ties go to the smaller key."""
+    best = pick(zip(values, [s.encoding_key() for s in sigs], sigs), key=lambda e: e[:2])
+    return rates.RateEstimate(best[0], bound, best[2], method)
+
+
+def reference_family_rates(a, b, k, cls, family):
+    """``family_rates`` as it was: each signal's product read on its own,
+    once per read."""
+    sigs = rates._resolve_family(cls, family)
+    mirrored = rates.mirror_family(sigs)
+    bk, bk_rev = (b @ k)[None], ((-b) @ k)[None]
+    tops = [t[0] for t in reference_tops(a, bk, sigs)]
+    bottoms = [-t[0] for t in reference_tops(-a, bk_rev, mirrored)]
+    norms = [t[0] for t in reference_tops(a, bk, sigs, norm=True)]
+    mirror_norms = [t[0] for t in reference_tops(-a, bk_rev, mirrored, norm=True)]
+    method = f"/periodic-monodromy-min/{len(sigs)}"
+    delta_hat = reference_minimum(norms, sigs, "delta/log-norm-max", "lower", max)
+    delta_star = reference_minimum([-v for v in mirror_norms], sigs, "delta*/log-conorm-min")
+    delta = rates.DeltaReport(delta_hat, delta_star,
+                              bool(delta_star.value == -max(mirror_norms)),
+                              bool(delta_star.value <= delta_hat.value))
+    return rates.FamilyRates(tuple(sigs), tuple(tops), tuple(bottoms),
+                             reference_minimum([-t for t in tops], sigs, "rc" + method),
+                             reference_minimum(bottoms, sigs, "rd" + method), delta)
+
+
+def reference_duality_check(a, b, k, cls, family, tol=1e-8):
+    """``duality_check`` as it was: one signal at a time."""
+    sigs = rates._resolve_family(cls, family)
+    bk, bk_rev = (b @ k)[None], ((-b) @ k)[None]
+    rows = []
+    for i, s in enumerate(sigs):
+        rn, log_scale = reference_product(a, bk, s.period_segments())
+        rn_rev, log_scale_rev = reference_product(-a, bk_rev, reverse(s).period_segments())
+        prod = reference_unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
+        res = opnorm(prod - np.eye(len(a))) if np.isfinite(prod).all() else np.inf
+        rows.append((i, s.period, res))
+    mirrored = rates._resolve_family(cls, rates.mirror_family(sigs))
+    rc = reference_minimum([-t[0] for t in reference_tops(a, bk, sigs)], sigs,
+                           f"rc/periodic-monodromy-min/{len(sigs)}")
+    rd = reference_minimum([-t[0] for t in reference_tops(a, bk, rates.mirror_family(mirrored))],
+                           mirrored, f"rd/periodic-monodromy-min/{len(mirrored)}")
+    return rates.DualityReport(tuple(rows), max([0.0] + [r[2] for r in rows]), rc, rd,
+                               bool(rc.value == rd.value), tol)
+
+
+def reference_duality_grid(a, b, gains, cls, family):
+    """``duality_grid`` as it was: each signal's gain stack on its own."""
+    sigs = rates._resolve_family(cls, family)
+    mirrored = rates._resolve_family(cls, rates.mirror_family(sigs))
+    bks = np.stack([b @ k for k in gains])
+    tops = reference_tops(a, bks, sigs)
+    tops_rd = reference_tops(a, bks, rates.mirror_family(mirrored))
+    return rates.DualityGridReport(
+        tuple(reference_minimum([-t[g] for t in tops], sigs,
+                                f"rc/periodic-monodromy-min/{len(sigs)}")
+              for g in range(len(gains))),
+        tuple(reference_minimum([-t[g] for t in tops_rd], mirrored,
+                                f"rd/periodic-monodromy-min/{len(mirrored)}")
+              for g in range(len(gains))))
+
+
+def assert_same_estimate(x, y):
+    assert same_estimate(x, y)
+    assert x.witness.encoding_key() == y.witness.encoding_key()
+
+
+def assert_reference_equality(a, b, k, cls, family, gains):
+    got, ref = rates.family_rates(a, b, k, cls, family), reference_family_rates(a, b, k, cls, family)
+    assert [s.encoding_key() for s in got.signals] == [s.encoding_key() for s in ref.signals]
+    assert got.top_rates == ref.top_rates and got.bottom_rates == ref.bottom_rates
+    for name in ("rc", "rd"):
+        assert_same_estimate(getattr(got, name), getattr(ref, name))
+    assert_same_estimate(got.delta.delta_hat, ref.delta.delta_hat)
+    assert_same_estimate(got.delta.delta_star_hat, ref.delta.delta_star_hat)
+    assert got.delta.mirror_identity_exact == ref.delta.mirror_identity_exact
+    assert got.delta.ordered == ref.delta.ordered
+
+    got, ref = rates.duality_check(a, b, k, cls, family), reference_duality_check(a, b, k, cls, family)
+    assert got.per_signal == ref.per_signal and got.max_residual == ref.max_residual
+    assert_same_estimate(got.rc, ref.rc)
+    assert_same_estimate(got.rd_mirror, ref.rd_mirror)
+    assert got.estimates_equal == ref.estimates_equal and got.ok == ref.ok
+
+    got, ref = rates.duality_grid(a, b, gains, cls, family), reference_duality_grid(a, b, gains, cls, family)
+    assert len(got.rc) == len(got.rd_mirror) == len(gains)
+    for x, y in zip(got.rc + got.rd_mirror, ref.rc + ref.rd_mirror):
+        assert_same_estimate(x, y)
+
+
+class TestReferenceEquality:
+    """``family_rates``, ``duality_check`` and ``duality_grid`` on the family
+    engine equal their per-signal versions field by field."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_random_triple(self, d):
+        rng = np.random.default_rng(900 + d)
+        a = rng.standard_normal((d, d)) * rng.choice([0.3, 1.0, 4.0])
+        b = rng.standard_normal((d, 1))
+        gains = [rng.standard_normal((1, d)) for _ in range(3)]
+        fam = rates.SearchBudget(size=12, seed=d)
+        assert_reference_equality(a, b, gains[0], CLS, fam, gains)
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_stiff_triple(self, scale):
+        a, b = scale * TestStiffAndLongPeriod.STIFF_A, scale * E2
+        k = TestStiffAndLongPeriod.STIFF_K
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=10, seed=0))
+        assert_reference_equality(a, b, k, CLS, fam, [k, 0.5 * k, -k])
+
+    def test_mu_095(self):
+        cls = SignalClass(1.0, 0.95)
+        a, b, k = random_system(31, d=3)
+        fam = rates.SearchBudget(size=16, seed=3)
+        assert_reference_equality(a, b, k, cls, fam, [k, 2.0 * k])
+
+    def test_explicit_signals(self):
+        a, b, k = random_system(32, d=4)
+        fam = [PESignal.constant(0.7, period=1.0),
+               PESignal([0.0, 0.5, 1.25], [1.0, 0.0, 1.0], period=2.0),
+               PESignal([0.0, 0.3, 0.7, 1.2], [1.0, 0.0, 1.0, 0.0], period=2.0),
+               PESignal([0.0, 0.2], [1.0, 0.0], period=1.0),  # not PE: dropped
+               PESignal.from_segments([(1.0, 0.25), (0.4, 0.5), (1.0, 0.25)], period=1.0)]
+        assert_reference_equality(a, b, k, CLS, fam, [k, -k])

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegrowth import signals
 from pegrowth.rates import SearchBudget, bang_bang_family
 from pegrowth.signals import (EP_TOL, PESignal, PEValidation, SignalClass,
-                              SpliceError, periodize, reverse, splice_periodic,
-                              validate_pe)
+                              SpliceError, _periodic, periodize, reverse,
+                              splice_periodic, validate_pe)
 
 CLS = SignalClass(1.0, 0.4)
 
@@ -87,6 +88,49 @@ class TestPESignal:
         s = PESignal.from_segments([(1.0, 0.5), (1.0, 0.25), (0.0, 0.25)], period=1.0)
         assert s.n_segments == 2
         np.testing.assert_array_equal(s.values, [1.0, 0.0])
+
+
+class TestExplicitDurations:
+    """Explicit durations must describe the same segments as the breakpoints
+    and end at the period; rates read only the durations."""
+
+    @pytest.mark.parametrize("durations, match", [
+        ([0.5], "one duration per segment"),
+        ([0.5, 0.25, 0.25], "one duration per segment"),
+        ([0.5, 0.0], "positive and finite"),
+        ([0.5, -0.5], "positive and finite"),
+        ([0.5, np.inf], "positive and finite"),
+        ([0.5, np.nan], "positive and finite"),
+        ([0.4, 0.6], "reproduce the breakpoints"),
+        ([0.5, 1.5], "not the period"),
+        ([0.5, 0.5 + 1e-9], "not the period"),
+    ])
+    def test_rejected(self, durations, match):
+        with pytest.raises(ValueError, match=match):
+            PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=durations)
+
+    def test_rounded_total_accepted(self):
+        # A total a few ulps off the period is rounding in the sum.
+        for last in (np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)):
+            s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, last])
+            assert s.durations.tolist() == [0.5, last]
+        s = PESignal([0.0], [1.0], period=1.0, durations=[1.0000000000000002])
+        assert s.durations.tolist() == [1.0000000000000002]
+
+    def test_from_segments_keeps_its_durations(self):
+        segs = [(1.0, 0.1), (0.0, 0.2), (1.0, 0.3), (0.4, 0.7)]
+        s = PESignal.from_segments(segs, period=1.3)
+        assert s.period_segments() == segs
+
+    def test_checked_only_when_given(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("durations checked")
+
+        monkeypatch.setattr(signals, "_checked_durations", fail)
+        PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+        PESignal([0.0, 0.5, 2.0], [1.0, 0.0, 0.6])  # aperiodic, as steer_d2 builds
+        with pytest.raises(AssertionError):
+            PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, 0.5])
 
 
 def scalar_integral(s, t0, t1):
@@ -263,9 +307,10 @@ class TestReverse:
             assert r.encoding_key() == ref.encoding_key()
 
     def test_reversed_breakpoints_past_the_period_raise(self):
-        # Durations need not sum to the period; reversed, the first segment
+        # The trusted constructor checks only the breakpoints, so its
+        # durations need not sum to the period; reversed, the first segment
         # ends past it, and the validating constructor rejects that.
-        s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, 1.5])
+        s = _periodic(np.array([1.0, 0.0]), np.array([0.5, 1.5]), 1.0)
         with pytest.raises(ValueError, match="precede the period"):
             reverse(s)
 

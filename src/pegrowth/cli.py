@@ -155,6 +155,16 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_indicator(path: Path, arcs, resolution: int) -> None:
+    """``theta,inside`` on the reporting grid of ``resolution`` cells; the
+    same bytes as ``_write_csv`` with ``.17g`` floats and 0/1 flags."""
+    theta = np.arange(resolution) * (np.pi / resolution)
+    inside = arcs.contains(theta)
+    lines = ["theta,inside"]
+    lines.extend(f"{t:.17g},{b:d}" for t, b in zip(theta.tolist(), inside.tolist()))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _summary_base(cfg_hash, seed):
     return {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
 
@@ -261,10 +271,7 @@ def _run_invariant_set(cfg, cfg_hash, seed, out):
     summary["n_sinks"] = result.n_sinks
     if result.applicable:
         summary["arcs"] = result.arcs.to_json()["arcs"]
-        theta = np.arange(resolution) * (np.pi / resolution)
-        inside = result.arcs.contains(theta)
-        rows = [(float(t), int(b)) for t, b in zip(theta, inside)]
-        _write_csv(out / "indicator.csv", ("theta", "inside"), rows)
+        _write_indicator(out / "indicator.csv", result.arcs, resolution)
     _write_json(out / "summary.json", summary)
     if not result.applicable:
         return EXIT_NUMERICAL

@@ -44,7 +44,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

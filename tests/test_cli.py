@@ -179,6 +179,21 @@ class TestInvariantSet:
         assert run("invariant-set", path, out) == 3
         assert json.loads((out / "summary.json").read_text())["applicable"] is False
 
+    @pytest.mark.parametrize("resolution", [1, 7, 4096])
+    @pytest.mark.parametrize("arc", [(2.6383577748903306, 2.998730169286576),  # c12
+                                     (2.9, 3.4)])  # wraps across pi
+    def test_indicator_bytes_match_the_row_path(self, tmp_path, arc, resolution):
+        from pegrowth.projective import CircleArcSet
+        arcs = CircleArcSet(arcs=(arc,))
+        # the row-by-row path the subcommand used to take, from numpy scalars
+        theta = np.arange(resolution) * (np.pi / resolution)
+        rows = [(float(t), int(b)) for t, b in zip(theta, arcs.contains(theta))]
+        cli._write_csv(tmp_path / "rows.csv", ("theta", "inside"), rows)
+        cli._write_indicator(tmp_path / "fast.csv", arcs, resolution)
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+        assert expected.count(b"\n") == resolution + 1
+
 
 class TestSpinAudit:
     def test_audit(self, tmp_path):

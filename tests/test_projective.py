@@ -198,6 +198,19 @@ def endpoint_gap_cells(exact, grid, resolution):
     return max(gaps, default=0.0) * resolution / np.pi
 
 
+def test_wrap_angle_has_the_bits_of_np_mod():
+    rng = np.random.default_rng(13)
+    theta = np.concatenate([
+        rng.uniform(-10.0, 10.0, 20000), 1e6 * rng.standard_normal(2000),
+        np.arange(-40, 41) * np.pi, np.arange(-40, 41) * (np.pi / 4096),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, np.nextafter(np.pi, 0.0),
+         -np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 1e300, -1e300]])
+    np.testing.assert_array_equal(prj.wrap_angle(theta).view(np.int64),
+                                  np.mod(theta, np.pi).view(np.int64))
+    for t in (-0.0, -1e-300, 3.5, -np.pi):
+        assert repr(prj.wrap_angle(t)) == repr(np.mod(t, np.pi))
+
+
 class TestCircleArcSet:
     def test_wrapping_arc_contains_both_sides_of_pi(self):
         arcs = prj.CircleArcSet(arcs=((2.9, 3.4),))  # [2.9, pi) and [0, 3.4 - pi)
@@ -356,6 +369,213 @@ class TestInvariantSet:
                                              n_signals=20, horizon=6.0,
                                              resolution=2048, seed=0)
         assert audit.ok, audit.max_excursion
+
+
+def rk4_audit(A, B, K, control_range, arcs, start_angles, n_signals=50,
+              horizon=8.0, dt=1.0 / 256.0, seed=0, inflate=None, resolution=4096):
+    """The fixed-step RK4 audit of the angle field, kept as the reference:
+    same random stream, same hold windows, same sampling times."""
+    lo, hi = float(control_range[0]), float(control_range[1])
+    f, _ = prj.angle_dynamics_d2(A, B, K)
+    if inflate is None:
+        inflate = 2.0 * np.pi / resolution
+    rng = np.random.default_rng(seed)
+    theta = np.repeat(np.asarray(start_angles, dtype=float), n_signals)
+    steps, hold = int(np.ceil(horizon / dt)), 8
+    alpha = lo + (hi - lo) * rng.random(theta.size)
+    worst, ok = 0.0, True
+    for step in range(steps):
+        if step % hold == 0:
+            alpha = lo + (hi - lo) * rng.random(theta.size)
+        k1 = f(theta, alpha)
+        k2 = f(theta + 0.5 * dt * k1, alpha)
+        k3 = f(theta + 0.5 * dt * k2, alpha)
+        k4 = f(theta + dt * k3, alpha)
+        theta = theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        inside = arcs.contains(theta, inflate=inflate)
+        if not np.all(inside):
+            ok = False
+            for t in prj.wrap_angle(theta[~inside]):
+                worst = max(worst, min(min(abs(prj.angle_distance(t, a)),
+                                           abs(prj.angle_distance(t, b)))
+                                       for a, b in arcs.arcs))
+    return prj.InvarianceAudit(ok=ok, max_excursion=float(worst), inflate=float(inflate),
+                               n_trajectories=theta.size)
+
+
+class TestProjectiveStep:
+    @pytest.mark.parametrize("m, sign", [
+        ([[1.0, 0.2], [0.7, -1.0]], +1),     # saddle: q > 0
+        ([[0.3, -2.0], [1.5, -0.4]], -1),    # focus: q < 0
+        ([[0.0, 1.0], [0.0, 0.0]], 0),       # shear: q == 0 exactly
+        ([[0.5, 1.0], [0.0, 0.5]], 0),       # a shear plus a multiple of I
+        ([[2.0, 0.0], [0.0, 2.0]], 0),       # a multiple of I: N == 0
+    ])
+    def test_direction_matches_expm(self, m, sign):
+        from scipy.linalg import expm
+        m = np.array(m)
+        n = m - 0.5 * np.trace(m) * np.eye(2)
+        assert np.sign(-np.linalg.det(n)) == sign
+        rng = np.random.default_rng(2)
+        for t in (1.0 / 256.0, 0.1, 1.0, 3.7):
+            step = prj._projective_step(m, t)
+            for x in rng.standard_normal((4, 2)):
+                np.testing.assert_allclose(prj.proj_point(step @ x),
+                                           prj.proj_point(expm(m * t) @ x), rtol=0.0, atol=1e-12)
+
+    def test_stacks_match_single_matrices(self):
+        rng = np.random.default_rng(7)
+        ms = rng.standard_normal((3, 5, 2, 2))
+        ms[0, 0] = [[0.0, 1.0], [0.0, 0.0]]
+        stacked = prj._projective_step(ms, 0.3)
+        for idx in np.ndindex(3, 5):
+            np.testing.assert_array_equal(stacked[idx], prj._projective_step(ms[idx], 0.3))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_finite_when_stiff(self, scale):
+        # r t = scale: expm(M t) overflows for the saddle; the step does not
+        saddle = scale * np.diag([1.0, -1.0])
+        step = prj._projective_step(saddle, 1.0)
+        assert np.isfinite(step).all()
+        np.testing.assert_allclose(prj.proj_point(step @ [0.3, 0.8]), [1.0, 0.0], atol=1e-15)
+        # the rotation by r t = scale keeps unit length
+        rot = scale * ROT
+        step = prj._projective_step(rot, 1.0)
+        assert np.isfinite(step).all()
+        assert abs(np.linalg.det(step) - 1.0) < 1e-12
+        x = step @ [1.0, 0.0]
+        assert abs(prj.angle_distance(np.arctan2(x[1], x[0]), scale)) < 1e-12 * scale
+
+
+def c12_audit_inputs(resolution=2048, n_starts=12):
+    a, b, k = SADDLE
+    res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=resolution)
+    return a, b, k, res.arcs, prj.boundary_points(res.arcs, n_starts, resolution)
+
+
+def shrunk(arcs):
+    """The middle third of each arc: a set the flow leaves."""
+    return prj.CircleArcSet(arcs=tuple((lo + (hi - lo) / 3, hi - (hi - lo) / 3)
+                                       for lo, hi in arcs.arcs))
+
+
+class TestInvarianceAudit:
+    FOCUS = (np.array([[0.3, -2.0], [1.5, -0.4]]), np.array([[1.0], [0.0]]),
+             np.array([[0.2, 0.4]]))
+
+    def cases(self):
+        a, b, k, arcs, pts = c12_audit_inputs()
+        yield "c12", (a, b, k, RANGE, arcs, pts)
+        small = shrunk(arcs)
+        yield "c12 shrunk", (a, b, k, RANGE, small, prj.boundary_points(small, 12, 2048))
+        weak = (np.diag([1.0, -1.0]), np.array([[1.0], [1.0]]), 0.05 * np.array([[-1.0, 0.5]]))
+        res = prj.invariant_control_set_d2(*weak, RANGE, resolution=2048)
+        yield "saddle", (*weak, RANGE, res.arcs, prj.boundary_points(res.arcs, 12, 2048))
+        # the whole circle is invariant for the focus; audit an arc it leaves
+        arc = prj.CircleArcSet(arcs=((0.5, 1.5),))
+        yield "focus", (*self.FOCUS, (0.0, 1.0), arc, np.linspace(0.6, 1.4, 12))
+
+    def test_matches_rk4_reference(self):
+        for name, args in self.cases():
+            for horizon in (0.1, 3.0):
+                kw = dict(n_signals=4, horizon=horizon, seed=3, resolution=2048)
+                exact = prj.forward_invariance_audit(*args, **kw)
+                ref = rk4_audit(*args, **kw)
+                assert (exact.ok, exact.n_trajectories, exact.inflate) == (
+                    ref.ok, ref.n_trajectories, ref.inflate), name
+                assert exact.max_excursion == pytest.approx(ref.max_excursion,
+                                                            rel=0.0, abs=1e-9), name
+        assert not ref.ok  # the focus leaves its arc
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        for name, args in self.cases():
+            kw = dict(n_signals=4, horizon=0.55, seed=5, resolution=2048)
+            n_traj = len(args[5]) * kw["n_signals"]
+            results = []
+            for block in (1, 8 * n_traj, 1 << 30):  # one trajectory-step, one window, all
+                monkeypatch.setattr(prj, "_AUDIT_BLOCK", block)
+                results.append(prj.forward_invariance_audit(*args, **kw))
+            assert results[0] == results[1] == results[2], name
+
+    def test_empty_starts(self):
+        a, b, k, arcs, _ = c12_audit_inputs()
+        audit = prj.forward_invariance_audit(a, b, k, RANGE, arcs, [], horizon=1.0)
+        assert audit == prj.InvarianceAudit(True, 0.0, 2.0 * np.pi / 4096, 0)
+
+    def test_zero_horizon_checks_nothing(self):
+        a, b, k, arcs, _ = c12_audit_inputs()
+        # every start is outside the set, but no sampling time is reached
+        audit = prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5, 1.0],
+                                             n_signals=3, horizon=0.0)
+        assert audit == prj.InvarianceAudit(True, 0.0, 2.0 * np.pi / 4096, 6)
+
+    @pytest.mark.parametrize("horizon, steps", [(1.0 / 256.0, 1), (0.1, 26), (0.125, 32)])
+    def test_samples_every_step_up_to_the_horizon(self, horizon, steps):
+        # a pure rotation turns at unit speed: the last sample, at
+        # steps * dt, is the farthest past the arc end
+        arcs = prj.CircleArcSet(arcs=((0.0, 0.002),))
+        audit = prj.forward_invariance_audit(ROT, *ZERO_IN, RANGE, arcs, [0.0],
+                                             n_signals=2, horizon=horizon, inflate=0.0)
+        assert not audit.ok and audit.n_trajectories == 2
+        assert audit.max_excursion == pytest.approx(steps / 256.0 - 0.002, abs=1e-13)
+
+    def test_long_stiff_horizon_stays_finite(self):
+        # each window can double the unnormalised direction: 2^1280 would
+        # overflow without the renormalisation of the window starts
+        arcs = prj.CircleArcSet(arcs=((np.pi - 0.1, np.pi + 0.1),))  # around theta = 0
+        audit = prj.forward_invariance_audit(1e3 * np.diag([1.0, -1.0]), *ZERO_IN, RANGE,
+                                             arcs, [0.05, 3.1], n_signals=1, horizon=40.0)
+        assert audit.ok and audit.max_excursion == 0.0
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_stiff_scaling_keeps_the_set_invariant(self, scale):
+        # scaling A and K scales A + alpha BK: the same directions, a faster
+        # flow; the set is the same and the exact flow never leaves it
+        a, b, k = SADDLE
+        base = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=4096)
+        res = prj.invariant_control_set_d2(scale * a, b, scale * k, RANGE, resolution=4096)
+        assert res.arcs == base.arcs
+        pts = prj.boundary_points(res.arcs, 40, 4096)
+        audit = prj.forward_invariance_audit(scale * a, b, scale * k, RANGE, res.arcs, pts,
+                                             n_signals=20, horizon=6.0, resolution=4096)
+        assert audit.ok and audit.max_excursion == 0.0
+
+
+class TestPlanarSetup:
+    class NumpyScalarPlanar(prj._Planar):
+        """The set-up on numpy scalars, kept as the reference."""
+
+        def __init__(self, A, B, K, control_range):
+            a, bk = prj._planar_loop(A, B, K)
+            ca = ((a[1, 0] - a[0, 1]) / 2.0, (a[1, 0] + a[0, 1]) / 2.0, (a[1, 1] - a[0, 0]) / 2.0)
+            cb = ((bk[1, 0] - bk[0, 1]) / 2.0, (bk[1, 0] + bk[0, 1]) / 2.0,
+                  (bk[1, 1] - bk[0, 0]) / 2.0)
+            self.lo, self.hi = float(control_range[0]), float(control_range[1])
+            self.switch = prj._polar(cb)
+            self.cuts = prj._zeros(self.switch)
+            self.fields = {v: prj._polar(tuple(x + v * y for x, y in zip(ca, cb)))
+                           for v in (self.lo, self.hi)}
+            self.zeros = {v: prj._zeros(f) for v, f in self.fields.items()}
+
+    @staticmethod
+    def steer_outputs(triple):
+        arcs = prj.invariant_control_set_d2(*triple, RANGE).arcs
+        lo, hi = arcs.arcs[0]
+        out = []
+        for target in np.linspace(lo + 0.02, hi - 0.02, 3):
+            q = prj.point_of(target)
+            out.append(prj.steering_time_bound(*triple, RANGE, q, mesh=16, max_time=20.0))
+            for start in np.linspace(0.0, np.pi, 6, endpoint=False):
+                st = prj.steer_d2(prj.point_of(start), q, *triple, RANGE, max_time=50.0)
+                out.append((st.tau, st.signal.to_json()))
+        return out
+
+    @pytest.mark.parametrize("angle", [0.0, 0.7, 2.0])
+    def test_same_bits_as_numpy_scalars(self, monkeypatch, angle):
+        triple = rotated(SADDLE, angle)
+        fast = self.steer_outputs(triple)
+        monkeypatch.setattr(prj, "_Planar", self.NumpyScalarPlanar)
+        assert fast == self.steer_outputs(triple)
 
 
 class TestSteering:

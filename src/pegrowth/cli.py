@@ -63,7 +63,7 @@ def _require(cfg, key):
 def _number(cfg, key, default, kind=float):
     try:
         return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(1e400)
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
@@ -106,7 +106,7 @@ def _budget(cfg, seed):
             size=int(fam.get("size", 32)),
             include_constants=bool(fam.get("include_constants", True)),
             seed=seed)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad family spec: {exc}") from exc
 
 
@@ -193,9 +193,11 @@ def _run_acc_cert(cfg, cfg_hash, seed, out):
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
     k = _gain(cfg, pair)
+    divisor = _number(cfg, "trace_divisor", 1.0)
+    if divisor == 0.0 or not np.isfinite(divisor):
+        raise ConfigError("trace_divisor must be finite and nonzero")
     try:
-        cert = control.accessibility_certificate(
-            pair.A, pair.B, k, trace_divisor=_number(cfg, "trace_divisor", 1.0))
+        cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
     except control.NotControllableError as exc:
         raise RuntimeError(str(exc)) from exc
     summary = _summary_base(cfg_hash, seed)
@@ -233,6 +235,8 @@ def _run_duality(cfg, cfg_hash, seed, out, signal_file=None):
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, signal_file)
     tol = _number(cfg, "tolerance", 1e-8)
+    if not tol >= 0.0:  # also rejects NaN
+        raise ConfigError("tolerance must be a non-negative number")
     report = rates.duality_check(pair.A, pair.B, k, cls, family, tol=tol)
     rows = [(i, per, "", "", res) for i, per, res in report.per_signal]
     _write_csv(out / "duality.csv",
@@ -314,7 +318,7 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
         try:
             count = int(grid_spec.get("count", 100))
             scale = float(grid_spec.get("scale", 1.0))
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise ConfigError(f"bad K_grid: {exc}") from exc
         if count < 1:
             raise ConfigError("K_grid count must be positive")
@@ -375,6 +379,8 @@ def main(argv=None) -> int:
     try:
         cfg, cfg_hash = _load_config(args.config)
         seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "lie-check":

@@ -196,7 +196,7 @@ def monodromy(A, B, K, s: PESignal) -> Monodromy:
     rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
     return Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
                      top_rate=float(_top(rn, log_scale, s.period)[0]),
-                     bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)]))[0][0])
+                     bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)], {}))[0][0])
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -441,13 +441,16 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     return valid
 
 
-def _pass(a, b, gains, sigs):
+def _pass(a, b, gains, sigs, table: dict):
     """The period products of every signal and gain of (a, b K), in one
-    family-engine pass with its own factor table: ``(Rn, log_scale,
-    periods)``, with ``periods`` shaped ``(S, 1)`` to divide the ``(S, G)``
-    reads."""
+    family-engine pass: ``(Rn, log_scale, periods)``, with ``periods``
+    shaped ``(S, 1)`` to divide the ``(S, G)`` reads.  ``table`` is the
+    engine's factor table.  Passes on the same ``(a, b, gains)`` may share
+    one: a factor depends only on its ``(value, duration)`` key, so a hit
+    returns the bits a fresh ``expm`` would, and a key that differs by one
+    ulp misses.  A pass on another loop needs its own."""
     bks = np.stack([b @ k for k in gains])
-    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs], {})
+    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs], table)
     return rn, log_scale, np.array([[s.period] for s in sigs])
 
 
@@ -479,8 +482,8 @@ def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
     if kind == "rd":
-        return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs))), sigs, kind)[0]
-    return _minima(_neg_tops(*_pass(a, b, [k], sigs)), sigs, kind)[0]
+        return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs), {})), sigs, kind)[0]
+    return _minima(_neg_tops(*_pass(a, b, [k], sigs, {})), sigs, kind)[0]
 
 
 def rc_estimate(A, B, K, cls: SignalClass, family) -> RateEstimate:
@@ -524,12 +527,19 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     as inf where the product leaves the float range).  Aggregately, the
     convergence estimate of (A, B, K) and the divergence estimate of
     (-A, -B, K) on the mirrored family must coincide exactly.
+
+    The ``rd`` pass, the negated tuple on the reversed mirrored family,
+    runs on (A, BK) again and reuses the ``rc`` pass's factor table (see
+    ``_pass``); the reversed tuple has other generators and its own table.
+    A segment that the double reversal changed misses the table and is
+    computed afresh, so the equality of the estimates stays a check.
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
     reversed_sigs = mirror_family(sigs)
-    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs)
-    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs)
+    table = {}
+    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs, table)
+    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs, {})
     prod = _unscaled(rn_rev[:, 0] @ rn[:, 0], log_scale_rev[:, 0] + log_scale[:, 0])
     finite = np.isfinite(prod).all(axis=(1, 2))
     eye = np.eye(a.shape[0])
@@ -539,7 +549,7 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     rows = [(i, s.period, r) for i, (s, r) in enumerate(zip(sigs, res))]
     mirrored = _resolve_family(cls, reversed_sigs)
     rc = _minima(_neg_tops(*fwd), sigs, "rc")[0]
-    rd = _minima(_neg_tops(*_pass(a, b, [k], mirror_family(mirrored))), mirrored, "rd")[0]
+    rd = _minima(_neg_tops(*_pass(a, b, [k], mirror_family(mirrored), table)), mirrored, "rd")[0]
     return DualityReport(per_signal=tuple(rows), max_residual=max([0.0] + res),
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
@@ -559,7 +569,10 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     The family and its mirror are validated once each.  ``rc`` is one pass
     over the family with every gain stacked.  ``rd_mirror`` is a second pass
     along ``rd_estimate``'s own path: the negated tuple on the reversed
-    mirrored family, with its own factor table.  It never reads the ``rc``
+    mirrored family.  That is (A, BK) again, so it reuses the ``rc`` pass's
+    factor table (see ``_pass``) and each distinct segment costs one
+    ``expm`` per call.  A segment that the double reversal changed misses
+    the table and is computed afresh, and the pass never reads the ``rc``
     values, so per-gain equality stays a check of the duality.  Each entry
     equals the corresponding ``rc_estimate``/``rd_estimate`` bit for bit.
     """
@@ -570,8 +583,9 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
     mirrored = _resolve_family(cls, mirror_family(sigs))
-    rc = _minima(_neg_tops(*_pass(a, b, ks, sigs)), sigs, "rc")
-    rd = _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored))), mirrored, "rd")
+    table = {}
+    rc = _minima(_neg_tops(*_pass(a, b, ks, sigs, table)), sigs, "rc")
+    rd = _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored), table)), mirrored, "rd")
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -612,8 +626,8 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    return _delta(sigs, _log_norms(*_pass(a, b, [k], sigs)),
-                  _log_norms(*_pass(-a, -b, [k], mirror_family(sigs))))
+    return _delta(sigs, _log_norms(*_pass(a, b, [k], sigs, {})),
+                  _log_norms(*_pass(-a, -b, [k], mirror_family(sigs), {})))
 
 
 @dataclass(frozen=True)
@@ -640,8 +654,8 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     """
     a, b, k = _loop_matrices(A, B, K)
     sigs = _resolve_family(cls, family)
-    fwd = _pass(a, b, [k], sigs)
-    rev = _pass(-a, -b, [k], mirror_family(sigs))
+    fwd = _pass(a, b, [k], sigs, {})
+    rev = _pass(-a, -b, [k], mirror_family(sigs), {})
     neg_tops, bottoms = _neg_tops(*fwd), _neg_tops(*rev)
     return FamilyRates(signals=tuple(sigs), top_rates=tuple(-v for v in neg_tops[0]),
                        bottom_rates=tuple(bottoms[0]),

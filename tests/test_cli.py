@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,50 @@ class TestExitCodes:
         assert run("rates", cfg, tmp_path / "r", "--signal-file", str(sig_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad signal file") and err.count("\n") == 1
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, sub, cfg_text, *extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(sub, str(path), out, *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("sub, field", [
+        ("rates", ("seed",)), ("rates", ("family", "size")),
+        ("rates", ("family", "n_periods")), ("rates", ("family", "max_switches")),
+        ("rates", ("family", "time_grid")), ("invariant-set", ("resolution",)),
+        ("duality-grid", ("K_grid", "count")), ("spin-audit", ("seeds",))])
+    def test_overflowing_integer_is_config_error(self, tmp_path, capsys, sub, field):
+        """A JSON 1e400 parses as inf, which no integer field accepts."""
+        cfg = base_config(K_grid={"count": 4})
+        if sub == "duality-grid":
+            del cfg["K"]
+        node = cfg
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = "HUGE"
+        text = json.dumps(cfg).replace('"HUGE"', "1e400")
+        self.assert_config_error(tmp_path, capsys, sub, text)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+    def test_meaningless_tolerance_is_config_error(self, tmp_path, capsys, tol):
+        self.assert_config_error(tmp_path, capsys, "duality",
+                                 json.dumps(base_config(tolerance=tol)))
+
+    @pytest.mark.parametrize("divisor", [0.0, float("inf"), float("nan")])
+    def test_meaningless_trace_divisor_is_config_error(self, tmp_path, capsys, divisor):
+        self.assert_config_error(tmp_path, capsys, "acc-cert",
+                                 json.dumps(base_config(trace_divisor=divisor)))
+
+    @pytest.mark.parametrize("sub", ["rates", "acc-cert", "spin-audit"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, sub):
+        self.assert_config_error(tmp_path, capsys, sub, json.dumps(base_config(seed=-1)))
+        self.assert_config_error(tmp_path, capsys, sub, json.dumps(base_config()), "--seed", "-3")
 
     def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -735,7 +735,8 @@ def reference_duality_check(a, b, k, cls, family, tol=1e-8):
     rows = []
     for i, s in enumerate(sigs):
         rn, log_scale = reference_product(a, bk, s.period_segments())
-        rn_rev, log_scale_rev = reference_product(-a, bk_rev, reverse(s).period_segments())
+        # rates.reverse, so a test that patches the reversal patches this too.
+        rn_rev, log_scale_rev = reference_product(-a, bk_rev, rates.reverse(s).period_segments())
         prod = reference_unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
         res = opnorm(prod - np.eye(len(a))) if np.isfinite(prod).all() else np.inf
         rows.append((i, s.period, res))
@@ -826,3 +827,99 @@ class TestReferenceEquality:
                PESignal([0.0, 0.2], [1.0, 0.0], period=1.0),  # not PE: dropped
                PESignal.from_segments([(1.0, 0.25), (0.4, 0.5), (1.0, 0.25)], period=1.0)]
         assert_reference_equality(a, b, k, CLS, fam, [k, -k])
+
+
+# -- one factor table per loop per call --------------------------------------
+
+
+def distinct_segments(sigs):
+    return {seg for s in sigs for seg in s.period_segments() if seg[1] > 0.0}
+
+
+def expm_per_pass(monkeypatch):
+    """The ``scipy.linalg.expm`` calls made inside each ``rates._pass``, in
+    call order."""
+    counts = []
+    expm_, pass_ = scipy.linalg.expm, rates._pass
+
+    def counted_expm(*args, **kwargs):
+        counts[-1] += 1
+        return expm_(*args, **kwargs)
+
+    def counted_pass(*args, **kwargs):
+        counts.append(0)
+        return pass_(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(rates, "_pass", counted_pass)
+    return counts
+
+
+def nudge_reversal(monkeypatch):
+    """Make ``rates.reverse`` lengthen the last duration of every reversed
+    signal by one ulp: the values and every other duration keep their bits,
+    and the signal stays consistent with its breakpoints and period."""
+    reverse_ = rates.reverse
+
+    def nudged(s):
+        r = reverse_(s)
+        durations = r.durations.copy()
+        durations[-1] = np.nextafter(durations[-1], np.inf)
+        return PESignal(r.breakpoints, r.values, r.period, durations=durations)
+
+    monkeypatch.setattr(rates, "reverse", nudged)
+
+
+class TestSharedFactorTable:
+    """``duality_grid`` and ``duality_check`` hand the ``rc`` pass's factor
+    table to the ``rd`` pass, which runs on the same loop (A, BK): each
+    distinct segment costs one ``expm`` per loop and call."""
+
+    @staticmethod
+    def case(d):
+        rng = np.random.default_rng(1000 + d)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        b = rng.standard_normal((d, 1))
+        gains = [rng.standard_normal((1, d)) for _ in range(4)]
+        return a, b, gains, rates.bang_bang_family(CLS, rates.SearchBudget(size=16, seed=d))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_grid_computes_each_segment_once(self, d, monkeypatch):
+        a, b, gains, fam = self.case(d)
+        counts = expm_per_pass(monkeypatch)
+        rep = rates.duality_grid(a, b, gains, CLS, fam)
+        assert counts == [len(distinct_segments(fam)), 0]
+        assert all(rc.value == rd.value for rc, rd in zip(rep.rc, rep.rd_mirror))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_check_rd_pass_computes_nothing(self, d, monkeypatch):
+        a, b, gains, fam = self.case(d)
+        counts = expm_per_pass(monkeypatch)
+        rep = rates.duality_check(a, b, gains[0], CLS, fam)
+        n = len(distinct_segments(fam))
+        assert counts == [n, len(distinct_segments(rates.mirror_family(fam))), 0]
+        assert rep.estimates_equal
+
+    def test_nudged_reversal_misses_the_table(self, monkeypatch):
+        """A segment that the double reversal moves by one ulp is computed
+        afresh, so the shared table changes no value and the equality of
+        ``rc`` and ``rd`` still fails where the reversal is wrong."""
+        a, b, gains, fam = self.case(3)
+        nudge_reversal(monkeypatch)
+        mirrored = rates._resolve_family(CLS, rates.mirror_family(fam))
+        missed = distinct_segments(rates.mirror_family(mirrored)) - distinct_segments(fam)
+        counts = expm_per_pass(monkeypatch)
+        got = rates.duality_grid(a, b, gains, CLS, fam)
+        assert counts == [len(distinct_segments(fam)), len(missed)] and 0 < len(missed)
+        assert len(missed) < len(distinct_segments(rates.mirror_family(mirrored)))
+        ref =reference_duality_grid(a, b, gains, CLS, fam)
+        for x, y in zip(got.rc + got.rd_mirror, ref.rc + ref.rd_mirror):
+            assert_same_estimate(x, y)
+        assert any(rc.value != rd.value for rc, rd in zip(got.rc, got.rd_mirror))
+
+        got, ref = (rates.duality_check(a, b, gains[0], CLS, fam),
+                    reference_duality_check(a, b, gains[0], CLS, fam))
+        assert got.per_signal == ref.per_signal and got.max_residual == ref.max_residual
+        assert_same_estimate(got.rc, ref.rc)
+        assert_same_estimate(got.rd_mirror, ref.rd_mirror)
+        assert got.estimates_equal == ref.estimates_equal and got.ok == ref.ok

@@ -2,8 +2,7 @@
 
 Every subcommand reads a JSON config (schema "1"), executes one analysis,
 and writes a summary JSON plus CSV artifacts into the output directory.
-Outputs are byte-identical for identical (config, seed).  Runs are serial;
-``--jobs`` is accepted for compatibility and ignored.
+Outputs are byte-identical for identical (config, seed).
 
 Exit codes: 0 success, 2 config error, 3 numerical diagnostic (including a
 library ``ValueError`` once the config has parsed), 4 property violation
@@ -16,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,10 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
-
-SUBCOMMANDS = ("lie-check", "acc-cert", "rates", "duality", "invariant-set",
-               "spin-audit", "duality-grid")
-
 
 class ConfigError(ValueError):
     pass
@@ -60,11 +56,25 @@ def _require(cfg, key):
     return cfg[key]
 
 
-def _number(cfg, key, default, kind=float):
-    try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:  # int(1e400)
-        raise ConfigError(f"bad {key}: {exc}") from exc
+def _integer(value, name):
+    """A JSON integer, or a float with no fractional part, as an int.  A JSON
+    boolean is not a number, and 1e400 parses as inf, which is no integer."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name):
+    """A JSON number as a finite float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _pair(cfg):
@@ -89,8 +99,8 @@ def _gain(cfg, pair):
 
 def _signal_class(cfg):
     try:
-        return SignalClass(float(_require(cfg, "T")), float(_require(cfg, "mu")))
-    except (TypeError, ValueError) as exc:
+        return SignalClass(_real(_require(cfg, "T"), "T"), _real(_require(cfg, "mu"), "mu"))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -98,15 +108,14 @@ def _budget(cfg, seed):
     fam = cfg.get("family", {})
     if not isinstance(fam, dict):
         raise ConfigError("bad family spec: family must be a JSON object")
+    counts = {key: _integer(fam.get(key, default), f"family {key}") for key, default in
+              (("n_periods", 4), ("max_switches", 6), ("time_grid", 16), ("size", 32))}
+    constants = fam.get("include_constants", True)
+    if not isinstance(constants, bool):
+        raise ConfigError(f"family include_constants must be true or false, got {constants!r}")
     try:
-        return rates.SearchBudget(
-            n_periods=int(fam.get("n_periods", 4)),
-            max_switches=int(fam.get("max_switches", 6)),
-            time_grid=int(fam.get("time_grid", 16)),
-            size=int(fam.get("size", 32)),
-            include_constants=bool(fam.get("include_constants", True)),
-            seed=seed)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return rates.SearchBudget(**counts, include_constants=constants, seed=seed)
+    except ValueError as exc:
         raise ConfigError(f"bad family spec: {exc}") from exc
 
 
@@ -155,16 +164,6 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_indicator(path: Path, arcs, resolution: int) -> None:
-    """``theta,inside`` on the reporting grid of ``resolution`` cells; the
-    same bytes as ``_write_csv`` with ``.17g`` floats and 0/1 flags."""
-    theta = np.arange(resolution) * (np.pi / resolution)
-    inside = arcs.contains(theta)
-    lines = ["theta,inside"]
-    lines.extend(f"{t:.17g},{b:d}" for t, b in zip(theta.tolist(), inside.tolist()))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _summary_base(cfg_hash, seed):
     return {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
 
@@ -172,10 +171,10 @@ def _summary_base(cfg_hash, seed):
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _run_lie_check(cfg, cfg_hash, seed, out):
+def _run_lie_check(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
-    shift = _number(cfg, "lambda", 0.0)
+    shift = _real(cfg.get("lambda", 0.0), "lambda")
     audit = lie.inclusion_chain_audit(pair.A, pair.B, k, shift=shift, seed=seed)
     summary = _summary_base(cfg_hash, seed)
     summary["certificates"] = {
@@ -188,14 +187,14 @@ def _run_lie_check(cfg, cfg_hash, seed, out):
     return EXIT_VIOLATION if audit.violations else EXIT_OK
 
 
-def _run_acc_cert(cfg, cfg_hash, seed, out):
+def _run_acc_cert(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
     k = _gain(cfg, pair)
-    divisor = _number(cfg, "trace_divisor", 1.0)
-    if divisor == 0.0 or not np.isfinite(divisor):
-        raise ConfigError("trace_divisor must be finite and nonzero")
+    divisor = _real(cfg.get("trace_divisor", 1.0), "trace_divisor")
+    if divisor == 0.0:
+        raise ConfigError("trace_divisor must be nonzero")
     try:
         cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
     except control.NotControllableError as exc:
@@ -206,11 +205,11 @@ def _run_acc_cert(cfg, cfg_hash, seed, out):
     return EXIT_OK
 
 
-def _run_rates(cfg, cfg_hash, seed, out, signal_file=None):
+def _run_rates(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, signal_file)
+    family = _family(cfg, cls, seed, args.signal_file)
     report = rates.family_rates(pair.A, pair.B, k, cls, family)
     rows = [(idx, s.period, top, bottom, "") for idx, (s, top, bottom) in enumerate(
         zip(report.signals, report.top_rates, report.bottom_rates))]
@@ -229,14 +228,14 @@ def _run_rates(cfg, cfg_hash, seed, out, signal_file=None):
     return EXIT_OK
 
 
-def _run_duality(cfg, cfg_hash, seed, out, signal_file=None):
+def _run_duality(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, signal_file)
-    tol = _number(cfg, "tolerance", 1e-8)
-    if not tol >= 0.0:  # also rejects NaN
-        raise ConfigError("tolerance must be a non-negative number")
+    family = _family(cfg, cls, seed, args.signal_file)
+    tol = _real(cfg.get("tolerance", 1e-8), "tolerance")
+    if tol < 0.0:
+        raise ConfigError("tolerance must be non-negative")
     report = rates.duality_check(pair.A, pair.B, k, cls, family, tol=tol)
     rows = [(i, per, "", "", res) for i, per, res in report.per_signal]
     _write_csv(out / "duality.csv",
@@ -254,36 +253,32 @@ def _run_duality(cfg, cfg_hash, seed, out, signal_file=None):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _run_invariant_set(cfg, cfg_hash, seed, out):
+def _run_invariant_set(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     if pair.d != 2:
         raise ConfigError("invariant-set needs d = 2")
     cls = _signal_class(cfg)
-    try:
-        lo, hi = (float(x) for x in cfg.get("control_range", (cls.floor, 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad control_range: {exc}") from exc
-    resolution = _number(cfg, "resolution", 4096, int)
-    if resolution < 1:
-        raise ConfigError("resolution must be positive")
-    result = projective.invariant_control_set_d2(
-        pair.A, pair.B, k, (lo, hi), resolution=resolution, seed=seed)
+    crange = cfg.get("control_range", (cls.floor, 1.0))
+    if not isinstance(crange, (list, tuple)) or len(crange) != 2:
+        raise ConfigError(f"control_range must be a pair [lo, hi], got {crange!r}")
+    lo, hi = (_real(x, "control_range entry") for x in crange)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ConfigError("control_range must be a nondegenerate subinterval of [0, 1]")
+    result = projective.invariant_control_set_d2(pair.A, pair.B, k, (lo, hi), seed=seed)
     summary = _summary_base(cfg_hash, seed)
     summary["applicable"] = result.applicable
-    summary["resolution"] = result.resolution
     summary["n_sinks"] = result.n_sinks
     if result.applicable:
         summary["arcs"] = result.arcs.to_json()["arcs"]
-        _write_indicator(out / "indicator.csv", result.arcs, resolution)
     _write_json(out / "summary.json", summary)
     if not result.applicable:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _run_spin_audit(cfg, cfg_hash, seed, out, n_seeds=None):
-    n = n_seeds if n_seeds is not None else _number(cfg, "seeds", 200, int)
+def _run_spin_audit(cfg, cfg_hash, seed, out, args):
+    n = args.seeds if args.seeds is not None else _integer(cfg.get("seeds", 200), "seeds")
     if n <= 0:
         raise ConfigError("seeds must be positive")
     rows = []
@@ -307,19 +302,18 @@ def _run_spin_audit(cfg, cfg_hash, seed, out, n_seeds=None):
     return EXIT_OK
 
 
-def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
+def _run_duality_grid(cfg, cfg_hash, seed, out, args):
     pair = _pair(cfg)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, signal_file)
-    grid_spec = cfg.get("K_grid", {"count": 100, "scale": 1.0})
+    family = _family(cfg, cls, seed, args.signal_file)
     if "K" in cfg and "K_grid" not in cfg:
         gains = [_gain(cfg, pair)]
     else:
-        try:
-            count = int(grid_spec.get("count", 100))
-            scale = float(grid_spec.get("scale", 1.0))
-        except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-            raise ConfigError(f"bad K_grid: {exc}") from exc
+        grid_spec = cfg.get("K_grid", {})
+        if not isinstance(grid_spec, dict):
+            raise ConfigError("K_grid must be a JSON object")
+        count = _integer(grid_spec.get("count", 100), "K_grid count")
+        scale = _real(grid_spec.get("scale", 1.0), "K_grid scale")
         if count < 1:
             raise ConfigError("K_grid count must be positive")
         rng = np.random.default_rng(seed)
@@ -344,6 +338,12 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, signal_file=None):
     return EXIT_OK if all_equal and sup_rc == sup_rd else EXIT_VIOLATION
 
 
+RUNNERS = {"lie-check": _run_lie_check, "acc-cert": _run_acc_cert, "rates": _run_rates,
+           "duality": _run_duality, "invariant-set": _run_invariant_set,
+           "spin-audit": _run_spin_audit, "duality-grid": _run_duality_grid}
+SUBCOMMANDS = tuple(RUNNERS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegrowth",
@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; runs are serial")
         if name in ("rates", "duality", "duality-grid"):
             p.add_argument("--signal-file", default=None,
                            help="JSON file with an explicit signal family")
@@ -378,26 +376,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg, cfg_hash = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _number(cfg, "seed", 0, int)
+        seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "seed")
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "lie-check":
-            return _run_lie_check(cfg, cfg_hash, seed, out)
-        if args.subcommand == "acc-cert":
-            return _run_acc_cert(cfg, cfg_hash, seed, out)
-        if args.subcommand == "rates":
-            return _run_rates(cfg, cfg_hash, seed, out, args.signal_file)
-        if args.subcommand == "duality":
-            return _run_duality(cfg, cfg_hash, seed, out, args.signal_file)
-        if args.subcommand == "invariant-set":
-            return _run_invariant_set(cfg, cfg_hash, seed, out)
-        if args.subcommand == "spin-audit":
-            return _run_spin_audit(cfg, cfg_hash, seed, out, args.seeds)
-        if args.subcommand == "duality-grid":
-            return _run_duality_grid(cfg, cfg_hash, seed, out, args.signal_file)
-        raise ConfigError(f"unknown subcommand {args.subcommand}")
+        return RUNNERS[args.subcommand](cfg, cfg_hash, seed, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -258,7 +258,6 @@ class CircleArcSet:
 class InvariantSetResult:
     applicable: bool
     arcs: CircleArcSet | None
-    resolution: int
     n_sinks: int
     certificate: lie.RankCertificate | None
 
@@ -381,8 +380,8 @@ class _Planar:
                    self.sense(theta0, target, -1.0, max_time), key=lambda r: r[0])
 
 
-def invariant_control_set_d2(A, B, K, control_range, resolution: int = 4096,
-                             plarc_samples: int = 64, seed: int = 0) -> InvariantSetResult:
+def invariant_control_set_d2(A, B, K, control_range, plarc_samples: int = 64,
+                             seed: int = 0) -> InvariantSetResult:
     """Exact invariant control set on the half-circle.
 
     Control sets of a one-dimensional system are arcs bounded by equilibria
@@ -390,19 +389,18 @@ def invariant_control_set_d2(A, B, K, control_range, resolution: int = 4096,
     eight nodes: the zeros of the angular speeds at both ends of the control
     range and the arcs between them (see ``_Planar.sink_arcs``).  The invariant
     control set is the union of the sink components, with closed-form
-    endpoints.  ``resolution`` is only the reporting scale (it sets the
-    inflation of ``forward_invariance_audit`` and ``boundary_points``).
-    Requires the projected rank certificate; otherwise the result is
-    flagged not applicable.
+    endpoints.  Requires the projected rank certificate; otherwise the
+    result is flagged not applicable.  A control range that is not a
+    nondegenerate subinterval of [0, 1] raises ``ValueError`` either way.
     """
-    cert = lie.check_plarc(A, B, K, samples=plarc_samples, seed=seed)
-    if not cert.verdict:
-        return InvariantSetResult(False, None, resolution, 0, cert)
     lo, hi = float(control_range[0]), float(control_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
+    cert = lie.check_plarc(A, B, K, samples=plarc_samples, seed=seed)
+    if not cert.verdict:
+        return InvariantSetResult(False, None, 0, cert)
     arcs, n_sinks = _Planar(A, B, K, (lo, hi)).sink_arcs()
-    return InvariantSetResult(True, CircleArcSet(arcs=arcs), int(resolution), n_sinks, cert)
+    return InvariantSetResult(True, CircleArcSet(arcs=arcs), n_sinks, cert)
 
 
 def boundary_points(arcs: CircleArcSet, n: int, resolution: int) -> np.ndarray:

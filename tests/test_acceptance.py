@@ -283,7 +283,7 @@ def test_c12_invariant_set_and_steering():
     k = np.array([[-0.6, 0.2]])
     crange = (CLS.floor, 1.0)
     resolution = 4096
-    res = prj.invariant_control_set_d2(a, b, k, crange, resolution=resolution)
+    res = prj.invariant_control_set_d2(a, b, k, crange)
     assert res.applicable and not res.arcs.whole and res.n_sinks == 1
     pts = prj.boundary_points(res.arcs, 100, resolution)
     audit = prj.forward_invariance_audit(a, b, k, crange, res.arcs, pts,

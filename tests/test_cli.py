@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegrowth import cli, rates, signals
+from pegrowth import cli, projective, rates, signals
 from pegrowth.matcore import matrix_to_json
 from pegrowth.signals import PESignal, SignalClass
 
@@ -65,11 +65,11 @@ class TestDuality:
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run("duality", cfg, a) == 0
         assert run("duality", cfg, b) == 0
-        assert run("duality", cfg, c, "--jobs", "4") == 0
         for name in ("summary.json", "duality.csv"):
-            ref = (a / name).read_bytes()
-            assert (b / name).read_bytes() == ref
-            assert (c / name).read_bytes() == ref
+            assert (b / name).read_bytes() == (a / name).read_bytes()
+        with pytest.raises(SystemExit) as exc:  # --jobs is no longer an option
+            run("duality", cfg, c, "--jobs", "4")
+        assert exc.value.code == 2 and not c.exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -123,6 +123,14 @@ class TestRates:
         header = (out / "rates.csv").read_text().splitlines()[0]
         assert header == "signal_id,period,top_rate,bottom_rate,residual"
 
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        whole = write_config(tmp_path, base_config(seed=7.0, family={"size": 12.0}), "f.json")
+        assert run("rates", write_config(tmp_path, base_config()), tmp_path / "i") == 0
+        assert run("rates", whole, tmp_path / "f") == 0
+        assert json.loads((tmp_path / "f" / "summary.json").read_text())["seed"] == 7
+        assert (tmp_path / "f" / "rates.csv").read_bytes() == \
+            (tmp_path / "i" / "rates.csv").read_bytes()
+
 
 class TestLieCheck:
     def test_chain_pair(self, tmp_path):
@@ -159,15 +167,14 @@ class TestInvariantSet:
         cfg["pair"]["A"] = matrix_to_json(np.array([[0.0, -1.0], [1.0, 0.0]]))
         cfg["pair"]["B"] = matrix_to_json(np.zeros((2, 1)))
         cfg["K"] = matrix_to_json(np.zeros((1, 2)))
-        cfg["resolution"] = 512
+        cfg["resolution"] = 512  # no longer read, and still accepted
         path = write_config(tmp_path, cfg)
         out = tmp_path / "i"
         assert run("invariant-set", path, out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["applicable"] and summary["arcs"] == [[0.0, np.pi]]
-        lines = (out / "indicator.csv").read_text().strip().splitlines()
-        assert len(lines) == 513
-        assert all(line.endswith(",1") for line in lines[1:])
+        assert "resolution" not in summary
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
 
     def test_plarc_failure_flagged(self, tmp_path):
         cfg = base_config()
@@ -179,21 +186,6 @@ class TestInvariantSet:
         out = tmp_path / "na"
         assert run("invariant-set", path, out) == 3
         assert json.loads((out / "summary.json").read_text())["applicable"] is False
-
-    @pytest.mark.parametrize("resolution", [1, 7, 4096])
-    @pytest.mark.parametrize("arc", [(2.6383577748903306, 2.998730169286576),  # c12
-                                     (2.9, 3.4)])  # wraps across pi
-    def test_indicator_bytes_match_the_row_path(self, tmp_path, arc, resolution):
-        from pegrowth.projective import CircleArcSet
-        arcs = CircleArcSet(arcs=(arc,))
-        # the row-by-row path the subcommand used to take, from numpy scalars
-        theta = np.arange(resolution) * (np.pi / resolution)
-        rows = [(float(t), int(b)) for t, b in zip(theta, arcs.contains(theta))]
-        cli._write_csv(tmp_path / "rows.csv", ("theta", "inside"), rows)
-        cli._write_indicator(tmp_path / "fast.csv", arcs, resolution)
-        expected = (tmp_path / "rows.csv").read_bytes()
-        assert (tmp_path / "fast.csv").read_bytes() == expected
-        assert expected.count(b"\n") == resolution + 1
 
 
 class TestSpinAudit:
@@ -336,10 +328,6 @@ class TestExitCodes:
         del cfg["K"]
         assert run("duality-grid", write_config(tmp_path, cfg), tmp_path / "g") == 2
 
-    def test_zero_resolution_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, base_config(resolution=0))
-        assert run("invariant-set", cfg, tmp_path / "i") == 2
-
     def test_empty_family_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(family={"size": 0}))
         assert run("rates", cfg, tmp_path / "r") == 2
@@ -348,8 +336,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, base_config(control_range="lo-hi"))
         assert run("invariant-set", cfg, tmp_path / "i") == 2
 
-    def test_library_value_error_is_numerical(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, base_config(control_range=[1.0, 0.5]))
+    def test_library_value_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
+
+        monkeypatch.setattr(projective, "invariant_control_set_d2", fail)
+        cfg = write_config(tmp_path, base_config())
         assert run("invariant-set", cfg, tmp_path / "i") == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical diagnostic:") and err.count("\n") == 1
@@ -390,24 +382,53 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("sub, field", [
-        ("rates", ("seed",)), ("rates", ("family", "size")),
-        ("rates", ("family", "n_periods")), ("rates", ("family", "max_switches")),
-        ("rates", ("family", "time_grid")), ("invariant-set", ("resolution",)),
-        ("duality-grid", ("K_grid", "count")), ("spin-audit", ("seeds",))])
-    def test_overflowing_integer_is_config_error(self, tmp_path, capsys, sub, field):
-        """A JSON 1e400 parses as inf, which no integer field accepts."""
+    @classmethod
+    def assert_field_error(cls, tmp_path, capsys, sub, field, literal):
+        """Sets ``field`` (a key path) of the base config to the raw JSON
+        ``literal``."""
         cfg = base_config(K_grid={"count": 4})
         if sub == "duality-grid":
             del cfg["K"]
         node = cfg
         for key in field[:-1]:
             node = node[key]
-        node[field[-1]] = "HUGE"
-        text = json.dumps(cfg).replace('"HUGE"', "1e400")
-        self.assert_config_error(tmp_path, capsys, sub, text)
+        node[field[-1]] = "FIELD"
+        cls.assert_config_error(tmp_path, capsys, sub,
+                                json.dumps(cfg).replace('"FIELD"', literal))
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+    @pytest.mark.parametrize("sub, field", [
+        ("rates", ("seed",)), ("rates", ("family", "size")),
+        ("rates", ("family", "n_periods")), ("rates", ("family", "max_switches")),
+        ("rates", ("family", "time_grid")), ("invariant-set", ("seed",)),
+        ("duality-grid", ("K_grid", "count")), ("spin-audit", ("seeds",))])
+    def test_overflowing_integer_is_config_error(self, tmp_path, capsys, sub, field):
+        """A JSON 1e400 parses as inf, which no integer field accepts."""
+        self.assert_field_error(tmp_path, capsys, sub, field, "1e400")
+
+    @pytest.mark.parametrize("sub, field, literal", [
+        # integer fields take integral numbers only
+        ("rates", "seed", "1.5"), ("rates", "seed", "true"),
+        ("rates", "family.size", "2.7"), ("rates", "family.n_periods", '"4"'),
+        ("duality-grid", "K_grid.count", "true"), ("spin-audit", "seeds", "2.5"),
+        ("rates", "family.include_constants", '"false"'),
+        ("rates", "family.include_constants", "0"),
+        # float fields take finite numbers only
+        ("duality-grid", "K_grid.scale", "1e400"), ("duality-grid", "K_grid.scale", "NaN"),
+        ("lie-check", "lambda", "NaN"), ("lie-check", "lambda", "1e400"),
+        ("lie-check", "lambda", "-Infinity"), ("rates", "T", "true"),
+        # the control range is a subinterval of [0, 1] with lo < hi
+        ("invariant-set", "control_range", "[0.5, 0.2]"),
+        ("invariant-set", "control_range", "[0.2, 1.5]"),
+        ("invariant-set", "control_range", "[NaN, 1]"),
+        ("invariant-set", "control_range", "[0.2, 0.2]"),
+        ("invariant-set", "control_range", "[1.0, 0.5]"),
+        ("invariant-set", "control_range", "[0.1, 0.5, 0.9]"),
+        ("invariant-set", "control_range", '"12"'),
+        ("invariant-set", "mu", "1.0")])  # mu == T leaves the range [1, 1]
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, sub, field, literal):
+        self.assert_field_error(tmp_path, capsys, sub, tuple(field.split(".")), literal)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8, float("inf")])
     def test_meaningless_tolerance_is_config_error(self, tmp_path, capsys, tol):
         self.assert_config_error(tmp_path, capsys, "duality",
                                  json.dumps(base_config(tolerance=tol)))

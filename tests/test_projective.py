@@ -273,12 +273,12 @@ class TestClosedForms:
 
 class TestInvariantSet:
     def test_rotation_whole_circle(self):
-        res = prj.invariant_control_set_d2(ROT, *ZERO_IN, RANGE, resolution=1024)
+        res = prj.invariant_control_set_d2(ROT, *ZERO_IN, RANGE)
         assert res.applicable and res.arcs.whole and res.n_sinks == 1
 
     def test_saddle_single_arc(self):
         a, b, k = SADDLE
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=2048)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         assert res.applicable and not res.arcs.whole
         assert len(res.arcs.arcs) == 1
         lo, hi = res.arcs.arcs[0]
@@ -289,7 +289,7 @@ class TestInvariantSet:
         a = np.diag([1.0, -1.0])
         b = np.array([[1.0], [1.0]])
         k = 0.05 * np.array([[-1.0, 0.5]])
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=4096)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         assert res.applicable and not res.arcs.whole
         # projectively the dominant eigendirection attracts: theta = 0 here
         assert res.arcs.contains(0.0, inflate=0.05)
@@ -297,13 +297,18 @@ class TestInvariantSet:
         assert res.arcs.measure() < 0.2
 
     def test_not_applicable_without_plarc(self):
-        res = prj.invariant_control_set_d2(np.diag([1.0, 2.0]), *ZERO_IN, RANGE,
-                                           resolution=512)
+        res = prj.invariant_control_set_d2(np.diag([1.0, 2.0]), *ZERO_IN, RANGE)
         assert not res.applicable and res.arcs is None
+
+    @pytest.mark.parametrize("crange", [(0.5, 0.2), (0.2, 1.5), (np.nan, 1.0), (0.2, 0.2)])
+    def test_bad_range_raises_before_plarc(self, crange):
+        # a pair without PLARC would be flagged not applicable; the range is checked first
+        with pytest.raises(ValueError, match="control range"):
+            prj.invariant_control_set_d2(np.diag([1.0, 2.0]), *ZERO_IN, crange)
 
     def test_c12_matches_grid(self):
         a, b, k = SADDLE
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=4096)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         arcs, n_sinks = grid_control_set(a, b, k, RANGE, 4096)
         assert res.n_sinks == n_sinks == 1
         assert endpoint_gap_cells(res.arcs.arcs, arcs, 4096) <= 2.0
@@ -312,7 +317,7 @@ class TestInvariantSet:
         resolution = 4096
         compared = 0
         for a, b, k, crange in random_pairs(220):
-            res = prj.invariant_control_set_d2(a, b, k, crange, resolution=resolution)
+            res = prj.invariant_control_set_d2(a, b, k, crange)
             if not res.applicable:
                 continue
             arcs, n_sinks = grid_control_set(a, b, k, crange, resolution)
@@ -331,7 +336,7 @@ class TestInvariantSet:
         a = np.diag([1.0, -1.0])
         b = np.array([[1.0], [1.0]])
         k = np.array([[-3.0, 3.0]])
-        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0), resolution=1024)
+        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0))
         assert res.applicable and res.arcs.whole and res.n_sinks == 1
         assert grid_control_set(a, b, k, (0.0, 1.0), 1024) == (((0.0, np.pi),), 1)
 
@@ -339,7 +344,7 @@ class TestInvariantSet:
         base = prj.invariant_control_set_d2(*SADDLE, RANGE).arcs.arcs[0]
         shift = np.pi - base[0] - 0.1   # moves the arc across pi
         turned = rotated(SADDLE, shift)
-        res = prj.invariant_control_set_d2(*turned, RANGE, resolution=4096)
+        res = prj.invariant_control_set_d2(*turned, RANGE)
         (lo, hi), = res.arcs.arcs
         assert lo < np.pi < hi <= lo + np.pi
         assert lo == pytest.approx(base[0] + shift, abs=1e-12)
@@ -354,7 +359,7 @@ class TestInvariantSet:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
         k = np.array([[1.0, 0.0]])
-        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0), resolution=4096)
+        res = prj.invariant_control_set_d2(a, b, k, (0.0, 1.0))
         assert res.applicable and res.n_sinks == 1
         (lo, hi), = res.arcs.arcs
         assert lo == 0.0 and hi == pytest.approx(np.pi / 4, abs=1e-15)
@@ -363,7 +368,7 @@ class TestInvariantSet:
 
     def test_forward_invariance_audit(self):
         a, b, k = SADDLE
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=2048)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         pts = prj.boundary_points(res.arcs, 40, 2048)
         audit = prj.forward_invariance_audit(a, b, k, RANGE, res.arcs, pts,
                                              n_signals=20, horizon=6.0,
@@ -449,7 +454,7 @@ class TestProjectiveStep:
 
 def c12_audit_inputs(resolution=2048, n_starts=12):
     a, b, k = SADDLE
-    res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=resolution)
+    res = prj.invariant_control_set_d2(a, b, k, RANGE)
     return a, b, k, res.arcs, prj.boundary_points(res.arcs, n_starts, resolution)
 
 
@@ -469,7 +474,7 @@ class TestInvarianceAudit:
         small = shrunk(arcs)
         yield "c12 shrunk", (a, b, k, RANGE, small, prj.boundary_points(small, 12, 2048))
         weak = (np.diag([1.0, -1.0]), np.array([[1.0], [1.0]]), 0.05 * np.array([[-1.0, 0.5]]))
-        res = prj.invariant_control_set_d2(*weak, RANGE, resolution=2048)
+        res = prj.invariant_control_set_d2(*weak, RANGE)
         yield "saddle", (*weak, RANGE, res.arcs, prj.boundary_points(res.arcs, 12, 2048))
         # the whole circle is invariant for the focus; audit an arc it leaves
         arc = prj.CircleArcSet(arcs=((0.5, 1.5),))
@@ -532,8 +537,8 @@ class TestInvarianceAudit:
         # scaling A and K scales A + alpha BK: the same directions, a faster
         # flow; the set is the same and the exact flow never leaves it
         a, b, k = SADDLE
-        base = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=4096)
-        res = prj.invariant_control_set_d2(scale * a, b, scale * k, RANGE, resolution=4096)
+        base = prj.invariant_control_set_d2(a, b, k, RANGE)
+        res = prj.invariant_control_set_d2(scale * a, b, scale * k, RANGE)
         assert res.arcs == base.arcs
         pts = prj.boundary_points(res.arcs, 40, 4096)
         audit = prj.forward_invariance_audit(scale * a, b, scale * k, RANGE, res.arcs, pts,
@@ -591,7 +596,7 @@ class TestSteering:
 
     def test_steered_signal_values_admissible(self):
         a, b, k = SADDLE
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=2048)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         lo, hi = res.arcs.arcs[0]
         target = prj.point_of(0.5 * (lo + hi))
         st = prj.steer_d2([1.0, 0.0], target, a, b, k, RANGE, resolution=2048)
@@ -674,7 +679,7 @@ class TestSteering:
         # steering output is admissible input for the periodic splice
         from pegrowth.signals import splice_periodic, validate_pe
         a, b, k = SADDLE
-        res = prj.invariant_control_set_d2(a, b, k, RANGE, resolution=2048)
+        res = prj.invariant_control_set_d2(a, b, k, RANGE)
         lo, hi = res.arcs.arcs[0]
         st = prj.steer_d2([0.0, 1.0], prj.point_of(0.5 * (lo + hi)), a, b, k,
                           RANGE, resolution=2048)

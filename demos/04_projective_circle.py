@@ -6,8 +6,9 @@ invariant control set.  The angular speed is a first-degree trigonometric
 polynomial in 2 theta, so the set is exact: its endpoints are closed-form
 zeros of the speeds at the two ends of the control range.  This script
 computes it, audits forward invariance under random admissible controls
-(an independent RK4 simulation), and steers between directions with greedy
-bang-bang controls whose switch and arrival times are exact integrals.
+(along the closed-form flow of x' = (A + alpha BK) x), and steers between
+directions with greedy bang-bang controls whose switch and arrival times
+are exact integrals.
 """
 
 import numpy as np

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, control, lie, projective, rates, spinchk
 from .matcore import matrix_from_json, multiset_residual
-from .signals import PESignal, SignalClass, validate_pe
+from .signals import PESignal, SignalClass, _pe_valid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +41,7 @@ def _load_config(path: str):
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the str-int digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -139,8 +139,8 @@ def _family(cfg, cls, seed, signal_file=None):
         except ValueError as exc:
             raise ConfigError(f"bad signals entry: {exc}") from exc
     if sigs:
-        bad = [i for i, s in enumerate(sigs)
-               if s.period is None or not validate_pe(s, cls).valid]
+        verdicts = iter(_pe_valid([s for s in sigs if s.period is not None], cls))
+        bad = [i for i, s in enumerate(sigs) if s.period is None or not next(verdicts)]
         if bad:
             raise ConfigError(f"signals {bad} are not periodic PE signals for this class")
         return sigs

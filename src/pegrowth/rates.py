@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .matcore import (as_matrix, multiset_residual, opnorm, parity_matrix,
                       nilpotent_shift, require_square, unit_vector)
-from .signals import EP_TOL, PESignal, SignalClass, _periodic, reverse, validate_pe
+from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _periodic, reverse
 
 __all__ = [
     "SearchBudget",
@@ -320,7 +320,7 @@ def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
 # validate_pe's window integrals are exact up to a few ulps of period + T
 # (at most 1.2 eps (period + T) in a probe of 20000 random candidates); a
 # candidate whose cell minimum lies within this multiple of period + T of
-# the threshold is left to validate_pe.
+# the threshold is left to the exact check.
 _CELL_BAND = 1e-13
 
 
@@ -330,73 +330,116 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     A candidate is a cyclic array of equal cells and the window T spans
     exactly ``time_grid`` of them, so its window integral is linear between
     cell boundaries and its minimum is the least sum of ``time_grid``
-    consecutive cells.  That sum decides the excitation check exactly;
-    ``validate_pe`` decides only the candidates whose minimum lies within
-    rounding distance of its threshold, so the family is the one that
-    ``validate_pe`` would accept.
+    consecutive cells.  That sum decides the excitation check exactly; the
+    exact check of ``validate_pe`` decides only the candidates whose minimum
+    lies within rounding distance of its threshold, so the family is the one
+    that ``validate_pe`` would accept.
+
+    Candidates are drawn in chunks, in the order of one-at-a-time draws;
+    each chunk's cell sums are screened in one pass, and the attempts are
+    then replayed in order up to the one that completes the family.  A
+    chunk holds as many attempts as the acceptance seen so far needs for
+    the signals still missing, so few chunks are screened and few draws
+    are wasted.
     """
     rng = np.random.default_rng(budget.seed)
     out: dict[bytes, PESignal] = {}
 
-    def push(sig: PESignal) -> None:
-        if validate_pe(sig, cls).valid:
-            add(sig)
+    def push(sigs) -> None:
+        for sig, valid in zip(sigs, _pe_valid(sigs, cls)):
+            if valid:
+                add(sig)
 
     def add(sig: PESignal) -> None:
         out.setdefault(sig.encoding_key(), sig)
 
     if budget.include_constants:
-        push(PESignal.constant(1.0, period=cls.T))
-        push(PESignal.constant(cls.floor, period=cls.T))
+        push([PESignal.constant(1.0, period=cls.T), PESignal.constant(cls.floor, period=cls.T)])
     grid = budget.time_grid
     step = cls.T / grid
     threshold = cls.mu - EP_TOL
     halves = max(1, budget.max_switches // 2)
     attempts = 0
     max_attempts = 80 * budget.size
+    start = len(out)
     while len(out) < budget.size and attempts < max_attempts:
-        attempts += 1
-        mult = int(rng.integers(1, budget.n_periods + 1))
-        cells = grid * mult
-        k = 2 * int(rng.integers(1, halves + 1))
-        if k >= cells:
+        want = budget.size - len(out)
+        if attempts:
+            want = -(-want * attempts // max(len(out) - start, 1))
+        chunk = min(want, max_attempts - attempts)
+        attempts += chunk
+        draws = []  # (mult, cuts, low, first_high) of the attempts that draw cuts
+        for _ in range(chunk):
+            mult = int(rng.integers(1, budget.n_periods + 1))
+            k = 2 * int(rng.integers(1, halves + 1))
+            if k >= grid * mult:
+                continue
+            cuts = rng.choice(grid * mult - 1, size=k - 1, replace=False) + 1
+            low = 0.0 if rng.random() < 0.7 else cls.floor
+            draws.append((mult, cuts, low, rng.random() < 0.5))
+        if not draws:
             continue
-        idx = np.sort(rng.choice(np.arange(1, cells), size=k - 1, replace=False))
-        bounds = np.concatenate([[0], idx, [cells]])
-        low = 0.0 if rng.random() < 0.7 else cls.floor
-        first_high = bool(rng.random() < 0.5)
-        is_high = np.arange(k) % 2 != first_high
-        widths = bounds[1:] - bounds[:-1]
-        high = is_high.repeat(widths)
-        ones = np.concatenate([[0], high, high[:grid]]).cumsum()
-        least = int((ones[grid:] - ones[:-grid]).min())
+        mult, cuts, low, first_high = zip(*draws)
+        mult, low, first_high = np.array(mult), np.array(low), np.array(first_high)
+        least, cells = _least_cell_sums(grid, mult, cuts, first_high)
         worst = (least + low * (grid - least)) * step
         band = _CELL_BAND * (mult + 1) * cls.T
-        if worst < threshold - band:
-            continue
-        values, durations = np.where(is_high, 1.0, low), widths * step
-        try:
-            if low < 1.0:
-                sig = _periodic(values, durations, mult * cls.T)
-            else:  # the constant 1: from_segments merges the segments
-                sig = PESignal.from_segments(zip(values.tolist(), durations.tolist()),
-                                             period=mult * cls.T)
-        except ValueError:
-            continue
-        if worst <= threshold + band:
-            push(sig)
-        else:
-            add(sig)
+        for d in np.flatnonzero(worst >= threshold - band):
+            if len(out) >= budget.size:
+                break
+            bounds = np.concatenate([[0], np.sort(cuts[d]), [cells[d]]])
+            is_high = np.arange(bounds.size - 1) % 2 != first_high[d]
+            values = np.where(is_high, 1.0, low[d])
+            durations = (bounds[1:] - bounds[:-1]) * step
+            try:
+                if low[d] < 1.0:
+                    sig = _periodic(values, durations, mult[d] * cls.T)
+                else:  # the constant 1: from_segments merges the segments
+                    sig = PESignal.from_segments(zip(values.tolist(), durations.tolist()),
+                                                 period=mult[d] * cls.T)
+            except ValueError:
+                continue
+            if worst[d] <= threshold + band[d]:
+                push([sig])
+            else:
+                add(sig)
     fill = 3
     while len(out) < budget.size:
         for v in np.linspace(cls.floor, 1.0, fill):
-            push(PESignal.constant(float(v), period=cls.T))
+            push([PESignal.constant(float(v), period=cls.T)])
             if len(out) >= budget.size:
                 break
         fill += 2
         if cls.floor == 1.0:  # every fill constant is the constant 1
             break
     return [out[key] for key in sorted(out)]
+
+
+def _least_cell_sums(grid: int, mult: np.ndarray, cuts, first_high: np.ndarray):
+    """The least number of high cells in ``grid`` consecutive cells of each
+    cyclic candidate, and each candidate's cell count.  A candidate has
+    ``grid * mult`` cells; the level switches at each of its ``cuts``, in
+    any order, and cell 0 is high when ``first_high`` is.
+
+    The cells are laid out for one period and the ``grid`` cells after it,
+    so that windows which wrap round are read whole.  The level switches at
+    every cut, back at the cell count (a candidate has an odd number of
+    cuts) and at every cut one period on."""
+    cells = grid * mult
+    width = cells.max() + grid
+    row = np.repeat(np.arange(len(cuts)), [c.size for c in cuts])
+    cut = np.concatenate(cuts)
+    row, at = (np.concatenate([row, np.arange(len(cuts)), row]),
+               np.concatenate([cut, cells, cut + cells[row]]))
+    keep = at < width
+    switches = np.zeros((len(cuts), width), dtype=np.int64)
+    switches[row[keep], at[keep]] = 1
+    level = (switches.cumsum(axis=1) + first_high[:, None]) & 1
+    ones = np.concatenate([np.zeros((len(cuts), 1), dtype=np.int64),
+                           level.cumsum(axis=1)], axis=1)
+    sums = ones[:, grid:] - ones[:, :-grid]
+    starts = np.arange(sums.shape[1]) < cells[:, None]
+    return np.where(starts, sums, grid).min(axis=1), cells
 
 
 def mirror_family(family) -> list[PESignal]:
@@ -435,7 +478,7 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     for i, s in enumerate(sigs):
         if s.period is None:
             raise ValueError(f"family[{i}] is not periodic")
-    valid = [s for s in sigs if validate_pe(s, cls).valid]
+    valid = [s for s, ok in zip(sigs, _pe_valid(sigs, cls)) if ok]
     if not valid:
         raise ValueError("no PE-valid signals in the family")
     return valid
@@ -769,12 +812,15 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     ed = unit_vector(d, d - 1).reshape(d, 1)
     bks, bks_minus = (ed @ k.reshape(1, d))[None], (ed @ k_minus.reshape(1, d))[None]
     table, table_minus = {}, {}
+    family = list(family)
+    if cls is not None:
+        verdicts = iter(_pe_valid([s for s in family if s.period is not None], cls))
     rows = []
     worst = 0.0
     for i, s in enumerate(family):
         if s.period is None:
             raise ValueError(f"family[{i}] is not periodic")
-        if cls is not None and not validate_pe(s, cls).valid:
+        if cls is not None and not next(verdicts):
             raise ValueError(f"family[{i}] fails the excitation check")
         rn, log_scale = _segment_product(j, bks, s.period_segments(), table)
         rn_minus, log_scale_minus = _segment_product(

@@ -153,23 +153,12 @@ class PESignal:
         out = self.values[idx]
         return float(out) if np.isscalar(t) else out
 
-    def _cum_at_breakpoints(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.values * self.durations)])
-
     def _antiderivative(self, x) -> np.ndarray:
         """Exact integral of the signal from 0 (periodic) or from the first
         breakpoint (aperiodic) to each entry of x, elementwise."""
         x = np.asarray(x, dtype=float)
         if self.period is not None:
-            per = self.period
-            cum = self._cum_at_breakpoints()
-            k = np.floor(x / per)
-            r = x - k * per
-            wrap = r >= per  # floating wrap guard
-            k = np.where(wrap, k + 1, k)
-            r = np.where(wrap, r - per, r)
-            i = np.searchsorted(self.breakpoints, r, side="right") - 1
-            return k * cum[-1] + cum[i] + self.values[i] * (r - self.breakpoints[i])
+            return _periodic_antiderivative(_layout([self]), x.reshape(1, -1)).reshape(x.shape)
         bk, vals = self.breakpoints, self.values
         cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
         i = np.minimum(np.searchsorted(bk, x, side="right") - 1, bk.size - 1)
@@ -294,21 +283,22 @@ def validate_pe(s: PESignal, cls: SignalClass, horizon: float | None = None) -> 
     in the window start, so the minimum is attained where the start or the
     end of the window hits a breakpoint; only that finite candidate set is
     evaluated, in one vectorised pass, and the first minimal start is
-    reported.  Periodic signals are checked over one period; aperiodic
-    signals need an explicit ``horizon`` and are checked on [0, horizon].
+    reported.  Periodic signals are checked over one period, by the same
+    pass that checks a whole list (``_least_windows``); aperiodic signals
+    need an explicit ``horizon`` and are checked on [0, horizon].
     """
     T, mu = cls.T, cls.mu
     if s.period is not None:
-        per = s.period
-        cand = np.concatenate([s.breakpoints, np.mod(s.breakpoints - T, per)])
-        cand = np.unique(np.mod(cand, per))
-    else:
-        if horizon is None:
-            raise ValueError("aperiodic signals need a validation horizon")
-        if horizon < T:
-            raise ValueError("horizon shorter than the window length T")
-        cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
-        cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
+        worst, start = _least_windows([s], T)
+        return PEValidation(valid=bool(worst[0] >= mu - EP_TOL),
+                            worst_window_start=float(start[0]),
+                            worst_integral=float(worst[0]))
+    if horizon is None:
+        raise ValueError("aperiodic signals need a validation horizon")
+    if horizon < T:
+        raise ValueError("horizon shorter than the window length T")
+    cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
+    cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
     end, start = s._antiderivative([cand + T, cand])
     window = end - start
     j = int(np.argmin(window))
@@ -316,6 +306,74 @@ def validate_pe(s: PESignal, cls: SignalClass, horizon: float | None = None) -> 
     return PEValidation(valid=bool(worst >= mu - EP_TOL),
                         worst_window_start=float(cand[j]),
                         worst_integral=worst)
+
+
+def _pe_valid(sigs, cls: SignalClass) -> np.ndarray:
+    """``validate_pe(s, cls).valid`` of every periodic signal of a list, in
+    one pass."""
+    if not sigs:
+        return np.zeros(0, dtype=bool)
+    return _least_windows(sigs, cls.T)[0] >= cls.mu - EP_TOL
+
+
+def _least_windows(sigs, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The least length-T window integral of every periodic signal of a
+    non-empty list, and the first window start that attains it, in one pass
+    over the padded layout of ``_layout``.  The padding breakpoints are read
+    as 0 while the candidate starts are formed, which only repeats real
+    candidates."""
+    layout = _layout(sigs)
+    bk, per = layout[0], layout[-1]
+    bk = np.where(bk < np.inf, bk, 0.0)
+    cand = np.mod(np.concatenate([bk, np.mod(bk - T, per)], axis=1), per)
+    cand.sort(axis=1)
+    at = _periodic_antiderivative(layout, np.concatenate([cand + T, cand], axis=1))
+    half = cand.shape[1]
+    window = at[:, :half] - at[:, half:]
+    first = np.argmin(window, axis=1)
+    rows = np.arange(len(sigs))
+    return window[rows, first], cand[rows, first]
+
+
+def _layout(sigs):
+    """Periodic signals padded to one ``(S, n)`` layout: breakpoints padded
+    with +inf, which no remainder reaches, values, the integral from 0 to
+    each breakpoint and to the period (values and durations are padded with
+    zeros, which leave it as it is), the segment counts and the periods.
+    Each real entry goes through the floating-point operations of a pass
+    over its signal alone, so a result does not depend on which signals
+    share the layout."""
+    sizes = [s.values.size for s in sigs]
+    counts = np.array(sizes)[:, None]
+    real = np.arange(max(sizes)) < counts
+    bk, vals, durs = (np.full(real.shape, fill) for fill in (np.inf, 0.0, 0.0))
+    bk[real] = np.concatenate([s.breakpoints for s in sigs])
+    vals[real] = np.concatenate([s.values for s in sigs])
+    durs[real] = np.concatenate([s.durations for s in sigs])
+    cum = np.concatenate([np.zeros(counts.shape), np.cumsum(vals * durs, axis=1)], axis=1)
+    return bk, vals, cum, counts, np.array([s.period for s in sigs])[:, None]
+
+
+def _periodic_antiderivative(layout, x: np.ndarray) -> np.ndarray:
+    """Exact integral from 0 to each entry of row s of x, of signal s of a
+    ``_layout``."""
+    bk, vals, cum, counts, per = layout
+    k = np.floor(x / per)
+    r = x - k * per
+    wrap = r >= per  # floating wrap guard
+    k = np.where(wrap, k + 1, k)
+    r = np.where(wrap, r - per, r)
+    # searchsorted(side="right") of each remainder in its row's breakpoints:
+    # a stable sort puts every breakpoint before the remainders equal to it.
+    order = np.argsort(np.concatenate([bk, r], axis=1), axis=1, kind="stable")
+    rows = np.arange(len(x))[:, None]
+    seen = np.empty(order.shape, dtype=np.intp)
+    seen[rows, order] = np.cumsum(order < bk.shape[1], axis=1)
+    # -1 where rounding leaves a remainder just below 0; it indexes from the
+    # end, as it does in one signal's arrays.
+    i = seen[:, bk.shape[1]:] - 1
+    j = i % counts
+    return k * cum[:, -1:] + cum[rows, i] + vals[rows, j] * (r - bk[rows, j])
 
 
 def reverse(s: PESignal) -> PESignal:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -222,20 +223,21 @@ class TestDualityGrid:
         return write_config(tmp_path, cfg)
 
     def test_validates_family_and_mirror_once(self, tmp_path, monkeypatch):
-        calls = []
-        validate_pe = rates.validate_pe
+        passes = []  # the signal count of every excitation pass
+        least_windows = signals._least_windows
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return validate_pe(*args, **kwargs)
+        def counted(sigs, T):
+            passes.append(len(sigs))
+            return least_windows(sigs, T)
 
-        monkeypatch.setattr(rates, "validate_pe", counted)
+        monkeypatch.setattr(signals, "_least_windows", counted)
         family = rates.bang_bang_family(SignalClass(1.0, 0.4),
                                         rates.SearchBudget(size=60, seed=7))
-        attempts = len(calls)
-        calls.clear()
+        in_family = list(passes)
+        passes.clear()
         assert run("duality-grid", self.grid_config(tmp_path), tmp_path / "g") == 0
-        assert len(calls) <= attempts + 2 * len(family)
+        # The family's own passes, then the whole mirror in one.
+        assert passes == in_family + [len(family)]
 
     def test_rd_mirror_is_evaluated_on_its_own_path(self, tmp_path, monkeypatch):
         reverse = rates.reverse
@@ -253,10 +255,54 @@ class TestDualityGrid:
         assert not json.loads((out / "summary.json").read_text())["per_gain_equal"]
 
 
+class TestGoldenOutputs:
+    """``duality-grid`` on the committed benchmark configs writes the bytes
+    recorded here: sha256 of ``grid.csv`` and of ``summary.json`` per config
+    and seed.  A change that is meant to be faster only must keep them."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    DIGESTS = {
+        ("chain_d2_mu0.40", 1): ("c0e02b855841c00233244b3ae4a9e9c7fa3e9f5b395234ef49addcf02f966f4c",
+                                 "ec0d8f4f84a0a1fbfb2d04d56e305af417186f3b732feba1ddeaed0adcb368c5"),
+        ("chain_d2_mu0.40", 2): ("cd8d47b33c19bb316e2e3f574cedca7de34b083dadf9d5c3f0502fa2ad414458",
+                                 "3aaa64bf0d7187d2fbcd3a71f66f581495487d9a357f01d86e8c16c8038084e6"),
+        ("chain_d2_mu0.95", 1): ("6e737000d7790e7e6e73b16ab74f2b291657188ce81477d616aa7537df1bfa8f",
+                                 "c0be6bcf3ff0d51cbc9ace20755d13a3a317c2d69e5d3816d3f70a3d43bc5bf4"),
+        ("chain_d2_mu0.95", 2): ("de88f07cedbc0ae8fd3c6a30b28cad6b723467f8ae8053652c96375b52c79e44",
+                                 "163323215db51498f7891f1d85c10f400e0540d60857a3525ddfc0bc4a18ffe7"),
+        ("chain_d3_mu0.40", 1): ("272119bcd474584839c13f71898d0f2ae36c7178e87e16c750da32d446adf5fe",
+                                 "4cc3015498cc3f1e6dd3d452d14c1fa54b6202b7e25cf8640f28fd154d515829"),
+        ("chain_d3_mu0.40", 2): ("a86d6b5964d9969172819a7774ce9b7d8b1fa8abe851c01b07c55ed5e9b2fd99",
+                                 "68a771e3297cc2f4567699e87eccf295bdf410df3469cd48a1ab2335b48f7c98"),
+        ("chain_d3_mu0.95", 1): ("b18b67f9b8d72626d4fa233a9a33435669a49fdfba84b5ad5837b2a853a52dc4",
+                                 "b23f91f3c0ca9690dcea0a8eecd406c754f701ff281233145e6478ef9dfda997"),
+        ("chain_d3_mu0.95", 2): ("76211bade5c0759b76a47b2bf3387c6fa198814ce030f3429014b810babe0ab6",
+                                 "14cdbe903dc965e1c0f3295531996284248db0b208d2d88eee518b29e2584a1f"),
+        ("chain_d4_mu0.40", 1): ("9c0be7dd15a0078940d2c4c689d751fe634a09a9f5916b355a1d4f3a0c5db8f7",
+                                 "f7cc5cc320045f7072d0ae3b10181bf85c499fd6bcc6a059d9e81cdaae2e7c70"),
+        ("chain_d4_mu0.40", 2): ("3886205b260601586b02c42753396fe475c90357ecf4b6af6164693fae5754bd",
+                                 "5c5db9a5b147976cebb6c93f9593319ea1134127bda94a606d4c0fec4e41777a"),
+        ("chain_d4_mu0.95", 1): ("4f21f9bb776fea857d139119e45f3a322359b058f56780a7274e9118619d4e2c",
+                                 "b2d6ab7bf98aa7ca21ec02cfe8d67d738a44284021ad59cf0e18f118cbc39cfa"),
+        ("chain_d4_mu0.95", 2): ("3886205b260601586b02c42753396fe475c90357ecf4b6af6164693fae5754bd",
+                                 "2a63a1e457fc69448556ffc30b8eb7f6502e69d2c55ca43a73a8537ffd3b73cc"),
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
+    def test_duality_grid_bytes(self, tmp_path, name, seed):
+        out = tmp_path / "g"
+        assert cli.main(["duality-grid", "--config", str(self.CONFIGS / f"{name}.json"),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                        for f in ("grid.csv", "summary.json"))
+        assert digests == self.DIGESTS[name, seed]
+
+
 class TestValidateOnce:
     """A budget family is validated once, inside ``bang_bang_family``; the
     CLI hands the budget to the library, which trusts the family it builds.
-    The mirrored family and explicit signals are still validated."""
+    The mirrored family and explicit signals are still validated, each list
+    in one pass."""
 
     SIGNALS = [{"breakpoints": [0.0], "values": [1.0], "period": 1.0},
                {"breakpoints": [0.0, 0.5], "values": [1.0, 0.0], "period": 1.0},
@@ -264,14 +310,17 @@ class TestValidateOnce:
 
     @staticmethod
     def counter(monkeypatch):
-        """Counts ``validate_pe`` calls inside and outside the family."""
-        calls = {"family": 0, "other": 0}
+        """Counts the signals that excitation passes check inside and
+        outside the family, and the passes outside it.  Every check, of one
+        signal or of a list, is a pass of ``signals._least_windows``."""
+        calls = {"family": 0, "other": 0, "passes": 0}
         inside = []
-        validate_pe, build = signals.validate_pe, rates.bang_bang_family
+        least_windows, build = signals._least_windows, rates.bang_bang_family
 
-        def counted(*args, **kwargs):
-            calls["family" if inside else "other"] += 1
-            return validate_pe(*args, **kwargs)
+        def counted(sigs, T):
+            calls["family" if inside else "other"] += len(sigs)
+            calls["passes"] += not inside
+            return least_windows(sigs, T)
 
         def family(*args, **kwargs):
             inside.append(True)
@@ -280,8 +329,7 @@ class TestValidateOnce:
             finally:
                 inside.pop()
 
-        for mod in (signals, rates, cli):
-            monkeypatch.setattr(mod, "validate_pe", counted)
+        monkeypatch.setattr(signals, "_least_windows", counted)
         monkeypatch.setattr(rates, "bang_bang_family", family)
         return calls
 
@@ -302,7 +350,7 @@ class TestValidateOnce:
         n = self.family_size()
         calls = self.counter(monkeypatch)
         assert run(sub, write_config(tmp_path, base_config()), tmp_path / "d") == 0
-        assert calls["family"] > 0 and calls["other"] == n
+        assert calls["family"] > 0 and calls["other"] == n and calls["passes"] == 1
 
     @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
     def test_explicit_signals_validated(self, tmp_path, monkeypatch, sub):
@@ -320,6 +368,15 @@ class TestValidateOnce:
         assert run(sub, write_config(tmp_path, base_config(signals=bad)), tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert err == "config error: signals [3] are not periodic PE signals for this class\n"
+
+    def test_bad_signals_listed_in_order(self, tmp_path, capsys):
+        """Aperiodic and non-PE entries are listed together, in order."""
+        weak = {"breakpoints": [0.0, 0.1], "values": [1.0, 0.0], "period": 1.0}
+        loose = {"breakpoints": [0.0], "values": [1.0], "period": None}
+        sigs = [weak, self.SIGNALS[0], loose, weak, self.SIGNALS[1]]
+        assert run("rates", write_config(tmp_path, base_config(signals=sigs)), tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: signals [0, 2, 3] are not periodic PE signals for this class\n"
 
 
 class TestExitCodes:
@@ -424,7 +481,9 @@ class TestExitCodes:
         ("invariant-set", "control_range", "[1.0, 0.5]"),
         ("invariant-set", "control_range", "[0.1, 0.5, 0.9]"),
         ("invariant-set", "control_range", '"12"'),
-        ("invariant-set", "mu", "1.0")])  # mu == T leaves the range [1, 1]
+        ("invariant-set", "mu", "1.0"),  # mu == T leaves the range [1, 1]
+        # json.loads refuses an integer literal past the str-int digit limit
+        pytest.param("duality-grid", "seed", "9" * 5000, id="duality-grid-seed-5000-digits")])
     def test_malformed_field_is_config_error(self, tmp_path, capsys, sub, field, literal):
         self.assert_field_error(tmp_path, capsys, sub, tuple(field.split(".")), literal)
 

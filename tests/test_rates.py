@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +190,24 @@ class TestFamilies:
         fam = rates.constant_family(CLS, 5)
         assert [s.values[0] for s in fam] == pytest.approx(
             list(np.linspace(0.4, 1.0, 5)))
+
+    def test_encoding_keys_pinned(self):
+        """The families of a small budget grid, pinned by a digest of their
+        encoding keys that was recorded from the one-candidate-at-a-time
+        search.  The grid covers mu = T (only the constant 1 is valid, and
+        the attempt cap ends the search), size 1, switch counts that do not
+        fit the cells, and single-period candidates."""
+        digest = hashlib.sha256()
+        for mu, size, max_switches, n_periods, time_grid, seed in itertools.product(
+                (0.4, 0.95, 1.0), (1, 6), (2, 8), (1, 3), (4, 16), (0, 1)):
+            fam = rates.bang_bang_family(SignalClass(1.0, mu), rates.SearchBudget(
+                n_periods=n_periods, max_switches=max_switches, time_grid=time_grid,
+                size=size, seed=seed))
+            digest.update(len(fam).to_bytes(4, "little"))
+            for s in fam:
+                digest.update(s.encoding_key())
+        assert digest.hexdigest() == \
+            "25975b378968434b818c183b44d1292107df32455a3816c4e6001d41dd1849ca"
 
 
 def reference_family(cls, budget):
@@ -445,6 +467,23 @@ class TestDualityGrid:
         with pytest.raises(ValueError):
             rates.duality_grid(a, b, [], CLS, rates.constant_family(CLS, 2))
 
+    def test_mirror_is_not_checked_one_signal_at_a_time(self, monkeypatch):
+        """The mirrored family is checked in one pass over the list, not by
+        a ``validate_pe`` call per mirrored signal."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return validate_pe(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "pegrowth" and getattr(mod, "validate_pe", None) is validate_pe:
+                monkeypatch.setattr(mod, "validate_pe", counted)
+        a, b, k = random_system(16)
+        budget = rates.SearchBudget(size=20, seed=4)
+        rep = rates.duality_grid(a, b, [k], CLS, budget)
+        assert len(rep.rd_mirror) == 1 and len(calls) < budget.size
+
 
 class TestFamilyRates:
     @pytest.mark.parametrize("d", [2, 5])
@@ -559,6 +598,23 @@ class TestParityDuality:
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError):
             rates.parity_duality_check(np.array([1.0, 0.0]), [])
+
+    def test_first_failing_entry_is_reported(self):
+        """The first entry that is aperiodic or fails the check is named,
+        whichever kind of failure it is."""
+        k = np.array([1.0, -2.0])
+        good = PESignal.constant(1.0, period=1.0)
+        weak = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)  # windows of 0.5 < 0.6
+        loose = PESignal([0.0], [1.0])
+        cls = SignalClass(1.0, 0.6)
+        with pytest.raises(ValueError, match=r"^family\[1\] is not periodic$"):
+            rates.parity_duality_check(k, [good, loose, weak], cls=cls)
+        with pytest.raises(ValueError, match=r"^family\[1\] fails the excitation check$"):
+            rates.parity_duality_check(k, [good, weak, loose], cls=cls)
+        with pytest.raises(ValueError, match=r"^family\[2\] is not periodic$"):
+            rates.parity_duality_check(k, iter([good, weak, loose]))
+        rep = rates.parity_duality_check(k, iter([good, weak]))
+        assert [row[0] for row in rep.per_signal] == [0, 1]
 
 
 def test_continuity_probe_report():

@@ -205,6 +205,78 @@ class TestValidateAgainstScalarLoop:
         assert s.integrate(t, t + width) == scalar_integral(s, t, t + width)
 
 
+def reference_periodic_check(s, cls):
+    """``validate_pe``'s periodic branch as a pass over one signal's own
+    arrays, the way it was computed before lists were checked together."""
+    T, per = cls.T, s.period
+    cand = np.concatenate([s.breakpoints, np.mod(s.breakpoints - T, per)])
+    cand = np.unique(np.mod(cand, per))
+    x = np.array([cand + T, cand])
+    cum = np.concatenate([[0.0], np.cumsum(s.values * s.durations)])
+    k = np.floor(x / per)
+    r = x - k * per
+    wrap = r >= per
+    k = np.where(wrap, k + 1, k)
+    r = np.where(wrap, r - per, r)
+    i = np.searchsorted(s.breakpoints, r, side="right") - 1
+    end, start = k * cum[-1] + cum[i] + s.values[i] * (r - s.breakpoints[i])
+    window = end - start
+    j = int(np.argmin(window))
+    return PEValidation(bool(window[j] >= cls.mu - EP_TOL), float(cand[j]), float(window[j]))
+
+
+@st.composite
+def periodic_lists(draw):
+    """A window length and a list of multi-segment periodic signals of
+    varied length and period, on a grid (ties between windows) or free."""
+    T = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    sigs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 8))
+        values = draw(st.lists(st.sampled_from([0.0, 0.4, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n))
+        scale = draw(st.sampled_from([0.05, 0.7, 3.0]))
+        if draw(st.booleans()):
+            durations = [scale * c / 16 for c in
+                         draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))]
+        else:
+            durations = draw(st.lists(st.floats(0.01 * scale, 2.0 * scale),
+                                      min_size=n, max_size=n))
+        sigs.append(PESignal.from_segments(zip(values, durations), period=sum(durations)))
+    return T, sigs
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestListCheck:
+    """One excitation pass over a list gives every signal the verdict, worst
+    integral and worst start of a pass over that signal alone."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=periodic_lists())
+    def test_matches_one_signal_passes_bit_for_bit(self, case):
+        T, sigs = case
+        worst, start = signals._least_windows(sigs, T)
+        refs = [reference_periodic_check(s, SignalClass(T, T)) for s in sigs]
+        assert [bits(w) for w in worst] == [bits(r.worst_integral) for r in refs]
+        assert [bits(t) for t in start] == [bits(r.worst_window_start) for r in refs]
+        # mu at each exact worst integral and one ulp either side of it
+        for s, ref in zip(sigs, refs):
+            w = ref.worst_integral
+            for mu in (np.nextafter(w, -np.inf), w, np.nextafter(w, np.inf)):
+                if not 0.0 < mu <= T:
+                    continue
+                cls = SignalClass(T, float(mu))
+                assert signals._pe_valid(sigs, cls).tolist() == [
+                    r.worst_integral >= cls.mu - EP_TOL for r in refs]
+                assert validate_pe(s, cls) == reference_periodic_check(s, cls)
+
+    def test_empty_list(self):
+        assert signals._pe_valid([], CLS).shape == (0,)
+
+
 class TestValidatePE:
     def test_constant_one(self):
         res = validate_pe(PESignal.constant(1.0, period=2.0), CLS)

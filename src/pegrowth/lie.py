@@ -292,9 +292,6 @@ def _real_eig_directions(M, tol=1e-9) -> list[np.ndarray]:
 
 
 def _quasi_uniform_directions(d: int, n: int, seed: int) -> list[np.ndarray]:
-    if d == 2:
-        thetas = (np.arange(n) + 0.5) * np.pi / n
-        return [np.array([np.cos(t), np.sin(t)]) for t in thetas]
     if d == 3:
         golden = np.pi * (3.0 - np.sqrt(5.0))
         pts = []
@@ -322,11 +319,15 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
 
     At each sampled direction x the vectors ``Mx - (x'Mx)x`` over the closure
     basis must span the full tangent space (rank d-1).  The sample set mixes
-    quasi-uniform directions with the eigendirections of A, A + BK, and of a
-    few random elements of the closure itself: rank deficiency lives on
-    invariant subspaces, and eigendirections of algebra elements land inside
-    them even when the uniform samples miss.  The closure basis is that of
-    D + span{A, BK}; ``derived`` as in ``check_larc``.
+    ``samples`` quasi-uniform directions with the eigendirections of A,
+    A + BK, and of a few random elements of the closure itself: rank
+    deficiency lives on invariant subspaces, and eigendirections of algebra
+    elements land inside them even when the uniform samples miss.  At d = 2
+    the uniform samples are left out: rank 1 fails only at a common
+    eigendirection of the whole algebra, which is an eigendirection of A,
+    or of A + BK when A is scalar; ``samples`` does not shape d = 2.  The
+    closure basis is that of D + span{A, BK}; ``derived`` as in
+    ``check_larc``.
     """
     a, f = _closed_loop(A, B, K)
     d = a.shape[0]
@@ -341,7 +342,7 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
         return RankCertificate("PLARC", False, 0, tol=tol, n_samples=0)
     L = basis.rows.reshape(-1, d, d)
 
-    pts = _quasi_uniform_directions(d, samples, seed)
+    pts = _quasi_uniform_directions(d, samples, seed) if d != 2 else []
     pts.extend(_real_eig_directions(a))
     pts.extend(_real_eig_directions(a + f))
     rng = np.random.default_rng(seed + 1)

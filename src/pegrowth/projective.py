@@ -240,15 +240,21 @@ class CircleArcSet:
 
     def contains(self, theta, inflate: float = 0.0):
         """Membership test (arrays ok), with optional symmetric inflation."""
-        t = wrap_angle(np.asarray(theta, dtype=float))
-        inside = np.zeros_like(t, dtype=bool)
+        inside = self._covers(wrap_angle(np.asarray(theta, dtype=float)), inflate)
+        return inside if inside.ndim else bool(inside)
+
+    def _covers(self, t, inflate: float):
+        """``contains`` for an array of angles already wrapped into [0, pi]."""
+        inside = np.zeros(t.shape, dtype=bool)
         for lo, hi in self.arcs:
             lo_i, hi_i = lo - inflate, hi + inflate
-            inside |= (t >= lo_i) & (t < hi_i)
-            # inflation may spill across the pi-wrap
-            inside |= (t - np.pi >= lo_i) & (t - np.pi < hi_i)
-            inside |= (t + np.pi >= lo_i) & (t + np.pi < hi_i)
-        return inside if inside.ndim else bool(inside)
+            # inflation may spill across the pi-wrap; as t <= pi, t - pi >= lo_i
+            # needs lo_i <= 0, and as t >= 0, t + pi < hi_i needs hi_i > pi
+            for u in (t, t - np.pi if lo_i <= 0.0 else None,
+                      t + np.pi if hi_i > np.pi else None):
+                if u is not None:
+                    inside |= (u >= lo_i) & (u < hi_i)
+        return inside
 
     def to_json(self) -> dict:
         return {"arcs": [[float(lo), float(hi)] for lo, hi in self.arcs]}
@@ -380,8 +386,7 @@ class _Planar:
                    self.sense(theta0, target, -1.0, max_time), key=lambda r: r[0])
 
 
-def invariant_control_set_d2(A, B, K, control_range, plarc_samples: int = 64,
-                             seed: int = 0) -> InvariantSetResult:
+def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> InvariantSetResult:
     """Exact invariant control set on the half-circle.
 
     Control sets of a one-dimensional system are arcs bounded by equilibria
@@ -396,7 +401,7 @@ def invariant_control_set_d2(A, B, K, control_range, plarc_samples: int = 64,
     lo, hi = float(control_range[0]), float(control_range[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
-    cert = lie.check_plarc(A, B, K, samples=plarc_samples, seed=seed)
+    cert = lie.check_plarc(A, B, K, seed=seed)
     if not cert.verdict:
         return InvariantSetResult(False, None, 0, cert)
     arcs, n_sinks = _Planar(A, B, K, (lo, hi)).sink_arcs()
@@ -437,62 +442,94 @@ class InvarianceAudit:
 _AUDIT_BLOCK = 1 << 14
 
 
-def _projective_step(m, t: float) -> np.ndarray:
-    """A matrix proportional to ``expm(m t)`` for a stack of 2x2 ``m``.
+def _projective_steps(m, times) -> list:
+    """Matrices proportional to ``expm(m t)`` for each t of ``times``, for
+    a 2x2 ``m`` given by its entry arrays ``(m00, m01, m10, m11)``, and
+    returned the same way.
 
     With N the traceless part of m, ``q = -det N`` and ``r = sqrt|q|``,
     ``expm(N t)`` is proportional to ``I + (tanh(rt)/r) N`` when q > 0, to
     ``cos(rt) I + (sin(rt)/r) N`` when q < 0 and to ``I + tN`` when q = 0;
     the factor ``exp(t tr(m) / 2)`` is dropped.  Only directions matter, and
-    no entry can overflow.
+    no entry can overflow.  The entries of N, q and r are shared by all the
+    times.
     """
-    shape = np.shape(m)
-    m = np.asarray(m, dtype=float).reshape(-1, 2, 2)
-    half = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
-    n01, n10 = m[:, 0, 1], m[:, 1, 0]
-    q = half * half + n01 * n10
+    m00, m01, m10, m11 = (np.asarray(x, dtype=float) for x in m)
+    half = 0.5 * (m00 - m11)
+    q = half * half + m01 * m10
     r = np.sqrt(np.abs(q))
-    rt = r * t
     # cos and sin only where q < 0: they cost about ten times tanh
     neg = q < 0.0
-    c = np.cos(rt, out=np.ones_like(rt), where=neg)
-    s = np.sin(rt, out=np.tanh(rt), where=neg)
-    s = np.divide(s, r, out=np.full_like(r, t), where=q != 0.0)
-    out = np.empty(m.shape)
-    out[:, 0, 0] = c + s * half
-    out[:, 0, 1] = s * n01
-    out[:, 1, 0] = s * n10
-    out[:, 1, 1] = c - s * half
-    return out.reshape(shape)
+    turning = neg.any()
+    nonzero = q != 0.0
+    shear = not nonzero.all()
+    out = []
+    for t in times:
+        rt = r * t
+        s = np.tanh(rt)
+        if turning:
+            c = np.cos(rt, out=np.ones_like(rt), where=neg)
+            np.sin(rt, out=s, where=neg)
+        else:
+            c = 1.0  # 1.0 + x has the bits of ones + x
+        if shear:
+            s = np.divide(s, r, out=np.full_like(r, t), where=nonzero)
+        else:
+            s /= r
+        sh = s * half
+        out.append((c + sh, s * m01, s * m10, c - sh))
+    return out
 
 
 def _flow_block(m, x0, x1, dt: float, hold: int):
     """Exact samples of ``x' = m[w] x`` over consecutive hold windows.
 
-    ``m`` stacks the matrices of ``nw`` windows for ``n`` trajectories,
-    shape (nw, n, 2, 2), and (x0, x1) are the directions at the start of
-    the first window.  Returns the angles at the ``hold`` multiples of
-    ``dt`` inside each window, shape (nw * hold, n), and the unit
-    directions at the end of the last window.
+    ``m`` holds the four entry arrays of the matrices of ``nw`` windows for
+    ``n`` trajectories, each of shape (nw, n), and (x0, x1) the directions
+    at the start of the first window; they are advanced in place to the
+    unit directions at the end of the last window.  Returns the angles at
+    the ``hold`` multiples of ``dt`` inside each window, in (-pi, pi] as
+    ``arctan2`` gives them, shape (nw * hold, n).
     """
-    nw, n = m.shape[:2]
+    nw, n = m[0].shape
+    (p00, p01, p10, p11), (e00, e01, e10, e11) = _projective_steps(m, (hold * dt, dt))
     # window starts, chained with the hold * dt matrix and renormalised
-    chain = _projective_step(m, hold * dt)
-    y0, y1 = np.empty((nw, n)), np.empty((nw, n))
-    for w in range(nw):
-        y0[w], y1[w] = x0, x1
-        p = chain[w]
-        x0, x1 = p[:, 0, 0] * x0 + p[:, 0, 1] * x1, p[:, 1, 0] * x0 + p[:, 1, 1] * x1
-        norm = np.hypot(x0, x1)
-        x0, x1 = x0 / norm, x1 / norm
-    # the samples inside each window, all windows at once
-    e = _projective_step(m, dt)
-    e00, e01, e10, e11 = e[..., 0, 0], e[..., 0, 1], e[..., 1, 0], e[..., 1, 1]
-    u0, u1 = np.empty((nw, hold, n)), np.empty((nw, hold, n))
-    for j in range(hold):
-        y0, y1 = e00 * y0 + e01 * y1, e10 * y0 + e11 * y1
-        u0[:, j], u1[:, j] = y0, y1
-    return np.arctan2(u1, u0, out=u0).reshape(nw * hold, n), x0, x1
+    y0, y1 = np.empty((nw + 1, n)), np.empty((nw + 1, n))
+    y0[0], y1[0] = x0, x1
+    tmp = np.empty(n)
+    for a0, a1, b0, b1, q00, q01, q10, q11 in zip(y0, y1, y0[1:], y1[1:], p00, p01, p10, p11):
+        np.multiply(q00, a0, out=b0)
+        b0 += np.multiply(q01, a1, out=tmp)
+        np.multiply(q10, a0, out=b1)
+        b1 += np.multiply(q11, a1, out=tmp)
+        np.hypot(b0, b1, out=tmp)
+        b0 /= tmp
+        b1 /= tmp
+    x0[:], x1[:] = y0[nw], y1[nw]
+    # the samples inside each window, all windows at once; sample j of every
+    # window is one contiguous (nw, n) slice
+    tmp = np.empty((nw, n))
+    u0, u1 = np.empty((hold, nw, n)), np.empty((hold, nw, n))
+    a0, a1 = y0[:nw], y1[:nw]
+    for b0, b1 in zip(u0, u1):
+        np.multiply(e00, a0, out=b0)
+        b0 += np.multiply(e01, a1, out=tmp)
+        np.multiply(e10, a0, out=b1)
+        b1 += np.multiply(e11, a1, out=tmp)
+        a0, a1 = b0, b1
+    theta = np.empty((nw, hold, n))
+    np.arctan2(u1, u0, out=theta.transpose(1, 0, 2))
+    return theta.reshape(nw * hold, n)
+
+
+def _wrap_arctan2(theta):
+    """``wrap_angle`` of angles in [-pi, pi], such as those of ``arctan2``:
+    there ``fmod(theta, pi)`` is theta itself except at +-pi, so the wrap
+    adds pi to the negative angles and maps pi to 0.  A tiny negative angle
+    whose sum with pi rounds to pi stays pi, as in ``wrap_angle``."""
+    t = theta + (theta < 0.0) * np.pi
+    t[theta == np.pi] = 0.0
+    return t
 
 
 def _excursion(arcs: CircleArcSet, theta) -> float:
@@ -514,7 +551,7 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     cells (``2 pi / resolution`` by default, a cell being
     ``pi / resolution``).  Controls are piecewise constant, redrawn
     uniformly from the control range every ``hold = 8`` steps.  The flow of
-    ``x' = (A + alpha BK) x`` is exact (``_projective_step``); ``dt`` is only
+    ``x' = (A + alpha BK) x`` is exact (``_projective_steps``); ``dt`` is only
     its sampling step, and the set is checked at every multiple of ``dt`` up
     to ``ceil(horizon / dt)`` steps.  The audit reads only A, B, K and the
     control range, so it stays independent of the closed forms it checks.
@@ -542,10 +579,10 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
         alpha = lo + (hi - lo) * rng.random((min(per_block, windows - w0), n_traj))
         for c in range(0, n_traj, chunk):
             part = slice(c, c + chunk)
-            m = a + alpha[:, part, None, None] * bk
-            theta, x0[part], x1[part] = _flow_block(m, x0[part], x1[part], dt, hold)
-            theta = theta[:steps - w0 * hold]
-            inside = arcs.contains(theta, inflate=inflate)
+            al = alpha[:, part]
+            m = [a[i, j] + al * bk[i, j] for i in (0, 1) for j in (0, 1)]
+            theta = _flow_block(m, x0[part], x1[part], dt, hold)[:steps - w0 * hold]
+            inside = arcs._covers(_wrap_arctan2(theta), inflate)
             if not inside.all():
                 ok = False
                 worst = max(worst, _excursion(arcs, theta[~inside]))

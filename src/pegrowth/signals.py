@@ -14,6 +14,7 @@ involution at the floating-point level.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -126,9 +127,9 @@ class PESignal:
                 durs.append(float(dur))
         if not vals:
             raise ValueError("signal needs at least one segment of positive length")
-        bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
         if period is None:
-            return cls(bk, vals, None)
+            return _aperiodic(vals, durs)
+        bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
         return cls(bk, np.asarray(vals), period, durations=np.asarray(durs))
 
     @classmethod
@@ -339,41 +340,40 @@ def _layout(sigs):
     """Periodic signals padded to one ``(S, n)`` layout: breakpoints padded
     with +inf, which no remainder reaches, values, the integral from 0 to
     each breakpoint and to the period (values and durations are padded with
-    zeros, which leave it as it is), the segment counts and the periods.
+    zeros, which leave it as it is) and the periods.
     Each real entry goes through the floating-point operations of a pass
     over its signal alone, so a result does not depend on which signals
     share the layout."""
-    sizes = [s.values.size for s in sigs]
-    counts = np.array(sizes)[:, None]
-    real = np.arange(max(sizes)) < counts
+    sizes = np.array([s.values.size for s in sigs])[:, None]
+    real = np.arange(sizes.max()) < sizes
     bk, vals, durs = (np.full(real.shape, fill) for fill in (np.inf, 0.0, 0.0))
     bk[real] = np.concatenate([s.breakpoints for s in sigs])
     vals[real] = np.concatenate([s.values for s in sigs])
     durs[real] = np.concatenate([s.durations for s in sigs])
-    cum = np.concatenate([np.zeros(counts.shape), np.cumsum(vals * durs, axis=1)], axis=1)
-    return bk, vals, cum, counts, np.array([s.period for s in sigs])[:, None]
+    cum = np.concatenate([np.zeros(sizes.shape), np.cumsum(vals * durs, axis=1)], axis=1)
+    return bk, vals, cum, np.array([s.period for s in sigs])[:, None]
 
 
 def _periodic_antiderivative(layout, x: np.ndarray) -> np.ndarray:
     """Exact integral from 0 to each entry of row s of x, of signal s of a
     ``_layout``."""
-    bk, vals, cum, counts, per = layout
+    bk, vals, cum, per = layout
     k = np.floor(x / per)
     r = x - k * per
-    wrap = r >= per  # floating wrap guard
-    k = np.where(wrap, k + 1, k)
-    r = np.where(wrap, r - per, r)
+    # floating wrap guards: x / per can round onto the next or the previous
+    # integer, leaving r a rounding error past either end of [0, per)
+    wrap, under = r >= per, r < 0.0
+    if wrap.any() or under.any():
+        k = np.where(wrap, k + 1, np.where(under, k - 1, k))
+        r = np.where(wrap, r - per, np.where(under, r + per, r))
     # searchsorted(side="right") of each remainder in its row's breakpoints:
     # a stable sort puts every breakpoint before the remainders equal to it.
     order = np.argsort(np.concatenate([bk, r], axis=1), axis=1, kind="stable")
     rows = np.arange(len(x))[:, None]
     seen = np.empty(order.shape, dtype=np.intp)
     seen[rows, order] = np.cumsum(order < bk.shape[1], axis=1)
-    # -1 where rounding leaves a remainder just below 0; it indexes from the
-    # end, as it does in one signal's arrays.
     i = seen[:, bk.shape[1]:] - 1
-    j = i % counts
-    return k * cum[:, -1:] + cum[rows, i] + vals[rows, j] * (r - bk[rows, j])
+    return k * cum[:, -1:] + cum[rows, i] + vals[rows, i] * (r - bk[rows, i])
 
 
 def reverse(s: PESignal) -> PESignal:
@@ -387,6 +387,17 @@ def reverse(s: PESignal) -> PESignal:
     return _periodic(s.values[::-1], s.durations[::-1], s.period)
 
 
+def _unchecked(bk, vals, durs, period) -> PESignal:
+    """A ``PESignal`` of fields its caller has checked, frozen as
+    ``__post_init__`` freezes them."""
+    out = object.__new__(PESignal)
+    object.__setattr__(out, "breakpoints", _freeze(bk))
+    object.__setattr__(out, "values", _freeze(vals))
+    object.__setattr__(out, "durations", _freeze(durs))
+    object.__setattr__(out, "period", None if period is None else float(period))
+    return out
+
+
 def _periodic(vals, durs, period: float) -> PESignal:
     """The periodic signal of segment values and durations that are already
     valid: values in [0, 1], positive finite durations, a positive finite
@@ -396,12 +407,23 @@ def _periodic(vals, durs, period: float) -> PESignal:
     bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
     if bk[-1] >= period or np.any(bk[1:] <= bk[:-1]):
         return PESignal(bk, vals, period, durations=durs)
-    out = object.__new__(PESignal)
-    object.__setattr__(out, "breakpoints", _freeze(bk))
-    object.__setattr__(out, "values", _freeze(vals))
-    object.__setattr__(out, "durations", _freeze(durs))
-    object.__setattr__(out, "period", float(period))
-    return out
+    return _unchecked(bk, vals, durs, period)
+
+
+def _aperiodic(vals: list, durs: list) -> PESignal:
+    """The aperiodic signal of segment values and positive durations, given
+    as short lists.  The breakpoints are the partial sums in Python, which
+    add in the order of ``np.cumsum``, and the values and breakpoints are
+    checked there, at less cost than numpy calls on a few entries; if a
+    check fails, the validating constructor raises."""
+    bk = [0.0]
+    for dur in durs[:-1]:
+        bk.append(bk[-1] + dur)
+    gaps = [b - a for a, b in zip(bk, bk[1:])]
+    if (not all(0.0 <= v <= 1.0 for v in vals) or not math.isfinite(bk[-1])
+            or not all(g > 0.0 for g in gaps)):
+        return PESignal(np.array(bk), vals, None)
+    return _unchecked(np.array(bk), np.array(vals), np.array(gaps), None)
 
 
 def splice_periodic(prefix: PESignal, t: float, steering: PESignal, tau: float,

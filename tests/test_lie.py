@@ -65,10 +65,17 @@ def reference_closure(generators, tol=DEFAULT_RANK_TOL):
 
 def reference_plarc(a, f, seed=0, tol=DEFAULT_RANK_TOL):
     """(verdict, dim) of the projected rank certificate by the per-sample
-    loop over the reference closure, with the library's sample set."""
+    loop over the reference closure.  The sample set is the one the library
+    used before it dropped the uniform samples at d = 2: 64 midpoints of
+    equal cells of the half-circle there, the library's quasi-uniform
+    directions for d >= 3."""
     d = a.shape[0]
     L = np.array(reference_closure([a, f], tol)).reshape(-1, d, d)
-    pts = lie._quasi_uniform_directions(d, max(2 * d, 64), seed)
+    n = max(2 * d, 64)
+    if d == 2:
+        pts = [np.array([np.cos(t), np.sin(t)]) for t in (np.arange(n) + 0.5) * np.pi / n]
+    else:
+        pts = lie._quasi_uniform_directions(d, n, seed)
     pts += lie._real_eig_directions(a) + lie._real_eig_directions(a + f)
     rng = np.random.default_rng(seed + 1)
     for _ in range(3):
@@ -280,6 +287,35 @@ class TestPlarc:
             cert = lie.check_plarc(a, np.eye(d), f)
             assert (cert.verdict, cert.dim) == reference_plarc(a, f)
             assert cert.verdict == (not cert.failing_samples)
+
+    def test_d2_matches_the_uniform_sample_set(self):
+        """At d = 2 the certificate samples only eigendirections; its verdict
+        and dim are those of the sample set with 64 uniform directions, on
+        generic pairs, on pairs with a common eigendirection, exact and
+        perturbed, on scalar A and on rotation pairs.  The perturbations
+        stay clear of the rank tolerance, where the two closures may differ
+        in dim."""
+        rng = np.random.default_rng(29)
+        eps = (1e-4, 1e-5, 1e-6, 1e-13, 1e-14)
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        cases = []
+        for i in range(30):
+            cases.append((rng.standard_normal((2, 2)), rng.standard_normal((2, 2))))
+            p = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+            pinv = np.linalg.inv(p)
+            a, f = (p @ np.triu(rng.standard_normal((2, 2))) @ pinv for _ in range(2))
+            cases.append((a, f))
+            cases.append((a, f + eps[i % 5] * rng.standard_normal((2, 2))))
+            cases.append((rng.standard_normal() * np.eye(2), f))
+            cases.append(tuple(rng.standard_normal() * np.eye(2) + rng.standard_normal() * rot
+                               for _ in range(2)))
+        verdicts = set()
+        for i, (a, f) in enumerate(cases):
+            cert = lie.check_plarc(a, np.eye(2), f, seed=i)
+            assert (cert.verdict, cert.dim) == reference_plarc(a, f, seed=i), i
+            assert cert.verdict == (not cert.failing_samples)
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
 
     def test_rotation_without_input(self):
         cert = lie.check_plarc(ROT, np.zeros((2, 1)), [[0.0, 0.0]])

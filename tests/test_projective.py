@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -224,6 +226,71 @@ class TestCircleArcSet:
         assert arcs.measure() == pytest.approx(0.5)
 
 
+def reference_contains(arcs, theta, inflate=0.0):
+    """``CircleArcSet.contains`` as it was before its comparisons were
+    pruned: all six comparisons per arc, on ``np.mod``, whose bits
+    ``wrap_angle`` has."""
+    t = np.mod(np.asarray(theta, dtype=float), np.pi)
+    inside = np.zeros(t.shape, dtype=bool)
+    for lo, hi in arcs.arcs:
+        lo_i, hi_i = lo - inflate, hi + inflate
+        inside |= (t >= lo_i) & (t < hi_i)
+        inside |= (t - np.pi >= lo_i) & (t - np.pi < hi_i)
+        inside |= (t + np.pi >= lo_i) & (t + np.pi < hi_i)
+    return inside
+
+
+EDGES = np.array([np.pi, -np.pi, 0.0, -0.0, -1e-17, 1e-17, 5e-324, -5e-324,
+                  np.nextafter(np.pi, 0.0), -np.nextafter(np.pi, 0.0), np.pi / 2, -np.pi / 2])
+
+
+class TestPrunedMembership:
+    # each inflated arc set makes a different subset of the comparisons run:
+    # lo - inflate < 0 (t - pi), hi + inflate > pi (t + pi), both, neither,
+    # a wrapping arc beside a plain one, and lo - inflate == 0 exactly
+    SETS = [(((0.01, 0.5),), 0.05), (((2.9, 3.13),), 0.05), (((0.02, 3.12),), 0.05),
+            (((0.6, 1.7),), 0.05), (((0.3, 0.9), (2.0, 3.3)), 0.01),
+            (((0.0, 0.5),), 0.0), (((2.5, np.pi),), 0.0), (((0.0, np.pi),), 0.0)]
+
+    @staticmethod
+    def angles():
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 20000))
+        atan = np.arctan2(x[1], x[0])
+        return np.concatenate([atan, EDGES, -EDGES, np.linspace(-np.pi, np.pi, 4097)])
+
+    @pytest.mark.parametrize("arcs, inflate", SETS)
+    def test_contains_matches_all_six_comparisons(self, arcs, inflate):
+        arcs = prj.CircleArcSet(arcs=arcs)
+        theta = np.concatenate([self.angles(), np.linspace(-20.0, 20.0, 8001), EDGES + np.pi])
+        np.testing.assert_array_equal(arcs.contains(theta, inflate=inflate),
+                                      reference_contains(arcs, theta, inflate))
+
+    @pytest.mark.parametrize("arcs, inflate", SETS)
+    def test_audit_wrap_matches_contains(self, arcs, inflate):
+        arcs = prj.CircleArcSet(arcs=arcs)
+        theta = self.angles()
+        np.testing.assert_array_equal(arcs._covers(prj._wrap_arctan2(theta), inflate),
+                                      reference_contains(arcs, theta, inflate))
+        # the same angles as wrap_angle, up to the sign of a zero
+        np.testing.assert_array_equal((prj._wrap_arctan2(theta) + 0.0).view(np.int64),
+                                      prj.wrap_angle(theta).view(np.int64))
+
+    @pytest.mark.parametrize("arcs, expected", [
+        (((0.0, 0.5),), [True, True, True, True]),
+        (((2.5, np.pi),), [False, False, False, False]),
+        (((2.5, 3.5),), [True, True, True, True]),
+        (((0.5, 1.0),), [False, False, False, False]),
+    ])
+    def test_pinned_edges(self, arcs, expected):
+        # pi and -pi wrap to 0, -0.0 to 0, and -1e-17 to pi (-1e-17 + pi
+        # rounds to pi), which the t - pi comparison maps back to 0
+        arcs = prj.CircleArcSet(arcs=arcs)
+        theta = [np.pi, -np.pi, -0.0, -1e-17]
+        assert [arcs.contains(t) for t in theta] == expected
+        assert arcs._covers(prj._wrap_arctan2(np.array(theta)), 0.0).tolist() == expected
+
+
 class TestClosedForms:
     def test_zeros_are_zeros(self):
         for a, b, k, crange in random_pairs(50, seed=3):
@@ -408,6 +475,15 @@ def rk4_audit(A, B, K, control_range, arcs, start_angles, n_signals=50,
                                n_trajectories=theta.size)
 
 
+def projective_step(m, t):
+    """``prj._projective_steps`` for one time on a 2x2 matrix or a stack of
+    them, with the entries put back into matrices."""
+    shape = np.shape(m)
+    m = np.asarray(m, dtype=float).reshape(-1, 2, 2)
+    (e,) = prj._projective_steps((m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]), [t])
+    return np.stack(e, axis=-1).reshape(shape)
+
+
 class TestProjectiveStep:
     @pytest.mark.parametrize("m, sign", [
         ([[1.0, 0.2], [0.7, -1.0]], +1),     # saddle: q > 0
@@ -423,7 +499,7 @@ class TestProjectiveStep:
         assert np.sign(-np.linalg.det(n)) == sign
         rng = np.random.default_rng(2)
         for t in (1.0 / 256.0, 0.1, 1.0, 3.7):
-            step = prj._projective_step(m, t)
+            step = projective_step(m, t)
             for x in rng.standard_normal((4, 2)):
                 np.testing.assert_allclose(prj.proj_point(step @ x),
                                            prj.proj_point(expm(m * t) @ x), rtol=0.0, atol=1e-12)
@@ -432,20 +508,20 @@ class TestProjectiveStep:
         rng = np.random.default_rng(7)
         ms = rng.standard_normal((3, 5, 2, 2))
         ms[0, 0] = [[0.0, 1.0], [0.0, 0.0]]
-        stacked = prj._projective_step(ms, 0.3)
+        stacked = projective_step(ms, 0.3)
         for idx in np.ndindex(3, 5):
-            np.testing.assert_array_equal(stacked[idx], prj._projective_step(ms[idx], 0.3))
+            np.testing.assert_array_equal(stacked[idx], projective_step(ms[idx], 0.3))
 
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_finite_when_stiff(self, scale):
         # r t = scale: expm(M t) overflows for the saddle; the step does not
         saddle = scale * np.diag([1.0, -1.0])
-        step = prj._projective_step(saddle, 1.0)
+        step = projective_step(saddle, 1.0)
         assert np.isfinite(step).all()
         np.testing.assert_allclose(prj.proj_point(step @ [0.3, 0.8]), [1.0, 0.0], atol=1e-15)
         # the rotation by r t = scale keeps unit length
         rot = scale * ROT
-        step = prj._projective_step(rot, 1.0)
+        step = projective_step(rot, 1.0)
         assert np.isfinite(step).all()
         assert abs(np.linalg.det(step) - 1.0) < 1e-12
         x = step @ [1.0, 0.0]
@@ -491,6 +567,32 @@ class TestInvarianceAudit:
                 assert exact.max_excursion == pytest.approx(ref.max_excursion,
                                                             rel=0.0, abs=1e-9), name
         assert not ref.ok  # the focus leaves its arc
+
+    # (ok, max_excursion.hex(), n_trajectories) per case, horizon and seed,
+    # recorded before the audit's propagator and membership test were fused
+    PINNED = {
+        ("c12", 0.5, 3): (True, "0x0.0p+0", 48), ("c12", 0.5, 8): (True, "0x0.0p+0", 48),
+        ("c12", 3.0, 3): (True, "0x0.0p+0", 48), ("c12", 3.0, 8): (True, "0x0.0p+0", 48),
+        ("c12 shrunk", 0.5, 3): (False, "0x1.f8d8703fc6200p-6", 48),
+        ("c12 shrunk", 0.5, 8): (False, "0x1.ef2e16535db00p-7", 48),
+        ("c12 shrunk", 3.0, 3): (False, "0x1.f8d8703fc6200p-6", 48),
+        ("c12 shrunk", 3.0, 8): (False, "0x1.4dd53bb720c00p-6", 48),
+        ("saddle", 0.5, 3): (True, "0x0.0p+0", 48), ("saddle", 0.5, 8): (True, "0x0.0p+0", 48),
+        ("saddle", 3.0, 3): (True, "0x0.0p+0", 48), ("saddle", 3.0, 8): (True, "0x0.0p+0", 48),
+        ("focus", 0.5, 3): (False, "0x1.c32502865dd8cp-1", 48),
+        ("focus", 0.5, 8): (False, "0x1.bfc1cb9229610p-1", 48),
+        ("focus", 3.0, 3): (False, "0x1.121ec48ca45f0p+0", 48),
+        ("focus", 3.0, 8): (False, "0x1.121e133abd4cap+0", 48),
+    }
+
+    def test_pinned_results(self):
+        for name, args in self.cases():
+            for horizon in (0.5, 3.0):
+                for seed in (3, 8):
+                    audit = prj.forward_invariance_audit(*args, n_signals=4, horizon=horizon,
+                                                         seed=seed, resolution=2048)
+                    got = (audit.ok, audit.max_excursion.hex(), audit.n_trajectories)
+                    assert got == self.PINNED[name, horizon, seed], (name, horizon, seed)
 
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         for name, args in self.cases():
@@ -714,3 +816,81 @@ def test_tangential_double_root_blocks_both_senses(b, k):
     st = prj.steer_d2(prj.point_of(2.0), prj.point_of(0.5), a, b, k, RANGE)
     speed = 1.0 + (RANGE[1] if k[0, 1] else 0.0)  # the greedy control is hi
     assert st.tau == pytest.approx((1 / np.tan(0.5) - 1 / np.tan(2.0)) / speed, rel=1e-12)
+
+
+def matrix_json(m) -> dict:
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": [float(x) for x in m.ravel()]}
+
+
+class TestGoldenPlanar:
+    """c12 and two fixed rotated, perturbed variants of it, run as the
+    planar benchmark runs them: ``pegrowth invariant-set`` at resolution
+    4096, the invariance audit from 16 boundary points with 8 signals each
+    over 4 time units, a steering-time bound on a 32-point mesh and eight
+    ``steer_d2`` queries to one target.  The sha256 of ``summary.json`` and
+    of the audit, bound and steering record are pinned; a change that is
+    meant to be faster only must keep them."""
+
+    T, MU, RESOLUTION = 1.0, 0.4, 4096
+    AUDIT_STARTS, AUDIT_SIGNALS, AUDIT_HORIZON = 16, 8, 4.0
+    MESH, BOUND_MAX_TIME, EXTRA_TIME, MARGIN_CELLS, QUERIES = 32, 20.0, 1.0, 5, 8
+    # (A, B, K, seed, target fraction); the variants are c12 rotated by 0.9
+    # and 2.3 with its eigenvalues scaled and B, K perturbed
+    TRIPLES = {
+        "c12": (SADDLE[0].tolist(), SADDLE[1].tolist(), SADDLE[2].tolist(), 101, 1.0 / 3.0),
+        "variant 1": ([[-0.16879406327269086, 0.9592399164150222],
+                       [0.9592399164150222, 0.2787940632726909]],
+                      [[-0.11173556592359966], [1.4035722864561457]],
+                      [[-0.5250324326187569, -0.32379151424710084]], 202, 0.5),
+        "variant 2": ([[-0.1788348148390807, -1.0085963686879664],
+                       [-1.0085963686879664, 0.0488348148390805]],
+                      [[-1.435940973639784], [0.031201285589370444]],
+                      [[0.24078464248387632, -0.6297005287784916]], 303, 2.0 / 3.0),
+    }
+    DIGESTS = {
+        "c12": ("2c83666a754abe4d3c717c74e4b4301e40c03a67459a3351bfdc3386a6112834",
+                "d2bc9805f84826b5fb96c07c4439dc07c218726fdc66242726d3331b5392b177"),
+        "variant 1": ("ba51bffdbbcdaf13fb7c910cc6e905df131ccda283532bec99a8624ec0413959",
+                      "0c5e20061bf0fd48ae0f51a5700a855a407bf3aa371b284694db139192126648"),
+        "variant 2": ("732796370f496e0883ab8e6655b4730ac848fdb874d95c8fb3ffca6c146bb2bd",
+                      "1344ea46eab5ffce6dcf92eb8a8218dd0f7e98c7aa166da14327c5bb81c2721d"),
+    }
+
+    @classmethod
+    def outputs(cls, name, tmp_path):
+        from pegrowth import cli
+        a, b, k, seed, fraction = cls.TRIPLES[name]
+        cfg = {"schema": "1", "pair": {"A": matrix_json(a), "B": matrix_json(b)},
+               "K": matrix_json(k), "T": cls.T, "mu": cls.MU,
+               "resolution": cls.RESOLUTION, "seed": seed}
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+        assert cli.main(["invariant-set", "--config", str(path), "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "summary.json").read_bytes()
+        a, b, k = (np.array(m) for m in (a, b, k))
+        crange = (cls.MU / cls.T, 1.0)
+        arcs = prj.CircleArcSet(arcs=tuple(tuple(arc) for arc in json.loads(summary)["arcs"]))
+        audit = prj.forward_invariance_audit(
+            a, b, k, crange, arcs, prj.boundary_points(arcs, cls.AUDIT_STARTS, cls.RESOLUTION),
+            n_signals=cls.AUDIT_SIGNALS, horizon=cls.AUDIT_HORIZON, seed=seed,
+            resolution=cls.RESOLUTION)
+        lo, hi = arcs.arcs[0]
+        margin = cls.MARGIN_CELLS * math.pi / cls.RESOLUTION
+        target = lo + margin + fraction * (hi - lo - 2 * margin)
+        bound = prj.steering_time_bound(a, b, k, crange, prj.point_of(target),
+                                        resolution=cls.RESOLUTION, mesh=cls.MESH,
+                                        max_time=cls.BOUND_MAX_TIME)
+        record = {"audit": [audit.ok, audit.max_excursion, audit.n_trajectories],
+                  "bound": bound, "steer": []}
+        for j in range(cls.QUERIES):
+            start = target + (j + 0.5) / cls.QUERIES * math.pi
+            st = prj.steer_d2(prj.point_of(start), prj.point_of(target), a, b, k, crange,
+                              resolution=cls.RESOLUTION, max_time=bound + cls.EXTRA_TIME)
+            record["steer"].append([st.tau, st.final_distance, st.signal.to_json()])
+        return (hashlib.sha256(summary).hexdigest(),
+                hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest())
+
+    @pytest.mark.parametrize("name", sorted(TRIPLES))
+    def test_planar_bytes(self, tmp_path, name):
+        assert self.outputs(name, tmp_path) == self.DIGESTS[name]

@@ -71,6 +71,17 @@ class TestPESignal:
         assert s.integrate(0.25, 1.25) == pytest.approx(0.5)
         assert s.integrate(-0.7, 0.2) == pytest.approx(0.4)
 
+    def test_integral_at_a_remainder_just_below_zero(self):
+        # x is a rounding error short of six periods, but x / per rounds to
+        # 6.0: the remainder x - 6 per is negative and must not index the
+        # last segment of the period
+        per = 0.5056378869683275
+        s = PESignal.from_segments([(1.0, per / 2), (0.0, per / 2)], period=per)
+        x = 3.0338273218099645
+        assert x / per == 6.0 and x - 6.0 * per < 0.0
+        assert s.integrate(0.0, x) == pytest.approx(3.0 * per, rel=1e-15)
+        assert s.integrate(x, x + per) == pytest.approx(0.5 * per, rel=1e-14)
+
     def test_aperiodic_extension(self):
         s = PESignal([0.0, 1.0], [0.2, 0.8])
         assert s.value_at(-5.0) == 0.2
@@ -88,6 +99,58 @@ class TestPESignal:
         s = PESignal.from_segments([(1.0, 0.5), (1.0, 0.25), (0.0, 0.25)], period=1.0)
         assert s.n_segments == 2
         np.testing.assert_array_equal(s.values, [1.0, 0.0])
+
+
+def reference_from_segments(segments):
+    """``PESignal.from_segments`` without a period as it was built before
+    it skipped the numpy checks: the same merge rules, ``np.cumsum``
+    breakpoints and the validating constructor."""
+    vals, durs = [], []
+    for v, dur in segments:
+        if dur < 0:
+            raise ValueError("segment durations must be nonnegative")
+        if dur == 0.0:
+            continue
+        if vals and vals[-1] == v:
+            durs[-1] = durs[-1] + dur
+        else:
+            vals.append(float(v))
+            durs.append(float(dur))
+    if not vals:
+        raise ValueError("signal needs at least one segment of positive length")
+    return PESignal(np.concatenate([[0.0], np.cumsum(durs)[:-1]]), vals, None)
+
+
+class TestAperiodicSegments:
+    """An aperiodic ``from_segments``, which steering calls per query, builds
+    the validating constructor's signal bit for bit, and raises where it
+    raises."""
+
+    def test_same_bits_as_the_validating_constructor(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            n = int(rng.integers(1, 12))
+            segs = [(float(rng.choice([0.0, 0.4, 1.0])),
+                     float(rng.choice([0.0, 1.0, 1.0, 1.0]) * rng.exponential()
+                           * rng.choice([1e-3, 1.0, 100.0]))) for _ in range(n)]
+            if not any(dur > 0.0 for _, dur in segs):
+                continue
+            ref, got = reference_from_segments(segs), PESignal.from_segments(segs)
+            assert got.period is None
+            for name in ("breakpoints", "values", "durations"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+                assert not getattr(got, name).flags.writeable
+
+    @pytest.mark.parametrize("segs", [
+        [(1.5, 1.0)], [(0.4, 1.0), (-0.1, 1.0)], [(np.nan, 1.0)],
+        [(0.4, 1.0), (1.0, np.nan), (0.4, 1.0)], [(0.4, np.inf), (1.0, 1.0)],
+        [(0.4, 1.0), (1.0, 1e-17), (0.4, 1.0)],  # 1.0 + 1e-17 == 1.0
+        [(0.4, 0.0)], [(0.4, -1.0)], []])
+    def test_raises_where_the_validating_constructor_raises(self, segs):
+        with pytest.raises(ValueError):
+            reference_from_segments(segs)
+        with pytest.raises(ValueError):
+            PESignal.from_segments(segs)
 
 
 class TestExplicitDurations:
@@ -215,9 +278,9 @@ def reference_periodic_check(s, cls):
     cum = np.concatenate([[0.0], np.cumsum(s.values * s.durations)])
     k = np.floor(x / per)
     r = x - k * per
-    wrap = r >= per
-    k = np.where(wrap, k + 1, k)
-    r = np.where(wrap, r - per, r)
+    wrap, under = r >= per, r < 0.0
+    k = np.where(wrap, k + 1, np.where(under, k - 1, k))
+    r = np.where(wrap, r - per, np.where(under, r + per, r))
     i = np.searchsorted(s.breakpoints, r, side="right") - 1
     end, start = k * cum[-1] + cum[i] + s.values[i] * (r - s.breakpoints[i])
     window = end - start

@@ -6,9 +6,9 @@ over families of persistently exciting signals, and verifies the exact
 time-reversal duality between convergence and divergence rates.
 """
 
-from .matcore import (SpectrumReport, conorm, expm, matrix_from_json,
-                      matrix_to_json, multiset_residual, nilpotent_shift,
-                      opnorm, parity_matrix, span_rank, spectrum, unit_vector)
+from .matcore import (matrix_from_json, matrix_to_json, multiset_residual,
+                      nilpotent_shift, opnorm, parity_matrix, span_rank,
+                      unit_vector)
 from .signals import (PESignal, PEValidation, SignalClass, SpliceError,
                       periodize, reverse, splice_periodic, validate_pe)
 from .lie import (ChainAudit, LieBasis, LieClosureError, RankCertificate,

@@ -149,10 +149,6 @@ def _family(cfg, cls, seed, signal_file=None):
     return _budget(cfg, seed)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _write_csv(path: Path, header, rows) -> None:
     def fmt(x):
         if isinstance(x, float):
@@ -164,30 +160,26 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _summary_base(cfg_hash, seed):
-    return {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
-
-
 # -- subcommand bodies -------------------------------------------------------
+# Each runner adds its own fields to ``summary`` and returns the exit code;
+# ``main`` writes the summary once the runner returns.
 
 
-def _run_lie_check(cfg, cfg_hash, seed, out, args):
+def _run_lie_check(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     shift = _real(cfg.get("lambda", 0.0), "lambda")
     audit = lie.inclusion_chain_audit(pair.A, pair.B, k, shift=shift, seed=seed)
-    summary = _summary_base(cfg_hash, seed)
     summary["certificates"] = {
         "larc_shifted": audit.larc_shifted.to_json(),
         "larc0": audit.larc0.to_json(),
         "plarc": audit.plarc.to_json(),
     }
     summary["chain"] = {"lambda": shift, "violations": list(audit.violations)}
-    _write_json(out / "summary.json", summary)
     return EXIT_VIOLATION if audit.violations else EXIT_OK
 
 
-def _run_acc_cert(cfg, cfg_hash, seed, out, args):
+def _run_acc_cert(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
@@ -199,13 +191,11 @@ def _run_acc_cert(cfg, cfg_hash, seed, out, args):
         cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
     except control.NotControllableError as exc:
         raise RuntimeError(str(exc)) from exc
-    summary = _summary_base(cfg_hash, seed)
     summary["certificate"] = cert.to_json()
-    _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
-def _run_rates(cfg, cfg_hash, seed, out, args):
+def _run_rates(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
@@ -216,7 +206,6 @@ def _run_rates(cfg, cfg_hash, seed, out, args):
     _write_csv(out / "rates.csv",
                ("signal_id", "period", "top_rate", "bottom_rate", "residual"), rows)
     delta = report.delta
-    summary = _summary_base(cfg_hash, seed)
     summary.update({
         "T": cls.T, "mu": cls.mu, "n_signals": len(report.signals),
         "rc": report.rc.to_json(), "rd": report.rd.to_json(),
@@ -224,11 +213,10 @@ def _run_rates(cfg, cfg_hash, seed, out, args):
         "delta_star": delta.delta_star_hat.to_json(),
         "delta_mirror_identity": delta.mirror_identity_exact,
     })
-    _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
-def _run_duality(cfg, cfg_hash, seed, out, args):
+def _run_duality(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
@@ -240,7 +228,6 @@ def _run_duality(cfg, cfg_hash, seed, out, args):
     rows = [(i, per, "", "", res) for i, per, res in report.per_signal]
     _write_csv(out / "duality.csv",
                ("signal_id", "period", "top_rate", "bottom_rate", "residual"), rows)
-    summary = _summary_base(cfg_hash, seed)
     summary.update({
         "max_residual": report.max_residual,
         "tolerance": tol,
@@ -249,11 +236,10 @@ def _run_duality(cfg, cfg_hash, seed, out, args):
         "estimates_equal": report.estimates_equal,
         "ok": report.ok,
     })
-    _write_json(out / "summary.json", summary)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _run_invariant_set(cfg, cfg_hash, seed, out, args):
+def _run_invariant_set(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     if pair.d != 2:
@@ -266,18 +252,16 @@ def _run_invariant_set(cfg, cfg_hash, seed, out, args):
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError("control_range must be a nondegenerate subinterval of [0, 1]")
     result = projective.invariant_control_set_d2(pair.A, pair.B, k, (lo, hi), seed=seed)
-    summary = _summary_base(cfg_hash, seed)
     summary["applicable"] = result.applicable
     summary["n_sinks"] = result.n_sinks
     if result.applicable:
         summary["arcs"] = result.arcs.to_json()["arcs"]
-    _write_json(out / "summary.json", summary)
     if not result.applicable:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _run_spin_audit(cfg, cfg_hash, seed, out, args):
+def _run_spin_audit(cfg, seed, out, args, summary):
     n = args.seeds if args.seeds is not None else _integer(cfg.get("seeds", 200), "seeds")
     if n <= 0:
         raise ConfigError("seeds must be positive")
@@ -291,18 +275,16 @@ def _run_spin_audit(cfg, cfg_hash, seed, out, args):
     _write_csv(out / "spin.csv",
                ("seed", "membership_residual", "symmetry_residual", "odd_residual"),
                rows)
-    summary = _summary_base(cfg_hash, seed)
     summary.update({
         "draws": n,
         "max_membership_residual": max(r[1] for r in rows),
         "max_symmetry_residual": max(r[2] for r in rows),
         "max_odd_residual": max(r[3] for r in rows),
     })
-    _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
-def _run_duality_grid(cfg, cfg_hash, seed, out, args):
+def _run_duality_grid(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, args.signal_file)
@@ -326,7 +308,6 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, args):
     sup_rc = max(r[1] for r in rows)
     sup_rd = max(r[2] for r in rows)
     all_equal = all(r[3] for r in rows)
-    summary = _summary_base(cfg_hash, seed)
     summary.update({
         "n_gains": len(gains),
         "sup_rc": sup_rc,
@@ -334,7 +315,6 @@ def _run_duality_grid(cfg, cfg_hash, seed, out, args):
         "per_gain_equal": all_equal,
         "sup_equal": bool(sup_rc == sup_rd),
     })
-    _write_json(out / "summary.json", summary)
     return EXIT_OK if all_equal and sup_rc == sup_rd else EXIT_VIOLATION
 
 
@@ -381,7 +361,10 @@ def main(argv=None) -> int:
             raise ConfigError("seed must be non-negative")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[args.subcommand](cfg, cfg_hash, seed, out, args)
+        summary = {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
+        code = RUNNERS[args.subcommand](cfg, seed, out, args, summary)
+        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

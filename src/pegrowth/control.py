@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import (DEFAULT_RANK_TOL, as_matrix, nilpotent_shift, opnorm,
-                      require_square, unit_vector)
+from .matcore import (DEFAULT_RANK_TOL, as_matrix, nilpotent_shift,
+                      numerical_rank, opnorm, require_square, unit_vector)
 
 __all__ = [
     "MatrixPair",
@@ -80,12 +80,8 @@ def controllability_matrix(A, B) -> np.ndarray:
 
 
 def kalman_rank(A, B, tol: float = DEFAULT_RANK_TOL) -> int:
-    c = controllability_matrix(A, B)
-    sv = scipy.linalg.svdvals(c)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * smax))
+    """Rank of the controllability matrix: the pair is controllable when it is d."""
+    return numerical_rank(scipy.linalg.svdvals(controllability_matrix(A, B)), tol)
 
 
 @dataclass(frozen=True)
@@ -108,16 +104,33 @@ class ControllabilityDecomposition:
 def controllability_decomposition(A, B, tol: float = DEFAULT_RANK_TOL) -> ControllabilityDecomposition:
     a = require_square(A, "A")
     b = as_matrix(B, "B")
-    d = a.shape[0]
-    c = controllability_matrix(a, b)
-    u, sv, _ = np.linalg.svd(c)
-    smax = sv[0] if sv.size else 0.0
-    r = int(np.count_nonzero(sv > tol * smax)) if smax > 0 else 0
+    u, sv, _ = np.linalg.svd(controllability_matrix(a, b))
+    r = numerical_rank(sv, tol)
     p = u.T  # rows: orthonormal basis of the reachable subspace, then its complement
     ap = p @ a @ u
     bp = p @ b
     return ControllabilityDecomposition(
         P=p, A1=ap[:r, :r], A2=ap[:r, r:], A3=ap[r:, r:], B1=bp[:r, :], r=r)
+
+
+def _input_column(b, d: int) -> np.ndarray:
+    """A single input ``b`` (a d-vector, row or column) as a d x 1 column."""
+    bb = as_matrix(b, "b")
+    if bb.shape == (1, d):
+        bb = bb.T
+    if bb.shape != (d, 1):
+        raise ValueError(f"b must be a {d}-vector, got shape {bb.shape}")
+    return bb
+
+
+def _companion_row(a, b, tol: float) -> np.ndarray:
+    """The row q with ``q C = e_d'``, C the controllability matrix of the
+    single-input pair ``(a, b)``; rejects a pair whose Kalman rank is below d."""
+    d = a.shape[0]
+    rank = kalman_rank(a, b, tol=tol)
+    if rank < d:
+        raise NotControllableError(rank, d)
+    return np.linalg.solve(controllability_matrix(a, b).T, unit_vector(d, d - 1))
 
 
 @dataclass(frozen=True)
@@ -144,19 +157,10 @@ def controllable_form_si(A, b, trace_divisor: float = 1.0,
     in the diagnostic.
     """
     a = require_square(A, "A")
-    bb = as_matrix(b, "b")
     d = a.shape[0]
-    if bb.shape == (1, d):
-        bb = bb.T
-    if bb.shape != (d, 1):
-        raise ValueError(f"b must be a {d}-vector, got shape {bb.shape}")
+    bb = _input_column(b, d)
     m = a - (np.trace(a) / trace_divisor) * np.eye(d)
-    rank = kalman_rank(m, bb, tol=tol)
-    if rank < d:
-        raise NotControllableError(rank, d)
-    c = controllability_matrix(m, bb)
-    q = np.linalg.solve(c.T, unit_vector(d, d - 1))  # row with q C = e_d'
-    rows = [q]
+    rows = [_companion_row(m, bb, tol)]
     for _ in range(d - 1):
         rows.append(rows[-1] @ m)
     p = np.vstack(rows)
@@ -212,8 +216,7 @@ def accessibility_certificate(A, b, K, trace_divisor: float = 1.0,
     norm_k = float(np.linalg.norm(k))
     nonzero = all(
         abs(r_vals[j]) > tol * (1.0 + norm_k * norm_av ** j) for j in range(d))
-    sv = scipy.linalg.svdvals(np.vstack(rows))
-    independent = bool(sv[-1] > DEFAULT_RANK_TOL * sv[0]) if sv[0] > 0 else False
+    independent = numerical_rank(scipy.linalg.svdvals(np.vstack(rows)), DEFAULT_RANK_TOL) == d
     return AccCertificate(verdict=nonzero and independent, r=r_vals,
                           K_seq=tuple(tuple(map(float, row)) for row in rows),
                           v=form.v, P=form.P)
@@ -292,21 +295,14 @@ def spectral_halfplane_gate(A, b, K, c: float) -> bool:
 def ackermann(A, b, poles) -> np.ndarray:
     """Single-input pole placement (test oracle): sigma(A + bK) = poles."""
     a = require_square(A, "A")
-    bb = as_matrix(b, "b")
     d = a.shape[0]
-    if bb.shape == (1, d):
-        bb = bb.T
-    rank = kalman_rank(a, bb)
-    if rank < d:
-        raise NotControllableError(rank, d)
+    row = _companion_row(a, _input_column(b, d), DEFAULT_RANK_TOL)
     coeffs = np.real(np.poly(np.asarray(poles, dtype=complex)))
     qa = np.zeros((d, d))
     apow = np.eye(d)
     for cj in coeffs[::-1]:
         qa += cj * apow
         apow = apow @ a
-    c = controllability_matrix(a, bb)
-    row = np.linalg.solve(c.T, unit_vector(d, d - 1))
     return -(row @ qa).reshape(1, d)
 
 

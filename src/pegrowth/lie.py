@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import (DEFAULT_RANK_TOL, as_matrix, canonical_unit, fronorm,
+from .matcore import (DEFAULT_RANK_TOL, canonical_unit, closed_loop, fronorm,
                       require_square)
 
 __all__ = [
@@ -237,18 +237,6 @@ class RankCertificate:
         }
 
 
-def _closed_loop(A, B, K):
-    a = require_square(A, "A")
-    b = as_matrix(B, "B")
-    k = as_matrix(K, "K")
-    d = a.shape[0]
-    if b.shape[0] != d:
-        raise ValueError(f"B must have {d} rows, got {b.shape}")
-    if k.shape != (b.shape[1], d):
-        raise ValueError(f"K must have shape {(b.shape[1], d)}, got {k.shape}")
-    return a, b @ k
-
-
 def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
                derived: _OrthoBasis | None = None) -> RankCertificate:
     """Does Lie(A, BK) = D + span{A, BK} span all of the d x d matrices?
@@ -256,7 +244,8 @@ def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     ``derived`` is the D of ``(A, BK)`` when the caller has it already
     (``inclusion_chain_audit`` shares one among the three certificates).
     """
-    a, f = _closed_loop(A, B, K)
+    a, b, k = closed_loop(A, B, K)
+    f = b @ k
     d = a.shape[0]
     if derived is None:
         derived = _derived_algebra(a, f, tol)
@@ -271,7 +260,8 @@ def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     The dimension is that of D + span{A0, F0}, orthogonal to the identity
     and so at most d*d - 1.  ``derived`` as in ``check_larc``.
     """
-    a, f = _closed_loop(A, B, K)
+    a, b, k = closed_loop(A, B, K)
+    f = b @ k
     d = a.shape[0]
     if derived is None:
         derived = _derived_algebra(a, f, tol)
@@ -329,7 +319,8 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
     closure basis is that of D + span{A, BK}; ``derived`` as in
     ``check_larc``.
     """
-    a, f = _closed_loop(A, B, K)
+    a, b, k = closed_loop(A, B, K)
+    f = b @ k
     d = a.shape[0]
     if samples is None:
         samples = max(2 * d, 64)
@@ -446,7 +437,8 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, samples: int | None = Non
     certificates.  Violations are reported, not raised; an empty list means
     the implication chain held at certificate level.
     """
-    a, f = _closed_loop(A, B, K)
+    a, b, k = closed_loop(A, B, K)
+    f = b @ k
     d = a.shape[0]
     derived = _derived_algebra(a, f, tol)
     larc = check_larc(a + shift * np.eye(d), B, K, tol=tol, derived=derived)

@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: norms, conorm, spectra, matrix exponential,
-and the rank of finite matrix families.
+"""Dense real-matrix primitives: norms, the numerical rank rule, the shape
+check of a closed loop, and the rank of finite matrix families.
 
 Everything operates on plain float64 ``numpy`` arrays.  The vector norm is
 Euclidean throughout and the matrix norm is the induced spectral norm; all
@@ -8,8 +8,6 @@ choice.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +18,9 @@ __all__ = [
     "require_square",
     "opnorm",
     "fronorm",
-    "conorm",
-    "expm",
+    "closed_loop",
+    "numerical_rank",
     "span_rank",
-    "SpectrumReport",
-    "spectrum",
-    "eig_match_tol",
     "multiset_residual",
     "nilpotent_shift",
     "parity_matrix",
@@ -65,22 +60,24 @@ def fronorm(M) -> float:
     return float(np.linalg.norm(as_matrix(M)))
 
 
-def conorm(M) -> float:
-    """Smallest singular value of a square matrix.
+def closed_loop(A, B, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, B, K)`` of the closed loop ``A + alpha B K`` as finite float64
+    arrays, checked to be d x d, d x m and m x d."""
+    a = require_square(A, "A")
+    b = as_matrix(B, "B")
+    k = as_matrix(K, "K")
+    if b.shape[0] != a.shape[0] or k.shape != (b.shape[1], a.shape[0]):
+        raise ValueError(
+            f"inconsistent shapes: A {a.shape}, B {b.shape}, K {k.shape}")
+    return a, b, k
 
-    For invertible ``M`` this equals ``1 / opnorm(inv(M))``: it is the
-    minimum of ``|Mx|`` over unit vectors ``x``.
-    """
-    m = require_square(M)
-    return float(scipy.linalg.svdvals(m)[-1])
 
-
-def expm(M, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``e^{tM}`` (scaling-and-squaring with Pade)."""
-    m = require_square(M)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    return scipy.linalg.expm(t * m)
+def numerical_rank(sv: np.ndarray, tol: float) -> int:
+    """Number of singular values ``sv`` (a descending 1-D array) above
+    ``tol * sv[0]``; 0 when ``sv`` is empty or ``sv[0] == 0``."""
+    if len(sv) == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > tol * sv[0]))
 
 
 def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -96,62 +93,7 @@ def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ValueError(f"family[{i}] has shape {m.shape}, expected {shape}")
-    stacked = np.vstack([m.ravel() for m in mats])
-    sv = scipy.linalg.svdvals(stacked)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * smax))
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues clustered into (value, algebraic multiplicity) pairs."""
-
-    eigenvalues: tuple  # of (complex, int)
-    min_real: float
-    max_real: float
-
-    def as_multiset(self) -> np.ndarray:
-        """Eigenvalues repeated by multiplicity, as a complex array."""
-        out = []
-        for val, mult in self.eigenvalues:
-            out.extend([val] * mult)
-        return np.asarray(out, dtype=complex)
-
-
-def eig_match_tol(M) -> float:
-    """Absolute tolerance used to match or cluster eigenvalues of ``M``."""
-    return 1e-6 * (1.0 + opnorm(M))
-
-
-def spectrum(M, cluster_tol: float | None = None) -> SpectrumReport:
-    """Eigenvalues of a square matrix with multiplicities.
-
-    Nearby eigenvalues (within ``cluster_tol``, default the scale-aware
-    matching tolerance) are merged into one entry whose value is the cluster
-    mean.
-    """
-    m = require_square(M)
-    try:
-        ev = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigenvalue solver failed: {exc}") from exc
-    tol = eig_match_tol(m) if cluster_tol is None else cluster_tol
-    order = np.lexsort((ev.imag, ev.real))
-    ev = ev[order]
-    clusters: list[list[complex]] = []
-    for lam in ev:
-        if clusters and abs(lam - np.mean(clusters[-1])) <= tol:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-    pairs = tuple((complex(np.mean(c)), len(c)) for c in clusters)
-    return SpectrumReport(
-        eigenvalues=pairs,
-        min_real=float(ev.real.min()),
-        max_real=float(ev.real.max()),
-    )
+    return numerical_rank(scipy.linalg.svdvals(np.vstack([m.ravel() for m in mats])), tol)
 
 
 def multiset_residual(a, b) -> float:

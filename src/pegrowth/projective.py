@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .matcore import as_matrix, canonical_unit, require_square
+from .matcore import canonical_unit, closed_loop, require_square
 from .signals import PESignal
 
 __all__ = [
@@ -120,10 +120,18 @@ def _radial_coeffs(m) -> tuple:
 
 
 def _planar_loop(A, B, K):
-    a = require_square(A, "A")
+    a, b, k = closed_loop(A, B, K)
     if a.shape != (2, 2):
         raise ValueError("angle dynamics need d = 2")
-    return a, as_matrix(B, "B") @ as_matrix(K, "K")
+    return a, b @ k
+
+
+def _control_range(control_range) -> tuple[float, float]:
+    """``(lo, hi)`` as floats, checked to be a nondegenerate subinterval of [0, 1]."""
+    lo, hi = float(control_range[0]), float(control_range[1])
+    if not (0.0 <= lo < hi <= 1.0):
+        raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
+    return lo, hi
 
 
 def angle_dynamics_d2(A, B, K):
@@ -276,7 +284,7 @@ class _Planar:
     def __init__(self, A, B, K, control_range):
         # Python floats: the same IEEE bits as numpy scalars, at less cost
         ca, cb = (_speed_coeffs(m.tolist()) for m in _planar_loop(A, B, K))
-        self.lo, self.hi = float(control_range[0]), float(control_range[1])
+        self.lo, self.hi = _control_range(control_range)
         self.switch = _polar(cb)
         self.cuts = _zeros(self.switch)
         self.fields = {v: _polar(tuple(x + v * y for x, y in zip(ca, cb)))
@@ -398,13 +406,11 @@ def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> Invariant
     result is flagged not applicable.  A control range that is not a
     nondegenerate subinterval of [0, 1] raises ``ValueError`` either way.
     """
-    lo, hi = float(control_range[0]), float(control_range[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
+    _control_range(control_range)
     cert = lie.check_plarc(A, B, K, seed=seed)
     if not cert.verdict:
         return InvariantSetResult(False, None, 0, cert)
-    arcs, n_sinks = _Planar(A, B, K, (lo, hi)).sink_arcs()
+    arcs, n_sinks = _Planar(A, B, K, control_range).sink_arcs()
     return InvariantSetResult(True, CircleArcSet(arcs=arcs), n_sinks, cert)
 
 
@@ -556,7 +562,7 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     to ``ceil(horizon / dt)`` steps.  The audit reads only A, B, K and the
     control range, so it stays independent of the closed forms it checks.
     """
-    lo, hi = float(control_range[0]), float(control_range[1])
+    lo, hi = _control_range(control_range)
     a, bk = _planar_loop(A, B, K)
     if inflate is None:
         inflate = 2.0 * np.pi / resolution

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matcore import (as_matrix, multiset_residual, opnorm, parity_matrix,
-                      nilpotent_shift, require_square, unit_vector)
+from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
+                      parity_matrix, nilpotent_shift, require_square, unit_vector)
 from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _periodic, reverse
 
 __all__ = [
@@ -58,16 +58,6 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
-
-
-def _loop_matrices(A, B, K):
-    a = require_square(A, "A")
-    b = as_matrix(B, "B")
-    k = as_matrix(K, "K")
-    if b.shape[0] != a.shape[0] or k.shape != (b.shape[1], a.shape[0]):
-        raise ValueError(
-            f"inconsistent shapes: A {a.shape}, B {b.shape}, K {k.shape}")
-    return a, b, k
 
 
 def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +154,7 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     Exact product of per-segment matrix exponentials over the segments of
     [0, t]; deterministic.  Entries beyond the float range saturate to inf.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     if t < 0:
         raise ValueError("need t >= 0")
     if t == 0.0:
@@ -190,7 +180,7 @@ class Monodromy:
 
 
 def monodromy(A, B, K, s: PESignal) -> Monodromy:
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
     rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
@@ -254,7 +244,7 @@ def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
     ``horizon`` with running renormalisation, and the max/min of
     ``log|x(t)|/t`` over the tail of a geometric time grid are returned.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != a.shape[0] or np.linalg.norm(x) == 0.0:
         raise ValueError("x0 must be a nonzero vector of matching dimension")
@@ -522,7 +512,7 @@ def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
 
 
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     if kind == "rd":
         return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs), {})), sigs, kind)[0]
@@ -577,7 +567,7 @@ def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> Duali
     A segment that the double reversal changed misses the table and is
     computed afresh, so the equality of the estimates stays a check.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     reversed_sigs = mirror_family(sigs)
     table = {}
@@ -621,7 +611,7 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     """
     if len(gains) == 0:
         raise ValueError("need at least one gain")
-    loops = [_loop_matrices(A, B, K) for K in gains]
+    loops = [closed_loop(A, B, K) for K in gains]
     a, b = loops[0][:2]
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
@@ -667,7 +657,7 @@ def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
     the negated norm envelope of its reversal) holds by construction; it is
     still reported, as ``mirror_identity_exact``.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     return _delta(sigs, _log_norms(*_pass(a, b, [k], sigs, {})),
                   _log_norms(*_pass(-a, -b, [k], mirror_family(sigs), {})))
@@ -695,7 +685,7 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     ``rc_estimate``, ``rd_estimate`` and ``delta_quantities`` give on their
     own, bit for bit.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     fwd = _pass(a, b, [k], sigs, {})
     rev = _pass(-a, -b, [k], mirror_family(sigs), {})
@@ -723,7 +713,7 @@ def shift_law_check(A, B, K, shift: float, s: PESignal, x0,
     ``x0``; optionally also the convergence estimate over a family (which
     shifts the other way).
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     d = a.shape[0]
     shifted = a + shift * np.eye(d)
     m0 = monodromy(a, b, k, s)
@@ -759,7 +749,7 @@ def coordinate_invariance_check(A, B, K, P, V, s: PESignal) -> CoordinateInvaria
     The transformed loop has monodromy ``P R P^-1``; spectra agree as
     multisets, so the exponents agree while norms may not.
     """
-    a, b, k = _loop_matrices(A, B, K)
+    a, b, k = closed_loop(A, B, K)
     p = require_square(P, "P")
     v = require_square(V, "V")
     pinv = np.linalg.inv(p)

@@ -298,6 +298,118 @@ class TestGoldenOutputs:
         assert digests == self.DIGESTS[name, seed]
 
 
+def seeded_triple(d, seed, scale):
+    """One triple of the benchmark's triple_sweep recipe."""
+    rng = np.random.default_rng(seed)
+    return (scale * rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal((d, 1)),
+            scale * rng.standard_normal((1, d)) / np.sqrt(d))
+
+
+class TestGoldenRunnerOutputs:
+    """Five more subcommands write the bytes recorded here, on configs the
+    test writes: c12, the chain pair, the stiff triple (whose absolute
+    duality residual exits 4) and one seeded d = 6 triple.  Each entry is
+    the exit code and the sha256 of every file the run writes."""
+
+    TRIPLES = {
+        "c12": ([[1.0, 0.0], [0.0, -1.0]], [[1.0], [1.0]], [[-0.6, 0.2]]),
+        "chain": ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[-2.0, -3.0]]),
+        "stiff": ([[-10.0, 1.0], [0.0, -20.0]], [[0.0], [1.0]], [[-2.0, -3.0]]),
+        "d6": seeded_triple(6, 6, 2.0),
+    }
+    RUNS = [(name, sub) for name in TRIPLES
+            for sub in ("lie-check", "acc-cert", "rates", "duality")] + [("c12", "spin-audit")]
+    OUTPUTS = {
+        ("c12", "lie-check"): (0, {
+            "summary.json": "c19334bb78805d99d17e984106a6a3e3bc7baf129b05ed93905f1d1bccf1db64",
+        }),
+        ("c12", "acc-cert"): (0, {
+            "summary.json": "f9df29d8bd6fc2b96e5a33725d8a65dc308364406a89e648b1d018a0a404516a",
+        }),
+        ("c12", "rates"): (0, {
+            "rates.csv": "e1fdff0916be33d6731318b85f0e6135c671a6511b95a30eefbdf72b555f7175",
+            "summary.json": "900c7584809a9252f822ec75d29e4f2056f96b2055e8200762b2f742eccbe6e4",
+        }),
+        ("c12", "duality"): (0, {
+            "duality.csv": "2c2ba328f88bfab5800438c23537e422ac0f0cc20cb2e917966791d31d6eec4d",
+            "summary.json": "ba31aa67d789e3604b77710fd7c581c9190761e271bdca5212252c2739cf3ffd",
+        }),
+        ("chain", "lie-check"): (0, {
+            "summary.json": "581a053a66bd039061799c4449731e20e7cdf62c5a73b710d77253c57bc31eb3",
+        }),
+        ("chain", "acc-cert"): (0, {
+            "summary.json": "aa99260981f2035d086e9fcedf5821010c7549de6e0981a30cb1034ad1afa924",
+        }),
+        ("chain", "rates"): (0, {
+            "rates.csv": "abe2970b81bfda7519781bf02614b9147f2ca75117aa8c83236efc123aaa72bd",
+            "summary.json": "448669df437ab0f2002f240be8e8bfd82f35bdabe0ffe1596910c4311059dd30",
+        }),
+        ("chain", "duality"): (0, {
+            "duality.csv": "946a5f3a35e8afbb42db660131983d9110515b7cd8c68546063f7dd8887938ef",
+            "summary.json": "ab01b69370f2c528e83a64b6ef7b28897782d6717368faf25a1d46d57bb2221b",
+        }),
+        ("stiff", "lie-check"): (0, {
+            "summary.json": "07ac5c439647e2f92b92fbd0d600441ef5248a450d14c473a2b2bd862d3b483c",
+        }),
+        ("stiff", "acc-cert"): (0, {
+            "summary.json": "823c6e545a38b643416a1bff7398b192270135cc6ac02de9114482442dd53dd5",
+        }),
+        ("stiff", "rates"): (0, {
+            "rates.csv": "ce3ced482f8da22d9a339f868d8e13df7fd034e1edfd869d319ece900bca0d9a",
+            "summary.json": "1a613b116d8af5358392a57a3cfd2bae3e8a4344f0574ef95d0ed38af3617a41",
+        }),
+        ("stiff", "duality"): (4, {
+            "duality.csv": "fc45d7fee1180f7b840888df8cd02152fdec8a5d6e7656c4ad4f6a57699a26e0",
+            "summary.json": "94a0853f36dc3dc906f3ee76fa6d58305c4fb684c0a7bd35a3d7583dd370171e",
+        }),
+        ("d6", "lie-check"): (0, {
+            "summary.json": "bbd06f4f3b8eeaebf8dbc9d276237de7fcd82e81ad6412bdb980539de1e0720e",
+        }),
+        ("d6", "acc-cert"): (0, {
+            "summary.json": "761c80adb5c799ed859742dd136665491bc983c6e85a46d83430114906ecbd51",
+        }),
+        ("d6", "rates"): (0, {
+            "rates.csv": "3d3e31ba4f91eff258a910a6331097e1c59e1f5248a22d9cb1fb4c51f9ca2c5c",
+            "summary.json": "cd28d7015101547ee19be4c63364061f21097de3677d04ee4761353d972892a1",
+        }),
+        ("d6", "duality"): (4, {
+            "duality.csv": "52698a6f42dae32797eceaecf768ff081bc1f1deee8784154adaf0ad81b522f9",
+            "summary.json": "c0a0b0116b81bba8808fd7e7a32672c46f0bb50125e936856c423cd3e2000b96",
+        }),
+        ("c12", "spin-audit"): (0, {
+            "spin.csv": "371e22e4278a85220681983ff6008cbf03ff0793e5ace6dfcfdd04917a6c4327",
+            "summary.json": "4f43977f595059819e3c42ce0377be1f9cc05cf1726e1e4780747515f6b52bb8",
+        }),
+    }
+
+    def config(self, tmp_path, name):
+        a, b, k = (np.asarray(m, dtype=float) for m in self.TRIPLES[name])
+        cfg = {"schema": "1", "pair": {"A": matrix_to_json(a), "B": matrix_to_json(b)},
+               "K": matrix_to_json(k), "T": 1.0, "mu": 0.4, "family": {"size": 12},
+               "seed": 3, "seeds": 6}
+        return write_config(tmp_path, cfg, f"{name}.json")
+
+    def outputs(self, tmp_path, name, sub):
+        out = tmp_path / "o"
+        code = run(sub, self.config(tmp_path, name), out)
+        return code, {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                      for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("name, sub", RUNS)
+    def test_bytes(self, tmp_path, name, sub):
+        assert self.outputs(tmp_path, name, sub) == self.OUTPUTS[name, sub]
+
+    @pytest.mark.parametrize("sub", ["lie-check", "acc-cert", "rates", "duality", "spin-audit"])
+    def test_config_error_writes_no_summary(self, tmp_path, capsys, sub):
+        # the runner itself rejects these: no gain, no draws
+        cfg = base_config(seeds=0)
+        del cfg["K"]
+        out = tmp_path / "o"
+        assert run(sub, write_config(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert out.is_dir() and not any(out.iterdir())
+
+
 class TestValidateOnce:
     """A budget family is validated once, inside ``bang_bang_family``; the
     CLI hands the budget to the library, which trusts the family it builds.

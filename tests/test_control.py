@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,35 @@ class TestAccessibilityCertificate:
                 assert larc.verdict
                 checked += 1
             checked = 0
+
+
+def test_rank_verdicts_on_gaussian_triples():
+    """``kalman_rank``, ``controllability_decomposition(...).r`` and the
+    ``accessibility_certificate`` verdict (or the Kalman rank it rejected)
+    on 216 seeded Gaussian triples: three draws of the benchmark's
+    triple_sweep recipe, d = 2..10 at eight log-strata of scale 0.3..30.
+    Large d and scale make the Krylov matrix ill-conditioned, so the rank
+    cutoff decides many of these; the digest pins every verdict."""
+    lo, hi = math.log(0.3), math.log(30.0)
+    verdicts = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for d in range(2, 11):
+            for j in range(8):
+                scale = math.exp(lo + (j + 0.5) / 8 * (hi - lo))
+                a = scale * rng.standard_normal((d, d)) / math.sqrt(d)
+                b = rng.standard_normal((d, 1))
+                k = scale * rng.standard_normal((1, d)) / math.sqrt(d)
+                try:
+                    acc = control.accessibility_certificate(a, b, k).verdict
+                except control.NotControllableError as exc:
+                    acc = f"rank {exc.rank}"
+                verdicts.append((control.kalman_rank(a, b),
+                                 control.controllability_decomposition(a, b).r, acc))
+    assert sum(isinstance(v[2], str) for v in verdicts) == 27  # not controllable at 1e-9
+    assert {v[2] for v in verdicts} >= {True, False}
+    assert (hashlib.sha256(repr(verdicts).encode()).hexdigest()
+            == "a47ad3cfffbdebeb206accb58ca4dd55a513aff4e5b7febec46d64bf1d15928d")
 
 
 class TestCoefficientBounds:

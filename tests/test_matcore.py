@@ -1,67 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pegrowth import matcore
+from pegrowth import lie, matcore, projective, rates
+from pegrowth.signals import PESignal
 
 
 def small_matrices(d):
     return arrays(np.float64, (d, d),
                   elements=st.floats(-3.0, 3.0, allow_nan=False, width=64))
-
-
-class TestConorm:
-    def test_identity(self):
-        assert matcore.conorm(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_diagonal(self):
-        assert matcore.conorm(np.diag([2.0, 3.0])) == pytest.approx(2.0, abs=1e-14)
-
-    def test_inverse_relation(self):
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal((3, 3)) + 0.5 * np.eye(3)
-        assert abs(np.linalg.det(g)) > 1e-6
-        prod = matcore.conorm(g) * matcore.opnorm(np.linalg.inv(g))
-        assert prod == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            matcore.conorm(np.ones((2, 3)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_matrices(3), st.integers(0, 2 ** 32 - 1))
-    def test_lower_bounds_image_norms(self, m, seed):
-        rng = np.random.default_rng(seed)
-        c = matcore.conorm(m)
-        for _ in range(5):
-            x = rng.standard_normal(3)
-            x /= np.linalg.norm(x)
-            assert c <= np.linalg.norm(m @ x) + 1e-10
-
-
-class TestExpm:
-    def test_zero(self):
-        np.testing.assert_allclose(matcore.expm(np.zeros((3, 3)), 1.0), np.eye(3))
-
-    def test_nilpotent(self):
-        t = 0.7
-        out = matcore.expm(matcore.nilpotent_shift(2), t)
-        np.testing.assert_allclose(out, [[1.0, t], [0.0, 1.0]], atol=1e-15)
-
-    def test_diagonal(self):
-        out = matcore.expm(np.diag([0.3, -1.2]), 1.0)
-        np.testing.assert_allclose(out, np.diag(np.exp([0.3, -1.2])), rtol=1e-13)
-
-    @settings(max_examples=25, deadline=None)
-    @given(small_matrices(2), st.floats(0.05, 1.5), st.floats(0.05, 1.5))
-    def test_semigroup(self, m, s, t):
-        if matcore.opnorm(m) * (s + t) > 10.0:
-            return
-        lhs = matcore.expm(m, s) @ matcore.expm(m, t)
-        rhs = matcore.expm(m, s + t)
-        assert matcore.opnorm(lhs - rhs) <= 1e-10 * (1.0 + matcore.opnorm(rhs))
 
 
 class TestSpanRank:
@@ -80,30 +31,63 @@ class TestSpanRank:
         assert matcore.span_rank([]) == 0
 
 
+class TestNumericalRank:
+    def test_empty(self):
+        assert matcore.numerical_rank(np.zeros(0), 1e-9) == 0
+
+    def test_all_zeros(self):
+        assert matcore.numerical_rank(np.zeros(4), 1e-9) == 0
+
+    def test_single_nonzero(self):
+        assert matcore.numerical_rank(np.array([2.5]), 1e-9) == 1
+        assert matcore.numerical_rank(np.array([2.5, 0.0, 0.0]), 1e-9) == 1
+
+    def test_rank_deficient_stack(self):
+        # the third row is the sum of the first two
+        rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [1.0, 3.0, -1.0]])
+        assert matcore.numerical_rank(np.linalg.svd(rows, compute_uv=False), 1e-9) == 2
+        assert matcore.numerical_rank(np.array([3.0, 1.0, 1e-17]), 1e-9) == 2
+
+    def test_cutoff_is_strict(self):
+        # a value at tol * sv[0] does not count, nor does an exact zero at tol = 0
+        assert matcore.numerical_rank(np.array([1.0, 1e-9]), 1e-9) == 1
+        assert matcore.numerical_rank(np.array([2.0, 0.0]), 0.0) == 1
+
+
+class TestClosedLoop:
+    """Every closed-loop entry point rejects inconsistent (A, B, K) shapes
+    with the one message of ``matcore.closed_loop``."""
+
+    A = np.diag([1.0, -1.0])
+    BAD = [(np.ones((2, 1)), np.ones((1, 3))), (np.ones((3, 1)), np.ones((1, 2)))]
+    RANGE = (0.4, 1.0)
+
+    def test_accepts_consistent_shapes(self):
+        a, b, k = matcore.closed_loop(self.A, [[1.0], [1.0]], [[-0.6, 0.2]])
+        assert (a.shape, b.shape, k.shape) == ((2, 2), (2, 1), (1, 2))
+
+    @pytest.mark.parametrize("entry", ["closed_loop", "monodromy", "check_larc", "steer_d2",
+                                       "forward_invariance_audit"])
+    @pytest.mark.parametrize("bad", range(len(BAD)))
+    def test_one_message_everywhere(self, entry, bad):
+        b, k = self.BAD[bad]
+        calls = {
+            "closed_loop": lambda: matcore.closed_loop(self.A, b, k),
+            "monodromy": lambda: rates.monodromy(self.A, b, k, PESignal.constant(0.6, period=1.0)),
+            "check_larc": lambda: lie.check_larc(self.A, b, k),
+            "steer_d2": lambda: projective.steer_d2([1.0, 0.0], [1.0, 1.0], self.A, b, k,
+                                                    self.RANGE),
+            "forward_invariance_audit": lambda: projective.forward_invariance_audit(
+                self.A, b, k, self.RANGE, projective.CircleArcSet(((0.0, np.pi),)), [0.5],
+                n_signals=2, horizon=0.5),
+        }
+        message = f"inconsistent shapes: A (2, 2), B {b.shape}, K {k.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[entry]()
+
+
 class TestSpectrum:
-    def test_diagonal(self):
-        rep = matcore.spectrum(np.diag([1.0, 2.0]))
-        assert rep.min_real == pytest.approx(1.0)
-        assert rep.max_real == pytest.approx(2.0)
-        assert sorted(m for _, m in rep.eigenvalues) == [1, 1]
-
-    def test_rotation(self):
-        rep = matcore.spectrum(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        vals = sorted(rep.as_multiset(), key=lambda z: z.imag)
-        np.testing.assert_allclose(vals, [-1j, 1j], atol=1e-12)
-        assert rep.min_real == pytest.approx(0.0, abs=1e-12)
-
-    def test_companion_quadratic(self):
-        # X^2 + 3X + 2 = (X + 1)(X + 2)
-        rep = matcore.spectrum(np.array([[0.0, 1.0], [-2.0, -3.0]]))
-        np.testing.assert_allclose(sorted(rep.as_multiset().real), [-2.0, -1.0],
-                                   atol=1e-12)
-
-    def test_multiplicities_sum(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 5))
-        rep = matcore.spectrum(m)
-        assert sum(mult for _, mult in rep.eigenvalues) == 5
+    """Spectra of similar matrices agree as multisets (``multiset_residual``)."""
 
     @settings(max_examples=25, deadline=None)
     @given(small_matrices(3), st.integers(0, 2 ** 32 - 1))

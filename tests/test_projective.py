@@ -373,6 +373,24 @@ class TestInvariantSet:
         with pytest.raises(ValueError, match="control range"):
             prj.invariant_control_set_d2(np.diag([1.0, 2.0]), *ZERO_IN, crange)
 
+    @pytest.mark.parametrize("crange", [(0.4, 1.5), (-0.5, 1.0), (0.6, 0.6)])
+    @pytest.mark.parametrize("entry", ["invariant_control_set_d2", "steering_time_bound",
+                                       "steer_d2", "forward_invariance_audit"])
+    def test_every_planar_entry_point_checks_the_range(self, entry, crange):
+        # c12 with the target at the middle of its invariant arc
+        arcs = prj.invariant_control_set_d2(*SADDLE, RANGE).arcs
+        target = prj.point_of(0.5 * sum(arcs.arcs[0]))
+        calls = {
+            "invariant_control_set_d2": lambda: prj.invariant_control_set_d2(*SADDLE, crange),
+            "steering_time_bound": lambda: prj.steering_time_bound(*SADDLE, crange, target),
+            "steer_d2": lambda: prj.steer_d2([1.0, 0.0], target, *SADDLE, crange),
+            "forward_invariance_audit": lambda: prj.forward_invariance_audit(
+                *SADDLE, crange, arcs, [0.5], n_signals=2, horizon=0.5),
+        }
+        with pytest.raises(ValueError, match=r"^control range must be a nondegenerate "
+                                             r"subinterval of \[0, 1\]$"):
+            calls[entry]()
+
     def test_c12_matches_grid(self):
         a, b, k = SADDLE
         res = prj.invariant_control_set_d2(a, b, k, RANGE)

@@ -11,9 +11,9 @@ from .matcore import (matrix_from_json, matrix_to_json, multiset_residual,
                       unit_vector)
 from .signals import (PESignal, PEValidation, SignalClass, SpliceError,
                       periodize, reverse, splice_periodic, validate_pe)
-from .lie import (ChainAudit, LieBasis, LieClosureError, RankCertificate,
-                  bracket, check_irreducible, check_larc, check_larc0,
-                  check_plarc, inclusion_chain_audit, lie_closure)
+from .lie import (ChainAudit, LieBasis, RankCertificate, bracket,
+                  check_irreducible, check_larc, check_larc0, check_plarc,
+                  inclusion_chain_audit, lie_closure)
 from .control import (AccCertificate, ControllabilityDecomposition,
                       ControllabilityForm, MatrixPair, NotControllableError,
                       accessibility_certificate, ackermann,

@@ -187,10 +187,7 @@ def _run_acc_cert(cfg, seed, out, args, summary):
     divisor = _real(cfg.get("trace_divisor", 1.0), "trace_divisor")
     if divisor == 0.0:
         raise ConfigError("trace_divisor must be nonzero")
-    try:
-        cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
-    except control.NotControllableError as exc:
-        raise RuntimeError(str(exc)) from exc
+    cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
     summary["certificate"] = cert.to_json()
     return EXIT_OK
 
@@ -368,9 +365,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (lie.LieClosureError, control.NotControllableError,
-            projective.SteeringError, ArithmeticError, RuntimeError,
-            ValueError) as exc:  # ValueError covers numpy's LinAlgError
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        # ValueError covers numpy's LinAlgError and NotControllableError
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

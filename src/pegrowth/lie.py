@@ -7,16 +7,16 @@ certified numerically at a finite sample of directions, so a true verdict is
 evidence at the sampled points rather than a proof (the sample count is part
 of the certificate).
 
-For two generators X, Y, Lie(X, Y) = span{X, Y} + D, where D is the span of
-the nested brackets of length >= 2.  The identity is central, so D is the
-same for (A + lambda*I, BK), (A, BK) and the traceless parts (A0, F0), and
-it lies in sl(d).  The certificates share one computed D, spanned by the
-breadth-first brackets of [A0, F0] with {A0, F0} and kept orthogonal to the
-identity: LARC is dim(D + span{A + lambda*I, BK}), LARC0 is
-dim(D + span{A0, F0}), at most d*d - 1 by construction, and PLARC samples
-the basis of D + span{A, BK}.  ``inclusion_chain_audit`` computes D once for
-all three, so LARC => LARC0 holds by construction: both sides add two
-generators with the same traceless parts to the same D.
+For generators X_1, ..., X_n, Lie(X_1, ..., X_n) = span{X_i} + D, where D is
+the span of the nested brackets of length >= 2.  The identity is central, so
+D is the same for (A + lambda*I, BK), (A, BK) and the traceless parts
+(A0, F0), and it lies in sl(d).  D is spanned by the breadth-first brackets
+of the [X_i, X_j] with the traceless X_i and kept orthogonal to the identity.
+``lie_closure`` is D + span{X_i}; LARC is dim(D + span{A + lambda*I, BK}),
+LARC0 is dim(D + span{A0, F0}), at most d*d - 1 by construction, and PLARC
+samples the basis of D + span{A, BK}.  ``inclusion_chain_audit`` computes D
+once for all three, so LARC => LARC0 holds by construction: both sides add
+two generators with the same traceless parts to the same D.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .matcore import (DEFAULT_RANK_TOL, canonical_unit, closed_loop, fronorm,
 
 __all__ = [
     "LieBasis",
-    "LieClosureError",
     "RankCertificate",
     "ChainAudit",
     "bracket",
@@ -61,14 +60,6 @@ class LieBasis:
         if not self.basis:
             return np.zeros((0, 0, 0))
         return np.stack(self.basis)
-
-
-class LieClosureError(RuntimeError):
-    """Closure did not stabilise within the depth budget."""
-
-    def __init__(self, message: str, partial: LieBasis):
-        super().__init__(message)
-        self.partial = partial
 
 
 def bracket(M, N) -> np.ndarray:
@@ -127,43 +118,16 @@ def _unit_generators(gens, tol: float) -> list[np.ndarray]:
     return [g / n for g in gens if (n := fronorm(g)) > tol]
 
 
-def _grow(basis: _OrthoBasis, seeds, gens, d: int, max_depth: int) -> int:
-    """Add the seeds and their nested brackets with ``gens`` to ``basis``.
-
-    Breadth-first: each round brackets the rows found in the previous round
-    against the generators only.  Stops when a round finds nothing or the
-    basis is full; returns the depth reached.  Raises ``LieClosureError``
-    (carrying the partial basis) if the depth budget is exhausted while the
-    dimension is still growing.
-    """
-    found = basis.k
-    for s in seeds:
-        basis.insert(s)
-    depth = 0
-    while found < basis.k < len(basis.q):
-        if depth >= max_depth:
-            partial = _lie_basis(basis, depth, d)
-            raise LieClosureError(
-                f"closure still growing at depth {depth} (dim {partial.dim})", partial)
-        frontier = basis.q[found:basis.k].reshape(-1, d, d)
-        found = basis.k
-        cands = np.stack([frontier @ g - g @ frontier for g in gens], axis=1)
-        for c in cands.reshape(-1, d * d):
-            basis.insert(c)
-        depth += 1
-    return depth
-
-
-def lie_closure(generators, tol: float = DEFAULT_RANK_TOL,
-                max_depth: int | None = None) -> LieBasis:
+def lie_closure(generators, tol: float = DEFAULT_RANK_TOL) -> LieBasis:
     """Smallest matrix Lie algebra containing the generators.
 
-    Breadth-first from the generators scaled to unit norm (see ``_grow``);
-    stops when the dimension stabilises or reaches d*d.  Deterministic for a
-    fixed input order.
-
-    Raises ``LieClosureError`` (carrying the partial basis) if the depth
-    budget is exhausted while the dimension is still growing.
+    It is D + span(generators), with D grown by ``_derived_algebra`` as the
+    rank certificates grow it, so the two agree by construction.
+    ``depth_reached`` counts the breadth-first rounds of bracketing that a
+    closure grown from span(generators) runs: up to the first bracket length
+    n whose brackets add nothing to D_n + span(generators) (D_n the
+    brackets of length 2..n), or one less when the closure is all of gl(d);
+    0 when every generator is zero.  Deterministic for a fixed input order.
     """
     gens = [require_square(g, f"generators[{i}]") for i, g in enumerate(generators)]
     if not gens:
@@ -172,19 +136,17 @@ def lie_closure(generators, tol: float = DEFAULT_RANK_TOL,
     for i, g in enumerate(gens):
         if g.shape != (d, d):
             raise ValueError(f"generators[{i}] has shape {g.shape}, expected {(d, d)}")
-    if max_depth is None:
-        max_depth = d * d
-    basis = _OrthoBasis(d * d, tol)
-    unit = _unit_generators(gens, tol)
-    depth = _grow(basis, unit, unit, d, max_depth)
-    return _lie_basis(basis, depth, d)
-
-
-def _lie_basis(basis: _OrthoBasis, depth: int, d: int) -> LieBasis:
+    derived, ends = _derived_algebra(gens, tol)
+    basis = _plus_span(derived, gens, False)
+    # replay D's levels (length n runs to row ends[n - 2]) on span(generators)
+    probe, length = _plus_span(_OrthoBasis(d * d, tol), gens, True), 1
+    for n, (start, stop) in enumerate(zip([1] + ends, ends), 2):
+        if sum(probe.insert(r) for r in derived.q[start:stop]):
+            length = n
     mats = tuple(basis.rows.reshape(-1, d, d).copy())
     traceless = all(abs(np.trace(m)) <= 1e-9 * (1.0 + fronorm(m)) for m in mats)
     return LieBasis(dim=len(mats), basis=mats, all_traceless=traceless,
-                    depth_reached=depth)
+                    depth_reached=length - (len(mats) == d * d) if mats else 0)
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -192,20 +154,33 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / d) * np.eye(d)
 
 
-def _derived_algebra(a: np.ndarray, f: np.ndarray, tol: float) -> _OrthoBasis:
-    """D, the span of the brackets of length >= 2 of ``a`` and ``f``.
+def _derived_algebra(gens, tol: float) -> tuple[_OrthoBasis, list[int]]:
+    """D, the span of the brackets of length >= 2 of ``gens``, and the row
+    count after the brackets of each length.
 
     Row 0 is vec(I)/sqrt(d), so every row after it is orthogonal to the
-    identity: D lies in sl(d), and rounding cannot leak out of it.
+    identity: D lies in sl(d), and rounding cannot leak out of it.  D is
+    seeded with the brackets [x_i, x_j], i < j, of the unit traceless parts
+    x_i of the generators, and grows breadth-first: each round brackets the
+    rows found in the previous round against the x_i, until a round finds
+    nothing or the basis is full.
     """
-    d = a.shape[0]
+    d = gens[0].shape[0]
     basis = _OrthoBasis(d * d, tol)
     basis.insert(np.eye(d) / np.sqrt(d))
-    gens = _unit_generators([_traceless(a), _traceless(f)], tol)
-    if len(gens) == 2:
-        x, y = gens
-        _grow(basis, [x @ y - y @ x], gens, d, d * d)
-    return basis
+    unit = _unit_generators([_traceless(g) for g in gens], tol)
+    for i, x in enumerate(unit):
+        for y in unit[i + 1:]:
+            basis.insert(x @ y - y @ x)
+    found, ends = 1, [basis.k]
+    while found < basis.k < len(basis.q):
+        frontier = basis.q[found:basis.k].reshape(-1, d, d)
+        found = basis.k
+        cands = np.stack([frontier @ g - g @ frontier for g in unit], axis=1)
+        for c in cands.reshape(-1, d * d):
+            basis.insert(c)
+        ends.append(basis.k)
+    return basis, ends
 
 
 def _plus_span(derived: _OrthoBasis, gens, keep_identity: bool) -> _OrthoBasis:
@@ -248,7 +223,7 @@ def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     f = b @ k
     d = a.shape[0]
     if derived is None:
-        derived = _derived_algebra(a, f, tol)
+        derived = _derived_algebra([a, f], tol)[0]
     dim = _plus_span(derived, [a, f], False).k
     return RankCertificate("LARC", dim == d * d, dim, tol=tol)
 
@@ -264,7 +239,7 @@ def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     f = b @ k
     d = a.shape[0]
     if derived is None:
-        derived = _derived_algebra(a, f, tol)
+        derived = _derived_algebra([a, f], tol)[0]
     dim = _plus_span(derived, [_traceless(a), _traceless(f)], True).k - 1
     return RankCertificate("LARC0", dim == d * d - 1, dim, tol=tol)
 
@@ -327,7 +302,7 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
     if samples < 2 * d:
         raise ValueError(f"need at least {2 * d} samples for d={d}")
     if derived is None:
-        derived = _derived_algebra(a, f, tol)
+        derived = _derived_algebra([a, f], tol)[0]
     basis = _plus_span(derived, [a, f], False)
     if basis.k == 0:
         return RankCertificate("PLARC", False, 0, tol=tol, n_samples=0)
@@ -440,7 +415,7 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, samples: int | None = Non
     a, b, k = closed_loop(A, B, K)
     f = b @ k
     d = a.shape[0]
-    derived = _derived_algebra(a, f, tol)
+    derived = _derived_algebra([a, f], tol)[0]
     larc = check_larc(a + shift * np.eye(d), B, K, tol=tol, derived=derived)
     larc0 = check_larc0(a, B, K, tol=tol, derived=derived)
     plarc = check_plarc(a, B, K, samples=samples, seed=seed, tol=tol, derived=derived)

@@ -298,8 +298,13 @@ class _Planar:
         speeds and the open arcs between them (at most four of each); the
         sign of each speed is constant on a node.  A node hands the flow to
         its upper neighbour when the larger speed is positive on it, and to
-        its lower neighbour when the smaller speed is negative.  Returns the
-        sink components as (lo, hi) pairs, and their count.
+        its lower neighbour when the smaller speed is negative.  Every edge
+        joins neighbours on the cycle, so one scan finds the components: the
+        whole circle when the flow can go all the way round or at most one
+        link is not passed both ways, else the maximal runs of nodes joined
+        both ways.  A run is a sink when its ends hand the flow nowhere
+        outward.  Returns the sink components as (lo, hi) pairs, and their
+        count.
         """
         f_lo, f_hi = self.fields[self.lo], self.fields[self.hi]
         zl, zh = self.zeros[self.lo], self.zeros[self.hi]
@@ -325,32 +330,18 @@ class _Planar:
             up.append(max(speeds) > 0.0)
             down.append(min(speeds) < 0.0)
 
-        def reach(j):
-            seen, todo = {j}, [j]
-            while todo:
-                i = todo.pop()
-                for k, edge in (((i + 1) % n, up[i]), ((i - 1) % n, down[i])):
-                    if edge and k not in seen:
-                        seen.add(k)
-                        todo.append(k)
-            return seen
-
-        reached = [reach(j) for j in range(n)]
-        sinks = {frozenset(r) for j, r in enumerate(reached)
-                 if all(j in reached[k] for k in r)}
-        if any(len(c) == n for c in sinks):
+        joined = [up[j] and down[(j + 1) % n] for j in range(n)]
+        if all(up) or all(down) or joined.count(False) < 2:
             return ((0.0, math.pi),), 1
+        breaks = [j for j in range(n) if not joined[j]]
         arcs = []
-        for comp in sinks:
-            # a component is a run of consecutive nodes; walk it from its start
-            first = next(j for j in comp if (j - 1) % n not in comp)
-            last = first
-            while (last + 1) % n in comp:
-                last += 1
-            lo = ends[first][0]
-            hi = ends[last % n][1] + (math.pi if last >= n else 0.0)
-            arcs.append((float(lo), float(hi)))
-        return tuple(sorted(arcs)), len(sinks)
+        for brk, nxt in zip(breaks, breaks[1:] + [breaks[0] + n]):
+            first = (brk + 1) % n
+            last = first + nxt - brk - 1  # the run first..last, unwrapped
+            if not down[first] and not up[last % n]:
+                hi = ends[last % n][1] + (math.pi if last >= n else 0.0)
+                arcs.append((float(ends[first][0]), float(hi)))
+        return tuple(sorted(arcs)), len(arcs)
 
     def sense(self, theta0: float, target: float, sigma: float, max_time: float):
         """Greedy steering along one sense, as (tau, segments); tau is inf
@@ -398,15 +389,17 @@ def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> Invariant
     """Exact invariant control set on the half-circle.
 
     Control sets of a one-dimensional system are arcs bounded by equilibria
-    of the extremal controls, so the set is read from a graph of at most
+    of the extremal controls, so the set is read from a cycle of at most
     eight nodes: the zeros of the angular speeds at both ends of the control
     range and the arcs between them (see ``_Planar.sink_arcs``).  The invariant
     control set is the union of the sink components, with closed-form
     endpoints.  Requires the projected rank certificate; otherwise the
     result is flagged not applicable.  A control range that is not a
-    nondegenerate subinterval of [0, 1] raises ``ValueError`` either way.
+    nondegenerate subinterval of [0, 1], or a pair with d != 2, raises
+    ``ValueError`` either way, before the certificate runs.
     """
     _control_range(control_range)
+    _planar_loop(A, B, K)
     cert = lie.check_plarc(A, B, K, seed=seed)
     if not cert.verdict:
         return InvariantSetResult(False, None, 0, cert)

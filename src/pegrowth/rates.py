@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
-from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _periodic, reverse
+from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _trusted, reverse
 
 __all__ = [
     "SearchBudget",
@@ -282,9 +282,9 @@ class SearchBudget:
 
     Periods run over {T, 2T, ..., n_periods*T}; candidates alternate between
     1 and a low level (0 or mu/T) with an even number of switches per period
-    (at most max_switches), switching on a uniform grid of ``time_grid``
-    cells per window length T.  Candidates failing the excitation check are
-    discarded.  Generation is deterministic in ``seed``.
+    (at least 2, at most max_switches), switching on a uniform grid of
+    ``time_grid`` cells per window length T.  Candidates failing the
+    excitation check are discarded.  Generation is deterministic in ``seed``.
     """
 
     n_periods: int = 4
@@ -297,6 +297,8 @@ class SearchBudget:
     def __post_init__(self):
         if min(self.n_periods, self.time_grid, self.size) < 1:
             raise ValueError("n_periods, time_grid and size must be positive")
+        if self.max_switches < 2:
+            raise ValueError("max_switches must be at least 2")
 
 
 def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
@@ -348,7 +350,7 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     grid = budget.time_grid
     step = cls.T / grid
     threshold = cls.mu - EP_TOL
-    halves = max(1, budget.max_switches // 2)
+    halves = budget.max_switches // 2
     attempts = 0
     max_attempts = 80 * budget.size
     start = len(out)
@@ -383,7 +385,7 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
             durations = (bounds[1:] - bounds[:-1]) * step
             try:
                 if low[d] < 1.0:
-                    sig = _periodic(values, durations, mult[d] * cls.T)
+                    sig = _trusted(values.tolist(), durations.tolist(), mult[d] * cls.T)
                 else:  # the constant 1: from_segments merges the segments
                     sig = PESignal.from_segments(zip(values.tolist(), durations.tolist()),
                                                  period=mult[d] * cls.T)
@@ -788,7 +790,7 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     satisfies: the monodromy spectrum of (J, e_d, K_minus) under the
     reversed signal is the elementwise inverse of the spectrum of
     (J, e_d, K) under the original.  Checked per signal via multiset
-    matching.
+    matching, after one family-engine pass per side.
     """
     k = as_matrix(K, "K").reshape(-1)
     d = k.size
@@ -800,24 +802,22 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     k_minus = ((-1.0) ** d) * (k @ parity)
     j = nilpotent_shift(d)
     ed = unit_vector(d, d - 1).reshape(d, 1)
-    bks, bks_minus = (ed @ k.reshape(1, d))[None], (ed @ k_minus.reshape(1, d))[None]
-    table, table_minus = {}, {}
     family = list(family)
     if cls is not None:
         verdicts = iter(_pe_valid([s for s in family if s.period is not None], cls))
-    rows = []
-    worst = 0.0
     for i, s in enumerate(family):
         if s.period is None:
             raise ValueError(f"family[{i}] is not periodic")
         if cls is not None and not next(verdicts):
             raise ValueError(f"family[{i}] fails the excitation check")
-        rn, log_scale = _segment_product(j, bks, s.period_segments(), table)
-        rn_minus, log_scale_minus = _segment_product(
-            j, bks_minus, reverse(s).period_segments(), table_minus)
-        ev = np.linalg.eigvals(_unscaled(rn[0], log_scale[0]))
-        ev_minus = np.linalg.eigvals(_unscaled(rn_minus[0], log_scale_minus[0]))
-        res = multiset_residual(ev_minus, 1.0 / ev)
+    ev, ev_minus = (np.linalg.eigvals(_unscaled(rn[:, 0], log_scale[:, 0]))
+                    for rn, log_scale, _ in (
+                        _pass(j, ed, [k.reshape(1, d)], family, {}),
+                        _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family), {})))
+    rows = []
+    worst = 0.0
+    for i, s in enumerate(family):
+        res = multiset_residual(ev_minus[i], 1.0 / ev[i])
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))
     return ParityDualityReport(K_minus=k_minus, per_signal=tuple(rows),

@@ -128,7 +128,7 @@ class PESignal:
         if not vals:
             raise ValueError("signal needs at least one segment of positive length")
         if period is None:
-            return _aperiodic(vals, durs)
+            return _trusted(vals, durs)
         bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
         return cls(bk, np.asarray(vals), period, durations=np.asarray(durs))
 
@@ -384,46 +384,32 @@ def reverse(s: PESignal) -> PESignal:
     """
     if s.period is None:
         raise ValueError("time reversal is defined for periodic signals only")
-    return _periodic(s.values[::-1], s.durations[::-1], s.period)
+    return _trusted(s.values[::-1].tolist(), s.durations[::-1].tolist(), s.period)
 
 
-def _unchecked(bk, vals, durs, period) -> PESignal:
-    """A ``PESignal`` of fields its caller has checked, frozen as
+def _trusted(vals, durs, period: float | None = None) -> PESignal:
+    """The signal of segment values and positive durations, given as short
+    sequences by a caller that has checked them.  The breakpoints are the
+    partial sums in Python, which add in the order of ``np.cumsum``, and the
+    values, the gaps between breakpoints and, for a periodic signal, the
+    last breakpoint's place before the period are checked there, at less
+    cost than numpy calls on a few entries.  A periodic signal keeps the
+    given durations, an aperiodic one gets the gaps.  If a check fails, the
+    validating constructor raises; else the fields are frozen as
     ``__post_init__`` freezes them."""
-    out = object.__new__(PESignal)
-    object.__setattr__(out, "breakpoints", _freeze(bk))
-    object.__setattr__(out, "values", _freeze(vals))
-    object.__setattr__(out, "durations", _freeze(durs))
-    object.__setattr__(out, "period", None if period is None else float(period))
-    return out
-
-
-def _periodic(vals, durs, period: float) -> PESignal:
-    """The periodic signal of segment values and durations that are already
-    valid: values in [0, 1], positive finite durations, a positive finite
-    period.  Only the breakpoints, the rounded partial sums of the
-    durations, are checked: if they do not increase strictly and stay below
-    the period, the validating constructor raises."""
-    bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
-    if bk[-1] >= period or np.any(bk[1:] <= bk[:-1]):
-        return PESignal(bk, vals, period, durations=durs)
-    return _unchecked(bk, vals, durs, period)
-
-
-def _aperiodic(vals: list, durs: list) -> PESignal:
-    """The aperiodic signal of segment values and positive durations, given
-    as short lists.  The breakpoints are the partial sums in Python, which
-    add in the order of ``np.cumsum``, and the values and breakpoints are
-    checked there, at less cost than numpy calls on a few entries; if a
-    check fails, the validating constructor raises."""
     bk = [0.0]
     for dur in durs[:-1]:
         bk.append(bk[-1] + dur)
     gaps = [b - a for a, b in zip(bk, bk[1:])]
     if (not all(0.0 <= v <= 1.0 for v in vals) or not math.isfinite(bk[-1])
-            or not all(g > 0.0 for g in gaps)):
-        return PESignal(np.array(bk), vals, None)
-    return _unchecked(np.array(bk), np.array(vals), np.array(gaps), None)
+            or not all(g > 0.0 for g in gaps) or not (period is None or bk[-1] < period)):
+        return PESignal(np.array(bk), vals, period, durations=durs)
+    out = object.__new__(PESignal)
+    object.__setattr__(out, "breakpoints", _freeze(np.array(bk)))
+    object.__setattr__(out, "values", _freeze(np.array(vals)))
+    object.__setattr__(out, "durations", _freeze(np.array(gaps if period is None else durs)))
+    object.__setattr__(out, "period", None if period is None else float(period))
+    return out
 
 
 def splice_periodic(prefix: PESignal, t: float, steering: PESignal, tau: float,

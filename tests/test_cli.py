@@ -580,6 +580,8 @@ class TestExitCodes:
         ("rates", "family.size", "2.7"), ("rates", "family.n_periods", '"4"'),
         ("duality-grid", "K_grid.count", "true"), ("spin-audit", "seeds", "2.5"),
         ("rates", "family.include_constants", '"false"'),
+        # a family candidate switches at least twice a period
+        ("rates", "family.max_switches", "1"), ("rates", "family.max_switches", "0"),
         ("rates", "family.include_constants", "0"),
         # float fields take finite numbers only
         ("duality-grid", "K_grid.scale", "1e400"), ("duality-grid", "K_grid.scale", "NaN"),

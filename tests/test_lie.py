@@ -198,10 +198,35 @@ class TestClosure:
             d2 = lie.lie_closure([p @ g @ pinv for g in gens]).dim
             assert d1 == d2
 
-    def test_depth_budget_error(self):
-        with pytest.raises(lie.LieClosureError) as err:
-            lie.lie_closure([J2, E21], max_depth=1)
-        assert err.value.partial.dim >= 2
+    def test_agrees_with_the_certificates_near_the_tolerance(self):
+        # a 2x2 pair whose common eigendirection is perturbed by about 1e-8,
+        # just above the rank tolerance: a closure grown from span{A, F}
+        # read dim 4 here, and the certificates' D + span{A, F} reads 3
+        a = np.array([[-3.4084406864769936, -2.9625197239964463],
+                      [1.7816652984206947, 1.2153974990175307]])
+        f = np.array([[0.6914487530176795, 1.9326153268622954],
+                      [0.1958351541301419, -0.7595675266541102]])
+        assert lie.lie_closure([a, f]).dim == lie.check_larc(a, np.eye(2), f).dim == 3
+
+    def test_depth_reached_pinned(self):
+        """The depths of the generators of this class, recorded when the
+        closure grew breadth-first from span(generators)."""
+        e3 = unit_vector(3, 2).reshape(3, 1)
+        cases = [[np.zeros((2, 2))], [np.eye(2)], [J2, E21],
+                 [nilpotent_shift(3), e3 @ np.array([[1.0, 1.0, 1.0]])]]
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            gens = [rng.standard_normal((3, 3)) for _ in range(2)]
+            p = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+            cases += [gens, [p @ g @ np.linalg.inv(p) for g in gens]]
+        rng = np.random.default_rng(3)
+        for kind in ("generic", "traceless", "skew", "upper", "block"):
+            cases.append(structured_generators(rng, 3, 2, kind))
+        for d in (6, 8, 10):
+            for kind in ("generic", "skew"):
+                cases.append(structured_generators(np.random.default_rng(d), d, 2, kind))
+        assert [lie.lie_closure(gens).depth_reached for gens in cases] == \
+            [0, 1, 2, 4] + [4] * 10 + [4, 4, 2, 3, 4] + [6, 6, 7, 7, 8, 8]
 
     def test_matches_all_pairs_bruteforce(self):
         # independent closure: bracket all pairs until the span stabilises

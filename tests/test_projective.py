@@ -191,6 +191,77 @@ def grid_control_set(A, B, K, control_range, resolution):
     return tuple(arcs), int(sinks.size)
 
 
+def reference_sink_arcs(planar):
+    """``planar.sink_arcs()`` by the search the library used before its one
+    scan round the circle: the set of nodes each node reaches, and the sink
+    components as the reached sets that reach back to each of their nodes."""
+    f_lo, f_hi = planar.fields[planar.lo], planar.fields[planar.hi]
+    zl, zh = planar.zeros[planar.lo], planar.zeros[planar.hi]
+    zeros = sorted(set(zl + zh))
+    if not zeros:
+        return ((0.0, math.pi),), 1
+    nz = len(zeros)
+    n = 2 * nz
+    ends = []
+    for i, z in enumerate(zeros):
+        nxt = zeros[i + 1] if i + 1 < nz else zeros[0] + math.pi
+        ends.append((z, z))
+        ends.append((z, nxt))
+    up, down = [], []
+    for j, (left, right) in enumerate(ends):
+        if j % 2 == 0:
+            speeds = (0.0 if left in zl else prj._speed_at(f_lo, left),
+                      0.0 if left in zh else prj._speed_at(f_hi, left))
+        else:
+            mid = 0.5 * (left + right)
+            speeds = (prj._speed_at(f_lo, mid), prj._speed_at(f_hi, mid))
+        up.append(max(speeds) > 0.0)
+        down.append(min(speeds) < 0.0)
+
+    def reach(j):
+        seen, todo = {j}, [j]
+        while todo:
+            i = todo.pop()
+            for k, edge in (((i + 1) % n, up[i]), ((i - 1) % n, down[i])):
+                if edge and k not in seen:
+                    seen.add(k)
+                    todo.append(k)
+        return seen
+
+    reached = [reach(j) for j in range(n)]
+    sinks = {frozenset(r) for j, r in enumerate(reached)
+             if all(j in reached[k] for k in r)}
+    if any(len(c) == n for c in sinks):
+        return ((0.0, math.pi),), 1
+    arcs = []
+    for comp in sinks:
+        first = next(j for j in comp if (j - 1) % n not in comp)
+        last = first
+        while (last + 1) % n in comp:
+            last += 1
+        hi = ends[last % n][1] + (math.pi if last >= n else 0.0)
+        arcs.append((float(ends[first][0]), float(hi)))
+    return tuple(sorted(arcs)), len(sinks)
+
+
+def seeded_planar_fields(n, seed):
+    """Seeded planar triples and control ranges: Gaussian, diagonal A, and
+    entries rounded to integers or halves (coincident zeros, double roots),
+    with lo = 0 or hi = 1 about half the time each."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        a, b, k = (rng.standard_normal(shape) for shape in ((2, 2), (2, 1), (1, 2)))
+        if i % 4 == 1:
+            a = np.diag(np.diag(a))
+        elif i % 4 == 2:
+            a, b, k = np.round(a), np.round(b), np.round(k)
+        elif i % 4 == 3:
+            a, b, k = np.round(2 * a) / 2, np.round(2 * b) / 2, np.round(2 * k) / 2
+        lo = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.9)
+        hi = 1.0 if rng.random() < 0.5 else rng.uniform(lo + 0.05, 1.0)
+        yield a, b, k, (lo, hi)
+
+
 def endpoint_gap_cells(exact, grid, resolution):
     """Largest distance, in cells, between matched endpoints (mod pi)."""
     e = sorted(prj.wrap_angle(np.ravel(exact)))
@@ -390,6 +461,36 @@ class TestInvariantSet:
         with pytest.raises(ValueError, match=r"^control range must be a nondegenerate "
                                              r"subinterval of \[0, 1\]$"):
             calls[entry]()
+
+    @pytest.mark.parametrize("triple, crange, n_sinks", [
+        (([[0.0, 0.0], [0.0, 0.5]], [[-0.5], [0.0]], [[0.5, -1.0]]),
+         (0.10563365031986374, 1.0), 3),
+        (([[1.0, 1.0], [0.0, 1.0]], [[0.0], [-2.0]], [[0.0, -3.0]]),
+         (0.6439607129445425, 1.0), 4)])
+    def test_sink_arcs_pinned_many_sinks(self, triple, crange, n_sinks):
+        planar = prj._Planar(*(np.array(m) for m in triple), crange)
+        got = planar.sink_arcs()
+        assert got[1] == n_sinks
+        assert repr(got) == repr(reference_sink_arcs(planar))
+
+    def test_sink_arcs_match_reachability_search(self):
+        counts = {}
+        for a, b, k, crange in seeded_planar_fields(4000, seed=5):
+            planar = prj._Planar(a, b, k, crange)
+            got = planar.sink_arcs()
+            assert repr(got) == repr(reference_sink_arcs(planar))
+            counts[got[1]] = counts.get(got[1], 0) + 1
+        assert {1, 2} <= set(counts)
+
+    @pytest.mark.parametrize("triple", [
+        (np.diag([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros((1, 3))),
+        tuple(np.random.default_rng(0).standard_normal(s) for s in ((3, 3), (3, 1), (1, 3)))])
+    def test_d3_raises_before_plarc(self, monkeypatch, triple):
+        calls = []
+        monkeypatch.setattr(prj.lie, "check_plarc", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="^angle dynamics need d = 2$"):
+            prj.invariant_control_set_d2(*triple, RANGE)
+        assert not calls
 
     def test_c12_matches_grid(self):
         a, b, k = SADDLE

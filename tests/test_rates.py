@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import struct
 import sys
 
 import numpy as np
@@ -185,6 +186,12 @@ class TestFamilies:
         f1 = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=9))
         f2 = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=9))
         assert [s.encoding_key() for s in f1] == [s.encoding_key() for s in f2]
+
+    @pytest.mark.parametrize("max_switches", [-1, 0, 1])
+    def test_budget_needs_two_switches(self, max_switches):
+        # candidates switch an even number of times, at least twice
+        with pytest.raises(ValueError, match="^max_switches must be at least 2$"):
+            rates.SearchBudget(max_switches=max_switches)
 
     def test_constant_family_grid(self):
         fam = rates.constant_family(CLS, 5)
@@ -615,6 +622,33 @@ class TestParityDuality:
             rates.parity_duality_check(k, iter([good, weak, loose]))
         rep = rates.parity_duality_check(k, iter([good, weak]))
         assert [row[0] for row in rep.per_signal] == [0, 1]
+
+
+    def test_pinned_digest(self):
+        """K_minus, every per-signal row and the worst residual on 36
+        seeded cases (d = 2..7, with and without an excitation class, one
+        larger gain each), pinned by a digest recorded when each signal
+        took its own product and eigvals calls."""
+        digest = hashlib.sha256()
+        for d in range(2, 8):
+            for c in range(6):
+                rng = np.random.default_rng(100 * d + c)
+                k = rng.uniform(0.3, 1.5, d) * np.where(rng.random(d) < 0.5, -1.0, 1.0)
+                if c == 5:
+                    k *= 4.0
+                family = [PESignal.constant(1.0, period=float(rng.uniform(0.5, 2.0)))]
+                for _ in range(int(rng.integers(1, 5))):
+                    segs = [(float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.1, 1.0)))
+                            for _ in range(int(rng.integers(1, 6)))]
+                    family.append(PESignal.from_segments(
+                        segs, period=sum(t for _, t in segs)))
+                rep = rates.parity_duality_check(k, family, cls=CLS if c % 2 else None)
+                digest.update(rep.K_minus.tobytes())
+                for i, period, res in rep.per_signal:
+                    digest.update(struct.pack("<qdd", i, period, res))
+                digest.update(struct.pack("<d", rep.max_residual))
+        assert digest.hexdigest() == \
+            "8ca8df436e0668644eb41531cc5f24a1e782aedd2a1d2781e819f5df63cacbe0"
 
 
 def test_continuity_probe_report():

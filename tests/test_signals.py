@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pegrowth import signals
 from pegrowth.rates import SearchBudget, bang_bang_family
 from pegrowth.signals import (EP_TOL, PESignal, PEValidation, SignalClass,
-                              SpliceError, _periodic, periodize, reverse,
+                              SpliceError, _trusted, periodize, reverse,
                               splice_periodic, validate_pe)
 
 CLS = SignalClass(1.0, 0.4)
@@ -445,7 +445,7 @@ class TestReverse:
         # The trusted constructor checks only the breakpoints, so its
         # durations need not sum to the period; reversed, the first segment
         # ends past it, and the validating constructor rejects that.
-        s = _periodic(np.array([1.0, 0.0]), np.array([0.5, 1.5]), 1.0)
+        s = _trusted(np.array([1.0, 0.0]), np.array([0.5, 1.5]), 1.0)
         with pytest.raises(ValueError, match="precede the period"):
             reverse(s)
 

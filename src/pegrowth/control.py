@@ -8,10 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (DEFAULT_RANK_TOL, as_matrix, nilpotent_shift,
-                      numerical_rank, opnorm, require_square, unit_vector)
+                      numerical_rank, opnorm, require_square, singular_values,
+                      unit_vector)
 
 __all__ = [
     "MatrixPair",
@@ -81,7 +81,7 @@ def controllability_matrix(A, B) -> np.ndarray:
 
 def kalman_rank(A, B, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the controllability matrix: the pair is controllable when it is d."""
-    return numerical_rank(scipy.linalg.svdvals(controllability_matrix(A, B)), tol)
+    return numerical_rank(singular_values(controllability_matrix(A, B)), tol)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def accessibility_certificate(A, b, K, trace_divisor: float = 1.0,
     norm_k = float(np.linalg.norm(k))
     nonzero = all(
         abs(r_vals[j]) > tol * (1.0 + norm_k * norm_av ** j) for j in range(d))
-    independent = numerical_rank(scipy.linalg.svdvals(np.vstack(rows)), DEFAULT_RANK_TOL) == d
+    independent = numerical_rank(singular_values(np.vstack(rows)), DEFAULT_RANK_TOL) == d
     return AccCertificate(verdict=nonzero and independent, r=r_vals,
                           K_seq=tuple(tuple(map(float, row)) for row in rows),
                           v=form.v, P=form.P)

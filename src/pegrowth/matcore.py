@@ -10,7 +10,6 @@ choice.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -20,6 +19,7 @@ __all__ = [
     "fronorm",
     "closed_loop",
     "numerical_rank",
+    "singular_values",
     "span_rank",
     "multiset_residual",
     "nilpotent_shift",
@@ -80,6 +80,15 @@ def numerical_rank(sv: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
+def singular_values(x) -> np.ndarray:
+    """Singular values of ``x``, descending, by numpy's SVD.  A non-finite
+    ``x`` raises ``ValueError``, as ``scipy.linalg.svdvals`` does, where
+    numpy would return NaN for an infinite entry."""
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.svd(x, compute_uv=False)
+
+
 def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of the linear span of a family of same-shaped matrices.
 
@@ -93,7 +102,7 @@ def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ValueError(f"family[{i}] has shape {m.shape}, expected {shape}")
-    return numerical_rank(scipy.linalg.svdvals(np.vstack([m.ravel() for m in mats])), tol)
+    return numerical_rank(singular_values(np.vstack([m.ravel() for m in mats])), tol)
 
 
 def multiset_residual(a, b) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
@@ -82,7 +81,13 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     peak, which is exact barring underflow of tiny entries.  Its shifts
     ``sigma dt`` and exponents are summed in segment order, so every slice
     equals the product of that one signal and gain bit for bit.
+
+    ``scipy.linalg`` is imported here, not at module level, so that a run
+    that never forms a product never loads scipy; ``expm`` is looked up on
+    the module at each call, so a patched attribute sees every call.
     """
+    import scipy.linalg
+
     g, d = bks.shape[0], a.shape[0]
     index: dict = {}
     factors, steps, rows = [], [], []
@@ -206,6 +211,8 @@ def _modulus_classes(logmods: np.ndarray, tol: float = 1e-7) -> list[float]:
 
 def _spectral_component(r: np.ndarray, thresh: float, x: np.ndarray) -> float:
     """Norm of the component of x in the invariant subspace with |eig| >= thresh."""
+    import scipy.linalg
+
     d = r.shape[0]
     t, z, sdim = scipy.linalg.schur(
         r, output="real", sort=lambda re, im: np.hypot(re, im) >= thresh)

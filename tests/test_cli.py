@@ -726,3 +726,43 @@ def test_python_dash_m_entry_point(tmp_path):
                              cwd=tmp_path, env=env, capture_output=True, text=True,
                              timeout=120)
     assert missing.returncode == 2, missing.stderr
+
+
+SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+from pegrowth import cli
+
+cfg, out = sys.argv[1], Path(sys.argv[2])
+codes = {sub: cli.main([sub, "--config", cfg, "--out", str(out / sub)])
+         for sub in ("lie-check", "acc-cert", "invariant-set", "spin-audit")}
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+codes["rates"] = cli.main(["rates", "--config", cfg, "--out", str(out / "rates")])
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after_rates": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_rank_subcommands_never_import_scipy(tmp_path):
+    """``import pegrowth`` and the rank, planar and spin subcommands load no
+    scipy module; ``rates`` then loads ``scipy.linalg`` for its first
+    ``expm``.  One fresh interpreter, on c12 with a small family."""
+    cfg = write_config(tmp_path, {
+        "schema": "1", "pair": {"A": matrix_to_json(np.diag([1.0, -1.0])),
+                                "B": matrix_to_json(np.ones((2, 1)))},
+        "K": matrix_to_json(np.array([[-0.6, 0.2]])), "T": 1.0, "mu": 0.4,
+        "family": {"size": 4},
+        "seed": 3, "seeds": 2})
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = subprocess.run([sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path)],
+                           cwd=tmp_path, env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout)
+    assert result["codes"] == {"lie-check": 0, "acc-cert": 0, "invariant-set": 0,
+                               "spin-audit": 0, "rates": 0}
+    assert result["loaded"] == []
+    assert result["after_rates"]

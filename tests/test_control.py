@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pegrowth import control, lie
+from pegrowth import control, lie, matcore
 from pegrowth.matcore import nilpotent_shift, opnorm, unit_vector
 
 
@@ -162,15 +163,10 @@ class TestAccessibilityCertificate:
             checked = 0
 
 
-def test_rank_verdicts_on_gaussian_triples():
-    """``kalman_rank``, ``controllability_decomposition(...).r`` and the
-    ``accessibility_certificate`` verdict (or the Kalman rank it rejected)
-    on 216 seeded Gaussian triples: three draws of the benchmark's
-    triple_sweep recipe, d = 2..10 at eight log-strata of scale 0.3..30.
-    Large d and scale make the Krylov matrix ill-conditioned, so the rank
-    cutoff decides many of these; the digest pins every verdict."""
+def gaussian_triples():
+    """216 seeded Gaussian triples: three draws of the benchmark's
+    triple_sweep recipe, d = 2..10 at eight log-strata of scale 0.3..30."""
     lo, hi = math.log(0.3), math.log(30.0)
-    verdicts = []
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for d in range(2, 11):
@@ -179,16 +175,73 @@ def test_rank_verdicts_on_gaussian_triples():
                 a = scale * rng.standard_normal((d, d)) / math.sqrt(d)
                 b = rng.standard_normal((d, 1))
                 k = scale * rng.standard_normal((1, d)) / math.sqrt(d)
-                try:
-                    acc = control.accessibility_certificate(a, b, k).verdict
-                except control.NotControllableError as exc:
-                    acc = f"rank {exc.rank}"
-                verdicts.append((control.kalman_rank(a, b),
-                                 control.controllability_decomposition(a, b).r, acc))
+                yield a, b, k
+
+
+def test_rank_verdicts_on_gaussian_triples():
+    """``kalman_rank``, ``controllability_decomposition(...).r`` and the
+    ``accessibility_certificate`` verdict (or the Kalman rank it rejected)
+    on the 216 ``gaussian_triples``.  Large d and scale make the Krylov
+    matrix ill-conditioned, so the rank cutoff decides many of these; the
+    digest pins every verdict."""
+    verdicts = []
+    for a, b, k in gaussian_triples():
+        try:
+            acc = control.accessibility_certificate(a, b, k).verdict
+        except control.NotControllableError as exc:
+            acc = f"rank {exc.rank}"
+        verdicts.append((control.kalman_rank(a, b),
+                         control.controllability_decomposition(a, b).r, acc))
     assert sum(isinstance(v[2], str) for v in verdicts) == 27  # not controllable at 1e-9
     assert {v[2] for v in verdicts} >= {True, False}
     assert (hashlib.sha256(repr(verdicts).encode()).hexdigest()
             == "a47ad3cfffbdebeb206accb58ca4dd55a513aff4e5b7febec46d64bf1d15928d")
+
+
+def test_rank_kernel_matches_scipy_svdvals(monkeypatch):
+    """The rank callers read singular values through numpy's SVD; on every
+    matrix they form here, that equals ``scipy.linalg.svdvals`` bit for bit:
+    the Kalman matrices and accessibility row stacks of the 216
+    ``gaussian_triples``, and the stacks of seeded ``span_rank`` families
+    (random, with repeated and combined members, at scales 1e-3..1e3)."""
+    seen, kernel = [], matcore.singular_values
+
+    def recorded(x):
+        seen.append(np.array(x, dtype=float))
+        return kernel(x)
+
+    monkeypatch.setattr(control, "singular_values", recorded)
+    for a, b, k in gaussian_triples():
+        control.kalman_rank(a, b)
+        try:
+            control.accessibility_certificate(a, b, k)
+        except control.NotControllableError:
+            pass
+    n_control = len(seen)
+    monkeypatch.setattr(matcore, "singular_values", recorded)
+    rng = np.random.default_rng(16)
+    for d in range(2, 7):
+        for n in (1, 2, d, d * d - 1, d * d, d * d + 2):
+            fam = list(10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, d, d)))
+            if n > 2:
+                fam[-1] = fam[0] - 0.5 * fam[1]
+                fam[-2] = fam[0]
+            matcore.span_rank(fam)
+    # per triple, kalman_rank on (A, b) and on the certificate's shifted
+    # pair; row stacks for the 189 triples it does not reject
+    assert n_control == 2 * 216 + 189 and len(seen) == n_control + 30
+    for x in seen:
+        assert np.linalg.svd(x, compute_uv=False).tobytes() == scipy.linalg.svdvals(x).tobytes()
+
+
+def test_overflowing_krylov_matrix_raises():
+    """An overflowed Krylov matrix is an error, not rank 0: numpy's SVD
+    returns NaN for an infinite entry, so ``singular_values`` checks."""
+    a = np.diag([1e200, 2e200, 3e200]) + nilpotent_shift(3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        control.kalman_rank(a, unit_vector(3, 2).reshape(3, 1))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        matcore.singular_values(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
 class TestCoefficientBounds:

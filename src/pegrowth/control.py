@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (DEFAULT_RANK_TOL, as_matrix, nilpotent_shift,
-                      numerical_rank, opnorm, require_square, singular_values,
-                      unit_vector)
+                      numerical_rank, opnorm, require_finite, require_square,
+                      singular_values, unit_vector)
 
 __all__ = [
     "MatrixPair",
@@ -104,7 +104,7 @@ class ControllabilityDecomposition:
 def controllability_decomposition(A, B, tol: float = DEFAULT_RANK_TOL) -> ControllabilityDecomposition:
     a = require_square(A, "A")
     b = as_matrix(B, "B")
-    u, sv, _ = np.linalg.svd(controllability_matrix(a, b))
+    u, sv, _ = np.linalg.svd(require_finite(controllability_matrix(a, b)))
     r = numerical_rank(sv, tol)
     p = u.T  # rows: orthonormal basis of the reachable subspace, then its complement
     ap = p @ a @ u

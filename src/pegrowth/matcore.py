@@ -19,6 +19,7 @@ __all__ = [
     "fronorm",
     "closed_loop",
     "numerical_rank",
+    "require_finite",
     "singular_values",
     "span_rank",
     "multiset_residual",
@@ -80,13 +81,18 @@ def numerical_rank(sv: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def singular_values(x) -> np.ndarray:
-    """Singular values of ``x``, descending, by numpy's SVD.  A non-finite
-    ``x`` raises ``ValueError``, as ``scipy.linalg.svdvals`` does, where
-    numpy would return NaN for an infinite entry."""
+def require_finite(x) -> np.ndarray:
+    """``x`` itself, after raising ``ValueError`` (the message of
+    ``scipy.linalg.svdvals``) if an entry is non-finite: numpy's SVD would
+    return NaN for an infinite entry, which a rank count reads as 0."""
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return np.linalg.svd(x, compute_uv=False)
+    return x
+
+
+def singular_values(x) -> np.ndarray:
+    """Singular values of a finite ``x``, descending, by numpy's SVD."""
+    return np.linalg.svd(require_finite(x), compute_uv=False)
 
 
 def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:

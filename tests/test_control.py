@@ -236,10 +236,14 @@ def test_rank_kernel_matches_scipy_svdvals(monkeypatch):
 
 def test_overflowing_krylov_matrix_raises():
     """An overflowed Krylov matrix is an error, not rank 0: numpy's SVD
-    returns NaN for an infinite entry, so ``singular_values`` checks."""
+    returns NaN for an infinite entry, so ``kalman_rank`` and
+    ``controllability_decomposition`` both check it first."""
     a = np.diag([1e200, 2e200, 3e200]) + nilpotent_shift(3)
+    b = unit_vector(3, 2).reshape(3, 1)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-        control.kalman_rank(a, unit_vector(3, 2).reshape(3, 1))
+        control.kalman_rank(a, b)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        control.controllability_decomposition(a, b)
     with pytest.raises(ValueError, match="infs or NaNs"):
         matcore.singular_values(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 

@@ -1,29 +1,26 @@
+import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 from pegrowth import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "subcommand_times.py"
+SPEC = importlib.util.spec_from_file_location("subcommand_times",
+                                              ROOT / "tools" / "subcommand_times.py")
+subcommand_times = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(subcommand_times)
 
 
-def test_times_one_row(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run([sys.executable, str(TOOL), "--src", f"here={ROOT}", "--runs", "2",
-                           "--rows", "acc-cert", "--out", str(out)],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    row = doc["sources"]["here"]["acc-cert"]
-    assert doc["runs"] == 2 and doc["configs"] == {"acc-cert": "d4.json"}
+def test_times_one_row():
+    report = subcommand_times.measure({"here": ROOT}, ["acc-cert"], 2)
+    row = report["here"]["acc-cert"]
     assert row["exit"] == 0 and len(row["summary_sha256"]) == 64
     assert 0.0 < row["q1_s"] <= row["median_s"] <= row["q3_s"]
 
 
 def test_every_subcommand_has_a_committed_config():
     rows = json.loads((ROOT / "BENCH_subcommands.json").read_text())["configs"]
+    assert rows == subcommand_times.ROWS
     assert set(rows) == {"import", *cli.SUBCOMMANDS}
-    for name in filter(None, rows.values()):
-        assert (TOOL.parent / "configs" / name).is_file()
+    for path in filter(None, rows.values()):
+        assert (ROOT / path).is_file()

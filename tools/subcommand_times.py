@@ -4,8 +4,9 @@
 
 Each ``--src LABEL=PATH`` names a source checkout, whose program is imported
 from ``PATH/src``.  Every subcommand runs as ``python -m pegrowth SUB`` on
-its config in ``tools/configs`` (this tool's own copy, so an older checkout
-is timed on the same inputs), with BLAS limited to one thread; the row
+its config, read from this tool's checkout (``tools/configs``, and
+``bench/configs`` for ``duality-grid``) so an older checkout is timed on
+the same inputs, with BLAS limited to one thread; the row
 ``import`` times ``python -c "import pegrowth"``.  One untimed warm-up run
 of every row fills the bytecode caches.  Runs are interleaved: run i times
 every row on every checkout, alternating the checkout order, so a slow
@@ -33,16 +34,16 @@ import time
 from importlib.metadata import version
 from pathlib import Path
 
-CONFIGS = Path(__file__).resolve().parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
 ROWS = {
     "import": None,
-    "lie-check": "d4.json",
-    "acc-cert": "d4.json",
-    "rates": "d4.json",
-    "duality": "d4.json",
-    "invariant-set": "c12.json",
-    "spin-audit": "c12.json",
-    "duality-grid": "chain_d3_mu0.40.json",
+    "lie-check": "tools/configs/d4.json",
+    "acc-cert": "tools/configs/d4.json",
+    "rates": "tools/configs/d4.json",
+    "duality": "tools/configs/d4.json",
+    "invariant-set": "tools/configs/c12.json",
+    "spin-audit": "tools/configs/c12.json",
+    "duality-grid": "bench/configs/chain_d3_mu0.40.json",
 }
 
 
@@ -60,7 +61,7 @@ def run_once(src: Path, row: str) -> tuple[float, int, str | None]:
             cmd = [sys.executable, "-c", "import pegrowth"]
         else:
             cmd = [sys.executable, "-m", "pegrowth", row,
-                   "--config", str(CONFIGS / ROWS[row]), "--out", tmp]
+                   "--config", str(ROOT / ROWS[row]), "--out", tmp]
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, env=_env(src), cwd=tmp, capture_output=True)
         seconds = time.perf_counter() - t0
@@ -99,7 +100,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH",
                         help="a source checkout to time; repeat to compare")
     parser.add_argument("--runs", type=int, default=15, help="timed runs per row")
-    parser.add_argument("--rows", nargs="+", choices=list(ROWS), default=list(ROWS))
     parser.add_argument("--out", default="BENCH_subcommands.json")
     args = parser.parse_args(argv)
     if args.runs < 2:
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         if not sep or not label or label in sources:
             parser.error(f"--src needs a distinct LABEL=PATH, got {spec!r}")
         sources[label] = Path(path).resolve()
-    report = measure(sources, args.rows, args.runs)
+    report = measure(sources, list(ROWS), args.runs)
     doc = {
         "tool": "tools/subcommand_times.py",
         "runs": args.runs,
@@ -118,13 +118,13 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(), "numpy": version("numpy"),
                  "scipy": version("scipy"), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "configs": {row: ROWS[row] for row in args.rows},
+        "configs": ROWS,
         "sources": report,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     labels = list(sources)
     print("row".ljust(14) + "".join(f"{label:>22}" for label in labels))
-    for row in args.rows:
+    for row in ROWS:
         cells = [report[label][row] for label in labels]
         print(row.ljust(14) + "".join(
             f"{c['median_s']:>10.3f} s (IQR {c['iqr_s']:.3f})" for c in cells))

@@ -7,7 +7,7 @@ projective space (PLARC), plus the implication chain between them.
 
 import numpy as np
 
-from pegrowth import (check_irreducible, check_larc, check_larc0, check_plarc,
+from pegrowth import (check_larc, check_larc0, check_plarc,
                       inclusion_chain_audit, lie_closure, nilpotent_shift,
                       unit_vector)
 
@@ -22,7 +22,6 @@ basis = lie_closure([J, e_d @ K])
 print(f"chain pair, K = {K.ravel()}:")
 print(f"  closure dimension {basis.dim} (full algebra is {d * d})")
 print(f"  depth reached {basis.depth_reached}, all traceless: {basis.all_traceless}")
-print(f"  irreducible action: {check_irreducible(basis)}")
 
 for kind, cert in [("LARC", check_larc(J, e_d, K)),
                    ("LARC0", check_larc0(J, e_d, K)),

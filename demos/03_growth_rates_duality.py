@@ -10,8 +10,8 @@ import numpy as np
 
 from pegrowth import (SearchBudget, SignalClass, bang_bang_family,
                       constant_family, delta_quantities, duality_check,
-                      lyap_exponents, mirror_family, monodromy, rc_estimate,
-                      rd_estimate, shift_law_check)
+                      mirror_family, monodromy, rc_estimate, rd_estimate,
+                      shift_law_check)
 
 cls = SignalClass(T=1.0, mu=0.4)
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -34,8 +34,6 @@ print(f"  rc <= {rc.value:.6f} over a 30-signal bang-bang family "
 m = monodromy(A, B, K, rc.witness)
 print(f"\nwitness monodromy: top rate {m.top_rate:.6f}, "
       f"bottom rate {m.bottom_rate:.6f}")
-lam = lyap_exponents([1.0, 0.0], A, B, K, rc.witness)
-print(f"exponent of e1 under the witness signal: {lam[0]:.6f}")
 
 # Duality: the divergence estimate of the reversed system on the mirrored
 # family equals the convergence estimate bit for bit, and each reversed

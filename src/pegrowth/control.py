@@ -1,6 +1,5 @@
-"""Controllability machinery: Kalman rank, controllability decomposition,
-the single-input companion form, and the per-gain accessibility certificates
-built on it.
+"""Controllability machinery: Kalman rank, the single-input companion form,
+and the per-gain accessibility certificates built on it.
 """
 
 from __future__ import annotations
@@ -10,24 +9,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (DEFAULT_RANK_TOL, as_matrix, nilpotent_shift,
-                      numerical_rank, opnorm, require_finite, require_square,
-                      singular_values, unit_vector)
+                      numerical_rank, opnorm, require_square, singular_values,
+                      unit_vector)
 
 __all__ = [
     "MatrixPair",
     "NotControllableError",
-    "ControllabilityDecomposition",
     "ControllabilityForm",
     "AccCertificate",
     "CoefficientBoundReport",
     "controllability_matrix",
     "kalman_rank",
-    "controllability_decomposition",
     "controllable_form_si",
     "accessibility_certificate",
     "companion_coefficient_bounds",
-    "spectral_halfplane_gate",
-    "ackermann",
     "companion_gain",
 ]
 
@@ -82,35 +77,6 @@ def controllability_matrix(A, B) -> np.ndarray:
 def kalman_rank(A, B, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the controllability matrix: the pair is controllable when it is d."""
     return numerical_rank(singular_values(controllability_matrix(A, B)), tol)
-
-
-@dataclass(frozen=True)
-class ControllabilityDecomposition:
-    """Orthogonal change of coordinates splitting off the controllable part.
-
-    P is orthogonal with P A P^(-1) block upper-triangular: the leading r x r
-    block A1 together with B1 is controllable, A3 carries the uncontrollable
-    modes, and P B has its last d - r rows equal to zero.
-    """
-
-    P: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    B1: np.ndarray
-    r: int
-
-
-def controllability_decomposition(A, B, tol: float = DEFAULT_RANK_TOL) -> ControllabilityDecomposition:
-    a = require_square(A, "A")
-    b = as_matrix(B, "B")
-    u, sv, _ = np.linalg.svd(require_finite(controllability_matrix(a, b)))
-    r = numerical_rank(sv, tol)
-    p = u.T  # rows: orthonormal basis of the reachable subspace, then its complement
-    ap = p @ a @ u
-    bp = p @ b
-    return ControllabilityDecomposition(
-        P=p, A1=ap[:r, :r], A2=ap[:r, r:], A3=ap[r:, r:], B1=bp[:r, :], r=r)
 
 
 def _input_column(b, d: int) -> np.ndarray:
@@ -274,36 +240,6 @@ def companion_coefficient_bounds(K, eigenvalues=None, tol: float = 1e-9) -> Coef
     verdict = all(s >= -tol for s in slacks)
     return CoefficientBoundReport(verdict=verdict, slacks=tuple(slacks),
                                   c0=c0, sign=1 if re[0] > 0 else -1)
-
-
-def spectral_halfplane_gate(A, b, K, c: float) -> bool:
-    """True when the closed-loop spectrum lies entirely beyond +-c.
-
-    Checks max Re < -c or min Re > c for ``A + b K``.
-    """
-    if c <= 0:
-        raise ValueError("need c > 0")
-    a = require_square(A, "A")
-    bb = as_matrix(b, "b")
-    if bb.shape[1] != 1 and bb.shape[0] == 1:
-        bb = bb.T
-    k = as_matrix(K, "K")
-    ev = np.linalg.eigvals(a + bb @ k)
-    return bool(ev.real.max() < -c or ev.real.min() > c)
-
-
-def ackermann(A, b, poles) -> np.ndarray:
-    """Single-input pole placement (test oracle): sigma(A + bK) = poles."""
-    a = require_square(A, "A")
-    d = a.shape[0]
-    row = _companion_row(a, _input_column(b, d), DEFAULT_RANK_TOL)
-    coeffs = np.real(np.poly(np.asarray(poles, dtype=complex)))
-    qa = np.zeros((d, d))
-    apow = np.eye(d)
-    for cj in coeffs[::-1]:
-        qa += cj * apow
-        apow = apow @ a
-    return -(row @ qa).reshape(1, d)
 
 
 def companion_gain(poles) -> np.ndarray:

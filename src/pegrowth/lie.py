@@ -37,7 +37,6 @@ __all__ = [
     "check_larc",
     "check_larc0",
     "check_plarc",
-    "check_irreducible",
     "inclusion_chain_audit",
 ]
 
@@ -50,16 +49,6 @@ class LieBasis:
     basis: tuple
     all_traceless: bool
     depth_reached: int
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.basis[0].shape[0] if self.basis else 0
-
-    def stacked(self) -> np.ndarray:
-        """Basis as a (dim, d, d) array; empty (0, 0, 0) for the zero algebra."""
-        if not self.basis:
-            return np.zeros((0, 0, 0))
-        return np.stack(self.basis)
 
 
 def bracket(M, N) -> np.ndarray:
@@ -335,58 +324,6 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
     failing = tuple(X[rank < d - 1])
     return RankCertificate("PLARC", not failing, basis.k, failing_samples=failing,
                            tol=tol, n_samples=len(unique))
-
-
-def check_irreducible(L: LieBasis, trials: int | None = None, seed: int = 0,
-                      tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Does the algebra act without a proper invariant subspace?
-
-    Grows the smallest invariant subspace containing each seed vector by
-    Krylov iteration; any seed that stalls below dimension d exhibits a
-    proper invariant subspace.  Seeds combine random directions with the
-    eigendirections of basis elements and of random combinations, since
-    invariant subspaces are spanned by eigenvector components.
-    """
-    if L.dim == 0:
-        return False
-    d = L.matrix_dim
-    if trials is None:
-        trials = max(d, 8)
-    if trials < d:
-        raise ValueError(f"need at least d={d} trials")
-    rng = np.random.default_rng(seed)
-    seeds: list[np.ndarray] = []
-    for _ in range(trials):
-        u = canonical_unit(rng.standard_normal(d))
-        if u is not None:
-            seeds.append(u)
-    stacked = L.stacked()
-    for m in L.basis:
-        seeds.extend(_real_eig_directions(m))
-    for _ in range(2):
-        coeffs = rng.standard_normal(L.dim)
-        seeds.extend(_real_eig_directions(np.tensordot(coeffs, stacked, axes=1)))
-
-    for v in seeds:
-        if _invariant_subspace_dim(L, v, tol) < d:
-            return False
-    return True
-
-
-def _invariant_subspace_dim(L: LieBasis, v: np.ndarray, tol: float) -> int:
-    d = L.matrix_dim
-    span = _OrthoBasis(d, tol)
-    span.insert(v)
-    grew = True
-    while grew and span.k < d:
-        grew = False
-        for m in L.basis:
-            for w in span.rows:  # the rows as the pass over m starts
-                if span.insert(m @ w):
-                    grew = True
-                    if span.k == d:
-                        return d
-    return span.k
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: norms, the numerical rank rule, the shape
-check of a closed loop, and the rank of finite matrix families.
+"""Dense real-matrix primitives: norms, the numerical rank rule and its
+singular-value kernel, and the shape check of a closed loop.
 
 Everything operates on plain float64 ``numpy`` arrays.  The vector norm is
 Euclidean throughout and the matrix norm is the induced spectral norm; all
@@ -19,9 +19,7 @@ __all__ = [
     "fronorm",
     "closed_loop",
     "numerical_rank",
-    "require_finite",
     "singular_values",
-    "span_rank",
     "multiset_residual",
     "nilpotent_shift",
     "parity_matrix",
@@ -81,34 +79,16 @@ def numerical_rank(sv: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def require_finite(x) -> np.ndarray:
-    """``x`` itself, after raising ``ValueError`` (the message of
-    ``scipy.linalg.svdvals``) if an entry is non-finite: numpy's SVD would
-    return NaN for an infinite entry, which a rank count reads as 0."""
+def singular_values(x) -> np.ndarray:
+    """Singular values of ``x``, descending, by numpy's SVD.
+
+    Raises ``ValueError`` (the message of ``scipy.linalg.svdvals``) if an
+    entry is non-finite: numpy's SVD would return NaN for an infinite entry,
+    which a rank count reads as 0.
+    """
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return x
-
-
-def singular_values(x) -> np.ndarray:
-    """Singular values of a finite ``x``, descending, by numpy's SVD."""
-    return np.linalg.svd(require_finite(x), compute_uv=False)
-
-
-def span_rank(family, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Dimension of the linear span of a family of same-shaped matrices.
-
-    Each matrix is vectorised; the rank is the number of singular values of
-    the stacked family exceeding ``tol`` times the largest one.
-    """
-    mats = [as_matrix(m, f"family[{i}]") for i, m in enumerate(family)]
-    if not mats:
-        return 0
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ValueError(f"family[{i}] has shape {m.shape}, expected {shape}")
-    return numerical_rank(singular_values(np.vstack([m.ravel() for m in mats])), tol)
+    return np.linalg.svd(x, compute_uv=False)
 
 
 def multiset_residual(a, b) -> float:

@@ -1,9 +1,9 @@
 """Dynamics on real projective space.
 
-General-dimension projected fields, plus the planar (d = 2) toolkit: angle
-dynamics on the half-circle [0, pi), the exact invariant control set of the
-projected bilinear system, and greedy bang-bang steering between directions
-with exact switch and arrival times.
+Canonical representatives of projective points, plus the planar (d = 2)
+toolkit: angle dynamics on the half-circle [0, pi), the exact invariant
+control set of the projected bilinear system, and greedy bang-bang steering
+between directions with exact switch and arrival times.
 
 The planar toolkit reads everything from one representation.  The angular
 speed of ``x' = M x`` at ``q = (cos theta, sin theta)`` is the first-degree
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .matcore import canonical_unit, closed_loop, require_square
+from .matcore import canonical_unit, closed_loop
 from .signals import PESignal
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "point_of",
     "wrap_angle",
     "angle_distance",
-    "project_field",
     "angle_dynamics_d2",
     "CircleArcSet",
     "InvariantSetResult",
@@ -89,20 +88,6 @@ def angle_of(q) -> float:
 
 def point_of(theta) -> np.ndarray:
     return np.array([np.cos(theta), np.sin(theta)])
-
-
-def project_field(M, q) -> np.ndarray:
-    """Tangent vector of the projected linear field at a unit direction.
-
-    Returns ``Mx - (x'Mx) x`` for the unit representative x of q; adding any
-    multiple of the identity to M leaves the result unchanged.
-    """
-    m = require_square(M, "M")
-    x = proj_point(q)
-    if x.size != m.shape[0]:
-        raise ValueError("dimension mismatch")
-    mx = m @ x
-    return mx - (x @ mx) * x
 
 
 def _speed_coeffs(m) -> tuple:

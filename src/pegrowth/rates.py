@@ -1,8 +1,10 @@
 """Growth rates of persistently excited closed loops.
 
-Per-signal Lyapunov exponents via monodromy matrices, worst-case
-convergence/divergence estimators over finite families of periodic signals,
-and the exact algebraic checks that tie a system to its time reversal.
+Per-signal rates via monodromy matrices, worst-case convergence/divergence
+estimators over finite families of periodic signals, and the exact
+algebraic checks that tie a system to its time reversal.  The exponent of
+one initial vector, which ``shift_law_check`` compares across a shift of A,
+is read off the invariant subspaces of the monodromy.
 
 Every period product comes from ``_family_product``, scaled so that stiff
 and long-period signals give finite logarithms.  It evaluates a whole
@@ -34,7 +36,6 @@ __all__ = [
     "Monodromy",
     "fundamental_solution",
     "monodromy",
-    "lyap_exponents",
     "constant_family",
     "bang_bang_family",
     "mirror_family",
@@ -242,42 +243,15 @@ def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float,
     return (level + log_scale) / tau
 
 
-def lyap_exponents(x0, A, B, K, s: PESignal, horizon: float | None = None):
-    """Per-initial-vector exponential growth rate(s).
-
-    Periodic signals: the exponent is read off the monodromy eigenstructure
-    (the slowest/fastest classes the vector actually touches), and the upper
-    and lower limits coincide.  Aperiodic signals are propagated to
-    ``horizon`` with running renormalisation, and the max/min of
-    ``log|x(t)|/t`` over the tail of a geometric time grid are returned.
-    """
+def _periodic_exponent(x0, A, B, K, s: PESignal) -> float:
+    """Exponential growth rate of the solution from x0 under the periodic
+    signal s: the log-modulus class of the monodromy that x0 touches."""
     a, b, k = closed_loop(A, B, K)
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != a.shape[0] or np.linalg.norm(x) == 0.0:
         raise ValueError("x0 must be a nonzero vector of matching dimension")
-    bks = (b @ k)[None]
-    if s.period is not None:
-        rn, log_scale = _segment_product(a, bks, s.period_segments(), {})
-        lam = _per_vector_exponent(rn[0], log_scale[0], s.period, x)
-        return lam, lam
-    if horizon is None or horizon <= 0:
-        raise ValueError("aperiodic signals need a positive horizon")
-    times = np.geomspace(horizon / 256.0, horizon, 48)
-    rates = []
-    logn = float(np.log(np.linalg.norm(x)))
-    cur = x / np.linalg.norm(x)
-    prev = 0.0
-    table = {}
-    for tj in times:
-        rn, log_scale = _segment_product(a, bks, s.segments(prev, tj), table)
-        cur = rn[0] @ cur
-        nrm = np.linalg.norm(cur)
-        cur /= nrm
-        logn += log_scale[0] + np.log(nrm)
-        prev = tj
-        rates.append(logn / tj)
-    tail = [r for tj, r in zip(times, rates) if tj >= horizon / 2.0]
-    return float(max(tail)), float(min(tail))
+    rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
+    return _per_vector_exponent(rn[0], log_scale[0], s.period, x)
 
 
 # -- signal families ---------------------------------------------------------
@@ -727,8 +701,8 @@ def shift_law_check(A, B, K, shift: float, s: PESignal, x0,
     shifted = a + shift * np.eye(d)
     m0 = monodromy(a, b, k, s)
     m1 = monodromy(shifted, b, k, s)
-    l0 = lyap_exponents(x0, a, b, k, s)[0]
-    l1 = lyap_exponents(x0, shifted, b, k, s)[0]
+    l0 = _periodic_exponent(x0, a, b, k, s)
+    l1 = _periodic_exponent(x0, shifted, b, k, s)
     rc_res = None
     if family is not None:
         if cls is None:

@@ -1,11 +1,11 @@
-"""Membership and spectral-symmetry tests for spin(9,1) and so(d).
+"""Membership and characteristic-polynomial tests for spin(9,1).
 
 spin(9,1) is realised as the 10 x 10 matrices M with
 ``M' G + G M = 0`` for the Lorentz form G = diag(I_9, -1).  Its elements
 are bordered skew matrices and their spectra are symmetric about the
-origin; matrices similar to so(d) elements have purely imaginary spectra.
-These spectral facts are what the rank-certificate density argument needs,
-and they are checked here numerically.
+origin, so the characteristic polynomial is even.  These spectral facts are
+what the rank-certificate density argument needs; ``spin-audit`` checks them
+numerically on seeded draws.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import multiset_residual, opnorm, require_square
+from .matcore import opnorm, require_square
 
 __all__ = [
     "LORENTZ_DIM",
@@ -22,11 +22,8 @@ __all__ = [
     "membership_residual",
     "is_spin91",
     "random_spin91",
-    "bordered_decomposition",
-    "spectrum_symmetric",
     "charpoly_even_decomp",
     "CharPolyDecomposition",
-    "so_spectrum_check",
 ]
 
 LORENTZ_DIM = 10
@@ -75,37 +72,6 @@ def random_spin91(seed: int) -> np.ndarray:
     return m
 
 
-def bordered_decomposition(M, tol: float = 1e-9):
-    """Recover (A1, v1) from a membership-passing matrix.
-
-    The last column reads off v; the skew part must then annihilate the last
-    basis vector, which is verified.  Returns the 9 x 9 skew block and the
-    border vector.
-    """
-    m = _require_lorentz(M)
-    if not is_spin91(m):
-        raise ValueError("matrix fails the spin(9,1) membership test")
-    e_last = np.zeros(LORENTZ_DIM)
-    e_last[-1] = 1.0
-    v = m.T @ e_last
-    scale = 1.0 + opnorm(m)
-    if abs(v @ e_last) > tol * scale:
-        raise ValueError("border vector has a nonzero last component")
-    a = m - np.outer(v, e_last) - np.outer(e_last, v)
-    if opnorm(a + a.T) > tol * scale or np.linalg.norm(a @ e_last) > tol * scale:
-        raise ValueError("residual block is not skew with zero last column")
-    return a[:-1, :-1], v[:-1]
-
-
-def spectrum_symmetric(M, tol: float | None = None) -> bool:
-    """Is the eigenvalue multiset equal to its own negation?"""
-    m = require_square(M, "M")
-    ev = np.linalg.eigvals(m)
-    if tol is None:
-        tol = 1e-6 * (1.0 + opnorm(m))
-    return multiset_residual(ev, -ev) <= tol
-
-
 @dataclass(frozen=True)
 class CharPolyDecomposition:
     """Even-part coefficients of the characteristic polynomial.
@@ -135,14 +101,3 @@ def charpoly_even_decomp(M) -> CharPolyDecomposition:
     return CharPolyDecomposition(q_coeffs=tuple(float(c) for c in even),
                                  odd_residual=float(np.max(np.abs(odd))))
 
-
-def so_spectrum_check(M, tol: float = 1e-9) -> bool:
-    """Necessary condition for similarity to a skew-symmetric matrix.
-
-    True when every eigenvalue real part is within tol of zero (scaled by
-    the matrix norm); similarity preserves spectra, so failing this rules
-    out membership in any conjugate of so(d).
-    """
-    m = require_square(M, "M")
-    ev = np.linalg.eigvals(m)
-    return bool(np.max(np.abs(ev.real)) <= tol * (1.0 + opnorm(m)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import span_rank
 from pegrowth import control, lie, matcore
 from pegrowth.matcore import nilpotent_shift, opnorm, unit_vector
 
@@ -51,40 +52,6 @@ class TestKalmanRank:
             r1 = control.kalman_rank(a, b)
             r2 = control.kalman_rank(p @ a @ np.linalg.inv(p), p @ b)
             assert r1 == r2
-
-
-class TestDecomposition:
-    def test_controllable_gives_full_block(self):
-        rng = np.random.default_rng(1)
-        a, b = random_controllable(rng, 3)
-        dec = control.controllability_decomposition(a, b)
-        assert dec.r == 3 and dec.A3.size == 0
-
-    def test_split(self):
-        dec = control.controllability_decomposition(
-            np.diag([1.0, 2.0]), unit_vector(2, 0).reshape(2, 1))
-        assert dec.r == 1
-        np.testing.assert_allclose(dec.A3, [[2.0]], atol=1e-12)
-        np.testing.assert_allclose(dec.A1, [[1.0]], atol=1e-12)
-
-    def test_zero_input(self):
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        dec = control.controllability_decomposition(a, np.zeros((2, 1)))
-        assert dec.r == 0
-        np.testing.assert_allclose(np.sort(np.linalg.eigvals(dec.A3).imag),
-                                   [-1.0, 1.0], atol=1e-12)
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4))
-        b = np.zeros((4, 1))
-        b[0, 0] = 1.0
-        a[2:, :2] = 0.0  # make span{e1,e2} invariant; controllable part inside it
-        dec = control.controllability_decomposition(a, b)
-        ap = dec.P @ a @ dec.P.T
-        assert np.max(np.abs(ap[dec.r:, :dec.r])) <= 1e-9
-        bp = dec.P @ b
-        assert np.max(np.abs(bp[dec.r:])) <= 1e-9
 
 
 class TestControllableForm:
@@ -179,23 +146,21 @@ def gaussian_triples():
 
 
 def test_rank_verdicts_on_gaussian_triples():
-    """``kalman_rank``, ``controllability_decomposition(...).r`` and the
-    ``accessibility_certificate`` verdict (or the Kalman rank it rejected)
-    on the 216 ``gaussian_triples``.  Large d and scale make the Krylov
-    matrix ill-conditioned, so the rank cutoff decides many of these; the
-    digest pins every verdict."""
+    """``kalman_rank`` and the ``accessibility_certificate`` verdict (or the
+    Kalman rank it rejected) on the 216 ``gaussian_triples``.  Large d and
+    scale make the Krylov matrix ill-conditioned, so the rank cutoff decides
+    many of these; the digest pins every verdict."""
     verdicts = []
     for a, b, k in gaussian_triples():
         try:
             acc = control.accessibility_certificate(a, b, k).verdict
         except control.NotControllableError as exc:
             acc = f"rank {exc.rank}"
-        verdicts.append((control.kalman_rank(a, b),
-                         control.controllability_decomposition(a, b).r, acc))
-    assert sum(isinstance(v[2], str) for v in verdicts) == 27  # not controllable at 1e-9
-    assert {v[2] for v in verdicts} >= {True, False}
+        verdicts.append((control.kalman_rank(a, b), acc))
+    assert sum(isinstance(v[1], str) for v in verdicts) == 27  # not controllable at 1e-9
+    assert {v[1] for v in verdicts} >= {True, False}
     assert (hashlib.sha256(repr(verdicts).encode()).hexdigest()
-            == "a47ad3cfffbdebeb206accb58ca4dd55a513aff4e5b7febec46d64bf1d15928d")
+            == "c288597a6c497730c46e27b3a50a28f45d84763b7fae33eff467997804fc427b")
 
 
 def test_rank_kernel_matches_scipy_svdvals(monkeypatch):
@@ -226,7 +191,7 @@ def test_rank_kernel_matches_scipy_svdvals(monkeypatch):
             if n > 2:
                 fam[-1] = fam[0] - 0.5 * fam[1]
                 fam[-2] = fam[0]
-            matcore.span_rank(fam)
+            span_rank(fam)
     # per triple, kalman_rank on (A, b) and on the certificate's shifted
     # pair; row stacks for the 189 triples it does not reject
     assert n_control == 2 * 216 + 189 and len(seen) == n_control + 30
@@ -236,14 +201,12 @@ def test_rank_kernel_matches_scipy_svdvals(monkeypatch):
 
 def test_overflowing_krylov_matrix_raises():
     """An overflowed Krylov matrix is an error, not rank 0: numpy's SVD
-    returns NaN for an infinite entry, so ``kalman_rank`` and
-    ``controllability_decomposition`` both check it first."""
+    returns NaN for an infinite entry, so ``singular_values`` checks it
+    first."""
     a = np.diag([1e200, 2e200, 3e200]) + nilpotent_shift(3)
     b = unit_vector(3, 2).reshape(3, 1)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         control.kalman_rank(a, b)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-        control.controllability_decomposition(a, b)
     with pytest.raises(ValueError, match="infs or NaNs"):
         matcore.singular_values(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
@@ -274,34 +237,7 @@ class TestCoefficientBounds:
             control.companion_coefficient_bounds([-2.0, -3.0], eigenvalues=[-5.0, -6.0])
 
 
-class TestHalfplaneGate:
-    def test_stable_block(self):
-        assert control.spectral_halfplane_gate(-2.0 * np.eye(2), np.zeros((2, 1)),
-                                               np.zeros((1, 2)), 1.0)
-
-    def test_mixed_spectrum(self):
-        a = np.diag([-3.0, 0.5])
-        assert not control.spectral_halfplane_gate(a, np.zeros((2, 1)),
-                                                   np.zeros((1, 2)), 1.0)
-
-    def test_pole_placed_deep(self):
-        rng = np.random.default_rng(2)
-        a, b = random_controllable(rng, 3)
-        c = 1.0
-        k = control.ackermann(a, b, [-c - 1.0, -c - 2.0, -c - 3.0])
-        assert control.spectral_halfplane_gate(a, b, k, c)
-
-
 class TestPolePlacement:
-    def test_ackermann_places(self):
-        rng = np.random.default_rng(13)
-        for d in (2, 3, 4):
-            a, b = random_controllable(rng, d)
-            poles = -np.arange(1.0, d + 1.0)
-            k = control.ackermann(a, b, poles)
-            got = np.sort(np.linalg.eigvals(a + b @ k).real)
-            np.testing.assert_allclose(got, np.sort(poles), atol=1e-6)
-
     def test_companion_gain_exact(self):
         poles = [-1.0, -2.0, -4.0]
         k = control.companion_gain(poles)

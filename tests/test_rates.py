@@ -139,39 +139,32 @@ class TestStiffAndLongPeriod:
 
 
 class TestLyapExponents:
+    """The per-vector exponent that C7's shift law compares."""
+
     def test_scalar_embedding(self):
         lam = 0.7
-        got = rates.lyap_exponents([1.0, 1.0], lam * np.eye(2), np.zeros((2, 1)),
-                                   np.zeros((1, 2)), PESignal.constant(1.0, period=1.0))
-        assert got == (pytest.approx(lam, abs=1e-12), pytest.approx(lam, abs=1e-12))
+        got = rates._periodic_exponent([1.0, 1.0], lam * np.eye(2), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), PESignal.constant(1.0, period=1.0))
+        assert got == pytest.approx(lam, abs=1e-12)
 
     def test_matches_monodromy_rates(self):
         a, b, k = random_system(7)
         s = PESignal([0.0, 0.25, 0.75], [1.0, 0.0, 1.0], period=1.0)
         m = rates.monodromy(a, b, k, s)
         rng = np.random.default_rng(7)
-        top = max(rates.lyap_exponents(rng.standard_normal(2), a, b, k, s)[0]
+        top = max(rates._periodic_exponent(rng.standard_normal(2), a, b, k, s)
                   for _ in range(8))
         assert top == pytest.approx(m.top_rate, abs=1e-6)
 
     def test_eigenvector_rate(self):
         a = np.diag([0.5, -1.5])
         s = PESignal.constant(1.0, period=1.0)
-        got = rates.lyap_exponents([0.0, 1.0], a, np.zeros((2, 1)),
-                                   np.zeros((1, 2)), s)
-        assert got[0] == pytest.approx(-1.5, abs=1e-10)
-        got2 = rates.lyap_exponents([1.0, 0.0], a, np.zeros((2, 1)),
-                                    np.zeros((1, 2)), s)
-        assert got2[0] == pytest.approx(0.5, abs=1e-10)
-
-    def test_finite_horizon_path(self):
-        lam = -0.4
-        s = PESignal([0.0], [1.0])  # aperiodic all-on
-        top, bot = rates.lyap_exponents([1.0, 0.0], lam * np.eye(2),
-                                        np.zeros((2, 1)), np.zeros((1, 2)),
-                                        s, horizon=20.0)
-        assert top == pytest.approx(lam, abs=1e-6)
-        assert bot == pytest.approx(lam, abs=1e-6)
+        got = rates._periodic_exponent([0.0, 1.0], a, np.zeros((2, 1)),
+                                       np.zeros((1, 2)), s)
+        assert got == pytest.approx(-1.5, abs=1e-10)
+        got2 = rates._periodic_exponent([1.0, 0.0], a, np.zeros((2, 1)),
+                                        np.zeros((1, 2)), s)
+        assert got2 == pytest.approx(0.5, abs=1e-10)
 
 
 class TestFamilies:
@@ -557,6 +550,14 @@ class TestShiftLaw:
         assert rep.bottom_rate_residual <= 1e-10
         assert rep.exponent_residual <= 1e-10
         assert rep.rc_shift_residual <= 1e-10
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, 0.5, 0.2]], ids=["zero", "wrong-length"])
+    def test_x0_is_checked(self, x0):
+        a, b, k = random_system(16)
+        s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+        with pytest.raises(ValueError) as err:
+            rates.shift_law_check(a, b, k, 1.0, s, x0)
+        assert str(err.value) == "x0 must be a nonzero vector of matching dimension"
 
 
 class TestCoordinateInvariance:

@@ -6,12 +6,12 @@ over families of persistently exciting signals, and verifies the exact
 time-reversal duality between convergence and divergence rates.
 """
 
-from .matcore import (matrix_from_json, matrix_to_json, multiset_residual,
-                      nilpotent_shift, opnorm, parity_matrix, unit_vector)
+from .matcore import (matrix_from_json, multiset_residual, nilpotent_shift,
+                      opnorm, parity_matrix, unit_vector)
 from .signals import (PESignal, PEValidation, SignalClass, SpliceError,
                       periodize, reverse, splice_periodic, validate_pe)
-from .lie import (ChainAudit, LieBasis, RankCertificate, bracket, check_larc,
-                  check_larc0, check_plarc, inclusion_chain_audit, lie_closure)
+from .lie import (ChainAudit, LieBasis, RankCertificate, check_larc, check_larc0,
+                  check_plarc, inclusion_chain_audit, lie_closure)
 from .control import (AccCertificate, ControllabilityForm, MatrixPair,
                       NotControllableError, accessibility_certificate,
                       companion_coefficient_bounds, companion_gain,

@@ -105,16 +105,20 @@ def _signal_class(cfg):
 
 
 def _budget(cfg, seed):
+    """The ``SearchBudget`` of the fields that ``family`` sets; the others
+    keep the library's defaults."""
     fam = cfg.get("family", {})
     if not isinstance(fam, dict):
         raise ConfigError("bad family spec: family must be a JSON object")
-    counts = {key: _integer(fam.get(key, default), f"family {key}") for key, default in
-              (("n_periods", 4), ("max_switches", 6), ("time_grid", 16), ("size", 32))}
-    constants = fam.get("include_constants", True)
-    if not isinstance(constants, bool):
-        raise ConfigError(f"family include_constants must be true or false, got {constants!r}")
+    fields = {key: _integer(fam[key], f"family {key}")
+              for key in ("n_periods", "max_switches", "time_grid", "size") if key in fam}
+    if "include_constants" in fam:
+        constants = fields["include_constants"] = fam["include_constants"]
+        if not isinstance(constants, bool):
+            raise ConfigError(
+                f"family include_constants must be true or false, got {constants!r}")
     try:
-        return rates.SearchBudget(**counts, include_constants=constants, seed=seed)
+        return rates.SearchBudget(**fields, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"bad family spec: {exc}") from exc
 
@@ -125,7 +129,7 @@ def _signals(objs):
     return [PESignal.from_json(o) for o in objs]
 
 
-def _family(cfg, cls, seed, signal_file=None):
+def _family(cfg, cls, seed, signal_file):
     sigs = []
     if signal_file is not None:
         try:
@@ -149,6 +153,19 @@ def _family(cfg, cls, seed, signal_file=None):
     return _budget(cfg, seed)
 
 
+def _optional(cfg, key, arg):
+    """``{arg: x}`` for the finite number x at ``key`` when the config sets
+    it, else ``{}``: an unset key leaves the library's default."""
+    return {arg: _real(cfg[key], key)} if key in cfg else {}
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
     def fmt(x):
         if isinstance(x, float):
@@ -157,7 +174,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
     lines = [",".join(header)]
     lines.extend(",".join(fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -168,14 +185,14 @@ def _write_csv(path: Path, header, rows) -> None:
 def _run_lie_check(cfg, seed, out, args, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
-    shift = _real(cfg.get("lambda", 0.0), "lambda")
-    audit = lie.inclusion_chain_audit(pair.A, pair.B, k, shift=shift, seed=seed)
+    audit = lie.inclusion_chain_audit(pair.A, pair.B, k, seed=seed,
+                                      **_optional(cfg, "lambda", "shift"))
     summary["certificates"] = {
         "larc_shifted": audit.larc_shifted.to_json(),
         "larc0": audit.larc0.to_json(),
         "plarc": audit.plarc.to_json(),
     }
-    summary["chain"] = {"lambda": shift, "violations": list(audit.violations)}
+    summary["chain"] = {"lambda": audit.shift, "violations": list(audit.violations)}
     return EXIT_VIOLATION if audit.violations else EXIT_OK
 
 
@@ -184,10 +201,10 @@ def _run_acc_cert(cfg, seed, out, args, summary):
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
     k = _gain(cfg, pair)
-    divisor = _real(cfg.get("trace_divisor", 1.0), "trace_divisor")
-    if divisor == 0.0:
+    divisor = _optional(cfg, "trace_divisor", "trace_divisor")
+    if divisor.get("trace_divisor") == 0.0:
         raise ConfigError("trace_divisor must be nonzero")
-    cert = control.accessibility_certificate(pair.A, pair.B, k, trace_divisor=divisor)
+    cert = control.accessibility_certificate(pair.A, pair.B, k, **divisor)
     summary["certificate"] = cert.to_json()
     return EXIT_OK
 
@@ -218,16 +235,16 @@ def _run_duality(cfg, seed, out, args, summary):
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
     family = _family(cfg, cls, seed, args.signal_file)
-    tol = _real(cfg.get("tolerance", 1e-8), "tolerance")
-    if tol < 0.0:
+    tol = _optional(cfg, "tolerance", "tol")
+    if tol.get("tol", 0.0) < 0.0:
         raise ConfigError("tolerance must be non-negative")
-    report = rates.duality_check(pair.A, pair.B, k, cls, family, tol=tol)
+    report = rates.duality_check(pair.A, pair.B, k, cls, family, **tol)
     rows = [(i, per, "", "", res) for i, per, res in report.per_signal]
     _write_csv(out / "duality.csv",
                ("signal_id", "period", "top_rate", "bottom_rate", "residual"), rows)
     summary.update({
         "max_residual": report.max_residual,
-        "tolerance": tol,
+        "tolerance": report.tol,
         "rc": report.rc.to_json(),
         "rd_mirror": report.rd_mirror.to_json(),
         "estimates_equal": report.estimates_equal,
@@ -251,10 +268,13 @@ def _run_invariant_set(cfg, seed, out, args, summary):
     result = projective.invariant_control_set_d2(pair.A, pair.B, k, (lo, hi), seed=seed)
     summary["applicable"] = result.applicable
     summary["n_sinks"] = result.n_sinks
-    if result.applicable:
-        summary["arcs"] = result.arcs.to_json()["arcs"]
     if not result.applicable:
+        cert = result.certificate
+        print(f"numerical diagnostic: the invariant control set needs PLARC, which fails "
+              f"(closure dim {cert.dim}, rank-deficient at {len(cert.failing_samples)} "
+              f"of {cert.n_samples} sampled directions)", file=sys.stderr)
         return EXIT_NUMERICAL
+    summary["arcs"] = result.arcs.to_json()["arcs"]
     return EXIT_OK
 
 
@@ -357,10 +377,13 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         summary = {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
         code = RUNNERS[args.subcommand](cfg, seed, out, args, summary)
-        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -74,9 +74,9 @@ def controllability_matrix(A, B) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def kalman_rank(A, B, tol: float = DEFAULT_RANK_TOL) -> int:
+def kalman_rank(A, B) -> int:
     """Rank of the controllability matrix: the pair is controllable when it is d."""
-    return numerical_rank(singular_values(controllability_matrix(A, B)), tol)
+    return numerical_rank(singular_values(controllability_matrix(A, B)), DEFAULT_RANK_TOL)
 
 
 def _input_column(b, d: int) -> np.ndarray:
@@ -89,11 +89,11 @@ def _input_column(b, d: int) -> np.ndarray:
     return bb
 
 
-def _companion_row(a, b, tol: float) -> np.ndarray:
+def _companion_row(a, b) -> np.ndarray:
     """The row q with ``q C = e_d'``, C the controllability matrix of the
     single-input pair ``(a, b)``; rejects a pair whose Kalman rank is below d."""
     d = a.shape[0]
-    rank = kalman_rank(a, b, tol=tol)
+    rank = kalman_rank(a, b)
     if rank < d:
         raise NotControllableError(rank, d)
     return np.linalg.solve(controllability_matrix(a, b).T, unit_vector(d, d - 1))
@@ -110,11 +110,9 @@ class ControllabilityForm:
 
     v: np.ndarray
     P: np.ndarray
-    r: int
 
 
-def controllable_form_si(A, b, trace_divisor: float = 1.0,
-                         tol: float = DEFAULT_RANK_TOL) -> ControllabilityForm:
+def controllable_form_si(A, b, trace_divisor: float = 1.0) -> ControllabilityForm:
     """Companion (controllability) form of ``A - (tr A / trace_divisor) I``.
 
     With ``trace_divisor=d`` the shifted matrix is traceless and the
@@ -126,12 +124,12 @@ def controllable_form_si(A, b, trace_divisor: float = 1.0,
     d = a.shape[0]
     bb = _input_column(b, d)
     m = a - (np.trace(a) / trace_divisor) * np.eye(d)
-    rows = [_companion_row(m, bb, tol)]
+    rows = [_companion_row(m, bb)]
     for _ in range(d - 1):
         rows.append(rows[-1] @ m)
     p = np.vstack(rows)
     v = (p @ m @ np.linalg.inv(p))[d - 1, :]
-    return ControllabilityForm(v=v, P=p, r=d)
+    return ControllabilityForm(v=v, P=p)
 
 
 @dataclass(frozen=True)
@@ -158,14 +156,14 @@ class AccCertificate:
         }
 
 
-def accessibility_certificate(A, b, K, trace_divisor: float = 1.0,
-                              tol: float = 1e-9) -> AccCertificate:
+def accessibility_certificate(A, b, K, trace_divisor: float = 1.0) -> AccCertificate:
     """Check the sufficient accessibility conditions for a companion gain.
 
     Computes the companion row v of the (trace-shifted) pair, then
     ``K_j = K (J + e_d v)^j`` and ``r_j = K_j e_d`` for j < d.  A true
-    verdict needs every ``|r_j|`` above a scale-aware floor and the K_j
-    linearly independent; it certifies that ``K @ P`` puts the closed loop
+    verdict needs every ``|r_j|`` above the scale-aware floor
+    ``DEFAULT_RANK_TOL (1 + |K| |J + e_d v|^j)`` and the K_j linearly
+    independent; it certifies that ``K @ P`` puts the closed loop
     of the shifted pair at full Lie rank.
     """
     form = controllable_form_si(A, b, trace_divisor=trace_divisor)
@@ -181,7 +179,7 @@ def accessibility_certificate(A, b, K, trace_divisor: float = 1.0,
     norm_av = opnorm(av)
     norm_k = float(np.linalg.norm(k))
     nonzero = all(
-        abs(r_vals[j]) > tol * (1.0 + norm_k * norm_av ** j) for j in range(d))
+        abs(r_vals[j]) > DEFAULT_RANK_TOL * (1.0 + norm_k * norm_av ** j) for j in range(d))
     independent = numerical_rank(singular_values(np.vstack(rows)), DEFAULT_RANK_TOL) == d
     return AccCertificate(verdict=nonzero and independent, r=r_vals,
                           K_seq=tuple(tuple(map(float, row)) for row in rows),
@@ -196,7 +194,7 @@ class CoefficientBoundReport:
     sign: int  # +1: all real parts positive, -1: all negative
 
 
-def companion_coefficient_bounds(K, eigenvalues=None, tol: float = 1e-9) -> CoefficientBoundReport:
+def companion_coefficient_bounds(K, eigenvalues=None) -> CoefficientBoundReport:
     """Coefficient lower bounds forced by a one-sign closed-loop spectrum.
 
     For the companion matrix ``J + e_d K`` whose eigenvalues all have real
@@ -209,8 +207,11 @@ def companion_coefficient_bounds(K, eigenvalues=None, tol: float = 1e-9) -> Coef
     numerical eigensolver); supplied values are validated against the
     companion characteristic polynomial before use.
 
-    Raises ``ValueError`` when real parts are mixed-sign or numerically zero.
+    Raises ``ValueError`` when real parts are mixed-sign or within 1e-9
+    (relative to ``1 + max |eigenvalue|``) of zero; a slack of at least -1e-9
+    counts as met.
     """
+    tol = 1e-9
     k = as_matrix(K, "K").reshape(-1)
     d = k.size
     comp = nilpotent_shift(d) + np.outer(unit_vector(d, d - 1), k)

@@ -21,7 +21,8 @@ two generators with the same traceless parts to the same D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "LieBasis",
     "RankCertificate",
     "ChainAudit",
-    "bracket",
     "lie_closure",
     "check_larc",
     "check_larc0",
@@ -51,15 +51,6 @@ class LieBasis:
     depth_reached: int
 
 
-def bracket(M, N) -> np.ndarray:
-    """Commutator MN - NM."""
-    m = require_square(M, "M")
-    n = require_square(N, "N")
-    if m.shape != n.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {n.shape}")
-    return m @ n - n @ m
-
-
 class _OrthoBasis:
     """Orthonormal rows spanning a growing subspace of R^n.
 
@@ -67,13 +58,12 @@ class _OrthoBasis:
     off them by classical Gram-Schmidt applied twice, two matrix-vector
     products a pass, which is as orthogonal as the modified process (Giraud,
     Langou & Rozloznik, 2005).  It joins when its residual exceeds
-    ``tol * (1 + |candidate|)``.
+    ``DEFAULT_RANK_TOL * (1 + |candidate|)``.
     """
 
-    def __init__(self, n: int, tol: float):
+    def __init__(self, n: int):
         self.q = np.zeros((n, n))
         self.k = 0
-        self.tol = tol
 
     @property
     def rows(self) -> np.ndarray:
@@ -88,7 +78,7 @@ class _OrthoBasis:
         for _ in range(2):  # twice is enough
             v -= q.T @ (q @ v)
         res = np.linalg.norm(v)
-        if res <= self.tol * (1.0 + scale):
+        if res <= DEFAULT_RANK_TOL * (1.0 + scale):
             return False
         self.q[self.k] = v / res
         self.k += 1
@@ -96,18 +86,18 @@ class _OrthoBasis:
 
     def copy(self, start: int = 0) -> _OrthoBasis:
         """A new basis holding the rows from ``start`` on."""
-        out = _OrthoBasis(len(self.q), self.tol)
+        out = _OrthoBasis(len(self.q))
         out.k = self.k - start
         out.q[:out.k] = self.q[start:self.k]
         return out
 
 
-def _unit_generators(gens, tol: float) -> list[np.ndarray]:
+def _unit_generators(gens) -> list[np.ndarray]:
     """The generators scaled to unit Frobenius norm; numerically zero ones dropped."""
-    return [g / n for g in gens if (n := fronorm(g)) > tol]
+    return [g / n for g in gens if (n := fronorm(g)) > DEFAULT_RANK_TOL]
 
 
-def lie_closure(generators, tol: float = DEFAULT_RANK_TOL) -> LieBasis:
+def lie_closure(generators) -> LieBasis:
     """Smallest matrix Lie algebra containing the generators.
 
     It is D + span(generators), with D grown by ``_derived_algebra`` as the
@@ -125,10 +115,10 @@ def lie_closure(generators, tol: float = DEFAULT_RANK_TOL) -> LieBasis:
     for i, g in enumerate(gens):
         if g.shape != (d, d):
             raise ValueError(f"generators[{i}] has shape {g.shape}, expected {(d, d)}")
-    derived, ends = _derived_algebra(gens, tol)
+    derived, ends = _derived_algebra(gens)
     basis = _plus_span(derived, gens, False)
     # replay D's levels (length n runs to row ends[n - 2]) on span(generators)
-    probe, length = _plus_span(_OrthoBasis(d * d, tol), gens, True), 1
+    probe, length = _plus_span(_OrthoBasis(d * d), gens, True), 1
     for n, (start, stop) in enumerate(zip([1] + ends, ends), 2):
         if sum(probe.insert(r) for r in derived.q[start:stop]):
             length = n
@@ -143,7 +133,7 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / d) * np.eye(d)
 
 
-def _derived_algebra(gens, tol: float) -> tuple[_OrthoBasis, list[int]]:
+def _derived_algebra(gens) -> tuple[_OrthoBasis, list[int]]:
     """D, the span of the brackets of length >= 2 of ``gens``, and the row
     count after the brackets of each length.
 
@@ -155,9 +145,9 @@ def _derived_algebra(gens, tol: float) -> tuple[_OrthoBasis, list[int]]:
     nothing or the basis is full.
     """
     d = gens[0].shape[0]
-    basis = _OrthoBasis(d * d, tol)
+    basis = _OrthoBasis(d * d)
     basis.insert(np.eye(d) / np.sqrt(d))
-    unit = _unit_generators([_traceless(g) for g in gens], tol)
+    unit = _unit_generators([_traceless(g) for g in gens])
     for i, x in enumerate(unit):
         for y in unit[i + 1:]:
             basis.insert(x @ y - y @ x)
@@ -175,7 +165,7 @@ def _derived_algebra(gens, tol: float) -> tuple[_OrthoBasis, list[int]]:
 def _plus_span(derived: _OrthoBasis, gens, keep_identity: bool) -> _OrthoBasis:
     """D + span(gens), behind the identity row when ``keep_identity``."""
     basis = derived.copy(start=0 if keep_identity else 1)
-    for g in _unit_generators(gens, basis.tol):
+    for g in _unit_generators(gens):
         basis.insert(g)
     return basis
 
@@ -188,8 +178,8 @@ class RankCertificate:
     verdict: bool
     dim: int
     failing_samples: tuple = ()
-    tol: float = DEFAULT_RANK_TOL
     n_samples: int = 0
+    tol: ClassVar[float] = DEFAULT_RANK_TOL  # the rank cutoff of every certificate
 
     def to_json(self) -> dict:
         return {
@@ -201,8 +191,7 @@ class RankCertificate:
         }
 
 
-def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
-               derived: _OrthoBasis | None = None) -> RankCertificate:
+def check_larc(A, B, K, *, derived: _OrthoBasis | None = None) -> RankCertificate:
     """Does Lie(A, BK) = D + span{A, BK} span all of the d x d matrices?
 
     ``derived`` is the D of ``(A, BK)`` when the caller has it already
@@ -212,13 +201,12 @@ def check_larc(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     f = b @ k
     d = a.shape[0]
     if derived is None:
-        derived = _derived_algebra([a, f], tol)[0]
+        derived = _derived_algebra([a, f])[0]
     dim = _plus_span(derived, [a, f], False).k
-    return RankCertificate("LARC", dim == d * d, dim, tol=tol)
+    return RankCertificate("LARC", dim == d * d, dim)
 
 
-def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
-                derived: _OrthoBasis | None = None) -> RankCertificate:
+def check_larc0(A, B, K, *, derived: _OrthoBasis | None = None) -> RankCertificate:
     """Do the traceless parts A0, F0 of A and BK generate sl(d)?
 
     The dimension is that of D + span{A0, F0}, orthogonal to the identity
@@ -228,12 +216,12 @@ def check_larc0(A, B, K, tol: float = DEFAULT_RANK_TOL, *,
     f = b @ k
     d = a.shape[0]
     if derived is None:
-        derived = _derived_algebra([a, f], tol)[0]
+        derived = _derived_algebra([a, f])[0]
     dim = _plus_span(derived, [_traceless(a), _traceless(f)], True).k - 1
-    return RankCertificate("LARC0", dim == d * d - 1, dim, tol=tol)
+    return RankCertificate("LARC0", dim == d * d - 1, dim)
 
 
-def _real_eig_directions(M, tol=1e-9) -> list[np.ndarray]:
+def _real_eig_directions(M) -> list[np.ndarray]:
     """Real and imaginary parts of eigenvectors, canonicalised to unit reps."""
     w, v = np.linalg.eig(M)
     out = []
@@ -266,38 +254,32 @@ def _quasi_uniform_directions(d: int, n: int, seed: int) -> list[np.ndarray]:
     return pts
 
 
-def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
-                tol: float = DEFAULT_RANK_TOL, *,
+def check_plarc(A, B, K, seed: int = 0, *,
                 derived: _OrthoBasis | None = None) -> RankCertificate:
     """Sampled certificate for the projected rank condition.
 
     At each sampled direction x the vectors ``Mx - (x'Mx)x`` over the closure
     basis must span the full tangent space (rank d-1).  The sample set mixes
-    ``samples`` quasi-uniform directions with the eigendirections of A,
+    ``max(2d, 64)`` quasi-uniform directions with the eigendirections of A,
     A + BK, and of a few random elements of the closure itself: rank
     deficiency lives on invariant subspaces, and eigendirections of algebra
     elements land inside them even when the uniform samples miss.  At d = 2
     the uniform samples are left out: rank 1 fails only at a common
     eigendirection of the whole algebra, which is an eigendirection of A,
-    or of A + BK when A is scalar; ``samples`` does not shape d = 2.  The
-    closure basis is that of D + span{A, BK}; ``derived`` as in
-    ``check_larc``.
+    or of A + BK when A is scalar.  The closure basis is that of
+    D + span{A, BK}; ``derived`` as in ``check_larc``.
     """
     a, b, k = closed_loop(A, B, K)
     f = b @ k
     d = a.shape[0]
-    if samples is None:
-        samples = max(2 * d, 64)
-    if samples < 2 * d:
-        raise ValueError(f"need at least {2 * d} samples for d={d}")
     if derived is None:
-        derived = _derived_algebra([a, f], tol)[0]
+        derived = _derived_algebra([a, f])[0]
     basis = _plus_span(derived, [a, f], False)
     if basis.k == 0:
-        return RankCertificate("PLARC", False, 0, tol=tol, n_samples=0)
+        return RankCertificate("PLARC", False, 0)
     L = basis.rows.reshape(-1, d, d)
 
-    pts = _quasi_uniform_directions(d, samples, seed) if d != 2 else []
+    pts = _quasi_uniform_directions(d, max(2 * d, 64), seed) if d != 2 else []
     pts.extend(_real_eig_directions(a))
     pts.extend(_real_eig_directions(a + f))
     rng = np.random.default_rng(seed + 1)
@@ -320,10 +302,10 @@ def check_plarc(A, B, K, samples: int | None = None, seed: int = 0,
     sv = np.linalg.svd(tang, compute_uv=False)
     # absolute floor: basis matrices are unit Frobenius norm, so a
     # numerically-zero tangent stack must not count as rank >= 1
-    rank = np.count_nonzero(sv > tol * np.maximum(1.0, sv[:, :1]), axis=1)
+    rank = np.count_nonzero(sv > DEFAULT_RANK_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
     failing = tuple(X[rank < d - 1])
     return RankCertificate("PLARC", not failing, basis.k, failing_samples=failing,
-                           tol=tol, n_samples=len(unique))
+                           n_samples=len(unique))
 
 
 @dataclass(frozen=True)
@@ -334,15 +316,14 @@ class ChainAudit:
     larc_shifted: RankCertificate
     larc0: RankCertificate
     plarc: RankCertificate
-    violations: tuple = field(default=())
+    violations: tuple
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def inclusion_chain_audit(A, B, K, shift: float = 0.0, samples: int | None = None,
-                          seed: int = 0, tol: float = DEFAULT_RANK_TOL) -> ChainAudit:
+def inclusion_chain_audit(A, B, K, shift: float = 0.0, seed: int = 0) -> ChainAudit:
     """Check LARC(A + shift*I, B) => LARC0(A, B) => PLARC(A, B) on one triple.
 
     The derived algebra D is computed once and shared by the three
@@ -352,10 +333,10 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, samples: int | None = Non
     a, b, k = closed_loop(A, B, K)
     f = b @ k
     d = a.shape[0]
-    derived = _derived_algebra([a, f], tol)[0]
-    larc = check_larc(a + shift * np.eye(d), B, K, tol=tol, derived=derived)
-    larc0 = check_larc0(a, B, K, tol=tol, derived=derived)
-    plarc = check_plarc(a, B, K, samples=samples, seed=seed, tol=tol, derived=derived)
+    derived = _derived_algebra([a, f])[0]
+    larc = check_larc(a + shift * np.eye(d), B, K, derived=derived)
+    larc0 = check_larc0(a, B, K, derived=derived)
+    plarc = check_plarc(a, B, K, seed=seed, derived=derived)
     violations = []
     if larc.verdict and not larc0.verdict:
         violations.append("LARC holds but LARC0 fails")

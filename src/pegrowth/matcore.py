@@ -25,7 +25,6 @@ __all__ = [
     "parity_matrix",
     "unit_vector",
     "canonical_unit",
-    "matrix_to_json",
     "matrix_from_json",
 ]
 
@@ -56,7 +55,16 @@ def opnorm(M) -> float:
 
 
 def fronorm(M) -> float:
-    return float(np.linalg.norm(as_matrix(M)))
+    """Frobenius norm.  numpy squares the entries before it sums them, which
+    overflows past about 1e154; only in that case is the matrix divided by
+    its largest entry first, so every norm within range keeps numpy's bits."""
+    m = as_matrix(M)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(m)
+    if not np.isfinite(n):
+        peak = np.abs(m).max()
+        n = peak * np.linalg.norm(m / peak)
+    return float(n)
 
 
 def closed_loop(A, B, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,10 +138,11 @@ def unit_vector(d: int, i: int) -> np.ndarray:
     return v
 
 
-def canonical_unit(v, tol: float = 1e-12) -> np.ndarray | None:
+def canonical_unit(v) -> np.ndarray | None:
     """Unit representative of the line through v, signed so that its first
-    coordinate above tol is positive (antipodal identification); None when
-    the norm of v is at most tol."""
+    coordinate above 1e-12 is positive (antipodal identification); None when
+    the norm of v is at most 1e-12."""
+    tol = 1e-12
     v = np.asarray(v, dtype=float).ravel()
     n = np.linalg.norm(v)
     if n <= tol:
@@ -145,13 +154,8 @@ def canonical_unit(v, tol: float = 1e-12) -> np.ndarray | None:
     return u
 
 
-def matrix_to_json(M) -> dict:
-    """Encode a matrix as ``{"rows": d, "cols": m, "data": [row-major]}``."""
-    m = as_matrix(M)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": [float(x) for x in m.ravel()]}
-
-
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of ``{"rows": d, "cols": m, "data": [row-major]}``."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError) as exc:

@@ -526,15 +526,14 @@ def _excursion(arcs: CircleArcSet, theta) -> float:
 
 def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
                              start_angles, n_signals: int = 50,
-                             horizon: float = 8.0, dt: float = 1.0 / 256.0,
-                             seed: int = 0, inflate: float | None = None,
+                             horizon: float = 8.0, seed: int = 0,
                              resolution: int = 4096) -> InvarianceAudit:
     """Follow random admissible controls from the given starting angles.
 
     Every trajectory must stay inside the arc set inflated by two reporting
-    cells (``2 pi / resolution`` by default, a cell being
-    ``pi / resolution``).  Controls are piecewise constant, redrawn
-    uniformly from the control range every ``hold = 8`` steps.  The flow of
+    cells, ``2 pi / resolution`` (a cell being ``pi / resolution``).
+    Controls are piecewise constant, redrawn uniformly from the control
+    range every ``hold = 8`` steps of ``dt = 1/256``.  The flow of
     ``x' = (A + alpha BK) x`` is exact (``_projective_steps``); ``dt`` is only
     its sampling step, and the set is checked at every multiple of ``dt`` up
     to ``ceil(horizon / dt)`` steps.  The audit reads only A, B, K and the
@@ -542,8 +541,8 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     """
     lo, hi = _control_range(control_range)
     a, bk = _planar_loop(A, B, K)
-    if inflate is None:
-        inflate = 2.0 * np.pi / resolution
+    inflate = 2.0 * np.pi / resolution
+    dt = 1.0 / 256.0
     starts = np.repeat(np.asarray(start_angles, dtype=float), n_signals)
     n_traj = starts.size
     steps = int(np.ceil(horizon / dt))
@@ -614,14 +613,13 @@ def steer_d2(q0, q_target, A, B, K, control_range, resolution: int = 4096,
 
 
 def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096,
-                        mesh: int = 96, max_time: float = 100.0,
-                        slack: float = 1.25) -> float:
+                        mesh: int = 96, max_time: float = 100.0) -> float:
     """Empirical uniform steering-time bound to one target direction.
 
     Takes the exact greedy arrival times from a mesh of starting angles and
-    returns the worst with a safety factor; a fresh starting point lies
-    within one mesh cell of a probed one, so its greedy arrival time is
-    covered by the slack.
+    returns ``1.25 * worst + 1``; a fresh starting point lies within one mesh
+    cell of a probed one, so its greedy arrival time is covered by the
+    slack.
     """
     planar = _Planar(A, B, K, control_range)
     target = angle_of(q_target)
@@ -631,4 +629,4 @@ def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096
     if not math.isfinite(worst):
         raise SteeringError("some mesh starts cannot reach the target",
                             best_distance=np.nan)
-    return float(slack * worst + 1.0)
+    return float(1.25 * worst + 1.0)

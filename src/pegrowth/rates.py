@@ -186,24 +186,30 @@ class Monodromy:
 
 
 def monodromy(A, B, K, s: PESignal) -> Monodromy:
-    a, b, k = closed_loop(A, B, K)
+    return _monodromy(*closed_loop(A, B, K), s)[0]
+
+
+def _monodromy(a, b, k, s: PESignal) -> tuple[Monodromy, np.ndarray, float]:
+    """``monodromy`` of a checked loop, with the scaled period product
+    ``(Rn, log_scale)`` that it reads R and the top rate from."""
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
     rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
-    return Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
-                     top_rate=float(_top(rn, log_scale, s.period)[0]),
-                     bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)], {}))[0][0])
+    m = Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
+                  top_rate=float(_top(rn, log_scale, s.period)[0]),
+                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)], {}))[0][0])
+    return m, rn[0], log_scale[0]
 
 
 # -- per-vector exponents ---------------------------------------------------
 
 
-def _modulus_classes(logmods: np.ndarray, tol: float = 1e-7) -> list[float]:
-    """Distinct log-modulus levels, descending, clustered within tol."""
+def _modulus_classes(logmods: np.ndarray) -> list[float]:
+    """Distinct log-modulus levels, descending, clustered within 1e-7."""
     vals = np.sort(logmods)[::-1]
     classes = [[vals[0]]]
     for x in vals[1:]:
-        if classes[-1][-1] - x <= tol:
+        if classes[-1][-1] - x <= 1e-7:
             classes[-1].append(x)
         else:
             classes.append([x])
@@ -230,14 +236,19 @@ def _spectral_component(r: np.ndarray, thresh: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(z @ proj))
 
 
-def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float,
-                         x0: np.ndarray, tol: float = 1e-9) -> float:
-    """Log-modulus class of ``exp(log_scale) rn`` that x0 touches, over tau."""
+def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float, x0) -> float:
+    """Log-modulus class of ``exp(log_scale) rn`` that x0 touches, over tau:
+    the exponential growth rate of the solution from x0 when ``rn`` is a
+    scaled monodromy over the period tau.  A component counts when it is
+    above 1e-9 |x0|."""
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != rn.shape[0] or np.linalg.norm(x) == 0.0:
+        raise ValueError("x0 must be a nonzero vector of matching dimension")
     classes = _modulus_classes(np.log(np.abs(np.linalg.eigvals(rn))))
     level = classes[-1]
     for i, c in enumerate(classes[:-1]):
         thresh = np.exp(0.5 * (c + classes[i + 1]))
-        if _spectral_component(rn, thresh, x0) > tol * np.linalg.norm(x0):
+        if _spectral_component(rn, thresh, x) > 1e-9 * np.linalg.norm(x):
             level = c
             break
     return (level + log_scale) / tau
@@ -246,12 +257,8 @@ def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float,
 def _periodic_exponent(x0, A, B, K, s: PESignal) -> float:
     """Exponential growth rate of the solution from x0 under the periodic
     signal s: the log-modulus class of the monodromy that x0 touches."""
-    a, b, k = closed_loop(A, B, K)
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != a.shape[0] or np.linalg.norm(x) == 0.0:
-        raise ValueError("x0 must be a nonzero vector of matching dimension")
-    rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
-    return _per_vector_exponent(rn[0], log_scale[0], s.period, x)
+    _, rn, log_scale = _monodromy(*closed_loop(A, B, K), s)
+    return _per_vector_exponent(rn, log_scale, s.period, x0)
 
 
 # -- signal families ---------------------------------------------------------
@@ -429,7 +436,7 @@ class RateEstimate:
     """
 
     value: float
-    bound: str  # "upper" | "lower" | "exact"
+    bound: str  # "upper" | "lower"
     witness: PESignal | None
     method: str
 
@@ -534,7 +541,12 @@ class DualityReport:
         return self.max_residual <= self.tol and self.estimates_equal
 
 
-def duality_check(A, B, K, cls: SignalClass, family, tol: float = 1e-8) -> DualityReport:
+# Largest inversion residual that the duality checks accept.
+_RESIDUAL_TOL = 1e-8
+
+
+def duality_check(A, B, K, cls: SignalClass, family,
+                  tol: float = _RESIDUAL_TOL) -> DualityReport:
     """Verify time-reversal duality on a family of periodic signals.
 
     For each signal alpha of period tau the product
@@ -699,10 +711,10 @@ def shift_law_check(A, B, K, shift: float, s: PESignal, x0,
     a, b, k = closed_loop(A, B, K)
     d = a.shape[0]
     shifted = a + shift * np.eye(d)
-    m0 = monodromy(a, b, k, s)
-    m1 = monodromy(shifted, b, k, s)
-    l0 = _periodic_exponent(x0, a, b, k, s)
-    l1 = _periodic_exponent(x0, shifted, b, k, s)
+    m0, rn0, log_scale0 = _monodromy(a, b, k, s)
+    m1, rn1, log_scale1 = _monodromy(shifted, b, k, s)
+    l0 = _per_vector_exponent(rn0, log_scale0, s.period, x0)
+    l1 = _per_vector_exponent(rn1, log_scale1, s.period, x0)
     rc_res = None
     if family is not None:
         if cls is None:
@@ -762,8 +774,7 @@ class ParityDualityReport:
         return self.max_residual <= self.tol
 
 
-def parity_duality_check(K, family, cls: SignalClass | None = None,
-                         tol: float = 1e-8) -> ParityDualityReport:
+def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDualityReport:
     """Spectral inversion between a companion gain and its parity conjugate.
 
     For the chain pair (J, e_d) and a gain K with all components nonzero,
@@ -771,7 +782,8 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
     satisfies: the monodromy spectrum of (J, e_d, K_minus) under the
     reversed signal is the elementwise inverse of the spectrum of
     (J, e_d, K) under the original.  Checked per signal via multiset
-    matching, after one family-engine pass per side.
+    matching, after one family-engine pass per side, against the
+    tolerance of ``duality_check``.
     """
     k = as_matrix(K, "K").reshape(-1)
     d = k.size
@@ -802,4 +814,4 @@ def parity_duality_check(K, family, cls: SignalClass | None = None,
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))
     return ParityDualityReport(K_minus=k_minus, per_signal=tuple(rows),
-                               max_residual=worst, tol=tol)
+                               max_residual=worst, tol=_RESIDUAL_TOL)

@@ -50,9 +50,9 @@ def membership_residual(M) -> float:
     return opnorm(m.T @ g + g @ m) / (1.0 + opnorm(m))
 
 
-def is_spin91(M, tol: float = 1e-10) -> bool:
-    """Membership test: membership_residual(M) <= tol."""
-    return membership_residual(M) <= tol
+def is_spin91(M) -> bool:
+    """Membership test: membership_residual(M) <= 1e-10."""
+    return membership_residual(M) <= 1e-10
 
 
 def random_spin91(seed: int) -> np.ndarray:

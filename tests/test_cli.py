@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_to_json
 from pegrowth import cli, projective, rates, signals
-from pegrowth.matcore import matrix_to_json
 from pegrowth.signals import PESignal, SignalClass
 
 
@@ -143,6 +143,21 @@ class TestLieCheck:
         assert certs["larc0"]["verdict"] and certs["plarc"]["verdict"]
         assert summary["chain"]["violations"] == []
 
+    def test_huge_lambda_keeps_the_larc_rank(self, tmp_path):
+        # BK is traceless, so the identity direction of Lie(A + lambda I, BK)
+        # comes from A + lambda I alone, whose Frobenius norm must not overflow
+        rng = np.random.default_rng(0)
+        a, b, k = (rng.standard_normal(shape) for shape in ((3, 3), (3, 1), (1, 3)))
+        k -= (k @ b) / (b.T @ b) * b.T
+        for lam in (0.0, 1e150, 1e160):
+            cfg = base_config(pair={"A": matrix_to_json(a), "B": matrix_to_json(b)},
+                              K=matrix_to_json(k), **{"lambda": lam})
+            out = tmp_path / f"l{lam:g}"
+            assert run("lie-check", write_config(tmp_path, cfg), out) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            larc = summary["certificates"]["larc_shifted"]
+            assert (larc["dim"], larc["verdict"], summary["chain"]["lambda"]) == (9, True, lam)
+
 
 class TestAccCert:
     def test_verdict(self, tmp_path):
@@ -177,16 +192,21 @@ class TestInvariantSet:
         assert "resolution" not in summary
         assert [p.name for p in out.iterdir()] == ["summary.json"]
 
-    def test_plarc_failure_flagged(self, tmp_path):
-        cfg = base_config()
-        cfg["pair"]["A"] = matrix_to_json(np.diag([1.0, 2.0]))
-        cfg["pair"]["B"] = matrix_to_json(np.zeros((2, 1)))
-        cfg["K"] = matrix_to_json(np.zeros((1, 2)))
-        cfg["resolution"] = 256
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "na"
-        assert run("invariant-set", path, out) == 3
-        assert json.loads((out / "summary.json").read_text())["applicable"] is False
+    def test_plarc_failure_flagged(self, tmp_path, capsys):
+        for a, detail in ((np.diag([1.0, 2.0]), "closure dim 1, rank-deficient at 2 of 2"),
+                          (np.zeros((2, 2)), "closure dim 0, rank-deficient at 0 of 0")):
+            cfg = base_config()
+            cfg["pair"]["A"] = matrix_to_json(a)
+            cfg["pair"]["B"] = matrix_to_json(np.zeros((2, 1)))
+            cfg["K"] = matrix_to_json(np.zeros((1, 2)))
+            cfg["resolution"] = 256
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / "na"
+            assert run("invariant-set", path, out) == 3
+            assert json.loads((out / "summary.json").read_text())["applicable"] is False
+            assert capsys.readouterr().err == (
+                "numerical diagnostic: the invariant control set needs PLARC, which fails "
+                f"({detail} sampled directions)\n")
 
 
 class TestSpinAudit:
@@ -504,6 +524,21 @@ class TestExitCodes:
     def test_malformed_control_range_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(control_range="lo-hi"))
         assert run("invariant-set", cfg, tmp_path / "i") == 2
+
+    @pytest.mark.parametrize("blocked", ["out", "parent", "rates.csv", "summary.json"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, blocked):
+        # a file where --out or one of its parents should be a directory, or a
+        # directory where an output file goes
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "o"
+        if blocked in ("out", "parent"):
+            out.write_text("")
+            out = out / "sub" if blocked == "parent" else out
+        else:
+            (out / blocked).mkdir(parents=True)
+        assert run("rates", cfg, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
 
     def test_library_value_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

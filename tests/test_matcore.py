@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import span_rank
+from oracles import matrix_to_json, span_rank
 from pegrowth import lie, matcore, projective, rates
 from pegrowth.signals import PESignal
 
@@ -111,10 +111,22 @@ class TestSpectrum:
         assert res <= tol
 
 
+class TestFronorm:
+    def test_in_range_keeps_numpys_bits(self):
+        rng = np.random.default_rng(1)
+        for scale in (1e-300, 1.0, 1e150):
+            m = scale * rng.standard_normal((4, 4))
+            assert matcore.fronorm(m) == np.linalg.norm(m)
+
+    def test_huge_entries_do_not_overflow(self):
+        m = np.array([[3e200, 0.0], [0.0, -4e200]])
+        assert matcore.fronorm(m) == pytest.approx(5e200, rel=1e-15)
+
+
 class TestJson:
     def test_round_trip(self):
         m = np.array([[1.5, -2.0, 0.0], [0.25, 3.0, -1.0]])
-        back = matcore.matrix_from_json(matcore.matrix_to_json(m))
+        back = matcore.matrix_from_json(matrix_to_json(m))
         np.testing.assert_array_equal(back, m)
 
     def test_malformed(self):

@@ -753,10 +753,11 @@ class TestInvarianceAudit:
     @pytest.mark.parametrize("horizon, steps", [(1.0 / 256.0, 1), (0.1, 26), (0.125, 32)])
     def test_samples_every_step_up_to_the_horizon(self, horizon, steps):
         # a pure rotation turns at unit speed: the last sample, at
-        # steps * dt, is the farthest past the arc end
+        # steps * dt, is the farthest past the arc end; the first, at
+        # dt = 1/256, already lies past the inflation 2 pi / 4096
         arcs = prj.CircleArcSet(arcs=((0.0, 0.002),))
         audit = prj.forward_invariance_audit(ROT, *ZERO_IN, RANGE, arcs, [0.0],
-                                             n_signals=2, horizon=horizon, inflate=0.0)
+                                             n_signals=2, horizon=horizon)
         assert not audit.ok and audit.n_trajectories == 2
         assert audit.max_excursion == pytest.approx(steps / 256.0 - 0.002, abs=1e-13)
 

@@ -1,5 +1,8 @@
-"""README's public-surface table lists exactly the names ``pegrowth`` exports."""
+"""README's tables list exactly the names ``pegrowth`` exports and exactly
+the defaulted parameters of its modules' public functions and dataclasses."""
 
+import dataclasses
+import inspect
 import re
 import types
 from pathlib import Path
@@ -7,12 +10,16 @@ from pathlib import Path
 import pegrowth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ("matcore", "signals", "lie", "control", "rates", "projective", "spinchk")
+
+
+def section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def table_names():
     """The first-column names of the table under "## Public surface"."""
-    section = README.read_text().split("\n## Public surface\n", 1)[1].split("\n## ", 1)[0]
-    return [m.group(1) for m in re.finditer(r"^\| `(\w+)` \|", section, re.M)]
+    return [m.group(1) for m in re.finditer(r"^\| `(\w+)` \|", section("Public surface"), re.M)]
 
 
 def test_table_lists_every_exported_name():
@@ -21,3 +28,20 @@ def test_table_lists_every_exported_name():
     exported = {n for n, v in vars(pegrowth).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert set(names) == exported
+
+
+def test_settings_table_lists_every_defaulted_parameter():
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(\w+)` \| `([^`]*)` \| ([^|]*\S) \|$",
+                      section("Settings"), re.M)
+    listed = [row[:4] for row in rows]
+    assert len(listed) == len(set(listed))
+    defaulted = set()
+    for module in MODULES:
+        mod = getattr(pegrowth, module)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+                defaulted.update((module, name, p.name, repr(p.default))
+                                 for p in inspect.signature(obj).parameters.values()
+                                 if p.default is not p.empty)
+    assert set(listed) == defaulted

@@ -551,6 +551,22 @@ class TestShiftLaw:
         assert rep.exponent_residual <= 1e-10
         assert rep.rc_shift_residual <= 1e-10
 
+    def test_forms_each_forward_product_once(self, monkeypatch):
+        # the per-vector exponents read the forward products of the two
+        # monodromies; with the two reversed ones, four products in all
+        calls = []
+        product = rates._family_product
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(rates, "_family_product", counted)
+        a, b, k = random_system(16)
+        rates.shift_law_check(a, b, k, 1.0, PESignal([0.0, 0.5], [1.0, 0.0], period=1.0),
+                              [1.0, 0.5])
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, 0.5, 0.2]], ids=["zero", "wrong-length"])
     def test_x0_is_checked(self, x0):
         a, b, k = random_system(16)

@@ -8,16 +8,17 @@ is read off the invariant subspaces of the monodromy.
 
 Every period product comes from ``_family_product``, scaled so that stiff
 and long-period signals give finite logarithms.  It evaluates a whole
-family of signals against a stack of gains in one lockstep pass, with one
-``expm`` per distinct segment for all the gains, and each slice equals the
-product of that one signal and gain bit for bit.  Each estimator computes
-a family's products once per orientation and reads them in batches.  Only
-*top* quantities are read from them: the log spectral radius and the log
-2-norm.  A *bottom* quantity is the negated top quantity of the reversed
-tuple (-A, -B, K, reverse(s)), whose period product is the inverse.
-Negation and ``reverse`` are exact involutions, so the convergence estimate
-of a system and the divergence estimate of its reversal on the mirrored
-family are one computation and agree bit for bit.
+family of signals against a stack of gains in one lockstep pass.  One
+``_expm_stack`` call per pass exponentiates every segment that its factor
+table lacks, for all the gains, with ``scipy.linalg.expm``'s bits, and each
+slice equals the product of that one signal and gain bit for bit.  Each
+estimator computes a family's products once per orientation and reads them
+in batches.  Only *top* quantities are read from them: the log spectral
+radius and the log 2-norm.  A *bottom* quantity is the negated top quantity
+of the reversed tuple (-A, -B, K, reverse(s)), whose period product is the
+inverse.  Negation and ``reverse`` are exact involutions, so the
+convergence estimate of a system and the divergence estimate of its
+reversal on the mirrored family are one computation and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
-from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _trusted, reverse
+from .signals import (EP_TOL, PESignal, SignalClass, _pe_valid, _reversed, _trusted,
+                      reverse)
 
 __all__ = [
     "SearchBudget",
@@ -60,6 +62,50 @@ __all__ = [
 _LN2 = float(np.log(2.0))
 
 
+def _expm_stack(x: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of every ``(d, d)`` slice of ``x``, bit for bit.
+
+    ``scipy.linalg.expm`` handles a stack one slice at a time and spends
+    most of each slice on Python around its Padé kernels.  Here the stack
+    is classified by two numpy calls.  A dense slice (nonzero entries both
+    below and above the diagonal) runs scipy's generic branch directly:
+    ``pick_pade_structure`` scales it and picks the Padé order,
+    ``pade_UV_calc`` evaluates the approximant, and the ``s`` squarings run
+    batched, one matrix product per squaring level.  Diagonal and
+    triangular slices, and every slice at d = 1, go to one
+    ``scipy.linalg.expm`` call, which keeps scipy's own triangular branch.
+    A slice whose kernel reports a failure is handed to
+    ``scipy.linalg.expm`` too, which raises scipy's own error.
+
+    The kernels are private to scipy (``scipy.linalg._matfuncs_expm`` in
+    scipy 1.17); the tests check the bits against ``scipy.linalg.expm``.
+    scipy is imported here, so a run that never forms a product never
+    loads it."""
+    import scipy.linalg
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+    flat = x.reshape(-1, *x.shape[-2:])
+    out = np.empty_like(flat)
+    dense = np.tril(flat, -1).any(axis=(1, 2)) & np.triu(flat, 1).any(axis=(1, 2))
+    if not dense.all():
+        out[~dense] = scipy.linalg.expm(flat[~dense])
+    at = np.flatnonzero(dense)
+    squarings = np.zeros(at.size, dtype=np.intp)
+    work = np.empty((5, *flat.shape[1:]))
+    for j, i in enumerate(at.tolist()):
+        work[0] = flat[i]
+        order, squarings[j] = pick_pade_structure(work)
+        if order < 0 or pade_UV_calc(work, order) != 0:
+            out[i] = scipy.linalg.expm(flat[i])
+            squarings[j] = 0
+        else:
+            out[i] = work[0]
+    for level in range(1, squarings.max(initial=0) + 1):
+        i = at[squarings >= level]
+        out[i] = out[i] @ out[i]
+    return out.reshape(x.shape)
+
+
 def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray]:
     """Ordered products of the segment exponentials of every signal and gain,
     as ``(Rn, log_scale)`` with ``R[s, g] = exp(log_scale[s, g]) Rn[s, g]``.
@@ -70,9 +116,12 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     is taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
     abscissa of M, so no factor over- or underflows on its own.  ``table``
     maps each value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``,
-    each stacked over the gains, so a distinct segment costs one ``expm``
-    call for the whole stack.  The caller owns the table and may share it
+    each stacked over the gains.  The caller owns the table and may share it
     between calls with the same ``(a, bks)``.
+
+    The segment keys ``(value, dt)`` are collected first.  The abscissas of
+    every value the table lacks come from one ``eigvals`` call, and every
+    factor it lacks, for all the gains, from one ``_expm_stack`` call.
 
     The signals walk their segments in lockstep: step j gathers the j-th
     factor of every signal that still has one and multiplies the whole
@@ -82,41 +131,27 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     peak, which is exact barring underflow of tiny entries.  Its shifts
     ``sigma dt`` and exponents are summed in segment order, so every slice
     equals the product of that one signal and gain bit for bit.
-
-    ``scipy.linalg`` is imported here, not at module level, so that a run
-    that never forms a product never loads scipy; ``expm`` is looked up on
-    the module at each call, so a patched attribute sees every call.
     """
-    import scipy.linalg
-
     g, d = bks.shape[0], a.shape[0]
     index: dict = {}
-    factors, steps, rows = [], [], []
-    for segments in family:
-        row = []
-        for value, dt in segments:
-            if dt == 0.0:
-                continue
-            i = index.get((value, dt))
-            if i is None:
-                entry = table.get(value)
-                if entry is None:
-                    m = a + value * bks
-                    sigma = np.linalg.eigvals(m).real.max(axis=1)
-                    entry = table[value] = (m - sigma[:, None, None] * np.eye(d), sigma, {})
-                generator, sigma, cache = entry
-                factor = cache.get(dt)
-                if factor is None:
-                    factor = cache[dt] = scipy.linalg.expm(generator * dt)
-                i = index[value, dt] = len(factors)
-                factors.append(factor)
-                steps.append(sigma * dt)
-            row.append(i)
-        rows.append(row)
+    rows = [[index.setdefault((v, dt), len(index)) for v, dt in segments if dt != 0.0]
+            for segments in family]
+    new = [v for v in dict.fromkeys(v for v, _ in index) if v not in table]
+    if new:
+        m = a + np.array(new)[:, None, None, None] * bks
+        sigma = np.linalg.eigvals(m).real.max(axis=-1)
+        generators = m - sigma[:, :, None, None] * np.eye(d)
+        table.update((v, (gen, sig, {})) for v, gen, sig in zip(new, generators, sigma))
+    missing = [(v, dt) for v, dt in index if dt not in table[v][2]]
+    if missing:
+        exps = _expm_stack(np.array([table[v][0] * dt for v, dt in missing]))
+        for (v, dt), factor in zip(missing, exps):
+            table[v][2][dt] = factor
     pos = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
     for s, row in enumerate(rows):
         pos[s, :len(row)] = row
-    stack, step = np.array(factors), np.array(steps)
+    stack = np.array([table[v][2][dt] for v, dt in index])
+    step = np.array([table[v][1] * dt for v, dt in index])
     rn = np.tile(np.eye(d), (len(rows), g, 1, 1))
     shift = np.zeros((len(rows), g))
     exponent = np.zeros((len(rows), g), dtype=np.int64)
@@ -423,8 +458,9 @@ def _least_cell_sums(grid: int, mult: np.ndarray, cuts, first_high: np.ndarray):
 
 
 def mirror_family(family) -> list[PESignal]:
-    """Time reversal of every signal in the family."""
-    return [reverse(s) for s in family]
+    """Time reversal of every signal in the family, in one padded pass;
+    each signal equals its ``reverse`` bit for bit."""
+    return _reversed(list(family))
 
 
 @dataclass(frozen=True)
@@ -470,7 +506,7 @@ def _pass(a, b, gains, sigs, table: dict):
     shaped ``(S, 1)`` to divide the ``(S, G)`` reads.  ``table`` is the
     engine's factor table.  Passes on the same ``(a, b, gains)`` may share
     one: a factor depends only on its ``(value, duration)`` key, so a hit
-    returns the bits a fresh ``expm`` would, and a key that differs by one
+    returns the bits a fresh exponential would, and a key that differs by one
     ulp misses.  A pass on another loop needs its own."""
     bks = np.stack([b @ k for k in gains])
     rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs], table)
@@ -598,8 +634,8 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     over the family with every gain stacked.  ``rd_mirror`` is a second pass
     along ``rd_estimate``'s own path: the negated tuple on the reversed
     mirrored family.  That is (A, BK) again, so it reuses the ``rc`` pass's
-    factor table (see ``_pass``) and each distinct segment costs one
-    ``expm`` per call.  A segment that the double reversal changed misses
+    factor table (see ``_pass``) and each distinct segment is exponentiated
+    once per call.  A segment that the double reversal changed misses
     the table and is computed afresh, and the pass never reads the ``rc``
     values, so per-gain equality stays a check of the duality.  Each entry
     equals the corresponding ``rc_estimate``/``rd_estimate`` bit for bit.

@@ -260,16 +260,15 @@ class TestDualityGrid:
         assert passes == in_family + [len(family)]
 
     def test_rd_mirror_is_evaluated_on_its_own_path(self, tmp_path, monkeypatch):
-        reverse = rates.reverse
+        mirror_family = rates.mirror_family
 
-        def perturbed(s):
+        def perturbed(family):
             # Raises every value by 1e-6 of its distance to 1, which keeps
-            # the signal PE and its durations consistent.
-            r = reverse(s)
-            return PESignal(r.breakpoints, r.values + 1e-6 * (1.0 - r.values), r.period,
-                            durations=r.durations)
+            # the signals PE and their durations consistent.
+            return [PESignal(r.breakpoints, r.values + 1e-6 * (1.0 - r.values), r.period,
+                             durations=r.durations) for r in mirror_family(family)]
 
-        monkeypatch.setattr(rates, "reverse", perturbed)
+        monkeypatch.setattr(rates, "mirror_family", perturbed)
         out = tmp_path / "g"
         assert run("duality-grid", self.grid_config(tmp_path), out) == 4
         assert not json.loads((out / "summary.json").read_text())["per_gain_equal"]

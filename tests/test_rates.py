@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.linalg
 
 from pegrowth import rates
 from pegrowth.matcore import nilpotent_shift, opnorm, parity_matrix, unit_vector
-from pegrowth.signals import EP_TOL, PESignal, SignalClass, reverse, validate_pe
+from pegrowth.signals import EP_TOL, PESignal, SignalClass, _trusted, reverse, validate_pe
 
 CLS = SignalClass(1.0, 0.4)
 J2 = nilpotent_shift(2)
@@ -840,10 +842,10 @@ def reference_duality_check(a, b, k, cls, family, tol=1e-8):
     sigs = rates._resolve_family(cls, family)
     bk, bk_rev = (b @ k)[None], ((-b) @ k)[None]
     rows = []
-    for i, s in enumerate(sigs):
+    # rates.mirror_family, so a test that patches the mirror patches this too.
+    for i, (s, s_rev) in enumerate(zip(sigs, rates.mirror_family(sigs))):
         rn, log_scale = reference_product(a, bk, s.period_segments())
-        # rates.reverse, so a test that patches the reversal patches this too.
-        rn_rev, log_scale_rev = reference_product(-a, bk_rev, rates.reverse(s).period_segments())
+        rn_rev, log_scale_rev = reference_product(-a, bk_rev, s_rev.period_segments())
         prod = reference_unscaled(rn_rev[0] @ rn[0], log_scale_rev[0] + log_scale[0])
         res = opnorm(prod - np.eye(len(a))) if np.isfinite(prod).all() else np.inf
         rows.append((i, s.period, res))
@@ -944,43 +946,52 @@ def distinct_segments(sigs):
 
 
 def expm_per_pass(monkeypatch):
-    """The ``scipy.linalg.expm`` calls made inside each ``rates._pass``, in
-    call order."""
-    counts = []
-    expm_, pass_ = scipy.linalg.expm, rates._pass
+    """The segment keys exponentiated inside each ``rates._pass``, in call
+    order: the slices that pass through ``rates._expm_stack``, counted in
+    ``(G, d, d)`` stacks over the gains, one per ``(value, duration)`` key.
+    A pass that calls the kernel more than once fails the test."""
+    counts, calls = [], []
+    kernel, pass_ = rates._expm_stack, rates._pass
 
-    def counted_expm(*args, **kwargs):
-        counts[-1] += 1
-        return expm_(*args, **kwargs)
+    def counted_kernel(x):
+        counts[-1] += len(x)
+        calls[-1] += 1
+        return kernel(x)
 
     def counted_pass(*args, **kwargs):
         counts.append(0)
-        return pass_(*args, **kwargs)
+        calls.append(0)
+        out = pass_(*args, **kwargs)
+        assert calls[-1] <= 1, f"one pass made {calls[-1]} kernel calls"
+        return out
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(rates, "_expm_stack", counted_kernel)
     monkeypatch.setattr(rates, "_pass", counted_pass)
     return counts
 
 
 def nudge_reversal(monkeypatch):
-    """Make ``rates.reverse`` lengthen the last duration of every reversed
-    signal by one ulp: the values and every other duration keep their bits,
-    and the signal stays consistent with its breakpoints and period."""
-    reverse_ = rates.reverse
+    """Make ``rates.mirror_family`` lengthen the last duration of every
+    reversed signal by one ulp: the values and every other duration keep
+    their bits, and the signal stays consistent with its breakpoints and
+    period."""
+    mirror_family = rates.mirror_family
 
-    def nudged(s):
-        r = reverse_(s)
-        durations = r.durations.copy()
-        durations[-1] = np.nextafter(durations[-1], np.inf)
-        return PESignal(r.breakpoints, r.values, r.period, durations=durations)
+    def nudged(family):
+        out = []
+        for r in mirror_family(family):
+            durations = r.durations.copy()
+            durations[-1] = np.nextafter(durations[-1], np.inf)
+            out.append(PESignal(r.breakpoints, r.values, r.period, durations=durations))
+        return out
 
-    monkeypatch.setattr(rates, "reverse", nudged)
+    monkeypatch.setattr(rates, "mirror_family", nudged)
 
 
 class TestSharedFactorTable:
     """``duality_grid`` and ``duality_check`` hand the ``rc`` pass's factor
     table to the ``rd`` pass, which runs on the same loop (A, BK): each
-    distinct segment costs one ``expm`` per loop and call."""
+    distinct segment is exponentiated once per loop and call."""
 
     @staticmethod
     def case(d):
@@ -1030,3 +1041,122 @@ class TestSharedFactorTable:
         assert_same_estimate(got.rc, ref.rc)
         assert_same_estimate(got.rd_mirror, ref.rd_mirror)
         assert got.estimates_equal == ref.estimates_equal and got.ok == ref.ok
+
+
+# -- the stacked kernels against their one-at-a-time versions ----------------
+
+
+BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.json"))
+
+
+def assert_expm_bits(x):
+    """``rates._expm_stack`` equals ``scipy.linalg.expm`` slice by slice,
+    byte for byte."""
+    with np.errstate(all="ignore"):
+        got = rates._expm_stack(x)
+        want = np.array([scipy.linalg.expm(m) for m in x.reshape(-1, *x.shape[-2:])])
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+
+
+class TestExpmStack:
+    KINDS = {"generic": lambda x: x, "upper": np.triu, "lower": np.tril,
+             "nilpotent": lambda x: np.triu(x, 1), "diagonal": lambda x: x * np.eye(x.shape[-1])}
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_seeded_stacks(self, d):
+        """Every kind of slice at every scale, up to ones whose squarings
+        overflow, alone and mixed in one stack."""
+        rng = np.random.default_rng(1100 + d)
+        mixed = []
+        for shape in self.KINDS.values():
+            for scale in (1e-3, 0.1, 1.0, 30.0, 300.0, 3e4):
+                x = shape(rng.standard_normal((5, d, d))) * scale
+                assert_expm_bits(x)
+                mixed.append(x[:2])
+        assert_expm_bits(rng.permutation(np.concatenate(mixed)))
+        assert_expm_bits(np.zeros((3, 2, d, d)))
+
+    @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
+    def test_bench_config_factors(self, path, tmp_path, monkeypatch):
+        """Every stack that ``duality-grid`` exponentiates on a committed
+        benchmark config: dense slices, and at mu = 0.40 the nilpotent
+        chain of the value-0 segments."""
+        from pegrowth import cli
+
+        stacks = []
+        kernel = rates._expm_stack
+
+        def recorded(x):
+            stacks.append(x)
+            return kernel(x)
+
+        monkeypatch.setattr(rates, "_expm_stack", recorded)
+        assert cli.main(["duality-grid", "--config", str(path), "--seed", "1",
+                         "--out", str(tmp_path / "g")]) == 0
+        monkeypatch.undo()
+        assert stacks
+        for s in stacks:
+            assert_expm_bits(s)
+
+    def test_no_dense_expm_call(self, monkeypatch):
+        """The engine hands ``scipy.linalg.expm`` only the slices that are
+        not dense: on a chain pair, the nilpotent generators of the value-0
+        segments."""
+        expm = scipy.linalg.expm
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return expm(x)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        k = np.random.default_rng(17).standard_normal((1, 3))
+        rates.duality_grid(nilpotent_shift(3), unit_vector(3, 2).reshape(3, 1), [k, -k], CLS,
+                           rates.SearchBudget(size=12, seed=1))
+        assert seen
+        for x in seen:
+            assert not (np.tril(x, -1).any(axis=(-2, -1)) & np.triu(x, 1).any(axis=(-2, -1))).any()
+
+
+class TestMirrorFamily:
+    FIELDS = ("breakpoints", "values", "durations")
+
+    def assert_reverse_bits(self, fam):
+        got = rates.mirror_family(fam)
+        assert len(got) == len(fam)
+        for r, s in zip(got, fam):
+            want = reverse(s)
+            for name in self.FIELDS:
+                x, y = getattr(r, name), getattr(want, name)
+                assert (x.dtype, x.flags.c_contiguous, x.flags.writeable) == (y.dtype, True, False)
+                assert x.tobytes() == y.tobytes()
+            assert type(r.period) is float and r.period == want.period
+            assert r.encoding_key() == want.encoding_key()
+
+    @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
+    def test_bench_config_families(self, path):
+        cfg = json.loads(path.read_text())
+        cls = SignalClass(cfg["T"], cfg["mu"])
+        for seed in (1, 2, 7):
+            fam = rates.bang_bang_family(cls, rates.SearchBudget(**cfg["family"], seed=seed))
+            self.assert_reverse_bits(fam)
+            self.assert_reverse_bits(rates.mirror_family(fam))
+
+    def test_ragged_and_rounded_signals(self):
+        rng = np.random.default_rng(12)
+        fam = [PESignal.constant(0.7, period=1.5),
+               PESignal([0.0, 0.25, 0.625], [1.0, 0.0, 0.5], period=2.0)]
+        for n in (1, 2, 5, 13):
+            durations = rng.uniform(0.01, 3.0, n) / 7.0
+            fam.append(PESignal.from_segments(zip(rng.uniform(0.0, 1.0, n), durations),
+                                              period=float(np.cumsum(durations)[-1])))
+        self.assert_reverse_bits(fam)
+        assert rates.mirror_family([]) == []
+
+    def test_failing_signal_raises_as_reverse_does(self):
+        # As in test_signals: reversed, the first segment ends past the period.
+        s = _trusted([1.0, 0.0], [0.5, 1.5], 1.0)
+        with pytest.raises(ValueError, match="precede the period"):
+            rates.mirror_family([PESignal.constant(0.5, period=1.0), s])
+        with pytest.raises(ValueError, match="periodic signals only"):
+            rates.mirror_family([PESignal.constant(0.5, period=1.0), PESignal([0.0], [1.0])])

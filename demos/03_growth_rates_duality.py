@@ -9,7 +9,7 @@ one-sided bounds, and reversing time swaps the two roles exactly.
 import numpy as np
 
 from pegrowth import (SearchBudget, SignalClass, bang_bang_family,
-                      constant_family, delta_quantities, duality_check,
+                      constant_family, duality_check, family_rates,
                       mirror_family, monodromy, rc_estimate, rd_estimate,
                       shift_law_check)
 
@@ -49,7 +49,7 @@ rd = rd_estimate(-A, -B, K, cls, mirror_family(fam))
 assert rd.value == rc.value
 
 # Norm and conorm envelopes obey the same mirror identity.
-delta = delta_quantities(A, B, K, cls, fam)
+delta = family_rates(A, B, K, cls, fam).delta
 print(f"\nlog-norm envelope: delta >= {delta.delta_hat.value:.6f}, "
       f"conorm envelope: delta* <= {delta.delta_star_hat.value:.6f}")
 print(f"mirror identity exact: {delta.mirror_identity_exact}")

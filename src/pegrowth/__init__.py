@@ -19,9 +19,9 @@ from .control import (AccCertificate, ControllabilityForm, MatrixPair,
 from .rates import (DeltaReport, DualityGridReport, DualityReport, FamilyRates,
                     Monodromy, RateEstimate, SearchBudget, bang_bang_family,
                     constant_family, coordinate_invariance_check,
-                    delta_quantities, duality_check, duality_grid,
-                    family_rates, fundamental_solution, mirror_family,
-                    monodromy, parity_duality_check, rc_estimate, rd_estimate,
+                    duality_check, duality_grid, family_rates,
+                    fundamental_solution, mirror_family, monodromy,
+                    parity_duality_check, rc_estimate, rd_estimate,
                     shift_law_check)
 from .projective import (CircleArcSet, InvariantSetResult, SteerResult,
                          SteeringError, angle_dynamics_d2, angle_of,

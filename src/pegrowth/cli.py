@@ -15,14 +15,13 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, control, lie, projective, rates, spinchk
-from .matcore import matrix_from_json, multiset_residual
+from .matcore import _json_number, matrix_from_json, multiset_residual
 from .signals import PESignal, SignalClass, _pe_valid
 
 EXIT_OK = 0
@@ -59,22 +58,16 @@ def _require(cfg, key):
 def _integer(value, name):
     """A JSON integer, or a float with no fractional part, as an int.  A JSON
     boolean is not a number, and 1e400 parses as inf, which is no integer."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
+    if not _json_number(value, whole=True):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, name):
     """A JSON number as a finite float."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not _json_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _pair(cfg):

@@ -9,6 +9,8 @@ choice.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -154,12 +156,33 @@ def canonical_unit(v) -> np.ndarray | None:
     return u
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    """The matrix of ``{"rows": d, "cols": m, "data": [row-major]}``."""
+def _json_number(value, whole: bool = False) -> bool:
+    """Whether a parsed JSON value is a number that a config may give: an
+    int or a float but not a bool, and either ``whole`` (an int, or a float
+    with no fractional part) or finite, an int past the float range counting
+    as infinite.  A string of digits is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if whole:
+        return isinstance(value, int) or value.is_integer()
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of ``{"rows": d, "cols": m, "data": [row-major]}``: whole
+    sizes and a flat list of finite numbers, by ``_json_number``."""
+    try:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {obj!r}") from exc
+    if not (_json_number(rows, whole=True) and _json_number(cols, whole=True)):
+        raise ValueError(f"matrix rows and cols must be integers, got {rows!r} and {cols!r}")
+    if not (isinstance(data, list) and all(map(_json_number, data))):
+        raise ValueError("matrix data must be a flat list of finite numbers")
+    rows, cols = int(rows), int(cols)
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     arr = np.asarray(data, dtype=float)

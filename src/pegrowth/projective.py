@@ -228,9 +228,6 @@ class CircleArcSet:
     def whole(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][0] == 0.0 and self.arcs[0][1] >= np.pi
 
-    def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.arcs))
-
     def contains(self, theta, inflate: float = 0.0):
         """Membership test (arrays ok), with optional symmetric inflation."""
         inside = self._covers(wrap_angle(np.asarray(theta, dtype=float)), inflate)

@@ -29,8 +29,7 @@ import numpy as np
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
-from .signals import (EP_TOL, PESignal, SignalClass, _pe_valid, _reversed, _trusted,
-                      reverse)
+from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _reversed, _trusted
 
 __all__ = [
     "SearchBudget",
@@ -49,7 +48,6 @@ __all__ = [
     "DualityGridReport",
     "family_rates",
     "FamilyRates",
-    "delta_quantities",
     "DeltaReport",
     "shift_law_check",
     "ShiftLawReport",
@@ -166,12 +164,6 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     return rn, shift + exponent * _LN2
 
 
-def _segment_product(a, bks, segments, table: dict) -> tuple[np.ndarray, list[float]]:
-    """``_family_product`` of one signal: ``(Rn, log_scale)`` over the gains."""
-    rn, log_scale = _family_product(a, bks, [segments], table)
-    return rn[0], log_scale[0].tolist()
-
-
 def _unscaled(rn: np.ndarray, log_scale) -> np.ndarray:
     """``exp(log_scale) rn`` per slice, saturating entrywise to 0 or inf,
     never nan."""
@@ -200,8 +192,8 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
         raise ValueError("need t >= 0")
     if t == 0.0:
         return np.eye(a.shape[0])
-    rn, log_scale = _segment_product(a, (b @ k)[None], s.segments(0.0, t), {})
-    return _unscaled(rn[0], log_scale[0])
+    rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)], {})
+    return _unscaled(rn[0, 0], log_scale[0, 0])
 
 
 @dataclass(frozen=True)
@@ -226,14 +218,15 @@ def monodromy(A, B, K, s: PESignal) -> Monodromy:
 
 def _monodromy(a, b, k, s: PESignal) -> tuple[Monodromy, np.ndarray, float]:
     """``monodromy`` of a checked loop, with the scaled period product
-    ``(Rn, log_scale)`` that it reads R and the top rate from."""
+    ``(Rn, log_scale)`` that it reads R and the top rate from: the passes of
+    ``family_rates`` on the one-signal family ``[s]``."""
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
-    rn, log_scale = _segment_product(a, (b @ k)[None], s.period_segments(), {})
-    m = Monodromy(R=_unscaled(rn[0], log_scale[0]), tau=s.period,
-                  top_rate=float(_top(rn, log_scale, s.period)[0]),
-                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], [reverse(s)], {}))[0][0])
-    return m, rn[0], log_scale[0]
+    fwd = rn, log_scale, _ = _pass(a, b, [k], [s], {})
+    m = Monodromy(R=_unscaled(rn[0, 0], log_scale[0, 0]), tau=s.period,
+                  top_rate=-_neg_tops(*fwd)[0][0],
+                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]), {}))[0][0])
+    return m, rn[0, 0], float(log_scale[0, 0])
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -287,13 +280,6 @@ def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float, x0) -> fl
             level = c
             break
     return (level + log_scale) / tau
-
-
-def _periodic_exponent(x0, A, B, K, s: PESignal) -> float:
-    """Exponential growth rate of the solution from x0 under the periodic
-    signal s: the log-modulus class of the monodromy that x0 touches."""
-    _, rn, log_scale = _monodromy(*closed_loop(A, B, K), s)
-    return _per_vector_exponent(rn, log_scale, s.period, x0)
 
 
 # -- signal families ---------------------------------------------------------
@@ -664,8 +650,11 @@ class DeltaReport:
 
 
 def _delta(sigs, norms, mirror_norms) -> DeltaReport:
-    """``delta_quantities`` from the log-norm rates of validated signals on
-    (a, bk) and of their mirror on the reversed tuple (-a, -bk)."""
+    """The norm and conorm envelopes of validated signals, from their
+    log-norm rates on (a, bk) and those of their mirror on the reversed
+    tuple (-a, -bk).  The log conorm of R is the negated log norm of its
+    inverse, the reversed tuple's monodromy, so the mirror identity holds by
+    construction; it is still reported, as ``mirror_identity_exact``."""
     keys = [s.encoding_key() for s in sigs]
     top = max(zip(norms, keys, sigs), key=lambda e: e[:2])
     bottom = min(zip([-v for v in mirror_norms], keys, sigs), key=lambda e: e[:2])
@@ -675,23 +664,6 @@ def _delta(sigs, norms, mirror_norms) -> DeltaReport:
     return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
                        mirror_identity_exact=bool(delta_star.value == -mirror_delta),
                        ordered=bool(delta_star.value <= delta_hat.value))
-
-
-def delta_quantities(A, B, K, cls: SignalClass, family) -> DeltaReport:
-    """Extremal log-norm and log-conorm growth over the family.
-
-    The norm envelope is bounded below by the best signal found; the conorm
-    envelope is bounded above.  The log conorm of R is the negated log norm
-    of its inverse, the monodromy of the reversed tuple.  The conorm
-    envelope is read from the norms of the reversed tuple on the mirrored
-    family, so the exact mirror identity (the conorm envelope of a system is
-    the negated norm envelope of its reversal) holds by construction; it is
-    still reported, as ``mirror_identity_exact``.
-    """
-    a, b, k = closed_loop(A, B, K)
-    sigs = _resolve_family(cls, family)
-    return _delta(sigs, _log_norms(*_pass(a, b, [k], sigs, {})),
-                  _log_norms(*_pass(-a, -b, [k], mirror_family(sigs), {})))
 
 
 @dataclass(frozen=True)
@@ -712,9 +684,8 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     The family is validated once.  One pass over (A, BK) gives the top
     rates, ``rc`` and the norm envelope; one pass over the reversed tuple
     (-A, -BK) on the mirrored family gives the bottom rates, ``rd`` and the
-    conorm envelope.  Every value equals what ``monodromy``,
-    ``rc_estimate``, ``rd_estimate`` and ``delta_quantities`` give on their
-    own, bit for bit.
+    conorm envelope.  Every value equals what ``monodromy``, ``rc_estimate``
+    and ``rd_estimate`` give on their own, bit for bit.
     """
     a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)

@@ -4,8 +4,8 @@ A signal is a right-continuous step function alpha with values in [0, 1].
 ``SignalClass(T, mu)`` describes the excitation constraint: the integral of
 alpha over every window of length T must be at least mu.  Periodic signals
 carry an explicit period and are the workhorses of the growth-rate search;
-aperiodic signals extend their end values and are only used over finite
-horizons.
+only they are checked for excitation and reversed.  Aperiodic signals extend
+their end values and are only read over finite spans.
 
 Segment durations are stored alongside breakpoints: reversal and the
 worst-window search operate on durations, which keeps time reversal an exact
@@ -19,6 +19,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .matcore import _json_number
 
 __all__ = [
     "SignalClass",
@@ -154,24 +156,6 @@ class PESignal:
         out = self.values[idx]
         return float(out) if np.isscalar(t) else out
 
-    def _antiderivative(self, x) -> np.ndarray:
-        """Exact integral of the signal from 0 (periodic) or from the first
-        breakpoint (aperiodic) to each entry of x, elementwise."""
-        x = np.asarray(x, dtype=float)
-        if self.period is not None:
-            return _periodic_antiderivative(_layout([self]), x.reshape(1, -1)).reshape(x.shape)
-        bk, vals = self.breakpoints, self.values
-        cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
-        i = np.minimum(np.searchsorted(bk, x, side="right") - 1, bk.size - 1)
-        return np.where(x <= bk[0], vals[0] * (x - bk[0]), cum[i] + vals[i] * (x - bk[i]))
-
-    def integrate(self, t0: float, t1: float) -> float:
-        """Exact integral of the signal over [t0, t1]."""
-        if t1 < t0:
-            raise ValueError("need t1 >= t0")
-        lo, hi = self._antiderivative([t0, t1])
-        return float(hi - lo)
-
     def segments(self, t0: float, t1: float):
         """(value, duration) pairs covering [t0, t1], in time order."""
         if t1 < t0:
@@ -205,18 +189,6 @@ class PESignal:
             raise ValueError("signal is not periodic")
         return list(zip(self.values.tolist(), self.durations.tolist()))
 
-    def shift(self, t0: float) -> "PESignal":
-        """The shifted signal t -> alpha(t0 + t) (periodic only)."""
-        if self.period is None:
-            raise ValueError("shift is defined for periodic signals")
-        per = self.period
-        events = sorted({float(np.mod(b - t0, per)) for b in self.breakpoints} | {0.0})
-        events = [e for e in events if e < per]
-        vals = [self.value_at(t0 + e) for e in events]
-        segs = [(v, (events[i + 1] if i + 1 < len(events) else per) - events[i])
-                for i, v in enumerate(vals)]
-        return PESignal.from_segments(segs, period=per)
-
     def encoding_key(self) -> bytes:
         """Deterministic byte encoding (values, durations, period)."""
         per = -1.0 if self.period is None else self.period
@@ -235,12 +207,16 @@ class PESignal:
 
     @classmethod
     def from_json(cls, obj) -> "PESignal":
+        """The signal of ``to_json``'s object: flat lists of finite numbers
+        and a finite period or null, by ``matcore._json_number``."""
         try:
-            return cls(np.asarray(obj["breakpoints"], dtype=float),
-                       np.asarray(obj["values"], dtype=float),
-                       obj.get("period"))
+            bk, vals, per = obj["breakpoints"], obj["values"], obj.get("period")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed signal object: {obj!r}") from exc
+        if not (isinstance(bk, list) and isinstance(vals, list)
+                and all(map(_json_number, bk + vals)) and (per is None or _json_number(per))):
+            raise ValueError(f"malformed signal object: {obj!r}")
+        return cls(np.asarray(bk, dtype=float), np.asarray(vals, dtype=float), per)
 
 
 # Explicit durations may miss the period by rounding in their sum; family
@@ -277,36 +253,23 @@ class PEValidation:
     worst_integral: float
 
 
-def validate_pe(s: PESignal, cls: SignalClass, horizon: float | None = None) -> PEValidation:
-    """Check the excitation constraint: every length-T window integrates to >= mu.
+def validate_pe(s: PESignal, cls: SignalClass) -> PEValidation:
+    """Check the excitation constraint of a periodic signal: every length-T
+    window integrates to >= mu.
 
     For a piecewise-constant signal the window integral is piecewise linear
     in the window start, so the minimum is attained where the start or the
     end of the window hits a breakpoint; only that finite candidate set is
-    evaluated, in one vectorised pass, and the first minimal start is
-    reported.  Periodic signals are checked over one period, by the same
-    pass that checks a whole list (``_least_windows``); aperiodic signals
-    need an explicit ``horizon`` and are checked on [0, horizon].
+    evaluated, over one period, and the first minimal start is reported.
+    The signal is checked as the one row of the pass that checks a whole
+    list (``_least_windows``).
     """
-    T, mu = cls.T, cls.mu
-    if s.period is not None:
-        worst, start = _least_windows([s], T)
-        return PEValidation(valid=bool(worst[0] >= mu - EP_TOL),
-                            worst_window_start=float(start[0]),
-                            worst_integral=float(worst[0]))
-    if horizon is None:
-        raise ValueError("aperiodic signals need a validation horizon")
-    if horizon < T:
-        raise ValueError("horizon shorter than the window length T")
-    cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
-    cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
-    end, start = s._antiderivative([cand + T, cand])
-    window = end - start
-    j = int(np.argmin(window))
-    worst = float(window[j])
-    return PEValidation(valid=bool(worst >= mu - EP_TOL),
-                        worst_window_start=float(cand[j]),
-                        worst_integral=worst)
+    if s.period is None:
+        raise ValueError("the excitation check is defined for periodic signals only")
+    worst, start = _least_windows([s], cls.T)
+    return PEValidation(valid=bool(worst[0] >= cls.mu - EP_TOL),
+                        worst_window_start=float(start[0]),
+                        worst_integral=float(worst[0]))
 
 
 def _pe_valid(sigs, cls: SignalClass) -> np.ndarray:
@@ -382,18 +345,17 @@ def reverse(s: PESignal) -> PESignal:
     Implemented by reversing the segment (value, duration) list, so applying
     it twice reproduces the original values and durations bit for bit.
     """
-    if s.period is None:
-        raise ValueError("time reversal is defined for periodic signals only")
-    return _trusted(s.values[::-1].tolist(), s.durations[::-1].tolist(), s.period)
+    return _reversed([s])[0]
 
 
 def _reversed(sigs) -> list[PESignal]:
-    """``reverse`` of every signal of a list, bit for bit, in one pass over
-    padded ``(S, n)`` value and duration arrays.  The breakpoints are
-    ``np.cumsum`` along the rows, which adds in ``_trusted``'s order, and
-    ``_trusted``'s checks run on the whole array; a signal that fails one
-    goes through ``reverse`` itself.  The rows of the frozen arrays are the
-    new signals' fields."""
+    """``reverse`` of every signal of a list, in one pass over padded
+    ``(S, n)`` value and duration arrays.  The breakpoints are ``np.cumsum``
+    along the rows, and the checks of the validating constructor (values in
+    [0, 1], finite and increasing breakpoints, the last one before the
+    period) run on the whole array; a signal that fails one goes to that
+    constructor, which raises.  The rows of the frozen arrays are the new
+    signals' fields."""
     if any(s.period is None for s in sigs):
         raise ValueError("time reversal is defined for periodic signals only")
     if not sigs:
@@ -414,8 +376,8 @@ def _reversed(sigs) -> list[PESignal]:
         a.setflags(write=False)
     out = []
     for i, (s, n, ok) in enumerate(zip(sigs, sizes.tolist(), trusted.tolist())):
-        if not ok:
-            out.append(reverse(s))
+        if not ok:  # the validating constructor raises
+            out.append(PESignal(bk[i, :n], vals[i, :n], s.period, durations=durs[i, :n]))
             continue
         r = object.__new__(PESignal)
         object.__setattr__(r, "breakpoints", bk[i, :n])

@@ -631,7 +631,19 @@ class TestExitCodes:
         ("invariant-set", "control_range", '"12"'),
         ("invariant-set", "mu", "1.0"),  # mu == T leaves the range [1, 1]
         # json.loads refuses an integer literal past the str-int digit limit
-        pytest.param("duality-grid", "seed", "9" * 5000, id="duality-grid-seed-5000-digits")])
+        pytest.param("duality-grid", "seed", "9" * 5000, id="duality-grid-seed-5000-digits"),
+        # matrix sizes and entries and signal entries follow the rule of the
+        # scalar keys: no strings, booleans, fractional sizes or nested lists
+        ("rates", "pair.A", '{"rows": "2", "cols": 2.9, "data": [0, 1, true, "0"]}'),
+        ("rates", "pair.A.rows", '"2"'), ("rates", "pair.A.cols", "2.9"),
+        ("rates", "pair.A.data", "[0, 1, true, 0]"), ("rates", "pair.A.data", "[[0, 1], [0, 0]]"),
+        pytest.param("rates", "pair.A.data", "[0, 1, 0, 1" + "0" * 400 + "]",
+                     id="rates-pair.A.data-integer-past-the-float-range"),
+        ("rates", "pair.B.data", '["0", 1]'), ("rates", "K.cols", '"2"'),
+        ("rates", "K.data", "[-2, true]"),
+        ("rates", "signals", '[{"breakpoints": [0], "values": [1], "period": true}]'),
+        ("rates", "signals", '[{"breakpoints": [0], "values": ["1"], "period": 1}]'),
+        ("rates", "signals", '[{"breakpoints": ["0"], "values": [1], "period": 1}]')])
     def test_malformed_field_is_config_error(self, tmp_path, capsys, sub, field, literal):
         self.assert_field_error(tmp_path, capsys, sub, tuple(field.split(".")), literal)
 

@@ -135,6 +135,27 @@ class TestJson:
         with pytest.raises(ValueError):
             matcore.matrix_from_json({"rows": 2})
 
+    @pytest.mark.parametrize("obj", [
+        {"rows": "2", "cols": 1, "data": [1.0, 2.0]},
+        {"rows": 2, "cols": True, "data": [1.0, 2.0]},
+        {"rows": 2.5, "cols": 1, "data": [1.0, 2.0]},
+        {"rows": float("inf"), "cols": 1, "data": [1.0, 2.0]},
+        {"rows": 2, "cols": 1, "data": [1.0, "2"]},
+        {"rows": 2, "cols": 1, "data": [1.0, False]},
+        {"rows": 2, "cols": 1, "data": [1.0, None]},
+        {"rows": 2, "cols": 1, "data": [1.0, float("nan")]},
+        {"rows": 2, "cols": 1, "data": [1.0, 10 ** 400]},
+        {"rows": 2, "cols": 1, "data": [[1.0], [2.0]]},
+        {"rows": 1, "cols": 1, "data": 1.0},
+    ])
+    def test_numbers_follow_the_config_rule(self, obj):
+        with pytest.raises(ValueError):
+            matcore.matrix_from_json(obj)
+
+    def test_whole_floats_and_integers_are_numbers(self):
+        m = matcore.matrix_from_json({"rows": 2.0, "cols": 1, "data": [1, -2.5]})
+        assert m.dtype == float and m.tolist() == [[1.0], [-2.5]]
+
 
 def test_parity_matrix_signs():
     t = matcore.parity_matrix(4)

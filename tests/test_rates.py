@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from pegrowth import rates
-from pegrowth.matcore import nilpotent_shift, opnorm, parity_matrix, unit_vector
+from pegrowth.matcore import closed_loop, nilpotent_shift, opnorm, parity_matrix, unit_vector
 from pegrowth.signals import EP_TOL, PESignal, SignalClass, _trusted, reverse, validate_pe
 
 CLS = SignalClass(1.0, 0.4)
@@ -140,13 +140,20 @@ class TestStiffAndLongPeriod:
         assert rep.max_residual == np.inf and not rep.ok
 
 
+def periodic_exponent(x0, A, B, K, s):
+    """Exponential growth rate of the solution from x0 under the periodic
+    signal s, read off the scaled monodromy as ``shift_law_check`` reads it."""
+    _, rn, log_scale = rates._monodromy(*closed_loop(A, B, K), s)
+    return rates._per_vector_exponent(rn, log_scale, s.period, x0)
+
+
 class TestLyapExponents:
     """The per-vector exponent that C7's shift law compares."""
 
     def test_scalar_embedding(self):
         lam = 0.7
-        got = rates._periodic_exponent([1.0, 1.0], lam * np.eye(2), np.zeros((2, 1)),
-                                       np.zeros((1, 2)), PESignal.constant(1.0, period=1.0))
+        got = periodic_exponent([1.0, 1.0], lam * np.eye(2), np.zeros((2, 1)),
+                                np.zeros((1, 2)), PESignal.constant(1.0, period=1.0))
         assert got == pytest.approx(lam, abs=1e-12)
 
     def test_matches_monodromy_rates(self):
@@ -154,18 +161,15 @@ class TestLyapExponents:
         s = PESignal([0.0, 0.25, 0.75], [1.0, 0.0, 1.0], period=1.0)
         m = rates.monodromy(a, b, k, s)
         rng = np.random.default_rng(7)
-        top = max(rates._periodic_exponent(rng.standard_normal(2), a, b, k, s)
-                  for _ in range(8))
+        top = max(periodic_exponent(rng.standard_normal(2), a, b, k, s) for _ in range(8))
         assert top == pytest.approx(m.top_rate, abs=1e-6)
 
     def test_eigenvector_rate(self):
         a = np.diag([0.5, -1.5])
         s = PESignal.constant(1.0, period=1.0)
-        got = rates._periodic_exponent([0.0, 1.0], a, np.zeros((2, 1)),
-                                       np.zeros((1, 2)), s)
+        got = periodic_exponent([0.0, 1.0], a, np.zeros((2, 1)), np.zeros((1, 2)), s)
         assert got == pytest.approx(-1.5, abs=1e-10)
-        got2 = rates._periodic_exponent([1.0, 0.0], a, np.zeros((2, 1)),
-                                        np.zeros((1, 2)), s)
+        got2 = periodic_exponent([1.0, 0.0], a, np.zeros((2, 1)), np.zeros((1, 2)), s)
         assert got2 == pytest.approx(0.5, abs=1e-10)
 
 
@@ -396,14 +400,14 @@ class TestGainStack:
         fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=8, seed=d))
         table, single = {}, [{} for _ in bks]
         for s in fam:
-            rn, log_scale = rates._segment_product(a, bks, s.period_segments(), table)
+            rn, log_scale = rates._family_product(a, bks, [s.period_segments()], table)
             for g, bk in enumerate(bks):
-                rn_g, log_scale_g = rates._segment_product(
-                    a, bk[None], s.period_segments(), single[g])
-                np.testing.assert_array_equal(rn[g], rn_g[0])
-                assert log_scale[g] == log_scale_g[0]
-                assert (rates._top(rn, log_scale, s.period)[g]
-                        == rates._top(rn_g, log_scale_g, s.period)[0])
+                rn_g, log_scale_g = rates._family_product(
+                    a, bk[None], [s.period_segments()], single[g])
+                np.testing.assert_array_equal(rn[0, g], rn_g[0, 0])
+                assert log_scale[0, g] == log_scale_g[0, 0]
+                assert (rates._top(rn, log_scale, s.period)[0, g]
+                        == rates._top(rn_g, log_scale_g, s.period)[0, 0])
 
 
 class TestSingleGainBranch:
@@ -412,12 +416,12 @@ class TestSingleGainBranch:
 
     @staticmethod
     def assert_slices(a, bks, segments):
-        rn, log_scale = rates._segment_product(a, bks, segments, {})
+        rn, log_scale = rates._family_product(a, bks, [segments], {})
         for g, bk in enumerate(bks):
-            rn_g, log_scale_g = rates._segment_product(a, bk[None], segments, {})
-            assert rn_g.shape == (1,) + bk.shape
-            np.testing.assert_array_equal(rn_g[0], rn[g])
-            assert log_scale_g == [log_scale[g]]
+            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments], {})
+            assert rn_g.shape == (1, 1) + bk.shape
+            np.testing.assert_array_equal(rn_g[0, 0], rn[0, g])
+            assert log_scale_g.tolist() == [[log_scale[0, g]]]
 
     @pytest.mark.parametrize("scale", [1, 10])
     def test_stiff_triple(self, scale):
@@ -502,25 +506,29 @@ class TestFamilyRates:
             assert (top, bottom) == (m.top_rate, m.bottom_rate)
         assert same_estimate(rep.rc, rates.rc_estimate(a, b, k, CLS, fam))
         assert same_estimate(rep.rd, rates.rd_estimate(a, b, k, CLS, fam))
-        delta = rates.delta_quantities(a, b, k, CLS, fam)
-        assert same_estimate(rep.delta.delta_hat, delta.delta_hat)
-        assert same_estimate(rep.delta.delta_star_hat, delta.delta_star_hat)
-        assert rep.delta.mirror_identity_exact == delta.mirror_identity_exact
+        # the envelopes against the singular values of each monodromy
+        sv = [(np.linalg.svd(rates.monodromy(a, b, k, s).R, compute_uv=False), s.period)
+              for s in rep.signals]
+        assert rep.delta.delta_hat.value == pytest.approx(
+            max(np.log(v[0]) / tau for v, tau in sv), abs=1e-9)
+        assert rep.delta.delta_star_hat.value == pytest.approx(
+            min(np.log(v[-1]) / tau for v, tau in sv), abs=1e-9)
+        assert rep.delta.mirror_identity_exact and rep.delta.ordered
 
 
 class TestDelta:
     def test_scalar_block(self):
         lam = 0.3
         fam = rates.constant_family(CLS, 4)
-        rep = rates.delta_quantities(lam * np.eye(2), np.zeros((2, 1)),
-                                     np.zeros((1, 2)), CLS, fam)
+        rep = rates.family_rates(lam * np.eye(2), np.zeros((2, 1)),
+                                 np.zeros((1, 2)), CLS, fam).delta
         assert rep.delta_hat.value == pytest.approx(lam, abs=1e-10)
         assert rep.delta_star_hat.value == pytest.approx(lam, abs=1e-10)
 
     def test_mirror_identity_and_order(self):
         a, b, k = random_system(15)
         fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=4))
-        rep = rates.delta_quantities(a, b, k, CLS, fam)
+        rep = rates.family_rates(a, b, k, CLS, fam).delta
         assert rep.mirror_identity_exact
         assert rep.ordered
 
@@ -746,9 +754,9 @@ def assert_family_slices(a, bks, family, periods):
         assert tops[s].tolist() == reference_top(ref_rn, ref_scale, periods[s])
         assert norms[s].tolist() == reference_top(ref_rn, ref_scale, periods[s], norm=True)
         for g, bk in enumerate(bks):
-            rn_g, log_scale_g = rates._segment_product(a, bk[None], segments, {})
-            np.testing.assert_array_equal(rn_g[0], rn[s, g])
-            assert log_scale_g == [log_scale[s, g]]
+            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments], {})
+            np.testing.assert_array_equal(rn_g[0, 0], rn[s, g])
+            assert log_scale_g.tolist() == [[log_scale[s, g]]]
 
 
 class TestFamilyEngine:
@@ -1125,7 +1133,8 @@ class TestMirrorFamily:
         got = rates.mirror_family(fam)
         assert len(got) == len(fam)
         for r, s in zip(got, fam):
-            want = reverse(s)
+            # the reversal one signal at a time, breakpoints summed in Python
+            want = _trusted(s.values[::-1].tolist(), s.durations[::-1].tolist(), s.period)
             for name in self.FIELDS:
                 x, y = getattr(r, name), getattr(want, name)
                 assert (x.dtype, x.flags.c_contiguous, x.flags.writeable) == (y.dtype, True, False)

@@ -12,6 +12,13 @@ from pegrowth.signals import (EP_TOL, PESignal, PEValidation, SignalClass,
 CLS = SignalClass(1.0, 0.4)
 
 
+def integral(s, t0, t1):
+    """Exact integral of a periodic signal over [t0, t1], through the
+    antiderivative that the excitation check reads."""
+    lo, hi = signals._periodic_antiderivative(signals._layout([s]), np.array([[t0, t1]]))[0]
+    return float(hi - lo)
+
+
 def grid_oracle_worst(s, cls, n_steps=10_000):
     """Window minimum via midpoint Riemann sums at step T/n_steps.
 
@@ -67,9 +74,9 @@ class TestPESignal:
         assert s.value_at(0.25) == 1.0
         assert s.value_at(0.75) == 0.0
         assert s.value_at(1.25) == 1.0
-        assert s.integrate(0.0, 1.0) == pytest.approx(0.5)
-        assert s.integrate(0.25, 1.25) == pytest.approx(0.5)
-        assert s.integrate(-0.7, 0.2) == pytest.approx(0.4)
+        assert integral(s, 0.0, 1.0) == pytest.approx(0.5)
+        assert integral(s, 0.25, 1.25) == pytest.approx(0.5)
+        assert integral(s, -0.7, 0.2) == pytest.approx(0.4)
 
     def test_integral_at_a_remainder_just_below_zero(self):
         # x is a rounding error short of six periods, but x / per rounds to
@@ -79,14 +86,13 @@ class TestPESignal:
         s = PESignal.from_segments([(1.0, per / 2), (0.0, per / 2)], period=per)
         x = 3.0338273218099645
         assert x / per == 6.0 and x - 6.0 * per < 0.0
-        assert s.integrate(0.0, x) == pytest.approx(3.0 * per, rel=1e-15)
-        assert s.integrate(x, x + per) == pytest.approx(0.5 * per, rel=1e-14)
+        assert integral(s, 0.0, x) == pytest.approx(3.0 * per, rel=1e-15)
+        assert integral(s, x, x + per) == pytest.approx(0.5 * per, rel=1e-14)
 
     def test_aperiodic_extension(self):
         s = PESignal([0.0, 1.0], [0.2, 0.8])
         assert s.value_at(-5.0) == 0.2
         assert s.value_at(7.0) == 0.8
-        assert s.integrate(1.0, 3.0) == pytest.approx(1.6)
 
     def test_json_round_trip(self):
         s = PESignal([0.0, 0.25], [1.0, 0.0], period=2.0)
@@ -94,6 +100,20 @@ class TestPESignal:
         np.testing.assert_array_equal(back.breakpoints, s.breakpoints)
         np.testing.assert_array_equal(back.values, s.values)
         assert back.period == s.period
+
+    @pytest.mark.parametrize("obj", [
+        {"breakpoints": [0.0], "values": [1.0], "period": True},
+        {"breakpoints": [0.0], "values": [1.0], "period": "1"},
+        {"breakpoints": [0.0], "values": ["1"], "period": 1.0},
+        {"breakpoints": [False], "values": [1.0], "period": 1.0},
+        {"breakpoints": [0.0], "values": [[1.0]], "period": 1.0},
+        {"breakpoints": 0.0, "values": [1.0], "period": 1.0},
+        {"breakpoints": [0.0], "values": [1.0], "period": 10 ** 400},
+        {"values": [1.0], "period": 1.0},
+    ])
+    def test_from_json_takes_numbers_only(self, obj):
+        with pytest.raises(ValueError, match="malformed signal object"):
+            PESignal.from_json(obj)
 
     def test_from_segments_merges(self):
         s = PESignal.from_segments([(1.0, 0.5), (1.0, 0.25), (0.0, 0.25)], period=1.0)
@@ -197,41 +217,27 @@ class TestExplicitDurations:
 
 
 def scalar_integral(s, t0, t1):
-    """Exact integral over [t0, t1] from the antiderivative, one point at a time."""
-    if s.period is not None:
-        per = s.period
-        cum = np.concatenate([[0.0], np.cumsum(s.values * s.durations)])
+    """Exact integral of a periodic signal over [t0, t1] from the
+    antiderivative, one point at a time."""
+    per = s.period
+    cum = np.concatenate([[0.0], np.cumsum(s.values * s.durations)])
 
-        def F(x):
-            k = np.floor(x / per)
-            r = x - k * per
-            if r >= per:
-                k, r = k + 1, r - per
-            i = int(np.searchsorted(s.breakpoints, r, side="right")) - 1
-            return k * cum[-1] + cum[i] + s.values[i] * (r - s.breakpoints[i])
+    def F(x):
+        k = np.floor(x / per)
+        r = x - k * per
+        if r >= per:
+            k, r = k + 1, r - per
+        i = int(np.searchsorted(s.breakpoints, r, side="right")) - 1
+        return k * cum[-1] + cum[i] + s.values[i] * (r - s.breakpoints[i])
 
-        return float(F(t1) - F(t0))
-    bk, vals = s.breakpoints, s.values
-    cum = np.concatenate([[0.0], np.cumsum(vals[:-1] * np.diff(bk))])
-
-    def G(x):
-        if x <= bk[0]:
-            return vals[0] * (x - bk[0])
-        i = min(int(np.searchsorted(bk, x, side="right")) - 1, bk.size - 1)
-        return cum[i] + vals[i] * (x - bk[i])
-
-    return float(G(t1) - G(t0))
+    return float(F(t1) - F(t0))
 
 
-def scalar_validate_pe(s, cls, horizon=None):
+def scalar_validate_pe(s, cls):
     """Reference: every candidate window start in turn, first strict minimum."""
     T = cls.T
-    if s.period is not None:
-        cand = np.concatenate([s.breakpoints, np.mod(s.breakpoints - T, s.period)])
-        cand = np.unique(np.mod(cand, s.period))
-    else:
-        cand = np.concatenate([s.breakpoints, s.breakpoints - T, [0.0, horizon - T]])
-        cand = np.unique(cand[(cand >= 0.0) & (cand <= horizon - T)])
+    cand = np.concatenate([s.breakpoints, np.mod(s.breakpoints - T, s.period)])
+    cand = np.unique(np.mod(cand, s.period))
     worst_t, worst = 0.0, np.inf
     for t in cand:
         val = scalar_integral(s, t, t + T)
@@ -242,8 +248,8 @@ def scalar_validate_pe(s, cls, horizon=None):
 
 @st.composite
 def signal_cases(draw):
-    """Periodic and aperiodic signals, on a grid (ties between windows) or
-    with free durations, against classes at mu in {0.4, 0.95, 1}."""
+    """Periodic signals, on a grid (ties between windows) or with free
+    durations, against classes at mu in {0.4, 0.95, 1}."""
     n = draw(st.integers(1, 6))
     levels = st.sampled_from([0.0, 0.4, 0.95, 1.0]) | st.floats(0.0, 1.0)
     values = draw(st.lists(levels, min_size=n, max_size=n))
@@ -251,21 +257,18 @@ def signal_cases(draw):
         durations = [c / 16 for c in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))]
     else:
         durations = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
-    periodic = draw(st.booleans())
-    s = PESignal.from_segments(zip(values, durations),
-                               period=sum(durations) if periodic else None)
+    s = PESignal.from_segments(zip(values, durations), period=sum(durations))
     cls = SignalClass(1.0, draw(st.sampled_from([0.4, 0.95, 1.0])))
-    horizon = None if periodic else cls.T + draw(st.floats(0.0, 5.0))
-    return s, cls, horizon
+    return s, cls
 
 
 class TestValidateAgainstScalarLoop:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=signal_cases(), t=st.floats(-3.0, 6.0), width=st.floats(0.0, 4.0))
     def test_same_verdict_start_and_integral(self, case, t, width):
-        s, cls, horizon = case
-        assert validate_pe(s, cls, horizon) == scalar_validate_pe(s, cls, horizon)
-        assert s.integrate(t, t + width) == scalar_integral(s, t, t + width)
+        s, cls = case
+        assert validate_pe(s, cls) == scalar_validate_pe(s, cls)
+        assert integral(s, t, t + width) == scalar_integral(s, t, t + width)
 
 
 def reference_periodic_check(s, cls):
@@ -340,6 +343,16 @@ class TestListCheck:
         assert signals._pe_valid([], CLS).shape == (0,)
 
 
+def shifted_signal(s, t0):
+    """The periodic signal t -> s(t0 + t)."""
+    per = s.period
+    events = sorted({float(np.mod(b - t0, per)) for b in s.breakpoints} | {0.0})
+    events = [e for e in events if e < per]
+    ends = events[1:] + [per]
+    return PESignal.from_segments([(s.value_at(t0 + e), end - e) for e, end in zip(events, ends)],
+                                  period=per)
+
+
 class TestValidatePE:
     def test_constant_one(self):
         res = validate_pe(PESignal.constant(1.0, period=2.0), CLS)
@@ -358,7 +371,7 @@ class TestValidatePE:
         assert res.worst_integral == pytest.approx(CLS.mu, abs=1e-12)
         # any window start catches exactly mu of on-time
         for t in (0.0, 0.1, 0.37, 0.9):
-            assert s.integrate(t, t + CLS.T) == pytest.approx(CLS.mu, abs=1e-12)
+            assert integral(s, t, t + CLS.T) == pytest.approx(CLS.mu, abs=1e-12)
 
     def test_invalid_signal(self):
         s = PESignal([0.0, 0.2], [1.0, 0.0], period=1.0)
@@ -380,16 +393,14 @@ class TestValidatePE:
             s = random_grid_signal(rng, CLS)
             base = validate_pe(s, CLS)
             for t0 in (0.17, 0.5, 1.31):
-                shifted = validate_pe(s.shift(t0), CLS)
+                shifted = validate_pe(shifted_signal(s, t0), CLS)
                 assert shifted.valid == base.valid
                 assert shifted.worst_integral == pytest.approx(
                     base.worst_integral, abs=1e-10)
 
-    def test_aperiodic_needs_horizon(self):
-        s = PESignal([0.0], [1.0])
+    def test_aperiodic_raises(self):
         with pytest.raises(ValueError):
-            validate_pe(s, CLS)
-        assert validate_pe(s, CLS, horizon=3.0).valid
+            validate_pe(PESignal([0.0], [1.0]), CLS)
 
 
 class TestReverse:

@@ -381,6 +381,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # a config can ask for more than any host has, such as a family
+        # budget of 10^15 cells per window
+        print(f"config error: the run needs more memory than it can get: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         # ValueError covers numpy's LinAlgError and NotControllableError
         print(f"numerical diagnostic: {exc}", file=sys.stderr)

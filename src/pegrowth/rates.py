@@ -29,7 +29,8 @@ import numpy as np
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
-from .signals import EP_TOL, PESignal, SignalClass, _pe_valid, _reversed, _trusted
+from .signals import (_PERIOD_ULPS, EP_TOL, PESignal, SignalClass, _pe_valid, _periodic_rows,
+                      _reversed)
 
 __all__ = [
     "SearchBudget",
@@ -64,44 +65,88 @@ def _expm_stack(x: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm`` of every ``(d, d)`` slice of ``x``, bit for bit.
 
     ``scipy.linalg.expm`` handles a stack one slice at a time and spends
-    most of each slice on Python around its Padé kernels.  Here the stack
-    is classified by two numpy calls.  A dense slice (nonzero entries both
-    below and above the diagonal) runs scipy's generic branch directly:
-    ``pick_pade_structure`` scales it and picks the Padé order,
-    ``pade_UV_calc`` evaluates the approximant, and the ``s`` squarings run
-    batched, one matrix product per squaring level.  Diagonal and
-    triangular slices, and every slice at d = 1, go to one
-    ``scipy.linalg.expm`` call, which keeps scipy's own triangular branch.
-    A slice whose kernel reports a failure is handed to
-    ``scipy.linalg.expm`` too, which raises scipy's own error.
+    most of each slice on Python around its Padé kernels.  Here its branches
+    run on the whole stack.  A diagonal slice (every slice at d = 1) is the
+    exp of its diagonal.  Every other slice goes through scipy's private
+    kernels in place in one workspace: ``pick_pade_structure`` scales it and
+    picks the Padé order, ``pade_UV_calc`` evaluates the approximant.  The
+    squarings run batched, one matrix product per level.  A triangular
+    slice follows scipy's triangular branch (Al-Mohy and Higham, SIAM J.
+    Matrix Anal. Appl. 31(3), 2009, Code Fragment 2.1): its diagonal and
+    first off-diagonal are reset from the exact formulas before the first
+    squaring (the diagonal only) and after each, and the other triangle is
+    zeroed at the end.
 
     The kernels are private to scipy (``scipy.linalg._matfuncs_expm`` in
     scipy 1.17); the tests check the bits against ``scipy.linalg.expm``.
-    scipy is imported here, so a run that never forms a product never
-    loads it."""
+    If they cannot be imported or called, or a kernel reports a failure,
+    the whole stack goes to ``scipy.linalg.expm``, which gives the same
+    bits more slowly, or raises scipy's own error.  scipy is imported here,
+    so a run that never forms a product never loads it."""
     import scipy.linalg
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
     flat = x.reshape(-1, *x.shape[-2:])
-    out = np.empty_like(flat)
-    dense = np.tril(flat, -1).any(axis=(1, 2)) & np.triu(flat, 1).any(axis=(1, 2))
-    if not dense.all():
-        out[~dense] = scipy.linalg.expm(flat[~dense])
-    at = np.flatnonzero(dense)
-    squarings = np.zeros(at.size, dtype=np.intp)
-    work = np.empty((5, *flat.shape[1:]))
-    for j, i in enumerate(at.tolist()):
-        work[0] = flat[i]
-        order, squarings[j] = pick_pade_structure(work)
-        if order < 0 or pade_UV_calc(work, order) != 0:
-            out[i] = scipy.linalg.expm(flat[i])
-            squarings[j] = 0
-        else:
-            out[i] = work[0]
+    d = flat.shape[-1]
+    below = np.tril(flat, -1).any(axis=(1, 2))
+    above = np.triu(flat, 1).any(axis=(1, 2))
+    eye = np.arange(d)
+    out = np.zeros_like(flat)
+    diagonal = np.flatnonzero(~(below | above))[:, None]
+    out[diagonal, eye, eye] = np.exp(flat[diagonal, eye, eye])
+    at = np.flatnonzero(below | above)
+    work = np.empty((at.size, 5, d, d))
+    work[:, 0] = flat[at]
+    squarings = _pade(work)
+    if squarings is None:
+        return scipy.linalg.expm(x)
+    e = work[:, 0]
+    # the triangular slices: diagonals, first off-diagonals and their places
+    tri = np.flatnonzero(~(below & above)[at])
+    upper = ~below[at[tri]]
+    rows = np.where(upper[:, None], eye[:-1], eye[1:])
+    cols = np.where(upper[:, None], eye[1:], eye[:-1])
+    diag = flat[at[tri, None], eye, eye]
+    off = flat[at[tri, None], rows, cols]
+    tri_s = squarings[tri]
+    live = np.flatnonzero(tri_s > 0)
+    e[tri[live, None], eye, eye] = np.exp(diag[live] * np.ldexp(1.0, -tri_s[live])[:, None])
     for level in range(1, squarings.max(initial=0) + 1):
-        i = at[squarings >= level]
-        out[i] = out[i] @ out[i]
+        i = np.flatnonzero(squarings >= level)
+        e[i] = e[i] @ e[i]
+        live = np.flatnonzero(tri_s >= level)
+        if not live.size:
+            continue
+        scale = np.ldexp(1.0, level - tri_s[live])[:, None]
+        arg = diag[live] * scale
+        exp_arg = np.exp(arg)
+        e[tri[live, None], eye, eye] = exp_arg
+        # scipy's _exp_sinch along the rows: divided differences of exp
+        gap = np.diff(arg, axis=1)
+        sinch = np.divide(np.diff(exp_arg, axis=1), gap, out=exp_arg[:, :-1].copy(),
+                          where=gap != 0.0)
+        e[tri[live, None], rows[live], cols[live]] = sinch * (off[live] * scale)
+    e[tri[upper]] = np.triu(e[tri[upper]])
+    e[tri[~upper]] = np.tril(e[tri[~upper]])
+    out[at] = e
     return out.reshape(x.shape)
+
+
+def _pade(work: np.ndarray) -> np.ndarray | None:
+    """scipy's scaling and Padé step on each slice ``work[j, 0]``, in place
+    in the slice's ``(5, d, d)`` workspace ``work[j]``: the number of
+    squarings of every slice, or None if scipy's private kernels cannot be
+    imported or called or a kernel reports a failure."""
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+        squarings = np.zeros(len(work), dtype=np.intp)
+        for j, w in enumerate(work):
+            order, squarings[j] = pick_pade_structure(w)
+            if order < 0 or pade_UV_calc(w, order) != 0:
+                return None
+    except (ImportError, AttributeError, TypeError):
+        return None
+    return squarings
 
 
 def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +269,8 @@ def _monodromy(a, b, k, s: PESignal) -> tuple[Monodromy, np.ndarray, float]:
         raise ValueError("monodromy needs a periodic signal")
     fwd = rn, log_scale, _ = _pass(a, b, [k], [s], {})
     m = Monodromy(R=_unscaled(rn[0, 0], log_scale[0, 0]), tau=s.period,
-                  top_rate=-_neg_tops(*fwd)[0][0],
-                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]), {}))[0][0])
+                  top_rate=-_neg_tops(*fwd).item(),
+                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]), {})).item())
     return m, rn[0, 0], float(log_scale[0, 0])
 
 
@@ -336,26 +381,30 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     lies within rounding distance of its threshold, so the family is the one
     that ``validate_pe`` would accept.
 
-    Candidates are drawn in chunks, in the order of one-at-a-time draws;
-    each chunk's cell sums are screened in one pass, and the attempts are
-    then replayed in order up to the one that completes the family.  A
-    chunk holds as many attempts as the acceptance seen so far needs for
-    the signals still missing, so few chunks are screened and few draws
-    are wasted.
+    Candidates are drawn in chunks, in the order of one-at-a-time draws.
+    Each chunk's cell sums are screened in one pass, the candidates that
+    pass are built as the rows of one padded array (``_candidate_rows``),
+    the ones near the threshold get the exact check in one call, and the
+    accepted ones are added in draw order up to the one that completes the
+    family.  A chunk holds as many attempts as the acceptance seen so far
+    needs for the signals still missing, so few chunks are screened and few
+    draws are wasted.
     """
     rng = np.random.default_rng(budget.seed)
     out: dict[bytes, PESignal] = {}
 
-    def push(sigs) -> None:
-        for sig, valid in zip(sigs, _pe_valid(sigs, cls)):
-            if valid:
-                add(sig)
-
-    def add(sig: PESignal) -> None:
-        out.setdefault(sig.encoding_key(), sig)
+    def push(sigs, valid, size=None) -> None:
+        """Add the valid signals in order, the first of each encoding key,
+        while the family is smaller than ``size``."""
+        for sig, ok in zip(sigs, valid):
+            if size is not None and len(out) >= size:
+                break
+            if ok:
+                out.setdefault(sig.encoding_key(), sig)
 
     if budget.include_constants:
-        push([PESignal.constant(1.0, period=cls.T), PESignal.constant(cls.floor, period=cls.T)])
+        sigs = [PESignal.constant(1.0, period=cls.T), PESignal.constant(cls.floor, period=cls.T)]
+        push(sigs, _pe_valid(sigs, cls))
     grid = budget.time_grid
     step = cls.T / grid
     threshold = cls.mu - EP_TOL
@@ -385,35 +434,54 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
         least, cells = _least_cell_sums(grid, mult, cuts, first_high)
         worst = (least + low * (grid - least)) * step
         band = _CELL_BAND * (mult + 1) * cls.T
-        for d in np.flatnonzero(worst >= threshold - band):
-            if len(out) >= budget.size:
-                break
-            bounds = np.concatenate([[0], np.sort(cuts[d]), [cells[d]]])
-            is_high = np.arange(bounds.size - 1) % 2 != first_high[d]
-            values = np.where(is_high, 1.0, low[d])
-            durations = (bounds[1:] - bounds[:-1]) * step
-            try:
-                if low[d] < 1.0:
-                    sig = _trusted(values.tolist(), durations.tolist(), mult[d] * cls.T)
-                else:  # the constant 1: from_segments merges the segments
-                    sig = PESignal.from_segments(zip(values.tolist(), durations.tolist()),
-                                                 period=mult[d] * cls.T)
-            except ValueError:
-                continue
-            if worst[d] <= threshold + band[d]:
-                push([sig])
-            else:
-                add(sig)
+        at = np.flatnonzero(worst >= threshold - band)
+        sigs = _candidate_rows(step, cells[at], [cuts[i] for i in at], low[at], first_high[at],
+                               (mult[at] * cls.T).tolist())
+        valid = [sig is not None for sig in sigs]
+        exact = [i for i in np.flatnonzero(worst[at] <= threshold + band[at]).tolist() if valid[i]]
+        for i, ok in zip(exact, _pe_valid([sigs[i] for i in exact], cls).tolist()):
+            valid[i] = ok
+        push(sigs, valid, budget.size)
     fill = 3
     while len(out) < budget.size:
-        for v in np.linspace(cls.floor, 1.0, fill):
-            push([PESignal.constant(float(v), period=cls.T)])
-            if len(out) >= budget.size:
-                break
+        sigs = [PESignal.constant(float(v), period=cls.T) for v in np.linspace(cls.floor, 1.0, fill)]
+        push(sigs, _pe_valid(sigs, cls), budget.size)
         fill += 2
         if cls.floor == 1.0:  # every fill constant is the constant 1
             break
     return [out[key] for key in sorted(out)]
+
+
+def _candidate_rows(step: float, cells, cuts, low, first_high, periods) -> list[PESignal | None]:
+    """The bang-bang candidates of ``bang_bang_family``, as the rows of one
+    padded array (``signals._periodic_rows``).  Candidate i has
+    ``cells[i]`` cells of length ``step``; its level switches at each of
+    its ``cuts[i]`` and starts high when ``first_high[i]`` is, and it is
+    ``low[i]`` when not high.  A candidate whose low level is 1 is the
+    constant 1, one segment as long as all of its cells; it is kept only
+    if that length is the period to within the validating constructor's
+    rounding slack.  A candidate that fails a check is ``None``."""
+    if not cuts:
+        return []
+    sizes = np.array([c.size + 1 for c in cuts], dtype=np.intp)
+    width = sizes.max()
+    # padding the cuts with the cell count sorts it past the real cuts
+    bounds = np.zeros((len(cuts), width + 1), dtype=np.int64)
+    bounds[:, 1:] = cells[:, None]
+    bounds[:, 1:-1][np.arange(width - 1) < sizes[:, None] - 1] = np.concatenate(cuts)
+    bounds.sort(axis=1)
+    durs = (bounds[:, 1:] - bounds[:, :-1]) * step
+    high = np.arange(width) % 2 != first_high[:, None]
+    vals = np.where(np.arange(width) < sizes[:, None], np.where(high, 1.0, low[:, None]), 0.0)
+    merged = np.flatnonzero(low == 1.0)
+    total = np.cumsum(durs[merged], axis=1)[:, -1]
+    vals[merged], durs[merged], sizes[merged] = 0.0, 0.0, 1
+    vals[merged, 0], durs[merged, 0] = 1.0, total
+    rows = _periodic_rows(vals, durs, sizes, periods)
+    for i in merged.tolist():
+        if not abs(durs[i, 0] - periods[i]) <= _PERIOD_ULPS * np.spacing(periods[i]):
+            rows[i] = None
+    return rows
 
 
 def _least_cell_sums(grid: int, mult: np.ndarray, cuts, first_high: np.ndarray):
@@ -499,11 +567,12 @@ def _pass(a, b, gains, sigs, table: dict):
     return rn, log_scale, np.array([[s.period] for s in sigs])
 
 
-def _neg_tops(rn, log_scale, periods) -> list[list[float]]:
-    """Per gain, the negated top exponent of every signal of a pass.  Kind
-    "rc" of a family reads it on (a, b); kind "rd", the bottom exponents,
-    reads it on the reversed tuple (-a, -b) and the mirrored family."""
-    return (-_top(rn, log_scale, periods)).T.tolist()
+def _neg_tops(rn, log_scale, periods) -> np.ndarray:
+    """Per gain, the negated top exponent of every signal of a pass, as a
+    ``(G, S)`` array.  Kind "rc" of a family reads it on (a, b); kind "rd",
+    the bottom exponents, reads it on the reversed tuple (-a, -b) and the
+    mirrored family."""
+    return (-_top(rn, log_scale, periods)).T
 
 
 def _log_norms(rn, log_scale, periods) -> list[float]:
@@ -512,15 +581,19 @@ def _log_norms(rn, log_scale, periods) -> list[float]:
 
 
 def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
-    """Per gain, the family minimum of the signal rates; ties go to the
-    smaller encoding key."""
+    """Per gain, the family minimum of the signal rates, as ``min`` over
+    ``(value, encoding key)`` pairs picks it: ties go to the smaller
+    encoding key, and a nan first value stays the minimum.  One lexsort by
+    value and key rank picks every gain's witness."""
+    values = np.asarray(per_gain)
     keys = [s.encoding_key() for s in sigs]
+    rank = np.empty(len(sigs), dtype=np.intp)
+    rank[sorted(range(len(sigs)), key=keys.__getitem__)] = np.arange(len(sigs))
+    best = np.lexsort((np.broadcast_to(rank, values.shape), values), axis=-1)[:, 0]
+    best = np.where(np.isnan(values[:, 0]), 0, best)
     method = f"{kind}/periodic-monodromy-min/{len(sigs)}"
-    out = []
-    for values in per_gain:
-        best = min(zip(values, keys, sigs), key=lambda e: e[:2])
-        out.append(RateEstimate(value=best[0], bound="upper", witness=best[2], method=method))
-    return out
+    return [RateEstimate(value=v, bound="upper", witness=sigs[i], method=method)
+            for v, i in zip(values[np.arange(len(best)), best].tolist(), best.tolist())]
 
 
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
@@ -692,8 +765,8 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     fwd = _pass(a, b, [k], sigs, {})
     rev = _pass(-a, -b, [k], mirror_family(sigs), {})
     neg_tops, bottoms = _neg_tops(*fwd), _neg_tops(*rev)
-    return FamilyRates(signals=tuple(sigs), top_rates=tuple(-v for v in neg_tops[0]),
-                       bottom_rates=tuple(bottoms[0]),
+    return FamilyRates(signals=tuple(sigs), top_rates=tuple((-neg_tops[0]).tolist()),
+                       bottom_rates=tuple(bottoms[0].tolist()),
                        rc=_minima(neg_tops, sigs, "rc")[0], rd=_minima(bottoms, sigs, "rd")[0],
                        delta=_delta(sigs, _log_norms(*fwd), _log_norms(*rev)))
 

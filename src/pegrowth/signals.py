@@ -350,12 +350,9 @@ def reverse(s: PESignal) -> PESignal:
 
 def _reversed(sigs) -> list[PESignal]:
     """``reverse`` of every signal of a list, in one pass over padded
-    ``(S, n)`` value and duration arrays.  The breakpoints are ``np.cumsum``
-    along the rows, and the checks of the validating constructor (values in
-    [0, 1], finite and increasing breakpoints, the last one before the
-    period) run on the whole array; a signal that fails one goes to that
-    constructor, which raises.  The rows of the frozen arrays are the new
-    signals' fields."""
+    ``(S, n)`` value and duration arrays (``_periodic_rows``).  A signal
+    whose reversal fails a check goes to the validating constructor, which
+    raises."""
     if any(s.period is None for s in sigs):
         raise ValueError("time reversal is defined for periodic signals only")
     if not sigs:
@@ -365,25 +362,44 @@ def _reversed(sigs) -> list[PESignal]:
     vals, durs = np.zeros(real.shape), np.zeros(real.shape)
     vals[real] = np.concatenate([s.values[::-1] for s in sigs])
     durs[real] = np.concatenate([s.durations[::-1] for s in sigs])
-    bk = np.zeros(real.shape)
+    out = _periodic_rows(vals, durs, sizes, [s.period for s in sigs])
+    return [r if r is not None
+            else _trusted(s.values[::-1].tolist(), s.durations[::-1].tolist(), s.period)
+            for r, s in zip(out, sigs)]
+
+
+def _periodic_rows(vals, durs, sizes, periods) -> list[PESignal | None]:
+    """The periodic signals of padded ``(S, n)`` value and duration arrays:
+    signal i has the first ``sizes[i]`` entries of row i (the padding is
+    zero) and the period ``periods[i]``.  The breakpoints are ``np.cumsum``
+    along the rows, which adds in the order of a partial sum in Python, and
+    the checks of the validating constructor (values in [0, 1], finite and
+    increasing breakpoints, the last one before the period) run on the
+    whole array.  The rows of the frozen arrays are the fields of a signal
+    that passes; a row that fails a check is ``None``.  The durations are
+    kept as given and their sum is not checked against the period."""
+    sizes = np.asarray(sizes)
+    rows = np.arange(len(sizes))
+    real = np.arange(vals.shape[1]) < sizes[:, None]
+    bk = np.zeros(vals.shape)
     np.cumsum(durs[:, :-1], axis=1, out=bk[:, 1:])
-    last = bk[np.arange(len(sigs)), sizes - 1]
+    last = bk[rows, sizes - 1]
     # the zero padding is a valid value and is exempt from the gap check
     trusted = (((vals >= 0.0) & (vals <= 1.0)).all(axis=1)
                & ((bk[:, 1:] - bk[:, :-1] > 0.0) | ~real[:, 1:]).all(axis=1)
-               & np.isfinite(last) & (last < [s.period for s in sigs]))
+               & np.isfinite(last) & (last < periods))
     for a in (bk, vals, durs):
         a.setflags(write=False)
     out = []
-    for i, (s, n, ok) in enumerate(zip(sigs, sizes.tolist(), trusted.tolist())):
-        if not ok:  # the validating constructor raises
-            out.append(PESignal(bk[i, :n], vals[i, :n], s.period, durations=durs[i, :n]))
+    for i, n, per, ok in zip(rows.tolist(), sizes.tolist(), periods, trusted.tolist()):
+        if not ok:
+            out.append(None)
             continue
         r = object.__new__(PESignal)
         object.__setattr__(r, "breakpoints", bk[i, :n])
         object.__setattr__(r, "values", vals[i, :n])
         object.__setattr__(r, "durations", durs[i, :n])
-        object.__setattr__(r, "period", s.period)
+        object.__setattr__(r, "period", per)
         out.append(r)
     return out
 

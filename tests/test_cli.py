@@ -539,6 +539,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
 
+    def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # numpy's error for a family budget too large to lay out, raised
+        # without allocating anything
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array with shape "
+                              "(1, 1000000000000016) and data type int64")
+
+        monkeypatch.setattr(rates, "_least_cell_sums", fail)
+        cfg = base_config(K_grid={"count": 2, "scale": 1.0}, family={"time_grid": 10**15})
+        del cfg["K"]
+        assert run("duality-grid", write_config(tmp_path, cfg), tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the run needs more memory than it can get: "
+                              "Unable to allocate") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_library_value_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")

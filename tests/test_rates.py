@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import per_candidate_family
 from pegrowth import rates
 from pegrowth.matcore import closed_loop, nilpotent_shift, opnorm, parity_matrix, unit_vector
 from pegrowth.signals import EP_TOL, PESignal, SignalClass, _trusted, reverse, validate_pe
@@ -16,6 +17,7 @@ from pegrowth.signals import EP_TOL, PESignal, SignalClass, _trusted, reverse, v
 CLS = SignalClass(1.0, 0.4)
 J2 = nilpotent_shift(2)
 E2 = unit_vector(2, 1).reshape(2, 1)
+BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.json"))
 
 
 def rk4_flow(A, B, K, s, t, n_per_segment=2000):
@@ -306,6 +308,54 @@ class TestCellGridFamily:
         assert all(validate_pe(s, cls).valid and s.values.tolist() == [1.0] for s in fam)
 
 
+def family_fields(fam):
+    """Every byte a family signal holds, with the kind of its arrays."""
+    return [(s.encoding_key(), s.breakpoints.tobytes(), type(s.period))
+            + tuple((a.dtype, a.flags.c_contiguous, a.flags.writeable)
+                    for a in (s.breakpoints, s.values, s.durations))
+            for s in fam]
+
+
+class TestFamilyRows:
+    """The family built as the rows of one array is the family of the
+    per-candidate build, byte for byte.  The grid holds mu = T, where every
+    candidate merges into the constant 1; a single cell per window, where
+    with one period per candidate no switch fits and the attempt cap ends
+    the search, which the fill constants complete; two switches, and
+    budgets without the constants."""
+
+    @pytest.mark.parametrize("T, mu", [(1.0, 0.4), (1.0, 0.95), (1.0, 1.0), (2.5, 1.7)])
+    @pytest.mark.parametrize("time_grid", [1, 4, 16])
+    def test_equals_per_candidate_build(self, T, mu, time_grid):
+        cls = SignalClass(T, mu)
+        for max_switches, n_periods, include_constants, seed in itertools.product(
+                (2, 6), (1, 4), (True, False), (0, 1)):
+            budget = rates.SearchBudget(n_periods=n_periods, max_switches=max_switches,
+                                        time_grid=time_grid, size=12,
+                                        include_constants=include_constants, seed=seed)
+            assert family_fields(rates.bang_bang_family(cls, budget)) == \
+                family_fields(per_candidate_family(cls, budget)), budget
+
+    def test_constant_one_off_the_period(self):
+        """At mu = T with many switches, the merged length of some
+        candidates misses the period by more than the constructor's
+        rounding slack; those candidates are dropped."""
+        cls = SignalClass(0.1, 0.1)
+        for seed in (3, 4, 5):
+            budget = rates.SearchBudget(max_switches=60, time_grid=64, size=12, seed=seed)
+            assert family_fields(rates.bang_bang_family(cls, budget)) == \
+                family_fields(per_candidate_family(cls, budget))
+
+    @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
+    def test_bench_config_families(self, path):
+        cfg = json.loads(path.read_text())
+        cls = SignalClass(cfg["T"], cfg["mu"])
+        for seed in range(1, 6):
+            budget = rates.SearchBudget(**cfg["family"], seed=seed)
+            assert family_fields(rates.bang_bang_family(cls, budget)) == \
+                family_fields(per_candidate_family(cls, budget))
+
+
 class TestRcRdEstimates:
     def test_zero_gain_exact(self):
         a, _, _ = random_system(8)
@@ -386,6 +436,54 @@ class TestDuality:
 def same_estimate(x, y):
     """Equal value (bit for bit), bound, method and witness."""
     return x.to_json() == y.to_json()
+
+
+class TestWitnessTies:
+    """At d = 1 two cyclic shifts of one two-segment signal have the same
+    rates bit for bit: each factor is a scalar, and the shifts add the same
+    two numbers.  The witness is the one with the smaller encoding key,
+    whatever the family order, as the ``min`` rule over ``(value, key)``
+    picks it, also where the rates are infinite."""
+
+    CLS = SignalClass(1.0, 0.1)
+    PAIR = (_trusted([1.0, 0.0], [1.2, 0.8], 2.0), _trusted([0.0, 1.0], [0.8, 1.2], 2.0))
+
+    # a finite rate, and a shift past the float range either way
+    @pytest.mark.parametrize("a", [-0.5, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_smaller_key_is_the_witness(self, a, flip):
+        fam = list(self.PAIR[::-1] if flip else self.PAIR)
+        least = min(s.encoding_key() for s in fam)
+        A, B, K = np.array([[a]]), np.array([[1.0]]), np.array([[-2.0]])
+        with np.errstate(over="ignore"):  # the segment shifts overflow
+            got = rates.family_rates(A, B, K, self.CLS, fam)
+            estimates = [rates.rc_estimate(A, B, K, self.CLS, fam),
+                         rates.rd_estimate(A, B, K, self.CLS, fam)]
+            grid = rates.duality_grid(A, B, [K, 2.0 * K], self.CLS, fam)
+        assert got.top_rates[0] == got.top_rates[1] and got.bottom_rates[0] == got.bottom_rates[1]
+        assert np.isfinite(got.top_rates[0]) == (a == -0.5)
+        method = "/periodic-monodromy-min/2"
+        rc, rd_mirror = (reference_minimum([-t for t in got.top_rates], fam, kind + method)
+                         for kind in ("rc", "rd"))
+        rd = reference_minimum(list(got.bottom_rates), fam, "rd" + method)
+        for est, want in [(got.rc, rc), (got.rd, rd), (estimates[0], rc), (estimates[1], rd),
+                          (grid.rc[0], rc), (grid.rd_mirror[0], rd_mirror)]:
+            assert same_estimate(est, want)
+            assert est.witness.encoding_key() == least
+        assert grid.rc[1].witness.encoding_key() == grid.rd_mirror[1].witness.encoding_key() == least
+
+    def test_minima_follow_the_min_rule(self):
+        """Seeded value tables with ties, signed zeros, infinities and nans:
+        one lexsort picks what ``min`` over ``(value, key)`` picks."""
+        rng = np.random.default_rng(23)
+        pool = np.array([np.nan, -np.inf, np.inf, 0.0, -0.0, 1.0, -1.0])
+        for size in (1, 2, 5, 9):
+            sigs = [PESignal.constant(v, period=1.0) for v in rng.permutation(np.linspace(0.4, 1.0, size))]
+            values = rng.choice(pool, size=(40, size))
+            for est, row in zip(rates._minima(values, sigs, "rc"), values.tolist()):
+                want = reference_minimum(row, sigs, f"rc/periodic-monodromy-min/{size}")
+                assert est.witness is want.witness
+                assert np.array(est.value).tobytes() == np.array(want.value).tobytes()
 
 
 class TestGainStack:
@@ -1054,9 +1152,6 @@ class TestSharedFactorTable:
 # -- the stacked kernels against their one-at-a-time versions ----------------
 
 
-BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.json"))
-
-
 def assert_expm_bits(x):
     """``rates._expm_stack`` equals ``scipy.linalg.expm`` slice by slice,
     byte for byte."""
@@ -1106,24 +1201,50 @@ class TestExpmStack:
         for s in stacks:
             assert_expm_bits(s)
 
-    def test_no_dense_expm_call(self, monkeypatch):
-        """The engine hands ``scipy.linalg.expm`` only the slices that are
-        not dense: on a chain pair, the nilpotent generators of the value-0
-        segments."""
+    @pytest.mark.parametrize("fault", ["import", "call"])
+    def test_without_the_private_kernels(self, fault, tmp_path, monkeypatch):
+        """Where scipy's private Padé kernels cannot be imported or called,
+        the whole stack goes to ``scipy.linalg.expm``: the bits and a
+        ``duality-grid`` summary stay the same."""
+        from pegrowth import cli
+
+        def argv(out):
+            return ["duality-grid", "--config", str(BENCH_CONFIGS[0]), "--seed", "1",
+                    "--out", str(out)]
+
+        assert cli.main(argv(tmp_path / "kernels")) == 0
+        if fault == "import":
+            monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", None)
+        else:
+            import scipy.linalg._matfuncs_expm as kernels
+
+            def moved(*args):
+                raise TypeError("pick_pade_structure() takes no arguments")
+
+            monkeypatch.setattr(kernels, "pick_pade_structure", moved)
+        calls = []
         expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda x: calls.append(x.shape) or expm(x))
+        rng = np.random.default_rng(1190)
+        for shape in self.KINDS.values():
+            assert_expm_bits(shape(rng.standard_normal((4, 3, 3))) * 30.0)
+        calls.clear()
+        assert cli.main(argv(tmp_path / "fallback")) == 0
+        assert calls
+        assert ((tmp_path / "fallback" / "summary.json").read_bytes()
+                == (tmp_path / "kernels" / "summary.json").read_bytes())
+
+    def test_no_dense_expm_call(self, monkeypatch):
+        """The engine runs every branch of ``scipy.linalg.expm`` itself: on
+        a chain pair, whose value-0 segments have nilpotent generators, it
+        makes no ``scipy.linalg.expm`` call."""
         seen = []
-
-        def counted(x):
-            seen.append(x)
-            return expm(x)
-
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        monkeypatch.setattr(scipy.linalg, "expm", lambda x: seen.append(x))
         k = np.random.default_rng(17).standard_normal((1, 3))
-        rates.duality_grid(nilpotent_shift(3), unit_vector(3, 2).reshape(3, 1), [k, -k], CLS,
-                           rates.SearchBudget(size=12, seed=1))
-        assert seen
-        for x in seen:
-            assert not (np.tril(x, -1).any(axis=(-2, -1)) & np.triu(x, 1).any(axis=(-2, -1))).any()
+        report = rates.duality_grid(nilpotent_shift(3), unit_vector(3, 2).reshape(3, 1), [k, -k],
+                                    CLS, rates.SearchBudget(size=12, seed=1))
+        assert not seen
+        assert [e.value for e in report.rc] == [e.value for e in report.rd_mirror]
 
 
 class TestMirrorFamily:

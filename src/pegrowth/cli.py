@@ -116,34 +116,22 @@ def _budget(cfg, seed):
         raise ConfigError(f"bad family spec: {exc}") from exc
 
 
-def _signals(objs):
+def _family(cfg, cls, seed):
+    objs = cfg.get("signals", [])
     if not isinstance(objs, list):
-        raise ValueError("signals must be a JSON list")
-    return [PESignal.from_json(o) for o in objs]
-
-
-def _family(cfg, cls, seed, signal_file):
-    sigs = []
-    if signal_file is not None:
-        try:
-            payload = json.loads(Path(signal_file).read_text())
-            sigs = _signals(payload["signals"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad signal file: {exc}") from exc
-    elif "signals" in cfg:
-        try:
-            sigs = _signals(cfg["signals"])
-        except ValueError as exc:
-            raise ConfigError(f"bad signals entry: {exc}") from exc
-    if sigs:
-        verdicts = iter(_pe_valid([s for s in sigs if s.period is not None], cls))
-        bad = [i for i, s in enumerate(sigs) if s.period is None or not next(verdicts)]
-        if bad:
-            raise ConfigError(f"signals {bad} are not periodic PE signals for this class")
-        return sigs
-    # The library builds the budget's family and trusts it: valid by
-    # construction, so it is not validated again.
-    return _budget(cfg, seed)
+        raise ConfigError("bad signals entry: signals must be a JSON list")
+    try:
+        sigs = [PESignal.from_json(o) for o in objs]
+    except ValueError as exc:
+        raise ConfigError(f"bad signals entry: {exc}") from exc
+    if not sigs:
+        # The library builds the budget's family and trusts it: valid by
+        # construction, so it is not validated again.
+        return _budget(cfg, seed)
+    bad = [i for i, ok in enumerate(_pe_valid(sigs, cls)) if not ok]
+    if bad:
+        raise ConfigError(f"signals {bad} are not periodic PE signals for this class")
+    return sigs
 
 
 def _optional(cfg, key, arg):
@@ -175,7 +163,7 @@ def _write_csv(path: Path, header, rows) -> None:
 # ``main`` writes the summary once the runner returns.
 
 
-def _run_lie_check(cfg, seed, out, args, summary):
+def _run_lie_check(cfg, seed, out, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     audit = lie.inclusion_chain_audit(pair.A, pair.B, k, seed=seed,
@@ -189,7 +177,7 @@ def _run_lie_check(cfg, seed, out, args, summary):
     return EXIT_VIOLATION if audit.violations else EXIT_OK
 
 
-def _run_acc_cert(cfg, seed, out, args, summary):
+def _run_acc_cert(cfg, seed, out, summary):
     pair = _pair(cfg)
     if pair.m != 1:
         raise ConfigError("acc-cert is single-input only")
@@ -202,11 +190,11 @@ def _run_acc_cert(cfg, seed, out, args, summary):
     return EXIT_OK
 
 
-def _run_rates(cfg, seed, out, args, summary):
+def _run_rates(cfg, seed, out, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, args.signal_file)
+    family = _family(cfg, cls, seed)
     report = rates.family_rates(pair.A, pair.B, k, cls, family)
     rows = [(idx, s.period, top, bottom, "") for idx, (s, top, bottom) in enumerate(
         zip(report.signals, report.top_rates, report.bottom_rates))]
@@ -223,11 +211,11 @@ def _run_rates(cfg, seed, out, args, summary):
     return EXIT_OK
 
 
-def _run_duality(cfg, seed, out, args, summary):
+def _run_duality(cfg, seed, out, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, args.signal_file)
+    family = _family(cfg, cls, seed)
     tol = _optional(cfg, "tolerance", "tol")
     if tol.get("tol", 0.0) < 0.0:
         raise ConfigError("tolerance must be non-negative")
@@ -246,7 +234,7 @@ def _run_duality(cfg, seed, out, args, summary):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _run_invariant_set(cfg, seed, out, args, summary):
+def _run_invariant_set(cfg, seed, out, summary):
     pair = _pair(cfg)
     k = _gain(cfg, pair)
     if pair.d != 2:
@@ -271,8 +259,8 @@ def _run_invariant_set(cfg, seed, out, args, summary):
     return EXIT_OK
 
 
-def _run_spin_audit(cfg, seed, out, args, summary):
-    n = args.seeds if args.seeds is not None else _integer(cfg.get("seeds", 200), "seeds")
+def _run_spin_audit(cfg, seed, out, summary):
+    n = _integer(cfg.get("seeds", 200), "seeds")
     if n <= 0:
         raise ConfigError("seeds must be positive")
     rows = []
@@ -294,10 +282,10 @@ def _run_spin_audit(cfg, seed, out, args, summary):
     return EXIT_OK
 
 
-def _run_duality_grid(cfg, seed, out, args, summary):
+def _run_duality_grid(cfg, seed, out, summary):
     pair = _pair(cfg)
     cls = _signal_class(cfg)
-    family = _family(cfg, cls, seed, args.signal_file)
+    family = _family(cfg, cls, seed)
     if "K" in cfg and "K_grid" not in cfg:
         gains = [_gain(cfg, pair)]
     else:
@@ -347,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        if name in ("rates", "duality", "duality-grid"):
-            p.add_argument("--signal-file", default=None,
-                           help="JSON file with an explicit signal family")
-        if name == "spin-audit":
-            p.add_argument("--seeds", type=int, default=None,
-                           help="number of seeded draws")
     return parser
 
 
@@ -375,7 +357,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
         summary = {"version": __version__, "config_sha256": cfg_hash, "seed": seed}
-        code = RUNNERS[args.subcommand](cfg, seed, out, args, summary)
+        code = RUNNERS[args.subcommand](cfg, seed, out, summary)
         _write(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         return code
     except ConfigError as exc:

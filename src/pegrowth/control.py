@@ -120,6 +120,8 @@ def controllable_form_si(A, b, trace_divisor: float = 1.0) -> ControllabilityFor
     by the full trace.  Rejects non-controllable input with the Kalman rank
     in the diagnostic.
     """
+    if trace_divisor == 0.0:
+        raise ValueError("trace_divisor must be nonzero")
     a = require_square(A, "A")
     d = a.shape[0]
     bb = _input_column(b, d)
@@ -191,7 +193,6 @@ class CoefficientBoundReport:
     verdict: bool
     slacks: tuple
     c0: float
-    sign: int  # +1: all real parts positive, -1: all negative
 
 
 def companion_coefficient_bounds(K, eigenvalues=None) -> CoefficientBoundReport:
@@ -239,8 +240,7 @@ def companion_coefficient_bounds(K, eigenvalues=None) -> CoefficientBoundReport:
         rhs = c0 * abs(kext[d - m]) * (d - m) / (m + 1)
         slacks.append(float(lhs - rhs))
     verdict = all(s >= -tol for s in slacks)
-    return CoefficientBoundReport(verdict=verdict, slacks=tuple(slacks),
-                                  c0=c0, sign=1 if re[0] > 0 else -1)
+    return CoefficientBoundReport(verdict=verdict, slacks=tuple(slacks), c0=c0)
 
 
 def companion_gain(poles) -> np.ndarray:

@@ -318,10 +318,6 @@ class ChainAudit:
     plarc: RankCertificate
     violations: tuple
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def inclusion_chain_audit(A, B, K, shift: float = 0.0, seed: int = 0) -> ChainAudit:
     """Check LARC(A + shift*I, B) => LARC0(A, B) => PLARC(A, B) on one triple.

@@ -228,13 +228,9 @@ class CircleArcSet:
     def whole(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][0] == 0.0 and self.arcs[0][1] >= np.pi
 
-    def contains(self, theta, inflate: float = 0.0):
-        """Membership test (arrays ok), with optional symmetric inflation."""
-        inside = self._covers(wrap_angle(np.asarray(theta, dtype=float)), inflate)
-        return inside if inside.ndim else bool(inside)
-
     def _covers(self, t, inflate: float):
-        """``contains`` for an array of angles already wrapped into [0, pi]."""
+        """Membership of an array of angles already wrapped into [0, pi] in
+        the arc set inflated by ``inflate`` on both sides."""
         inside = np.zeros(t.shape, dtype=bool)
         for lo, hi in self.arcs:
             lo_i, hi_i = lo - inflate, hi + inflate

@@ -235,8 +235,6 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     a, b, k = closed_loop(A, B, K)
     if t < 0:
         raise ValueError("need t >= 0")
-    if t == 0.0:
-        return np.eye(a.shape[0])
     rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)], {})
     return _unscaled(rn[0, 0], log_scale[0, 0])
 
@@ -439,7 +437,7 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
                                (mult[at] * cls.T).tolist())
         valid = [sig is not None for sig in sigs]
         exact = [i for i in np.flatnonzero(worst[at] <= threshold + band[at]).tolist() if valid[i]]
-        for i, ok in zip(exact, _pe_valid([sigs[i] for i in exact], cls).tolist()):
+        for i, ok in zip(exact, _pe_valid([sigs[i] for i in exact], cls)):
             valid[i] = ok
         push(sigs, valid, budget.size)
     fill = 3
@@ -545,10 +543,10 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     if isinstance(family, SearchBudget):
         return bang_bang_family(cls, family)
     sigs = list(family)
-    for i, s in enumerate(sigs):
-        if s.period is None:
-            raise ValueError(f"family[{i}] is not periodic")
-    valid = [s for s, ok in zip(sigs, _pe_valid(sigs, cls)) if ok]
+    verdicts = _pe_valid(sigs, cls)
+    if None in verdicts:
+        raise ValueError(f"family[{verdicts.index(None)}] is not periodic")
+    valid = [s for s, ok in zip(sigs, verdicts) if ok]
     if not valid:
         raise ValueError("no PE-valid signals in the family")
     return valid
@@ -594,6 +592,17 @@ def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
     method = f"{kind}/periodic-monodromy-min/{len(sigs)}"
     return [RateEstimate(value=v, bound="upper", witness=sigs[i], method=method)
             for v, i in zip(values[np.arange(len(best)), best].tolist(), best.tolist())]
+
+
+def _rd_mirror(a, b, ks, cls, mirror, table) -> list[RateEstimate]:
+    """Per gain, ``rd(-a, -b, k)`` on the validated ``mirror`` of a family:
+    the negated tuple on the reversed mirrored family.  That is (a, b k)
+    again, so the pass reuses the ``rc`` pass's factor ``table`` (see
+    ``_pass``).  A segment that the double reversal changed misses the
+    table and is computed afresh, and the pass never reads the ``rc``
+    values, so the equality of the estimates stays a check."""
+    mirrored = _resolve_family(cls, mirror)
+    return _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored), table)), mirrored, "rd")
 
 
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
@@ -651,12 +660,11 @@ def duality_check(A, B, K, cls: SignalClass, family,
     convergence estimate of (A, B, K) and the divergence estimate of
     (-A, -B, K) on the mirrored family must coincide exactly.
 
-    The ``rd`` pass, the negated tuple on the reversed mirrored family,
-    runs on (A, BK) again and reuses the ``rc`` pass's factor table (see
-    ``_pass``); the reversed tuple has other generators and its own table.
-    A segment that the double reversal changed misses the table and is
-    computed afresh, so the equality of the estimates stays a check.
+    The ``rd`` pass (``_rd_mirror``) reuses the ``rc`` pass's factor table;
+    the reversed tuple has other generators and its own table.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     reversed_sigs = mirror_family(sigs)
@@ -670,9 +678,8 @@ def duality_check(A, B, K, cls: SignalClass, family,
     gap = np.where(finite[:, None, None], prod, eye) - eye
     res = np.where(finite, np.linalg.svd(gap, compute_uv=False).max(axis=-1), np.inf).tolist()
     rows = [(i, s.period, r) for i, (s, r) in enumerate(zip(sigs, res))]
-    mirrored = _resolve_family(cls, reversed_sigs)
     rc = _minima(_neg_tops(*fwd), sigs, "rc")[0]
-    rd = _minima(_neg_tops(*_pass(a, b, [k], mirror_family(mirrored), table)), mirrored, "rd")[0]
+    rd = _rd_mirror(a, b, [k], cls, reversed_sigs, table)[0]
     return DualityReport(per_signal=tuple(rows), max_residual=max([0.0] + res),
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
@@ -691,13 +698,10 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
 
     The family and its mirror are validated once each.  ``rc`` is one pass
     over the family with every gain stacked.  ``rd_mirror`` is a second pass
-    along ``rd_estimate``'s own path: the negated tuple on the reversed
-    mirrored family.  That is (A, BK) again, so it reuses the ``rc`` pass's
-    factor table (see ``_pass``) and each distinct segment is exponentiated
-    once per call.  A segment that the double reversal changed misses
-    the table and is computed afresh, and the pass never reads the ``rc``
-    values, so per-gain equality stays a check of the duality.  Each entry
-    equals the corresponding ``rc_estimate``/``rd_estimate`` bit for bit.
+    along ``rd_estimate``'s own path (``_rd_mirror``), which reuses the
+    ``rc`` pass's factor table, so each distinct segment is exponentiated
+    once per call.  Each entry equals the corresponding
+    ``rc_estimate``/``rd_estimate`` bit for bit.
     """
     if len(gains) == 0:
         raise ValueError("need at least one gain")
@@ -705,10 +709,9 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     a, b = loops[0][:2]
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
-    mirrored = _resolve_family(cls, mirror_family(sigs))
     table = {}
     rc = _minima(_neg_tops(*_pass(a, b, ks, sigs, table)), sigs, "rc")
-    rd = _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored), table)), mirrored, "rd")
+    rd = _rd_mirror(a, b, ks, cls, mirror_family(sigs), table)
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -719,7 +722,6 @@ class DeltaReport:
     delta_hat: RateEstimate        # max of log||R||/tau: lower bound on the sup envelope
     delta_star_hat: RateEstimate   # min of log conorm(R)/tau: upper bound on the inf envelope
     mirror_identity_exact: bool    # delta_star(A,B,K) == -delta_hat(-A,-B,K) on mirrors
-    ordered: bool                  # delta_star_hat <= delta_hat
 
 
 def _delta(sigs, norms, mirror_norms) -> DeltaReport:
@@ -735,8 +737,7 @@ def _delta(sigs, norms, mirror_norms) -> DeltaReport:
     delta_star = RateEstimate(bottom[0], "upper", bottom[2], "delta*/log-conorm-min")
     mirror_delta = max(mirror_norms)
     return DeltaReport(delta_hat=delta_hat, delta_star_hat=delta_star,
-                       mirror_identity_exact=bool(delta_star.value == -mirror_delta),
-                       ordered=bool(delta_star.value <= delta_hat.value))
+                       mirror_identity_exact=bool(delta_star.value == -mirror_delta))
 
 
 @dataclass(frozen=True)
@@ -849,10 +850,6 @@ class ParityDualityReport:
     max_residual: float
     tol: float
 
-    @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tol
-
 
 def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDualityReport:
     """Spectral inversion between a companion gain and its parity conjugate.
@@ -862,7 +859,7 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
     satisfies: the monodromy spectrum of (J, e_d, K_minus) under the
     reversed signal is the elementwise inverse of the spectrum of
     (J, e_d, K) under the original.  Checked per signal via multiset
-    matching, after one family-engine pass per side, against the
+    matching, after one family-engine pass per side; the report carries the
     tolerance of ``duality_check``.
     """
     k = as_matrix(K, "K").reshape(-1)
@@ -876,21 +873,26 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
     j = nilpotent_shift(d)
     ed = unit_vector(d, d - 1).reshape(d, 1)
     family = list(family)
-    if cls is not None:
-        verdicts = iter(_pe_valid([s for s in family if s.period is not None], cls))
-    for i, s in enumerate(family):
-        if s.period is None:
+    for i, ok in enumerate(_pe_valid(family, cls)):
+        if ok is None:
             raise ValueError(f"family[{i}] is not periodic")
-        if cls is not None and not next(verdicts):
+        if not ok:
             raise ValueError(f"family[{i}] fails the excitation check")
-    ev, ev_minus = (np.linalg.eigvals(_unscaled(rn[:, 0], log_scale[:, 0]))
-                    for rn, log_scale, _ in (
-                        _pass(j, ed, [k.reshape(1, d)], family, {}),
-                        _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family), {})))
+    prods = [_unscaled(rn[:, 0], log_scale[:, 0]) for rn, log_scale, _ in (
+        _pass(j, ed, [k.reshape(1, d)], family, {}),
+        _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family), {}))]
+    # A product that leaves the float range, or a spectrum with no finite
+    # inverse, is reported as an inf residual; eye keeps eigvals finite.
+    finite = np.isfinite(prods[0]).all(axis=(1, 2)) & np.isfinite(prods[1]).all(axis=(1, 2))
+    ev, ev_minus = (np.linalg.eigvals(np.where(finite[:, None, None], p, np.eye(d)))
+                    for p in prods)
     rows = []
     worst = 0.0
     for i, s in enumerate(family):
-        res = multiset_residual(ev_minus[i], 1.0 / ev[i])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = 1.0 / ev[i]
+        invertible = finite[i] and np.isfinite(inv).all()
+        res = multiset_residual(ev_minus[i], inv) if invertible else np.inf
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))
     return ParityDualityReport(K_minus=k_minus, per_signal=tuple(rows),

@@ -272,12 +272,14 @@ def validate_pe(s: PESignal, cls: SignalClass) -> PEValidation:
                         worst_integral=float(worst[0]))
 
 
-def _pe_valid(sigs, cls: SignalClass) -> np.ndarray:
-    """``validate_pe(s, cls).valid`` of every periodic signal of a list, in
-    one pass."""
-    if not sigs:
-        return np.zeros(0, dtype=bool)
-    return _least_windows(sigs, cls.T)[0] >= cls.mu - EP_TOL
+def _pe_valid(sigs, cls: SignalClass | None) -> list[bool | None]:
+    """Per entry of a list, None for an aperiodic signal, else
+    ``validate_pe(s, cls).valid``, or True when there is no class; one pass
+    checks every periodic entry."""
+    periodic = [s for s in sigs if s.period is not None]
+    verdicts = iter([True] * len(periodic) if cls is None or not periodic
+                    else (_least_windows(periodic, cls.T)[0] >= cls.mu - EP_TOL).tolist())
+    return [None if s.period is None else next(verdicts) for s in sigs]
 
 
 def _least_windows(sigs, T: float) -> tuple[np.ndarray, np.ndarray]:

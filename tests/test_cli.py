@@ -78,26 +78,6 @@ class TestDuality:
         assert run("duality", cfg, out, "--seed", "99") == 0
         assert json.loads((out / "summary.json").read_text())["seed"] == 99
 
-    def test_explicit_signal_file(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        sig = {"signals": [
-            {"breakpoints": [0.0], "values": [1.0], "period": 1.0},
-            {"breakpoints": [0.0, 0.5], "values": [1.0, 0.0], "period": 1.0},
-        ]}
-        sig_path = tmp_path / "sig.json"
-        sig_path.write_text(json.dumps(sig))
-        out = tmp_path / "sf"
-        assert run("duality", cfg, out, "--signal-file", str(sig_path)) == 0
-        lines = (out / "duality.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
-
-    def test_invalid_signal_file_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        sig_path = tmp_path / "sig.json"
-        sig_path.write_text(json.dumps({"signals": [
-            {"breakpoints": [0.0, 0.1], "values": [1.0, 0.0], "period": 1.0}]}))
-        assert run("duality", cfg, tmp_path / "x", "--signal-file", str(sig_path)) == 2
-
 
     def test_stiff_triple_finite_without_traceback(self, tmp_path, capsys):
         cfg = base_config(family={"size": 8})
@@ -211,9 +191,9 @@ class TestInvariantSet:
 
 class TestSpinAudit:
     def test_audit(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
+        cfg = write_config(tmp_path, base_config(seeds=6))
         out = tmp_path / "sp"
-        assert run("spin-audit", cfg, out, "--seeds", "6") == 0
+        assert run("spin-audit", cfg, out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["draws"] == 6
         assert summary["max_membership_residual"] <= 1e-10
@@ -574,20 +554,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
     def test_signals_not_a_list_is_config_error(self, tmp_path, capsys, sub):
-        cfg = write_config(tmp_path, base_config(signals=5))
-        assert run(sub, cfg, tmp_path / "s") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad signals entry") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("payload", [{"signals": 5}, {"signals": {"period": 1.0}},
-                                         [{"breakpoints": [0.0], "values": [1.0]}]])
-    def test_signal_file_without_signal_list_is_config_error(self, tmp_path, capsys, payload):
-        sig_path = tmp_path / "sig.json"
-        sig_path.write_text(json.dumps(payload))
-        cfg = write_config(tmp_path, base_config())
-        assert run("rates", cfg, tmp_path / "r", "--signal-file", str(sig_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad signal file") and err.count("\n") == 1
+        for signals in (5, {"period": 1.0}):
+            cfg = write_config(tmp_path, base_config(signals=signals))
+            assert run(sub, cfg, tmp_path / "s") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad signals entry") and err.count("\n") == 1
 
     @staticmethod
     def assert_config_error(tmp_path, capsys, sub, cfg_text, *extra):
@@ -744,15 +715,13 @@ def test_every_config_maps_to_a_documented_exit(edge, cfg):
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, base_config())
-    sig_path = tmp_path / "sig.json"
-    sig_path.write_text(json.dumps({"signals": [
-        {"breakpoints": [0.0], "values": [1.0], "period": 1.0}]}))
+    signal_cfg = write_config(tmp_path, base_config(signals=[
+        {"breakpoints": [0.0], "values": [1.0], "period": 1.0}]), "signals.json")
     build_parser, built = cli.build_parser, []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
     cli._parser.cache_clear()
     try:
-        assert run("rates", cfg, tmp_path / "r", "--seed", "99", "--signal-file",
-                   str(sig_path)) == 0
+        assert run("rates", signal_cfg, tmp_path / "r", "--seed", "99") == 0
         assert run("duality", cfg, tmp_path / "d") == 0
     finally:
         cli._parser.cache_clear()

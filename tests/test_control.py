@@ -93,6 +93,10 @@ class TestControllableForm:
             control.controllable_form_si(np.eye(2), unit_vector(2, 0))
         assert err.value.rank == 1
 
+    def test_zero_trace_divisor_rejected(self):
+        with pytest.raises(ValueError, match=r"^trace_divisor must be nonzero$"):
+            control.controllable_form_si(nilpotent_shift(2), unit_vector(2, 1), trace_divisor=0.0)
+
 
 class TestAccessibilityCertificate:
     def test_chain_gain_passes(self):

@@ -366,13 +366,13 @@ class TestChainAudit:
         audit = lie.inclusion_chain_audit(J2, unit_vector(2, 1).reshape(2, 1),
                                           [[1.0, 1.0]], shift=0.0)
         assert audit.larc_shifted.verdict and audit.larc0.verdict
-        assert audit.plarc.verdict and audit.ok
+        assert audit.plarc.verdict and not audit.violations
 
     def test_identity_a_vacuous(self):
         audit = lie.inclusion_chain_audit(np.eye(2), unit_vector(2, 1).reshape(2, 1),
                                           [[1.0, 0.0]], shift=0.5)
         assert not audit.larc_shifted.verdict
-        assert audit.ok
+        assert not audit.violations
 
     def test_random_controllable_no_violations(self):
         rng = np.random.default_rng(4)
@@ -381,7 +381,7 @@ class TestChainAudit:
             k = rng.standard_normal((1, 3))
             shift = float(rng.uniform(-1.0, 1.0))
             audit = lie.inclusion_chain_audit(a, b, k, shift=shift, seed=i)
-            assert audit.ok, audit.violations
+            assert not audit.violations, audit.violations
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.floats(0.3, 30.0), st.integers(0, 2**32 - 1))
@@ -392,7 +392,7 @@ class TestChainAudit:
         k = scale * rng.standard_normal((1, d)) / np.sqrt(d)
         shift = float(rng.uniform(-1.0, 1.0))
         audit = lie.inclusion_chain_audit(a, b, k, shift=shift, seed=seed % 997)
-        assert audit.ok, audit.violations
+        assert not audit.violations, audit.violations
         assert audit.larc0.dim <= d * d - 1
         assert lie.check_larc(a + shift * np.eye(d), b, k).dim == audit.larc_shifted.dim
         assert lie.check_larc0(a, b, k).dim == audit.larc0.dim
@@ -405,5 +405,5 @@ class TestChainAudit:
         assert audit.larc_shifted.dim == 49 and audit.larc_shifted.verdict
         assert audit.larc0.dim == 48 and audit.larc0.verdict
         assert audit.plarc.dim == 49 and audit.plarc.verdict
-        assert audit.ok, audit.violations
+        assert not audit.violations, audit.violations
         assert lie.check_larc0(PINNED_A, PINNED_B, PINNED_K).dim == 48

@@ -1,6 +1,8 @@
-"""README's tables list exactly the names ``pegrowth`` exports and exactly
-the defaulted parameters of its modules' public functions and dataclasses."""
+"""README's tables list exactly the names ``pegrowth`` exports, exactly
+the defaulted parameters of its modules' public functions and dataclasses,
+and exactly the command-line flags of each subcommand."""
 
+import argparse
 import dataclasses
 import inspect
 import re
@@ -8,6 +10,7 @@ import types
 from pathlib import Path
 
 import pegrowth
+from pegrowth import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ("matcore", "signals", "lie", "control", "rates", "projective", "spinchk")
@@ -45,3 +48,17 @@ def test_settings_table_lists_every_defaulted_parameter():
                                  for p in inspect.signature(obj).parameters.values()
                                  if p.default is not p.empty)
     assert set(listed) == defaulted
+
+
+def test_command_line_table_names_every_flag():
+    """README's "Command line" table names exactly the flags that the
+    parser registers for each subcommand, so a flag cannot come or go
+    without its doc."""
+    rows = re.findall(r"^\| `([\w-]+)` \| ([^|]*) \|", section("Command line"), re.M)
+    listed = {sub: sorted(re.findall(r"`(--[\w-]+)`", flags)) for sub, flags in rows}
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {sub: sorted(opt for action in p._actions for opt in action.option_strings
+                              if opt not in ("-h", "--help"))
+                  for sub, p in subparsers.choices.items()}
+    assert len(rows) == len(listed) and listed == registered

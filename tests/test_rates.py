@@ -432,6 +432,11 @@ class TestDuality:
         assert rep.max_residual <= 1e-8
         assert rep.ok
 
+    def test_negative_tolerance_rejected(self):
+        a, b, k = random_system(14)
+        with pytest.raises(ValueError, match=r"^tol must be non-negative, got -1\.0$"):
+            rates.duality_check(a, b, k, CLS, [PESignal.constant(1.0, period=1.0)], tol=-1.0)
+
 
 def same_estimate(x, y):
     """Equal value (bit for bit), bound, method and witness."""
@@ -611,7 +616,8 @@ class TestFamilyRates:
             max(np.log(v[0]) / tau for v, tau in sv), abs=1e-9)
         assert rep.delta.delta_star_hat.value == pytest.approx(
             min(np.log(v[-1]) / tau for v, tau in sv), abs=1e-9)
-        assert rep.delta.mirror_identity_exact and rep.delta.ordered
+        assert rep.delta.mirror_identity_exact
+        assert rep.delta.delta_star_hat.value <= rep.delta.delta_hat.value
 
 
 class TestDelta:
@@ -628,7 +634,7 @@ class TestDelta:
         fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=12, seed=4))
         rep = rates.family_rates(a, b, k, CLS, fam).delta
         assert rep.mirror_identity_exact
-        assert rep.ordered
+        assert rep.delta_star_hat.value <= rep.delta_hat.value
 
 
 class TestShiftLaw:
@@ -682,6 +688,47 @@ class TestShiftLaw:
         with pytest.raises(ValueError) as err:
             rates.shift_law_check(a, b, k, 1.0, s, x0)
         assert str(err.value) == "x0 must be a nonzero vector of matching dimension"
+
+
+def scaled_keys(sigs, c=1.0):
+    """Each signal's values, durations and period, with the times times c."""
+    return sorted((s.values.tobytes(), (c * s.durations).tobytes(), c * s.period) for s in sigs)
+
+
+class TestTimeScaling:
+    """Time scaling: (cA, cB, K) on the class (T/c, mu/c) is (A, B, K) on
+    (T, mu) run c times as fast, so every rate is c times the original.  For
+    c a power of two the budget's family is the original one with its times
+    divided by c, and every segment exponent ``(c M)(dt / c)`` is
+    ``M dt`` exactly.  Only the spectral abscissa moves: the eigenvalues of
+    cM are not c times those of M bit for bit, so a rate moves by an ulp or
+    two (42 of 1200 seeded cases were not bitwise equal, none by more than
+    3 ulps).  A rate that read the segment durations themselves, such as an
+    engine that skipped segments shorter than 1e-2 rather than empty ones,
+    breaks the law at c = 8."""
+
+    @staticmethod
+    def assert_scaled(x, y, c):
+        assert abs(x - c * y) <= 4 * np.spacing(c * (abs(y) + 1.0)), (x, c * y)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_rates_scale_with_time(self, d):
+        for seed in range(2):
+            rng = np.random.default_rng(100 * d + seed)
+            a, b = rng.standard_normal((d, d)), rng.standard_normal((d, 1))
+            gains = [rng.standard_normal((1, d)) for _ in range(4)]
+            budget = rates.SearchBudget(size=12, seed=seed)
+            base = rates.family_rates(a, b, gains[0], CLS, budget)
+            grid = rates.duality_grid(a, b, gains, CLS, budget)
+            for c in (2.0, 0.5, 8.0):
+                cls = SignalClass(CLS.T / c, CLS.mu / c)
+                got = rates.family_rates(c * a, c * b, gains[0], cls, budget)
+                assert scaled_keys(got.signals, c) == scaled_keys(base.signals)
+                self.assert_scaled(got.rc.value, base.rc.value, c)
+                self.assert_scaled(got.rd.value, base.rd.value, c)
+                scaled = rates.duality_grid(c * a, c * b, gains, cls, budget)
+                for x, y in zip(scaled.rc + scaled.rd_mirror, grid.rc + grid.rd_mirror):
+                    self.assert_scaled(x.value, y.value, c)
 
 
 class TestCoordinateInvariance:
@@ -749,6 +796,20 @@ class TestParityDuality:
         assert [row[0] for row in rep.per_signal] == [0, 1]
 
 
+    @staticmethod
+    def case(d, c):
+        """The seeded gain and family of case (d, c) of the pinned digest."""
+        rng = np.random.default_rng(100 * d + c)
+        k = rng.uniform(0.3, 1.5, d) * np.where(rng.random(d) < 0.5, -1.0, 1.0)
+        if c == 5:
+            k *= 4.0
+        family = [PESignal.constant(1.0, period=float(rng.uniform(0.5, 2.0)))]
+        for _ in range(int(rng.integers(1, 5))):
+            segs = [(float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.1, 1.0)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            family.append(PESignal.from_segments(segs, period=sum(t for _, t in segs)))
+        return k, family
+
     def test_pinned_digest(self):
         """K_minus, every per-signal row and the worst residual on 36
         seeded cases (d = 2..7, with and without an excitation class, one
@@ -757,16 +818,7 @@ class TestParityDuality:
         digest = hashlib.sha256()
         for d in range(2, 8):
             for c in range(6):
-                rng = np.random.default_rng(100 * d + c)
-                k = rng.uniform(0.3, 1.5, d) * np.where(rng.random(d) < 0.5, -1.0, 1.0)
-                if c == 5:
-                    k *= 4.0
-                family = [PESignal.constant(1.0, period=float(rng.uniform(0.5, 2.0)))]
-                for _ in range(int(rng.integers(1, 5))):
-                    segs = [(float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.1, 1.0)))
-                            for _ in range(int(rng.integers(1, 6)))]
-                    family.append(PESignal.from_segments(
-                        segs, period=sum(t for _, t in segs)))
+                k, family = self.case(d, c)
                 rep = rates.parity_duality_check(k, family, cls=CLS if c % 2 else None)
                 digest.update(rep.K_minus.tobytes())
                 for i, period, res in rep.per_signal:
@@ -774,6 +826,25 @@ class TestParityDuality:
                 digest.update(struct.pack("<d", rep.max_residual))
         assert digest.hexdigest() == \
             "8ca8df436e0668644eb41531cc5f24a1e782aedd2a1d2781e819f5df63cacbe0"
+
+    def test_eigenvalue_without_inverse_is_inf_residual(self):
+        """At 30 times the gain of case (5, 5), an eigenvalue of the first
+        signal's unscaled product underflows to 0.  Its inverse is reported
+        as an inf residual, with no warning, while ``monodromy`` on the same
+        loop gives finite rates and the other signals keep their residuals.
+        A product that leaves the float range is an inf residual too, as in
+        ``duality_check``."""
+        k, family = self.case(5, 5)
+        k = 30.0 * k
+        rep = rates.parity_duality_check(k, family, cls=CLS)
+        assert rep.per_signal[0][2] == np.inf and rep.max_residual == np.inf
+        assert all(np.isfinite(res) for _, _, res in rep.per_signal[1:])
+        m = rates.monodromy(nilpotent_shift(5), unit_vector(5, 4).reshape(5, 1),
+                            k.reshape(1, 5), family[0])
+        assert np.isfinite(m.top_rate) and np.isfinite(m.bottom_rate)
+        # at 300 times the gain every product leaves the float range
+        rep = rates.parity_duality_check(10.0 * k, family, cls=CLS)
+        assert [res for _, _, res in rep.per_signal] == [np.inf] * len(family)
 
 
 def test_continuity_probe_report():
@@ -936,8 +1007,7 @@ def reference_family_rates(a, b, k, cls, family):
     delta_hat = reference_minimum(norms, sigs, "delta/log-norm-max", "lower", max)
     delta_star = reference_minimum([-v for v in mirror_norms], sigs, "delta*/log-conorm-min")
     delta = rates.DeltaReport(delta_hat, delta_star,
-                              bool(delta_star.value == -max(mirror_norms)),
-                              bool(delta_star.value <= delta_hat.value))
+                              bool(delta_star.value == -max(mirror_norms)))
     return rates.FamilyRates(tuple(sigs), tuple(tops), tuple(bottoms),
                              reference_minimum([-t for t in tops], sigs, "rc" + method),
                              reference_minimum(bottoms, sigs, "rd" + method), delta)
@@ -994,7 +1064,6 @@ def assert_reference_equality(a, b, k, cls, family, gains):
     assert_same_estimate(got.delta.delta_hat, ref.delta.delta_hat)
     assert_same_estimate(got.delta.delta_star_hat, ref.delta.delta_star_hat)
     assert got.delta.mirror_identity_exact == ref.delta.mirror_identity_exact
-    assert got.delta.ordered == ref.delta.ordered
 
     got, ref = rates.duality_check(a, b, k, cls, family), reference_duality_check(a, b, k, cls, family)
     assert got.per_signal == ref.per_signal and got.max_residual == ref.max_residual

@@ -335,12 +335,23 @@ class TestListCheck:
                 if not 0.0 < mu <= T:
                     continue
                 cls = SignalClass(T, float(mu))
-                assert signals._pe_valid(sigs, cls).tolist() == [
+                assert signals._pe_valid(sigs, cls) == [
                     r.worst_integral >= cls.mu - EP_TOL for r in refs]
                 assert validate_pe(s, cls) == reference_periodic_check(s, cls)
 
     def test_empty_list(self):
-        assert signals._pe_valid([], CLS).shape == (0,)
+        assert signals._pe_valid([], CLS) == []
+
+    def test_per_entry_verdicts(self):
+        """None for an aperiodic entry, the excitation verdict of each
+        periodic one, and True for every periodic entry with no class."""
+        good = PESignal.constant(1.0, period=1.0)
+        weak = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+        loose = PESignal.constant(1.0)
+        sigs = [loose, good, weak, loose]
+        assert signals._pe_valid(sigs, SignalClass(1.0, 0.6)) == [None, True, False, None]
+        assert signals._pe_valid(sigs, None) == [None, True, True, None]
+        assert signals._pe_valid([loose], CLS) == [None]
 
 
 def shifted_signal(s, t0):

@@ -117,17 +117,17 @@ def _budget(cfg, seed):
 
 
 def _family(cfg, cls, seed):
-    objs = cfg.get("signals", [])
-    if not isinstance(objs, list):
-        raise ConfigError("bad signals entry: signals must be a JSON list")
+    if "signals" not in cfg:
+        # The library builds the budget's family and trusts it: valid by
+        # construction, so it is not validated again.
+        return _budget(cfg, seed)
+    objs = cfg["signals"]
+    if not isinstance(objs, list) or not objs:
+        raise ConfigError("bad signals entry: signals must be a non-empty JSON list")
     try:
         sigs = [PESignal.from_json(o) for o in objs]
     except ValueError as exc:
         raise ConfigError(f"bad signals entry: {exc}") from exc
-    if not sigs:
-        # The library builds the budget's family and trusts it: valid by
-        # construction, so it is not validated again.
-        return _budget(cfg, seed)
     bad = [i for i, ok in enumerate(_pe_valid(sigs, cls)) if not ok]
     if bad:
         raise ConfigError(f"signals {bad} are not periodic PE signals for this class")
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         # a config can ask for more than any host has, such as a family
-        # budget of 10^15 cells per window
+        # budget of 10^15 switches per period on 10^16 cells per window
         print(f"config error: the run needs more memory than it can get: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError, ValueError) as exc:

@@ -29,8 +29,7 @@ import numpy as np
 
 from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
-from .signals import (_PERIOD_ULPS, EP_TOL, PESignal, SignalClass, _pe_valid, _periodic_rows,
-                      _reversed)
+from .signals import _PERIOD_ULPS, PESignal, SignalClass, _pe_valid, _periodic_rows, _reversed
 
 __all__ = [
     "SearchBudget",
@@ -351,6 +350,8 @@ class SearchBudget:
             raise ValueError("n_periods, time_grid and size must be positive")
         if self.max_switches < 2:
             raise ValueError("max_switches must be at least 2")
+        if self.time_grid * self.n_periods >= 2**63:  # cell indices are int64
+            raise ValueError("time_grid * n_periods must be below 2**63")
 
 
 def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
@@ -361,51 +362,39 @@ def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
     return [PESignal.constant(float(v), period=cls.T) for v in levels]
 
 
-# validate_pe's window integrals are exact up to a few ulps of period + T
-# (at most 1.2 eps (period + T) in a probe of 20000 random candidates); a
-# candidate whose cell minimum lies within this multiple of period + T of
-# the threshold is left to the exact check.
-_CELL_BAND = 1e-13
-
-
 def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     """Deterministic PE-valid family of periodic bang-bang candidates.
 
-    A candidate is a cyclic array of equal cells and the window T spans
-    exactly ``time_grid`` of them, so its window integral is linear between
-    cell boundaries and its minimum is the least sum of ``time_grid``
-    consecutive cells.  That sum decides the excitation check exactly; the
-    exact check of ``validate_pe`` decides only the candidates whose minimum
-    lies within rounding distance of its threshold, so the family is the one
-    that ``validate_pe`` would accept.
-
     Candidates are drawn in chunks, in the order of one-at-a-time draws.
-    Each chunk's cell sums are screened in one pass, the candidates that
-    pass are built as the rows of one padded array (``_candidate_rows``),
-    the ones near the threshold get the exact check in one call, and the
-    accepted ones are added in draw order up to the one that completes the
-    family.  A chunk holds as many attempts as the acceptance seen so far
-    needs for the signals still missing, so few chunks are screened and few
-    draws are wasted.
+    Each chunk's candidates are built as the rows of one padded array and
+    judged there, in one pass, by the excitation check of ``validate_pe``
+    (``_candidate_rows``); the accepted ones are added in draw order up to
+    the one that completes the family.  A chunk holds as many attempts as
+    the acceptance seen so far needs for the signals still missing, so few
+    chunks are built and few draws are wasted.  The constants are judged
+    as rows too.
     """
     rng = np.random.default_rng(budget.seed)
     out: dict[bytes, PESignal] = {}
 
-    def push(sigs, valid, size=None) -> None:
-        """Add the valid signals in order, the first of each encoding key,
-        while the family is smaller than ``size``."""
-        for sig, ok in zip(sigs, valid):
+    def push(sigs, size=None) -> None:
+        """Add the signals that are not None in order, the first of each
+        encoding key, while the family is smaller than ``size``."""
+        for sig in sigs:
             if size is not None and len(out) >= size:
                 break
-            if ok:
+            if sig is not None:
                 out.setdefault(sig.encoding_key(), sig)
 
+    def constants(levels) -> list[PESignal | None]:
+        """The constant signals of period T at ``levels``, judged as rows."""
+        n = len(levels)
+        return _periodic_rows(np.array(levels, dtype=float)[:, None], np.full((n, 1), float(cls.T)),
+                              np.ones(n, dtype=np.intp), [cls.T] * n, cls)
+
     if budget.include_constants:
-        sigs = [PESignal.constant(1.0, period=cls.T), PESignal.constant(cls.floor, period=cls.T)]
-        push(sigs, _pe_valid(sigs, cls))
+        push(constants([1.0, cls.floor]))
     grid = budget.time_grid
-    step = cls.T / grid
-    threshold = cls.mu - EP_TOL
     halves = budget.max_switches // 2
     attempts = 0
     max_attempts = 80 * budget.size
@@ -428,85 +417,48 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
         if not draws:
             continue
         mult, cuts, low, first_high = zip(*draws)
-        mult, low, first_high = np.array(mult), np.array(low), np.array(first_high)
-        least, cells = _least_cell_sums(grid, mult, cuts, first_high)
-        worst = (least + low * (grid - least)) * step
-        band = _CELL_BAND * (mult + 1) * cls.T
-        at = np.flatnonzero(worst >= threshold - band)
-        sigs = _candidate_rows(step, cells[at], [cuts[i] for i in at], low[at], first_high[at],
-                               (mult[at] * cls.T).tolist())
-        valid = [sig is not None for sig in sigs]
-        exact = [i for i in np.flatnonzero(worst[at] <= threshold + band[at]).tolist() if valid[i]]
-        for i, ok in zip(exact, _pe_valid([sigs[i] for i in exact], cls)):
-            valid[i] = ok
-        push(sigs, valid, budget.size)
+        push(_candidate_rows(cls, grid, np.array(mult), cuts, np.array(low), np.array(first_high)),
+             budget.size)
     fill = 3
     while len(out) < budget.size:
-        sigs = [PESignal.constant(float(v), period=cls.T) for v in np.linspace(cls.floor, 1.0, fill)]
-        push(sigs, _pe_valid(sigs, cls), budget.size)
+        push(constants(np.linspace(cls.floor, 1.0, fill)), budget.size)
         fill += 2
         if cls.floor == 1.0:  # every fill constant is the constant 1
             break
     return [out[key] for key in sorted(out)]
 
 
-def _candidate_rows(step: float, cells, cuts, low, first_high, periods) -> list[PESignal | None]:
+def _candidate_rows(cls: SignalClass, grid: int, mult, cuts, low, first_high
+                    ) -> list[PESignal | None]:
     """The bang-bang candidates of ``bang_bang_family``, as the rows of one
-    padded array (``signals._periodic_rows``).  Candidate i has
-    ``cells[i]`` cells of length ``step``; its level switches at each of
-    its ``cuts[i]`` and starts high when ``first_high[i]`` is, and it is
-    ``low[i]`` when not high.  A candidate whose low level is 1 is the
-    constant 1, one segment as long as all of its cells; it is kept only
-    if that length is the period to within the validating constructor's
-    rounding slack.  A candidate that fails a check is ``None``."""
-    if not cuts:
-        return []
+    padded array judged by the excitation check (``signals._periodic_rows``).
+    Candidate i has ``grid * mult[i]`` cells of length ``T / grid`` and the
+    period ``mult[i] * T``; its level switches at each of its ``cuts[i]``
+    and starts high when ``first_high[i]`` is, and it is ``low[i]`` when
+    not high.  A candidate whose low level is 1 is the constant 1, one
+    segment as long as all of its cells; it is kept only if that length is
+    the period to within the validating constructor's rounding slack.  A
+    candidate that fails a check is ``None``."""
     sizes = np.array([c.size + 1 for c in cuts], dtype=np.intp)
     width = sizes.max()
     # padding the cuts with the cell count sorts it past the real cuts
     bounds = np.zeros((len(cuts), width + 1), dtype=np.int64)
-    bounds[:, 1:] = cells[:, None]
+    bounds[:, 1:] = (grid * mult)[:, None]
     bounds[:, 1:-1][np.arange(width - 1) < sizes[:, None] - 1] = np.concatenate(cuts)
     bounds.sort(axis=1)
-    durs = (bounds[:, 1:] - bounds[:, :-1]) * step
+    durs = (bounds[:, 1:] - bounds[:, :-1]) * (cls.T / grid)
     high = np.arange(width) % 2 != first_high[:, None]
     vals = np.where(np.arange(width) < sizes[:, None], np.where(high, 1.0, low[:, None]), 0.0)
     merged = np.flatnonzero(low == 1.0)
     total = np.cumsum(durs[merged], axis=1)[:, -1]
     vals[merged], durs[merged], sizes[merged] = 0.0, 0.0, 1
     vals[merged, 0], durs[merged, 0] = 1.0, total
-    rows = _periodic_rows(vals, durs, sizes, periods)
+    periods = mult * float(cls.T)
+    rows = _periodic_rows(vals, durs, sizes, periods, cls)
     for i in merged.tolist():
         if not abs(durs[i, 0] - periods[i]) <= _PERIOD_ULPS * np.spacing(periods[i]):
             rows[i] = None
     return rows
-
-
-def _least_cell_sums(grid: int, mult: np.ndarray, cuts, first_high: np.ndarray):
-    """The least number of high cells in ``grid`` consecutive cells of each
-    cyclic candidate, and each candidate's cell count.  A candidate has
-    ``grid * mult`` cells; the level switches at each of its ``cuts``, in
-    any order, and cell 0 is high when ``first_high`` is.
-
-    The cells are laid out for one period and the ``grid`` cells after it,
-    so that windows which wrap round are read whole.  The level switches at
-    every cut, back at the cell count (a candidate has an odd number of
-    cuts) and at every cut one period on."""
-    cells = grid * mult
-    width = cells.max() + grid
-    row = np.repeat(np.arange(len(cuts)), [c.size for c in cuts])
-    cut = np.concatenate(cuts)
-    row, at = (np.concatenate([row, np.arange(len(cuts)), row]),
-               np.concatenate([cut, cells, cut + cells[row]]))
-    keep = at < width
-    switches = np.zeros((len(cuts), width), dtype=np.int64)
-    switches[row[keep], at[keep]] = 1
-    level = (switches.cumsum(axis=1) + first_high[:, None]) & 1
-    ones = np.concatenate([np.zeros((len(cuts), 1), dtype=np.int64),
-                           level.cumsum(axis=1)], axis=1)
-    sums = ones[:, grid:] - ones[:, :-grid]
-    starts = np.arange(sums.shape[1]) < cells[:, None]
-    return np.where(starts, sums, grid).min(axis=1), cells
 
 
 def mirror_family(family) -> list[PESignal]:
@@ -848,7 +800,6 @@ class ParityDualityReport:
     K_minus: np.ndarray
     per_signal: tuple  # of (index, period, residual)
     max_residual: float
-    tol: float
 
 
 def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDualityReport:
@@ -859,8 +810,7 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
     satisfies: the monodromy spectrum of (J, e_d, K_minus) under the
     reversed signal is the elementwise inverse of the spectrum of
     (J, e_d, K) under the original.  Checked per signal via multiset
-    matching, after one family-engine pass per side; the report carries the
-    tolerance of ``duality_check``.
+    matching, after one family-engine pass per side.
     """
     k = as_matrix(K, "K").reshape(-1)
     d = k.size
@@ -895,5 +845,4 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
         res = multiset_residual(ev_minus[i], inv) if invertible else np.inf
         worst = max(worst, res)
         rows.append((i, s.period, float(res)))
-    return ParityDualityReport(K_minus=k_minus, per_signal=tuple(rows),
-                               max_residual=worst, tol=_RESIDUAL_TOL)
+    return ParityDualityReport(K_minus=k_minus, per_signal=tuple(rows), max_residual=worst)

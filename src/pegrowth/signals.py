@@ -266,8 +266,8 @@ def validate_pe(s: PESignal, cls: SignalClass) -> PEValidation:
     """
     if s.period is None:
         raise ValueError("the excitation check is defined for periodic signals only")
-    worst, start = _least_windows([s], cls.T)
-    return PEValidation(valid=bool(worst[0] >= cls.mu - EP_TOL),
+    worst, start, valid = _least_windows(_layout([s]), cls)
+    return PEValidation(valid=bool(valid[0]),
                         worst_window_start=float(start[0]),
                         worst_integral=float(worst[0]))
 
@@ -278,34 +278,31 @@ def _pe_valid(sigs, cls: SignalClass | None) -> list[bool | None]:
     checks every periodic entry."""
     periodic = [s for s in sigs if s.period is not None]
     verdicts = iter([True] * len(periodic) if cls is None or not periodic
-                    else (_least_windows(periodic, cls.T)[0] >= cls.mu - EP_TOL).tolist())
+                    else _least_windows(_layout(periodic), cls)[2].tolist())
     return [None if s.period is None else next(verdicts) for s in sigs]
 
 
-def _least_windows(sigs, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """The least length-T window integral of every periodic signal of a
-    non-empty list, and the first window start that attains it, in one pass
-    over the padded layout of ``_layout``.  The padding breakpoints are read
-    as 0 while the candidate starts are formed, which only repeats real
-    candidates."""
-    layout = _layout(sigs)
+def _least_windows(layout, cls: SignalClass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least length-T window integral of every row of a non-empty
+    layout (``_layout``), the first window start that attains it, and the
+    excitation verdict that this integral gives, in one pass.  The padding
+    breakpoints are read as 0 while the candidate starts are formed, which
+    only repeats real candidates."""
     bk, per = layout[0], layout[-1]
     bk = np.where(bk < np.inf, bk, 0.0)
-    cand = np.mod(np.concatenate([bk, np.mod(bk - T, per)], axis=1), per)
+    cand = np.mod(np.concatenate([bk, np.mod(bk - cls.T, per)], axis=1), per)
     cand.sort(axis=1)
-    at = _periodic_antiderivative(layout, np.concatenate([cand + T, cand], axis=1))
+    at = _periodic_antiderivative(layout, np.concatenate([cand + cls.T, cand], axis=1))
     half = cand.shape[1]
     window = at[:, :half] - at[:, half:]
     first = np.argmin(window, axis=1)
-    rows = np.arange(len(sigs))
-    return window[rows, first], cand[rows, first]
+    rows = np.arange(len(window))
+    worst = window[rows, first]
+    return worst, cand[rows, first], worst >= cls.mu - EP_TOL
 
 
 def _layout(sigs):
-    """Periodic signals padded to one ``(S, n)`` layout: breakpoints padded
-    with +inf, which no remainder reaches, values, the integral from 0 to
-    each breakpoint and to the period (values and durations are padded with
-    zeros, which leave it as it is) and the periods.
+    """Periodic signals padded to one ``(S, n)`` layout (``_rows_layout``).
     Each real entry goes through the floating-point operations of a pass
     over its signal alone, so a result does not depend on which signals
     share the layout."""
@@ -315,8 +312,17 @@ def _layout(sigs):
     bk[real] = np.concatenate([s.breakpoints for s in sigs])
     vals[real] = np.concatenate([s.values for s in sigs])
     durs[real] = np.concatenate([s.durations for s in sigs])
-    cum = np.concatenate([np.zeros(sizes.shape), np.cumsum(vals * durs, axis=1)], axis=1)
-    return bk, vals, cum, np.array([s.period for s in sigs])[:, None]
+    return _rows_layout(bk, vals, durs, [s.period for s in sigs])
+
+
+def _rows_layout(bk, vals, durs, periods):
+    """The layout of padded ``(S, n)`` breakpoints, values and durations:
+    the breakpoints, padded with +inf, which no remainder reaches, the
+    values, the integral from 0 to each breakpoint and to the period
+    (values and durations are padded with zeros, which leave it as it is)
+    and the periods, shaped ``(S, 1)``."""
+    cum = np.concatenate([np.zeros((len(vals), 1)), np.cumsum(vals * durs, axis=1)], axis=1)
+    return bk, vals, cum, np.asarray(periods, dtype=float)[:, None]
 
 
 def _periodic_antiderivative(layout, x: np.ndarray) -> np.ndarray:
@@ -370,17 +376,21 @@ def _reversed(sigs) -> list[PESignal]:
             for r, s in zip(out, sigs)]
 
 
-def _periodic_rows(vals, durs, sizes, periods) -> list[PESignal | None]:
+def _periodic_rows(vals, durs, sizes, periods, cls: SignalClass | None = None
+                   ) -> list[PESignal | None]:
     """The periodic signals of padded ``(S, n)`` value and duration arrays:
     signal i has the first ``sizes[i]`` entries of row i (the padding is
     zero) and the period ``periods[i]``.  The breakpoints are ``np.cumsum``
     along the rows, which adds in the order of a partial sum in Python, and
     the checks of the validating constructor (values in [0, 1], finite and
     increasing breakpoints, the last one before the period) run on the
-    whole array.  The rows of the frozen arrays are the fields of a signal
-    that passes; a row that fails a check is ``None``.  The durations are
-    kept as given and their sum is not checked against the period."""
+    whole array; given a class, so does the excitation check of
+    ``validate_pe``, on the rows that pass them.  The rows of the frozen
+    arrays are the fields of a signal that passes; a row that fails a check
+    is ``None``.  The durations are kept as given and their sum is not
+    checked against the period."""
     sizes = np.asarray(sizes)
+    periods = np.asarray(periods, dtype=float)
     rows = np.arange(len(sizes))
     real = np.arange(vals.shape[1]) < sizes[:, None]
     bk = np.zeros(vals.shape)
@@ -390,10 +400,14 @@ def _periodic_rows(vals, durs, sizes, periods) -> list[PESignal | None]:
     trusted = (((vals >= 0.0) & (vals <= 1.0)).all(axis=1)
                & ((bk[:, 1:] - bk[:, :-1] > 0.0) | ~real[:, 1:]).all(axis=1)
                & np.isfinite(last) & (last < periods))
+    at = np.flatnonzero(trusted)
+    if cls is not None and at.size:
+        layout = _rows_layout(np.where(real, bk, np.inf)[at], vals[at], durs[at], periods[at])
+        trusted[at] = _least_windows(layout, cls)[2]
     for a in (bk, vals, durs):
         a.setflags(write=False)
     out = []
-    for i, n, per, ok in zip(rows.tolist(), sizes.tolist(), periods, trusted.tolist()):
+    for i, n, per, ok in zip(rows.tolist(), sizes.tolist(), periods.tolist(), trusted.tolist()):
         if not ok:
             out.append(None)
             continue

@@ -44,82 +44,47 @@ def matrix_to_json(M) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": [float(x) for x in m.ravel()]}
 
 
-def per_candidate_family(cls, budget) -> list:
-    """``rates.bang_bang_family`` as it was before its candidates were built
-    as the rows of one array: the same draws and cell-sum screen, then each
-    screened candidate built on its own (``signals._trusted``, or
-    ``PESignal.from_segments`` for the constant 1 of a class with mu = T),
-    checked exactly on its own when it lies near the threshold, and added
-    while the family is short."""
+def reference_family(cls, budget) -> list:
+    """``rates.bang_bang_family`` one candidate at a time: the same draws,
+    each candidate built by ``PESignal.from_segments`` and judged by
+    ``validate_pe``, the first of each encoding key added while the family
+    is short, then the fill constants."""
     rng = np.random.default_rng(budget.seed)
     out = {}
 
-    def push(sigs) -> None:
-        for sig, valid in zip(sigs, signals._pe_valid(sigs, cls)):
-            if valid:
-                add(sig)
-
-    def add(sig) -> None:
-        out.setdefault(sig.encoding_key(), sig)
+    def push(sig) -> None:
+        if signals.validate_pe(sig, cls).valid:
+            out.setdefault(sig.encoding_key(), sig)
 
     if budget.include_constants:
-        push([signals.PESignal.constant(1.0, period=cls.T),
-              signals.PESignal.constant(cls.floor, period=cls.T)])
-    grid = budget.time_grid
-    step = cls.T / grid
-    threshold = cls.mu - signals.EP_TOL
+        push(signals.PESignal.constant(1.0, period=cls.T))
+        push(signals.PESignal.constant(cls.floor, period=cls.T))
+    step = cls.T / budget.time_grid
     halves = budget.max_switches // 2
     attempts = 0
-    max_attempts = 80 * budget.size
-    start = len(out)
-    while len(out) < budget.size and attempts < max_attempts:
-        want = budget.size - len(out)
-        if attempts:
-            want = -(-want * attempts // max(len(out) - start, 1))
-        chunk = min(want, max_attempts - attempts)
-        attempts += chunk
-        draws = []
-        for _ in range(chunk):
-            mult = int(rng.integers(1, budget.n_periods + 1))
-            k = 2 * int(rng.integers(1, halves + 1))
-            if k >= grid * mult:
-                continue
-            cuts = rng.choice(grid * mult - 1, size=k - 1, replace=False) + 1
-            low = 0.0 if rng.random() < 0.7 else cls.floor
-            draws.append((mult, cuts, low, rng.random() < 0.5))
-        if not draws:
+    while len(out) < budget.size and attempts < 80 * budget.size:
+        attempts += 1
+        mult = int(rng.integers(1, budget.n_periods + 1))
+        cells = budget.time_grid * mult
+        k = 2 * int(rng.integers(1, halves + 1))
+        if k >= cells:
             continue
-        mult, cuts, low, first_high = zip(*draws)
-        mult, low, first_high = np.array(mult), np.array(low), np.array(first_high)
-        least, cells = rates._least_cell_sums(grid, mult, cuts, first_high)
-        worst = (least + low * (grid - least)) * step
-        band = rates._CELL_BAND * (mult + 1) * cls.T
-        for d in np.flatnonzero(worst >= threshold - band):
-            if len(out) >= budget.size:
-                break
-            bounds = np.concatenate([[0], np.sort(cuts[d]), [cells[d]]])
-            is_high = np.arange(bounds.size - 1) % 2 != first_high[d]
-            values = np.where(is_high, 1.0, low[d])
-            durations = (bounds[1:] - bounds[:-1]) * step
-            try:
-                if low[d] < 1.0:
-                    sig = signals._trusted(values.tolist(), durations.tolist(), mult[d] * cls.T)
-                else:
-                    sig = signals.PESignal.from_segments(
-                        zip(values.tolist(), durations.tolist()), period=mult[d] * cls.T)
-            except ValueError:
-                continue
-            if worst[d] <= threshold + band[d]:
-                push([sig])
-            else:
-                add(sig)
+        idx = np.sort(rng.choice(np.arange(1, cells), size=k - 1, replace=False))
+        bounds = np.concatenate([[0], idx, [cells]])
+        low = 0.0 if rng.random() < 0.7 else cls.floor
+        first_high = bool(rng.random() < 0.5)
+        segs = [(1.0 if (i % 2 == 0) == first_high else low, (bounds[i + 1] - bounds[i]) * step)
+                for i in range(k)]
+        try:
+            push(signals.PESignal.from_segments(segs, period=mult * cls.T))
+        except ValueError:
+            continue
     fill = 3
     while len(out) < budget.size:
         for v in np.linspace(cls.floor, 1.0, fill):
-            push([signals.PESignal.constant(float(v), period=cls.T)])
-            if len(out) >= budget.size:
-                break
+            if len(out) < budget.size:
+                push(signals.PESignal.constant(float(v), period=cls.T))
         fill += 2
-        if cls.floor == 1.0:
+        if cls.floor == 1.0:  # every fill constant is the constant 1
             break
     return [out[key] for key in sorted(out)]

@@ -223,12 +223,12 @@ class TestDualityGrid:
         return write_config(tmp_path, cfg)
 
     def test_validates_family_and_mirror_once(self, tmp_path, monkeypatch):
-        passes = []  # the signal count of every excitation pass
+        passes = []  # the row count of every excitation pass
         least_windows = signals._least_windows
 
-        def counted(sigs, T):
-            passes.append(len(sigs))
-            return least_windows(sigs, T)
+        def counted(layout, cls):
+            passes.append(len(layout[0]))
+            return least_windows(layout, cls)
 
         monkeypatch.setattr(signals, "_least_windows", counted)
         family = rates.bang_bang_family(SignalClass(1.0, 0.4),
@@ -421,17 +421,18 @@ class TestValidateOnce:
 
     @staticmethod
     def counter(monkeypatch):
-        """Counts the signals that excitation passes check inside and
-        outside the family, and the passes outside it.  Every check, of one
-        signal or of a list, is a pass of ``signals._least_windows``."""
+        """Counts the rows that excitation passes check inside and outside
+        the family, and the passes outside it.  Every check, of one signal,
+        a list or the family's candidate rows, is a pass of
+        ``signals._least_windows``."""
         calls = {"family": 0, "other": 0, "passes": 0}
         inside = []
         least_windows, build = signals._least_windows, rates.bang_bang_family
 
-        def counted(sigs, T):
-            calls["family" if inside else "other"] += len(sigs)
+        def counted(layout, cls):
+            calls["family" if inside else "other"] += len(layout[0])
             calls["passes"] += not inside
-            return least_windows(sigs, T)
+            return least_windows(layout, cls)
 
         def family(*args, **kwargs):
             inside.append(True)
@@ -520,13 +521,13 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
 
     def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # numpy's error for a family budget too large to lay out, raised
-        # without allocating anything
+        # numpy's error for an array too large to allocate, raised without
+        # allocating anything
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.11 PiB for an array with shape "
                               "(1, 1000000000000016) and data type int64")
 
-        monkeypatch.setattr(rates, "_least_cell_sums", fail)
+        monkeypatch.setattr(rates, "_family_product", fail)
         cfg = base_config(K_grid={"count": 2, "scale": 1.0}, family={"time_grid": 10**15})
         del cfg["K"]
         assert run("duality-grid", write_config(tmp_path, cfg), tmp_path / "g") == 2
@@ -551,6 +552,14 @@ class TestExitCodes:
         assert run(sub, cfg, tmp_path / "f") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad family spec") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
+    def test_empty_signals_is_config_error(self, tmp_path, capsys, sub):
+        """An explicit empty list is an empty family, not a request for the
+        budget's family."""
+        assert run(sub, write_config(tmp_path, base_config(signals=[])), tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: bad signals entry: signals must be a non-empty JSON list\n"
 
     @pytest.mark.parametrize("sub", ["rates", "duality", "duality-grid"])
     def test_signals_not_a_list_is_config_error(self, tmp_path, capsys, sub):
@@ -604,6 +613,8 @@ class TestExitCodes:
         # a family candidate switches at least twice a period
         ("rates", "family.max_switches", "1"), ("rates", "family.max_switches", "0"),
         ("rates", "family.include_constants", "0"),
+        # a candidate's cells are counted in int64
+        ("rates", "family.time_grid", "10000000000000000000"),
         # float fields take finite numbers only
         ("duality-grid", "K_grid.scale", "1e400"), ("duality-grid", "K_grid.scale", "NaN"),
         ("lie-check", "lambda", "NaN"), ("lie-check", "lambda", "1e400"),

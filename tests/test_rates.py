@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import per_candidate_family
+from oracles import reference_family
 from pegrowth import rates
 from pegrowth.matcore import closed_loop, nilpotent_shift, opnorm, parity_matrix, unit_vector
 from pegrowth.signals import EP_TOL, PESignal, SignalClass, _trusted, reverse, validate_pe
@@ -194,6 +194,11 @@ class TestFamilies:
         with pytest.raises(ValueError, match="^max_switches must be at least 2$"):
             rates.SearchBudget(max_switches=max_switches)
 
+    @pytest.mark.parametrize("time_grid, n_periods", [(2**63, 1), (2**61, 4)])
+    def test_budget_cells_fit_int64(self, time_grid, n_periods):
+        with pytest.raises(ValueError, match=r"^time_grid \* n_periods must be below 2\*\*63$"):
+            rates.SearchBudget(time_grid=time_grid, n_periods=n_periods)
+
     def test_constant_family_grid(self):
         fam = rates.constant_family(CLS, 5)
         assert [s.values[0] for s in fam] == pytest.approx(
@@ -218,58 +223,6 @@ class TestFamilies:
             "25975b378968434b818c183b44d1292107df32455a3816c4e6001d41dd1849ca"
 
 
-def reference_family(cls, budget):
-    """``bang_bang_family`` as it was before the cell-grid check: every
-    candidate is built as a signal and judged by ``validate_pe``."""
-    rng = np.random.default_rng(budget.seed)
-    out = []
-    seen = set()
-
-    def push(sig):
-        key = sig.encoding_key()
-        if key in seen:
-            return
-        if validate_pe(sig, cls).valid:
-            seen.add(key)
-            out.append(sig)
-
-    if budget.include_constants:
-        push(PESignal.constant(1.0, period=cls.T))
-        push(PESignal.constant(cls.floor, period=cls.T))
-    step = cls.T / budget.time_grid
-    halves = max(1, budget.max_switches // 2)
-    attempts = 0
-    max_attempts = 80 * budget.size
-    while len(out) < budget.size and attempts < max_attempts:
-        attempts += 1
-        mult = int(rng.integers(1, budget.n_periods + 1))
-        cells = budget.time_grid * mult
-        k = 2 * int(rng.integers(1, halves + 1))
-        if k >= cells:
-            continue
-        idx = np.sort(rng.choice(np.arange(1, cells), size=k - 1, replace=False))
-        bounds = np.concatenate([[0], idx, [cells]])
-        low = 0.0 if rng.random() < 0.7 else cls.floor
-        first_high = bool(rng.random() < 0.5)
-        segs = []
-        for i in range(k):
-            high = (i % 2 == 0) == first_high
-            segs.append((1.0 if high else low, (bounds[i + 1] - bounds[i]) * step))
-        try:
-            push(PESignal.from_segments(segs, period=mult * cls.T))
-        except ValueError:
-            continue
-    fill = 3
-    while len(out) < budget.size:
-        for v in np.linspace(cls.floor, 1.0, fill):
-            push(PESignal.constant(float(v), period=cls.T))
-            if len(out) >= budget.size:
-                break
-        fill += 2
-    out.sort(key=lambda s: s.encoding_key())
-    return out
-
-
 def assert_same_families(cls, time_grid, seeds):
     # Three candidates and no constants per family keep the reference
     # cheap; the 200 seeds give each (class, grid) a few hundred candidates.
@@ -283,8 +236,9 @@ def assert_same_families(cls, time_grid, seeds):
 
 
 class TestCellGridFamily:
-    """The cell-grid check accepts exactly the candidates that validate_pe
-    accepts, so the family is the reference family byte for byte."""
+    """The family accepts exactly the candidates that validate_pe accepts,
+    so it is the reference family byte for byte, on grids with windows
+    that sit exactly on the threshold."""
 
     # (1, 0.5) at 16 cells has windows of exactly mu; (1, 1.0) collapses
     # every candidate to the constant 1.
@@ -307,6 +261,13 @@ class TestCellGridFamily:
         assert 0 < len(fam) < 32
         assert all(validate_pe(s, cls).valid and s.values.tolist() == [1.0] for s in fam)
 
+    @pytest.mark.parametrize("time_grid", [10**15, 10**18])
+    def test_time_grid_does_not_size_memory(self, time_grid):
+        """The cost of a candidate follows its switches, not its cells."""
+        fam = rates.bang_bang_family(CLS, rates.SearchBudget(time_grid=time_grid, seed=0))
+        assert len(fam) == 32
+        assert all(validate_pe(s, CLS).valid for s in fam)
+
 
 def family_fields(fam):
     """Every byte a family signal holds, with the kind of its arrays."""
@@ -317,12 +278,12 @@ def family_fields(fam):
 
 
 class TestFamilyRows:
-    """The family built as the rows of one array is the family of the
-    per-candidate build, byte for byte.  The grid holds mu = T, where every
-    candidate merges into the constant 1; a single cell per window, where
-    with one period per candidate no switch fits and the attempt cap ends
-    the search, which the fill constants complete; two switches, and
-    budgets without the constants."""
+    """The family built and judged as the rows of one array is the family
+    of the one-candidate-at-a-time build, byte for byte.  The grid holds
+    mu = T, where every candidate merges into the constant 1; a single cell
+    per window, where with one period per candidate no switch fits and the
+    attempt cap ends the search, which the fill constants complete; two
+    switches, and budgets without the constants."""
 
     @pytest.mark.parametrize("T, mu", [(1.0, 0.4), (1.0, 0.95), (1.0, 1.0), (2.5, 1.7)])
     @pytest.mark.parametrize("time_grid", [1, 4, 16])
@@ -334,7 +295,7 @@ class TestFamilyRows:
                                         time_grid=time_grid, size=12,
                                         include_constants=include_constants, seed=seed)
             assert family_fields(rates.bang_bang_family(cls, budget)) == \
-                family_fields(per_candidate_family(cls, budget)), budget
+                family_fields(reference_family(cls, budget)), budget
 
     def test_constant_one_off_the_period(self):
         """At mu = T with many switches, the merged length of some
@@ -344,7 +305,22 @@ class TestFamilyRows:
         for seed in (3, 4, 5):
             budget = rates.SearchBudget(max_switches=60, time_grid=64, size=12, seed=seed)
             assert family_fields(rates.bang_bang_family(cls, budget)) == \
-                family_fields(per_candidate_family(cls, budget))
+                family_fields(reference_family(cls, budget))
+
+    def test_mu_equal_to_T_on_one_cell(self):
+        """One cell per window and one period: no switch fits, the attempt
+        cap ends the search and the fill constants are all the constant 1."""
+        cls = SignalClass(1.0, 1.0)
+        budget = rates.SearchBudget(n_periods=1, time_grid=1, size=3, include_constants=False)
+        fam = rates.bang_bang_family(cls, budget)
+        assert len(fam) == 1
+        assert family_fields(fam) == family_fields(reference_family(cls, budget))
+
+    def test_integer_class_gives_float_periods(self):
+        budget = rates.SearchBudget(size=12, seed=2)
+        fam = rates.bang_bang_family(SignalClass(1, 0.4), budget)
+        assert all(type(s.period) is float for s in fam)
+        assert family_fields(fam) == family_fields(rates.bang_bang_family(CLS, budget))
 
     @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
     def test_bench_config_families(self, path):
@@ -353,7 +329,7 @@ class TestFamilyRows:
         for seed in range(1, 6):
             budget = rates.SearchBudget(**cfg["family"], seed=seed)
             assert family_fields(rates.bang_bang_family(cls, budget)) == \
-                family_fields(per_candidate_family(cls, budget))
+                family_fields(reference_family(cls, budget))
 
 
 class TestRcRdEstimates:

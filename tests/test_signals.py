@@ -324,7 +324,7 @@ class TestListCheck:
     @given(case=periodic_lists())
     def test_matches_one_signal_passes_bit_for_bit(self, case):
         T, sigs = case
-        worst, start = signals._least_windows(sigs, T)
+        worst, start, _ = signals._least_windows(signals._layout(sigs), SignalClass(T, T))
         refs = [reference_periodic_check(s, SignalClass(T, T)) for s in sigs]
         assert [bits(w) for w in worst] == [bits(r.worst_integral) for r in refs]
         assert [bits(t) for t in start] == [bits(r.worst_window_start) for r in refs]
@@ -338,6 +338,28 @@ class TestListCheck:
                 assert signals._pe_valid(sigs, cls) == [
                     r.worst_integral >= cls.mu - EP_TOL for r in refs]
                 assert validate_pe(s, cls) == reference_periodic_check(s, cls)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=periodic_lists(), mu=st.sampled_from([0.05, 0.4, 0.95, 1.0]))
+    def test_rows_judged_as_their_signals(self, case, mu):
+        """Padded rows judged by a class are the rows built without one,
+        kept where their signals pass ``_pe_valid``; a padding column past
+        the longest row changes no verdict."""
+        T, sigs = case
+        cls = SignalClass(T, mu * T)
+        sizes = np.array([s.values.size for s in sigs])
+        vals, durs = np.zeros((len(sigs), sizes.max() + 1)), np.zeros((len(sigs), sizes.max() + 1))
+        for i, s in enumerate(sigs):
+            vals[i, :s.values.size], durs[i, :s.values.size] = s.values, s.durations
+        periods = [s.period for s in sigs]
+        built = signals._periodic_rows(vals.copy(), durs.copy(), sizes, periods)
+        judged = signals._periodic_rows(vals, durs, sizes, periods, cls)
+        assert all(r is not None for r in built)
+        for b, j, ok in zip(built, judged, signals._pe_valid(built, cls)):
+            assert (j is not None) == ok
+            if ok:
+                assert j.encoding_key() + j.breakpoints.tobytes() == \
+                    b.encoding_key() + b.breakpoints.tobytes()
 
     def test_empty_list(self):
         assert signals._pe_valid([], CLS) == []

@@ -65,10 +65,12 @@ def proj_point(x) -> np.ndarray:
 
 
 def wrap_angle(theta):
-    """Reduce an angle modulo pi into [0, pi).
+    """Reduce an angle modulo pi into [0, pi].
 
     The same bits as ``np.mod(theta, pi)`` (``fmod``, plus pi where that is
     negative, and ``+ 0.0`` turning -0 into +0) at a third of its cost.
+    Like ``np.mod`` it gives pi itself where a tiny negative angle rounds
+    up: ``wrap_angle(-1e-17)`` is pi, where ``_wrap`` gives 0.
     """
     r = np.fmod(theta, np.pi)
     return r + (r < 0.0) * np.pi

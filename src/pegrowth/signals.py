@@ -7,9 +7,9 @@ carry an explicit period and are the workhorses of the growth-rate search;
 only they are checked for excitation and reversed.  Aperiodic signals extend
 their end values and are only read over finite spans.
 
-Segment durations are stored alongside breakpoints: reversal and the
-worst-window search operate on durations, which keeps time reversal an exact
-involution at the floating-point level.
+Segment durations are stored alongside breakpoints, the one record of the
+segments' lengths: reversal, the worst-window search and the segment lists
+read them, which keeps time reversal an exact involution in floating point.
 """
 
 from __future__ import annotations
@@ -65,16 +65,15 @@ class PESignal:
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the last
     segment runs to ``period`` for periodic signals and extends forever for
-    aperiodic ones.  Periodic signals must start at breakpoint 0.  Explicit
-    ``durations`` of a periodic signal must be its segment lengths: one per
-    value, positive, with the breakpoints as partial sums and the period as
-    total, to within rounding.
+    aperiodic ones.  Periodic signals must start at breakpoint 0.  The
+    constructor works out ``durations`` from the breakpoints (and the
+    period); ``from_segments`` keeps the durations it is given.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
     period: float | None = None
-    durations: np.ndarray = field(default=None, repr=False)
+    durations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bk = np.asarray(self.breakpoints, dtype=float).ravel()
@@ -87,7 +86,6 @@ class PESignal:
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(vals < 0.0) or np.any(vals > 1.0):
             raise ValueError("signal values must lie in [0, 1]")
-        durs = self.durations
         if self.period is not None:
             per = float(self.period)
             if not (per > 0.0 and np.isfinite(per)):
@@ -96,13 +94,9 @@ class PESignal:
                 raise ValueError("periodic signals must start at breakpoint 0")
             if bk[-1] >= per:
                 raise ValueError("last breakpoint must precede the period")
-            if durs is None:
-                durs = np.concatenate([np.diff(bk), [per - bk[-1]]])
-            else:
-                durs = _checked_durations(durs, bk, per)
+            durs = np.concatenate([np.diff(bk), [per - bk[-1]]])
         else:
             durs = np.diff(bk)
-        durs = np.asarray(durs, dtype=float).ravel()
         object.__setattr__(self, "breakpoints", _freeze(bk))
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "durations", _freeze(durs))
@@ -114,7 +108,9 @@ class PESignal:
     @classmethod
     def from_segments(cls, segments, period: float | None = None) -> "PESignal":
         """Build from (value, duration) pairs, merging equal neighbours and
-        dropping zero-length segments."""
+        dropping zero-length segments.  A periodic signal keeps the merged
+        durations, which must be finite and add up to the period to within
+        rounding (``_PERIOD_ULPS``)."""
         vals: list[float] = []
         durs: list[float] = []
         for v, dur in segments:
@@ -131,8 +127,16 @@ class PESignal:
             raise ValueError("signal needs at least one segment of positive length")
         if period is None:
             return _trusted(vals, durs)
-        bk = np.concatenate([[0.0], np.cumsum(durs)[:-1]])
-        return cls(bk, np.asarray(vals), period, durations=np.asarray(durs))
+        period = float(period)
+        if not (period > 0.0 and math.isfinite(period)):
+            raise ValueError("period must be positive and finite")
+        if not math.isfinite(durs[-1]):  # the others reach _trusted's breakpoints
+            raise ValueError("segment durations must be positive and finite")
+        out = _trusted(vals, durs, period)
+        total = out.breakpoints[-1] + durs[-1]
+        if abs(total - period) > _PERIOD_ULPS * len(durs) * math.ulp(period):
+            raise ValueError(f"durations add up to {float(total)!r}, not the period {period!r}")
+        return out
 
     @classmethod
     def constant(cls, value: float, period: float | None = None) -> "PESignal":
@@ -157,30 +161,30 @@ class PESignal:
         return float(out) if np.isscalar(t) else out
 
     def segments(self, t0: float, t1: float):
-        """(value, duration) pairs covering [t0, t1], in time order."""
+        """(value, duration) pairs covering [t0, t1], in time order: the
+        stored segments, a periodic signal's period by period and an
+        aperiodic one's with its end values extended, the first and the last
+        clipped to the span.  A whole segment keeps its stored duration, so
+        ``segments(0, period)`` is ``period_segments()``."""
         if t1 < t0:
             raise ValueError("need t1 >= t0")
         if t1 == t0:
             return []
-        events = [t0]
-        if self.period is not None:
+        vals, bk, durs = self.values.tolist(), self.breakpoints.tolist(), self.durations.tolist()
+        if self.period is None:  # (value, start, end, stored duration)
+            walk = [(vals[0], -math.inf, bk[0], math.inf),
+                    *zip(vals, bk, bk[1:] + [math.inf], durs + [math.inf])]
+        else:  # from one period early, in case t0 / per rounds up onto an integer
             per = self.period
-            k0 = int(np.floor(t0 / per))
-            k1 = int(np.floor(t1 / per)) + 1
-            for k in range(k0, k1 + 1):
-                for b in self.breakpoints:
-                    e = b + k * per
-                    if t0 < e < t1:
-                        events.append(float(e))
-        else:
-            for b in self.breakpoints:
-                if t0 < b < t1:
-                    events.append(float(b))
-        events = sorted(set(events))
-        events.append(t1)
+            walk = (seg for k in range(math.floor(t0 / per) - 1, math.floor(t1 / per) + 2)
+                    for seg in zip(vals, [b + k * per for b in bk],
+                                   [b + k * per for b in bk[1:]] + [(k + 1) * per], durs))
         out = []
-        for a, b in zip(events[:-1], events[1:]):
-            out.append((self.value_at(0.5 * (a + b)), b - a))
+        for v, a, b, dur in walk:
+            if a >= t1:
+                break
+            if b > t0:
+                out.append((v, dur if t0 <= a and b <= t1 else min(b, t1) - max(a, t0)))
         return out
 
     def period_segments(self):
@@ -219,25 +223,9 @@ class PESignal:
         return cls(np.asarray(bk, dtype=float), np.asarray(vals, dtype=float), per)
 
 
-# Explicit durations may miss the period by rounding in their sum; family
-# candidates merged into one segment miss it by up to 2 ulps per segment.
+# ``from_segments``' durations may miss the period by rounding in their sum;
+# family candidates merged into one segment miss it by up to 2 ulps per segment.
 _PERIOD_ULPS = 4
-
-
-def _checked_durations(durs, bk: np.ndarray, period: float) -> np.ndarray:
-    """Explicit segment durations, checked against the breakpoints they
-    must reproduce as partial sums and the period they must add up to."""
-    durs = np.asarray(durs, dtype=float).ravel()
-    if durs.size != bk.size:
-        raise ValueError(f"need one duration per segment, got {durs.size} for {bk.size}")
-    if not np.all(np.isfinite(durs)) or np.any(durs <= 0.0):
-        raise ValueError("segment durations must be positive and finite")
-    ends = np.cumsum(durs)
-    if np.any(ends[:-1] != bk[1:]):
-        raise ValueError("durations do not reproduce the breakpoints")
-    if abs(ends[-1] - period) > _PERIOD_ULPS * durs.size * np.spacing(period):
-        raise ValueError(f"durations add up to {float(ends[-1])!r}, not the period {period!r}")
-    return durs
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -428,15 +416,15 @@ def _trusted(vals, durs, period: float | None = None) -> PESignal:
     last breakpoint's place before the period are checked there, at less
     cost than numpy calls on a few entries.  A periodic signal keeps the
     given durations, an aperiodic one gets the gaps.  If a check fails, the
-    validating constructor raises; else the fields are frozen as
-    ``__post_init__`` freezes them."""
+    validating constructor, given the breakpoints, raises; else the fields
+    are frozen as ``__post_init__`` freezes them."""
     bk = [0.0]
     for dur in durs[:-1]:
         bk.append(bk[-1] + dur)
     gaps = [b - a for a, b in zip(bk, bk[1:])]
     if (not all(0.0 <= v <= 1.0 for v in vals) or not math.isfinite(bk[-1])
             or not all(g > 0.0 for g in gaps) or not (period is None or bk[-1] < period)):
-        return PESignal(np.array(bk), vals, period, durations=durs)
+        return PESignal(np.array(bk), vals, period)
     out = object.__new__(PESignal)
     object.__setattr__(out, "breakpoints", _freeze(np.array(bk)))
     object.__setattr__(out, "values", _freeze(np.array(vals)))

@@ -245,8 +245,8 @@ class TestDualityGrid:
         def perturbed(family):
             # Raises every value by 1e-6 of its distance to 1, which keeps
             # the signals PE and their durations consistent.
-            return [PESignal(r.breakpoints, r.values + 1e-6 * (1.0 - r.values), r.period,
-                             durations=r.durations) for r in mirror_family(family)]
+            return [PESignal.from_segments(zip(r.values + 1e-6 * (1.0 - r.values), r.durations),
+                                           period=r.period) for r in mirror_family(family)]
 
         monkeypatch.setattr(rates, "mirror_family", perturbed)
         out = tmp_path / "g"

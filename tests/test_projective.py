@@ -299,6 +299,14 @@ def test_wrap_angle_has_the_bits_of_np_mod():
         assert repr(prj.wrap_angle(t)) == repr(np.mod(t, np.pi))
 
 
+def test_wrap_angle_reaches_pi_where_np_mod_does():
+    """The range is [0, pi], closed: a tiny negative angle rounds up to pi,
+    as in ``np.mod``; the scalar ``_wrap`` gives 0 there."""
+    assert prj.wrap_angle(-1e-17) == np.mod(-1e-17, np.pi) == np.pi
+    assert prj.angle_of([1.0, -1e-17]) == np.pi
+    assert prj._wrap(-1e-17) == 0.0
+
+
 def contains(arcs, theta, inflate=0.0):
     """Membership of angles (arrays ok) in the arc set inflated by
     ``inflate``: the audit's ``_covers`` after ``wrap_angle``."""

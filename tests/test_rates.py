@@ -63,6 +63,19 @@ class TestFundamentalSolution:
         r = rates.fundamental_solution(a, b, k, s, 1.0)
         np.testing.assert_allclose(r, rk4_flow(a, b, k, s, 1.0), atol=1e-8)
 
+    def test_at_the_period_is_the_monodromy(self):
+        """Over one period the segment list is the stored one, so the
+        fundamental solution is the engine's monodromy bit for bit (on cells
+        of T/7 the breakpoints are rounded partial sums)."""
+        for seed in range(20):
+            a, b, k = random_system(seed)
+            family = rates.bang_bang_family(SignalClass(1, .4),
+                                            rates.SearchBudget(size=32, seed=seed, time_grid=7))
+            for s in family:
+                assert s.segments(0, s.period) == s.period_segments()
+                r = rates.fundamental_solution(a, b, k, s, s.period)
+                assert r.tobytes() == rates.monodromy(a, b, k, s).R.tobytes()
+
 
 class TestMonodromy:
     def test_constant_signal_rates(self):
@@ -1133,7 +1146,7 @@ def nudge_reversal(monkeypatch):
         for r in mirror_family(family):
             durations = r.durations.copy()
             durations[-1] = np.nextafter(durations[-1], np.inf)
-            out.append(PESignal(r.breakpoints, r.values, r.period, durations=durations))
+            out.append(PESignal.from_segments(zip(r.values, durations), period=r.period))
         return out
 
     monkeypatch.setattr(rates, "mirror_family", nudged)

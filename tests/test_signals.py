@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,31 +175,96 @@ class TestAperiodicSegments:
             PESignal.from_segments(segs)
 
 
+@st.composite
+def clipped_windows(draw):
+    """A periodic or aperiodic signal, with durations on a grid of 1/16 or
+    free, and a window [t0, t1] with ends on a grid of 1/32: on a grid
+    breakpoint or mid-cell, from negative starts and over several periods."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 0.4, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        durations = [c / 16 for c in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))]
+    else:
+        durations = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    period = sum(durations) if draw(st.booleans()) else None
+    s = PESignal.from_segments(zip(values, durations), period=period)
+    t0 = draw(st.integers(-160, 160)) / 32
+    return s, t0, t0 + draw(st.integers(0, 320)) / 32
+
+
+class TestClippedSegments:
+    """``segments`` walks the stored segments and clips the first and last
+    piece to the window."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=clipped_windows())
+    def test_pieces_are_the_stored_segments(self, case):
+        s, t0, t1 = case
+        pieces = s.segments(t0, t1)
+        if t0 == t1:
+            assert pieces == []
+            return
+        durations = [dur for _, dur in pieces]
+        assert sum(durations) == pytest.approx(t1 - t0, rel=1e-12, abs=1e-12)
+        starts = t0 + np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+        for (v, dur), a in zip(pieces, starts):
+            assert dur > 0.0 and v == s.value_at(a + dur / 2)
+        # every piece but the first and the last is a whole stored segment,
+        # in the order of the signal: periodic, or a run of the finite ones
+        stored = list(zip(s.values.tolist(), s.durations.tolist()))
+        inner = pieces[1:-1]
+        if s.period is not None:
+            runs = [(stored * (len(inner) // len(stored) + 2))[i:i + len(inner)]
+                    for i in range(len(stored))]
+        else:
+            runs = [stored[i:i + len(inner)] for i in range(len(stored) - len(inner) + 1)]
+        assert inner in runs
+
+    def test_one_period_is_period_segments(self):
+        s = PESignal.from_segments([(1.0, 0.1), (0.0, 0.2), (1.0, 0.3), (0.4, 0.7)], period=1.3)
+        assert s.segments(0.0, s.period) == s.period_segments()
+        assert s.segments(2 * s.period, 3 * s.period) == s.period_segments()
+
+
 class TestExplicitDurations:
-    """Explicit durations must describe the same segments as the breakpoints
-    and end at the period; rates read only the durations."""
+    """The durations that ``from_segments`` keeps must be finite and end at
+    the period, to within rounding; rates read only the durations.  Each
+    rejected input raises the message it raised when the constructor also
+    took durations."""
 
     @pytest.mark.parametrize("durations, match", [
-        ([0.5], "one duration per segment"),
-        ([0.5, 0.25, 0.25], "one duration per segment"),
-        ([0.5, 0.0], "positive and finite"),
-        ([0.5, -0.5], "positive and finite"),
+        ([0.5, -0.5], "nonnegative"),
+        ([np.nan, 0.5], "non-finite signal data"),  # a breakpoint is nan
+        ([0.5, 0.0], "not the period"),  # the empty segment is dropped
+        ([np.inf, 0.5], "non-finite signal data"),
         ([0.5, np.inf], "positive and finite"),
         ([0.5, np.nan], "positive and finite"),
-        ([0.4, 0.6], "reproduce the breakpoints"),
+        ([0.5, 0.5 + 18 * 2.0 ** -53], "not the period"),  # 9 ulps of 1 over 2 segments
         ([0.5, 1.5], "not the period"),
         ([0.5, 0.5 + 1e-9], "not the period"),
     ])
     def test_rejected(self, durations, match):
         with pytest.raises(ValueError, match=match):
-            PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=durations)
+            PESignal.from_segments(zip([1.0, 0.0], durations), period=1.0)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
+    def test_rejected_period(self, period):
+        with pytest.raises(ValueError, match="period must be positive and finite"):
+            PESignal.from_segments([(1.0, 0.5), (0.0, 0.5)], period=period)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_rejected_value(self, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            PESignal.from_segments([(1.0, 0.5), (value, 0.5)], period=1.0)
 
     def test_rounded_total_accepted(self):
-        # A total a few ulps off the period is rounding in the sum.
-        for last in (np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)):
-            s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, last])
+        # A total a few ulps off the period is rounding in the sum; 8 ulps
+        # of 1 is the most that two segments may miss it by.
+        for last in (np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 0.5 + 16 * 2.0 ** -53):
+            s = PESignal.from_segments([(1.0, 0.5), (0.0, last)], period=1.0)
             assert s.durations.tolist() == [0.5, last]
-        s = PESignal([0.0], [1.0], period=1.0, durations=[1.0000000000000002])
+        s = PESignal.from_segments([(1.0, 1.0000000000000002)], period=1.0)
         assert s.durations.tolist() == [1.0000000000000002]
 
     def test_from_segments_keeps_its_durations(self):
@@ -205,15 +272,9 @@ class TestExplicitDurations:
         s = PESignal.from_segments(segs, period=1.3)
         assert s.period_segments() == segs
 
-    def test_checked_only_when_given(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("durations checked")
-
-        monkeypatch.setattr(signals, "_checked_durations", fail)
-        PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
-        PESignal([0.0, 0.5, 2.0], [1.0, 0.0, 0.6])  # aperiodic, as steer_d2 builds
-        with pytest.raises(AssertionError):
-            PESignal([0.0, 0.5], [1.0, 0.0], period=1.0, durations=[0.5, 0.5])
+    def test_constructor_takes_no_durations(self):
+        assert "durations" not in inspect.signature(PESignal).parameters
+        assert not hasattr(signals, "_checked_durations")
 
 
 def scalar_integral(s, t0, t1):
@@ -475,8 +536,7 @@ class TestReverse:
         for s in self.family():
             r = reverse(s)
             vals, durs = s.values[::-1], s.durations[::-1]
-            ref = PESignal(np.concatenate([[0.0], np.cumsum(durs)[:-1]]), vals, s.period,
-                           durations=durs)
+            ref = PESignal.from_segments(zip(vals, durs), period=s.period)
             for name in ("values", "durations", "breakpoints"):
                 got, want = getattr(r, name), getattr(ref, name)
                 assert (got.dtype, got.shape, got.flags.c_contiguous, got.flags.writeable) \

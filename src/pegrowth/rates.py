@@ -23,6 +23,7 @@ reversal on the mirrored family are one computation and agree bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +337,9 @@ class SearchBudget:
     (at least 2, at most max_switches), switching on a uniform grid of
     ``time_grid`` cells per window length T.  Candidates failing the
     excitation check are discarded.  Generation is deterministic in ``seed``.
+    Every field but ``include_constants`` is an int: a float, even a whole
+    one, or a bool raises ``ValueError``, and a numpy integer is kept as an
+    int.
     """
 
     n_periods: int = 4
@@ -346,6 +350,11 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_periods", "max_switches", "time_grid", "size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if min(self.n_periods, self.time_grid, self.size) < 1:
             raise ValueError("n_periods, time_grid and size must be positive")
         if self.max_switches < 2:
@@ -362,6 +371,90 @@ def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
     return [PESignal.constant(float(v), period=cls.T) for v in levels]
 
 
+class _Draws:
+    """The draws of numpy 2.4's ``np.random.default_rng(seed)`` that the
+    family makes, bit for bit, in Python ints read from the raw 64-bit
+    words of its PCG64 bit generator, 64 at a time: ``integers(low, high)``,
+    ``random()`` and ``choice(pop, size, replace=False)`` (``sample``),
+    without the cost of a ``Generator`` call per draw.  A 32-bit draw takes
+    the low half of a new word and keeps the high half for the next 32-bit
+    draw; a draw of a whole word leaves that half buffered."""
+
+    def __init__(self, seed: int):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._words = iter(())
+        self._high = None  # the unread high half of the last word split
+
+    def word(self) -> int:
+        w = next(self._words, None)
+        if w is None:
+            self._words = iter(self._raw(64).tolist())
+            w = next(self._words)
+        return w
+
+    def uint32(self) -> int:
+        high = self._high
+        if high is None:
+            w = self.word()
+            self._high = w >> 32
+            return w & 0xFFFFFFFF
+        self._high = None
+        return high
+
+    def bounded(self, rng: int) -> int:
+        """A draw in [0, rng] by Lemire's method, with its rejection loop:
+        none for 0, 32-bit draws up to 2**32 - 1, words above.  At 2**32 - 1
+        and 2**64 - 1 the threshold is 0 and the draw is a bare one."""
+        if rng == 0:
+            return 0
+        bits, draw = (32, self.uint32) if rng <= 0xFFFFFFFF else (64, self.word)
+        excl, mask = rng + 1, (1 << bits) - 1
+        m = draw() * excl
+        if m & mask < excl:
+            threshold = (1 << bits) % excl
+            while m & mask < threshold:
+                m = draw() * excl
+        return m >> bits
+
+    def integers(self, low: int, high: int) -> int:
+        """An int64 draw in [low, high), with numpy's error for a larger high."""
+        if high > 2**63:
+            raise ValueError("high is out of bounds for int64")
+        return low + self.bounded(high - 1 - low)
+
+    def random(self) -> float:
+        """A float in [0, 1) from the top 53 bits of a word."""
+        return (self.word() >> 11) * 2.0**-53
+
+    def sample(self, pop: int, size: int) -> list[int]:
+        """``size`` distinct values of range(pop), each drawn by ``bounded``.
+        For more than a fiftieth of a range above 10000, numpy lays out the
+        whole range as int64 and shuffles its tail; otherwise it runs Floyd's
+        algorithm (a value already taken becomes j) and shuffles the result.
+        The tail shuffle works on that range, and a Floyd draw of more than
+        2**16 values first lays out numpy's output array, so a draw that
+        numpy cannot hold raises its ``MemoryError`` before any Python step."""
+        if pop > 10000 and size > pop // 50:
+            idx = np.arange(pop, dtype=np.int64)
+            for i in range(pop - 1, max(pop - size, 1) - 1, -1):
+                j = self.bounded(i)
+                idx[i], idx[j] = idx[j], idx[i]
+            return idx[pop - size:].tolist()
+        if size > 1 << 16:
+            np.empty(size, dtype=np.int64)
+        out, taken = [], set()
+        for j in range(pop - size, pop):
+            v = self.bounded(j)
+            if v in taken:
+                v = j
+            taken.add(v)
+            out.append(v)
+        for i in range(size - 1, 0, -1):
+            j = self.bounded(i)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
 def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     """Deterministic PE-valid family of periodic bang-bang candidates.
 
@@ -374,7 +467,7 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     chunks are built and few draws are wasted.  The constants are judged
     as rows too.
     """
-    rng = np.random.default_rng(budget.seed)
+    draws = _Draws(budget.seed)
     out: dict[bytes, PESignal] = {}
 
     def push(sigs, size=None) -> None:
@@ -405,20 +498,20 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
             want = -(-want * attempts // max(len(out) - start, 1))
         chunk = min(want, max_attempts - attempts)
         attempts += chunk
-        draws = []  # (mult, cuts, low, first_high) of the attempts that draw cuts
+        # the attempts that draw cuts: periods, switch counts, cuts, levels
+        mult, k, cuts, low, first_high = [], [], [], [], []
         for _ in range(chunk):
-            mult = int(rng.integers(1, budget.n_periods + 1))
-            k = 2 * int(rng.integers(1, halves + 1))
-            if k >= grid * mult:
+            m = draws.integers(1, budget.n_periods + 1)
+            switches = 2 * draws.integers(1, halves + 1)
+            if switches >= grid * m:
                 continue
-            cuts = rng.choice(grid * mult - 1, size=k - 1, replace=False) + 1
-            low = 0.0 if rng.random() < 0.7 else cls.floor
-            draws.append((mult, cuts, low, rng.random() < 0.5))
-        if not draws:
-            continue
-        mult, cuts, low, first_high = zip(*draws)
-        push(_candidate_rows(cls, grid, np.array(mult), cuts, np.array(low), np.array(first_high)),
-             budget.size)
+            mult.append(m)
+            k.append(switches)
+            cuts += draws.sample(grid * m - 1, switches - 1)
+            low.append(0.0 if draws.random() < 0.7 else cls.floor)
+            first_high.append(draws.random() < 0.5)
+        if mult:
+            push(_candidate_rows(cls, grid, mult, k, cuts, low, first_high), budget.size)
     fill = 3
     while len(out) < budget.size:
         push(constants(np.linspace(cls.floor, 1.0, fill)), budget.size)
@@ -428,23 +521,26 @@ def bang_bang_family(cls: SignalClass, budget: SearchBudget) -> list[PESignal]:
     return [out[key] for key in sorted(out)]
 
 
-def _candidate_rows(cls: SignalClass, grid: int, mult, cuts, low, first_high
+def _candidate_rows(cls: SignalClass, grid: int, mult, k, cuts, low, first_high
                     ) -> list[PESignal | None]:
     """The bang-bang candidates of ``bang_bang_family``, as the rows of one
     padded array judged by the excitation check (``signals._periodic_rows``).
-    Candidate i has ``grid * mult[i]`` cells of length ``T / grid`` and the
-    period ``mult[i] * T``; its level switches at each of its ``cuts[i]``
-    and starts high when ``first_high[i]`` is, and it is ``low[i]`` when
-    not high.  A candidate whose low level is 1 is the constant 1, one
-    segment as long as all of its cells; it is kept only if that length is
-    the period to within the validating constructor's rounding slack.  A
-    candidate that fails a check is ``None``."""
-    sizes = np.array([c.size + 1 for c in cuts], dtype=np.intp)
+    Candidate i has ``grid * mult[i]`` cells of length ``T / grid``, the
+    period ``mult[i] * T`` and ``k[i]`` segments; its level switches at the
+    end of each of its ``k[i] - 1`` cells in the flat list ``cuts`` (0-based
+    cell indices, candidate after candidate) and starts high when
+    ``first_high[i]`` is, and it is ``low[i]`` when not high.  A candidate
+    whose low level is 1 is the constant 1, one segment as long as all of
+    its cells; it is kept only if that length is the period to within the
+    validating constructor's rounding slack.  A candidate that fails a
+    check is ``None``."""
+    mult, sizes = np.array(mult), np.array(k, dtype=np.intp)
+    low, first_high = np.array(low), np.array(first_high)
     width = sizes.max()
     # padding the cuts with the cell count sorts it past the real cuts
-    bounds = np.zeros((len(cuts), width + 1), dtype=np.int64)
+    bounds = np.zeros((len(sizes), width + 1), dtype=np.int64)
     bounds[:, 1:] = (grid * mult)[:, None]
-    bounds[:, 1:-1][np.arange(width - 1) < sizes[:, None] - 1] = np.concatenate(cuts)
+    bounds[:, 1:-1][np.arange(width - 1) < sizes[:, None] - 1] = np.array(cuts, dtype=np.int64) + 1
     bounds.sort(axis=1)
     durs = (bounds[:, 1:] - bounds[:, :-1]) * (cls.T / grid)
     high = np.arange(width) % 2 != first_high[:, None]

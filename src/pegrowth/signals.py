@@ -108,9 +108,10 @@ class PESignal:
     @classmethod
     def from_segments(cls, segments, period: float | None = None) -> "PESignal":
         """Build from (value, duration) pairs, merging equal neighbours and
-        dropping zero-length segments.  A periodic signal keeps the merged
-        durations, which must be finite and add up to the period to within
-        rounding (``_PERIOD_ULPS``)."""
+        dropping zero-length segments.  Every duration must be finite, the
+        last one of an aperiodic signal too, though it runs forever.  A
+        periodic signal keeps the merged durations, which must add up to the
+        period to within rounding (``_PERIOD_ULPS``)."""
         vals: list[float] = []
         durs: list[float] = []
         for v, dur in segments:
@@ -125,14 +126,15 @@ class PESignal:
                 durs.append(float(dur))
         if not vals:
             raise ValueError("signal needs at least one segment of positive length")
-        if period is None:
-            return _trusted(vals, durs)
-        period = float(period)
-        if not (period > 0.0 and math.isfinite(period)):
-            raise ValueError("period must be positive and finite")
+        if period is not None:
+            period = float(period)
+            if not (period > 0.0 and math.isfinite(period)):
+                raise ValueError("period must be positive and finite")
         if not math.isfinite(durs[-1]):  # the others reach _trusted's breakpoints
             raise ValueError("segment durations must be positive and finite")
         out = _trusted(vals, durs, period)
+        if period is None:
+            return out
         total = out.breakpoints[-1] + durs[-1]
         if abs(total - period) > _PERIOD_ULPS * len(durs) * math.ulp(period):
             raise ValueError(f"durations add up to {float(total)!r}, not the period {period!r}")

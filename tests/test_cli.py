@@ -536,6 +536,26 @@ class TestExitCodes:
                               "Unable to allocate") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_family_no_host_can_hold_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 10^15 switches on 10^16 cells per window: at seed 1 the first cut
+        # draw takes more than a fiftieth of two windows' cells, so it lays
+        # out all of them as int64, as numpy's draw does (142 PiB).  The
+        # layout fails here without allocating anything.
+        arange = np.arange
+
+        def layout(n, *args, **kwargs):
+            if isinstance(n, int) and n > 2**40:
+                raise MemoryError(f"Unable to allocate 142 PiB for an array with shape ({n},) "
+                                  "and data type int64")
+            return arange(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", layout)
+        cfg = base_config(family={"max_switches": 10**15, "time_grid": 10**16})
+        assert run("rates", write_config(tmp_path, cfg), tmp_path / "r", "--seed", "1") == 2
+        assert capsys.readouterr().err == (
+            "config error: the run needs more memory than it can get: Unable to allocate 142 PiB "
+            "for an array with shape (19999999999999999,) and data type int64\n")
+
     def test_library_value_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")

@@ -212,6 +212,20 @@ class TestFamilies:
         with pytest.raises(ValueError, match=r"^time_grid \* n_periods must be below 2\*\*63$"):
             rates.SearchBudget(time_grid=time_grid, n_periods=n_periods)
 
+    @pytest.mark.parametrize("field", ["n_periods", "max_switches", "time_grid", "size", "seed"])
+    def test_budget_fields_are_integers(self, field):
+        for value in (4.0, True, 2.5):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+                rates.SearchBudget(**{field: value})
+
+    def test_budget_keeps_numpy_integers_as_ints(self):
+        budget = rates.SearchBudget(n_periods=np.int64(2), size=np.uint8(3), seed=np.int64(5))
+        assert [type(v) for v in (budget.n_periods, budget.size, budget.seed)] == [int] * 3
+        assert budget == rates.SearchBudget(n_periods=2, size=3, seed=5)
+        # int64 arithmetic would wrap this product to -2**63
+        with pytest.raises(ValueError, match=r"^time_grid \* n_periods must be below 2\*\*63$"):
+            rates.SearchBudget(time_grid=np.int64(2**61), n_periods=np.int64(4))
+
     def test_constant_family_grid(self):
         fam = rates.constant_family(CLS, 5)
         assert [s.values[0] for s in fam] == pytest.approx(
@@ -335,6 +349,17 @@ class TestFamilyRows:
         assert all(type(s.period) is float for s in fam)
         assert family_fields(fam) == family_fields(rates.bang_bang_family(CLS, budget))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tail_shuffle_draws(self, seed):
+        """With 20000 cells and up to 1000 switches, most draws take more
+        than a fiftieth of the cells, where numpy shuffles the tail of the
+        whole range."""
+        budget = rates.SearchBudget(n_periods=1, max_switches=1000, time_grid=20000, size=3,
+                                    include_constants=False, seed=seed)
+        fam = rates.bang_bang_family(CLS, budget)
+        assert len(fam) == 3 and max(s.n_segments for s in fam) > 402
+        assert family_fields(fam) == family_fields(reference_family(CLS, budget))
+
     @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
     def test_bench_config_families(self, path):
         cfg = json.loads(path.read_text())
@@ -343,6 +368,124 @@ class TestFamilyRows:
             budget = rates.SearchBudget(**cfg["family"], seed=seed)
             assert family_fields(rates.bang_bang_family(cls, budget)) == \
                 family_fields(reference_family(cls, budget))
+
+
+# Ranges of the reader's bounded draw: 32-bit, with rejection for 2**31 + 3,
+# a bare 32-bit draw at 2**32 - 1, 64-bit words above (with rejection for
+# 3 * 2**62 + 1 and 2**63 + 3), a bare word at 2**64 - 1.
+BOUNDED_RANGES = [1, 2, 3, 7, 1000, 2**31 + 3, 2**32 - 3, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1,
+                  2**32 + 5, 10**15, 10**18, 2**63 - 1, 2**63 + 3, 3 * 2**62 + 1, 2**64 - 1]
+
+
+class TestDraws:
+    """``rates._Draws`` makes the draws of ``np.random.default_rng(seed)``,
+    draw for draw, each draw between draws of a 32-bit range and ``random``
+    calls, which share a word's halves with it or take whole words."""
+
+    @pytest.mark.parametrize("rng", [0] + BOUNDED_RANGES)
+    def test_bounded_is_uint64_integers(self, rng):
+        for seed in range(4):
+            gen, draws = np.random.default_rng(seed), rates._Draws(seed)
+            for _ in range(60):
+                assert draws.bounded(rng) == int(gen.integers(0, rng, dtype=np.uint64, endpoint=True))
+                assert draws.bounded(4) == int(gen.integers(0, 5, dtype=np.uint64))
+                assert draws.random() == gen.random()
+
+    @pytest.mark.parametrize("low, high", [(1, 2), (1, 5), (0, 2**31 + 4), (1, 2**32), (0, 2**32),
+                                           (1, 10**15 + 1), (3, 2**63)])
+    def test_integers(self, low, high):
+        for seed in range(4):
+            gen, draws = np.random.default_rng(seed), rates._Draws(seed)
+            for _ in range(60):
+                assert draws.integers(low, high) == int(gen.integers(low, high))
+                assert draws.integers(1, 7) == int(gen.integers(1, 7))
+
+    def test_integers_out_of_int64(self):
+        with pytest.raises(ValueError, match="^high is out of bounds for int64$"):
+            np.random.default_rng(0).integers(1, 2**63 + 1)
+        with pytest.raises(ValueError, match="^high is out of bounds for int64$"):
+            rates._Draws(0).integers(1, 2**63 + 1)
+
+    # Floyd's algorithm below 10001 and for at most a fiftieth of a larger
+    # range, numpy's tail shuffle of the whole range above that.
+    @pytest.mark.parametrize("pop, size", [
+        (1, 1), (2, 1), (2, 2), (63, 5), (1000, 999), (10000, 10000), (10001, 200), (10001, 201),
+        (10001, 10001), (20000, 401), (12345, 12000), (2**31 + 3, 7), (2**32 - 1, 5), (2**32, 5),
+        (2**32 + 3, 5), (10**15, 9), (10**18, 9), (2**63 - 1, 9)])
+    def test_sample_is_choice(self, pop, size):
+        for seed in range(4):
+            gen, draws = np.random.default_rng(seed), rates._Draws(seed)
+            for _ in range(3):
+                assert draws.sample(pop, size) == gen.choice(pop, size=size, replace=False).tolist()
+                assert draws.integers(1, 7) == int(gen.integers(1, 7))
+                assert draws.random() == gen.random()
+
+    def test_family_streams(self):
+        """The draws of 200 attempts of ``bang_bang_family``, in its order,
+        over seeds and budget shapes; on 12000 cells, a fifth of the draws
+        shuffle the tail of the range."""
+        shapes = [(4, 6, 16), (1, 2, 4), (3, 12, 7), (2, 60, 64), (1, 300, 12000), (4, 6, 10**15)]
+        for seed, (n_periods, max_switches, grid) in itertools.product(range(12), shapes):
+            gen, draws = np.random.default_rng(seed), rates._Draws(seed)
+            for _ in range(200):
+                mult = draws.integers(1, n_periods + 1)
+                k = 2 * draws.integers(1, max_switches // 2 + 1)
+                assert (mult, k) == (int(gen.integers(1, n_periods + 1)),
+                                     2 * int(gen.integers(1, max_switches // 2 + 1)))
+                if k >= grid * mult:
+                    continue
+                assert draws.sample(grid * mult - 1, k - 1) == \
+                    gen.choice(grid * mult - 1, size=k - 1, replace=False).tolist()
+                assert (draws.random(), draws.random()) == (gen.random(), gen.random())
+
+
+def huge_layout(monkeypatch):
+    """Patch ``np.arange`` and ``np.empty`` to raise numpy's ``MemoryError``
+    for a length of more than 2**40, allocating nothing, and record those
+    requests; other calls go to numpy."""
+    asked = []
+
+    def patched(real):
+        def layout(n, *args, **kwargs):
+            if isinstance(n, int) and n > 2**40:
+                asked.append((real.__name__, n))
+                raise MemoryError(f"Unable to allocate {8 * n / 2**50:.3g} PiB for an array with "
+                                  f"shape ({n},) and data type int64")
+            return real(n, *args, **kwargs)
+        return layout
+
+    monkeypatch.setattr(np, "arange", patched(np.arange))
+    monkeypatch.setattr(np, "empty", patched(np.empty))
+    return asked
+
+
+class TestDrawLayout:
+    """A draw lays out what numpy's draw lays out before any Python step, so
+    a draw that no host can hold raises numpy's ``MemoryError`` at once."""
+
+    def test_tail_shuffle_lays_out_the_range(self, monkeypatch):
+        asked = huge_layout(monkeypatch)
+        with pytest.raises(MemoryError, match="^Unable to allocate 71.1 PiB"):
+            rates._Draws(0).sample(10**16 - 1, 10**15)
+        assert asked == [("arange", 10**16 - 1)]
+
+    def test_large_floyd_draw_lays_out_its_output(self, monkeypatch):
+        asked = huge_layout(monkeypatch)
+        with pytest.raises(MemoryError):
+            rates._Draws(0).sample(10**16 - 1, 10**13)
+        assert asked == [("empty", 10**13)]
+
+    @pytest.mark.parametrize("seed, asked", [(1, ("arange", 2 * 10**16 - 1)),
+                                             (0, ("empty", 269786713763871))])
+    def test_budget_no_host_can_hold(self, monkeypatch, seed, asked):
+        """The budget of 10^15 switches on 10^16 cells per window: the first
+        draw takes more than a fiftieth of two windows' cells at seed 1, and
+        2.7e14 cuts of four windows' cells at seed 0."""
+        got = huge_layout(monkeypatch)
+        budget = rates.SearchBudget(max_switches=10**15, time_grid=10**16, seed=seed)
+        with pytest.raises(MemoryError):
+            rates.bang_bang_family(CLS, budget)
+        assert got == [asked]
 
 
 class TestRcRdEstimates:

@@ -248,6 +248,13 @@ class TestExplicitDurations:
         with pytest.raises(ValueError, match=match):
             PESignal.from_segments(zip([1.0, 0.0], durations), period=1.0)
 
+    @pytest.mark.parametrize("last", [np.nan, np.inf])
+    def test_rejected_aperiodic_last(self, last):
+        # the last value of an aperiodic signal runs forever, but its
+        # duration must still be a number
+        with pytest.raises(ValueError, match="^segment durations must be positive and finite$"):
+            PESignal.from_segments([(0.4, 1.0), (1.0, last)])
+
     @pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
     def test_rejected_period(self, period):
         with pytest.raises(ValueError, match="period must be positive and finite"):

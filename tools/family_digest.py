@@ -9,7 +9,7 @@ grid is the ``itertools.product`` of the classes (T, mu), ``time_grid``,
 2520 budgets.  Per family the digest takes its length as 4 little-endian
 bytes, then each signal's ``encoding_key()`` and breakpoint bytes.  Two
 checkouts that print the same digest build the same families bit for bit.
-The whole grid takes about half a minute.
+The whole grid takes about 15 s on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations

@@ -2,14 +2,12 @@
 
 A signal class (T, mu) admits exactly those [0,1]-valued signals whose
 integral over every window of length T is at least mu.  This script checks
-membership, reverses signals in time, and builds periodic signals from
-finite patches.
+membership and reverses signals in time.
 """
 
 import numpy as np
 
-from pegrowth import (PESignal, SignalClass, periodize, reverse,
-                      splice_periodic, validate_pe)
+from pegrowth import PESignal, SignalClass, reverse, validate_pe
 
 cls = SignalClass(T=1.0, mu=0.4)
 print(f"class: window T={cls.T}, energy mu={cls.mu}, constant floor mu/T={cls.floor}")
@@ -39,17 +37,3 @@ print(f"\nreversed square wave: breakpoints {rev.breakpoints.tolist()}, "
 back = reverse(rev)
 print(f"double reversal restores durations exactly: "
       f"{np.array_equal(back.durations, square.durations)}")
-
-# Splicing: keep a prefix on [0, t], pad with full-on stretches around a
-# steering segment, and close periodically.  The period is t + 2(T-mu) + tau.
-prefix = square
-steer = PESignal.constant(0.7)
-out = splice_periodic(prefix, 2.0, steer, 0.5, cls)
-print(f"\nspliced signal: period {out.period} "
-      f"(= 2.0 + 2*{cls.T - cls.mu} + 0.5), {out.n_segments} segments, "
-      f"valid={validate_pe(out, cls).valid}")
-
-# Periodization embeds a finite patch between full-on pads.
-patch = PESignal([-1.0, 0.0], [cls.floor, 1.0])
-per = periodize(patch, 1.0, cls)
-print(f"periodized patch: period {per.period}, valid={validate_pe(per, cls).valid}")

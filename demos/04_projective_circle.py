@@ -13,9 +13,8 @@ are exact integrals.
 
 import numpy as np
 
-from pegrowth import (PESignal, SignalClass, angle_dynamics_d2,
-                      forward_invariance_audit, invariant_control_set_d2,
-                      point_of, splice_periodic, steer_d2,
+from pegrowth import (PESignal, SignalClass, forward_invariance_audit,
+                      invariant_control_set_d2, point_of, steer_d2,
                       steering_time_bound, validate_pe)
 from pegrowth.projective import boundary_points
 
@@ -29,7 +28,13 @@ A = np.array([[1.0, 0.0], [0.0, -1.0]])
 B = np.array([[1.0], [1.0]])
 K = np.array([[-0.6, 0.2]])
 
-f, g = angle_dynamics_d2(A, B, K)
+
+def f(theta, alpha):
+    """Angular speed of x' = (A + alpha BK) x along q = (cos theta, sin theta)."""
+    q = point_of(theta)
+    return np.array([-q[1], q[0]]) @ (A + alpha * B @ K) @ q
+
+
 print("angular speed at a few directions (alpha = floor / 1):")
 for theta in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
     print(f"  theta={theta:.3f}: f_lo={f(theta, crange[0]):+.3f}, "
@@ -64,10 +69,13 @@ for _ in range(3):
           f"{st.signal.n_segments} control segments, switching at "
           f"{[round(t, 4) for t in st.signal.breakpoints[1:].tolist()]}")
 
-# The steering segment has values inside [mu/T, 1], so it can close a
-# periodic excitation-compliant signal around any admissible prefix.
+# The steering segment has values inside [mu/T, 1], so it closes a periodic
+# excitation-compliant signal: full-on for 1, a full-on pad of T - mu, the
+# steering segment and a second pad.
 st = steer_d2(point_of(0.2), target, A, B, K, crange, resolution=RESOLUTION,
               max_time=bound + 5.0)
-closed = splice_periodic(PESignal.constant(1.0), 1.0, st.signal, st.tau, cls)
+pad = cls.T - cls.mu
+closed = PESignal.from_segments([(1.0, 1.0 + pad), *st.signal.segments(0.0, st.tau), (1.0, pad)],
+                                period=1.0 + 2.0 * pad + st.tau)
 print(f"\nspliced steering loop: period {closed.period:.4f}, "
       f"valid={validate_pe(closed, cls).valid}")

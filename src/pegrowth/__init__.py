@@ -8,8 +8,7 @@ time-reversal duality between convergence and divergence rates.
 
 from .matcore import (matrix_from_json, multiset_residual, nilpotent_shift,
                       opnorm, parity_matrix, unit_vector)
-from .signals import (PESignal, PEValidation, SignalClass, SpliceError,
-                      periodize, reverse, splice_periodic, validate_pe)
+from .signals import PESignal, PEValidation, SignalClass, reverse, validate_pe
 from .lie import (ChainAudit, LieBasis, RankCertificate, check_larc, check_larc0,
                   check_plarc, inclusion_chain_audit, lie_closure)
 from .control import (AccCertificate, ControllabilityForm, MatrixPair,
@@ -24,9 +23,9 @@ from .rates import (DeltaReport, DualityGridReport, DualityReport, FamilyRates,
                     parity_duality_check, rc_estimate, rd_estimate,
                     shift_law_check)
 from .projective import (CircleArcSet, InvariantSetResult, SteerResult,
-                         SteeringError, angle_dynamics_d2, angle_of,
-                         forward_invariance_audit, invariant_control_set_d2,
-                         point_of, proj_point, steer_d2, steering_time_bound)
+                         SteeringError, angle_of, forward_invariance_audit,
+                         invariant_control_set_d2, point_of, proj_point,
+                         steer_d2, steering_time_bound)
 from . import spinchk
 
 __version__ = "0.1.0"

@@ -296,8 +296,7 @@ def _run_duality_grid(cfg, seed, out, summary):
         scale = _real(grid_spec.get("scale", 1.0), "K_grid scale")
         if count < 1:
             raise ConfigError("K_grid count must be positive")
-        rng = np.random.default_rng(seed)
-        gains = [scale * rng.standard_normal((pair.m, pair.d)) for _ in range(count)]
+        gains = scale * np.random.default_rng(seed).standard_normal((count, pair.m, pair.d))
 
     report = rates.duality_grid(pair.A, pair.B, gains, cls, family)
     rows = [(idx, rc.value, rd.value, int(rc.value == rd.value))

@@ -38,7 +38,6 @@ __all__ = [
     "point_of",
     "wrap_angle",
     "angle_distance",
-    "angle_dynamics_d2",
     "CircleArcSet",
     "InvariantSetResult",
     "invariant_control_set_d2",
@@ -99,13 +98,6 @@ def _speed_coeffs(m) -> tuple:
     return (m10 - m01) / 2.0, (m10 + m01) / 2.0, (m11 - m00) / 2.0
 
 
-def _radial_coeffs(m) -> tuple:
-    """(c0, c1, c2): the radial log-derivative of ``x' = m x`` is
-    ``c0 + c1 cos 2theta + c2 sin 2theta``."""
-    (m00, m01), (m10, m11) = m
-    return (m00 + m11) / 2.0, (m00 - m11) / 2.0, (m01 + m10) / 2.0
-
-
 def _planar_loop(A, B, K):
     a, b, k = closed_loop(A, B, K)
     if a.shape != (2, 2):
@@ -119,28 +111,6 @@ def _control_range(control_range) -> tuple[float, float]:
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
     return lo, hi
-
-
-def angle_dynamics_d2(A, B, K):
-    """Polar reduction of the planar projected system.
-
-    Returns (f, g) with ``f(theta, alpha)`` the angular speed and
-    ``g(theta, alpha)`` the radial log-derivative of
-    ``x' = (A + alpha B K) x`` along ``q = (cos theta, sin theta)``.
-    Both are first-degree trigonometric polynomials in 2 theta, affine in
-    alpha, so they are pi-periodic in theta; they accept arrays.
-    """
-    a, bk = _planar_loop(A, B, K)
-
-    def trig(base, pert):
-        def field(theta, alpha):
-            c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-            return (base[0] + base[1] * c2 + base[2] * s2
-                    + np.asarray(alpha) * (pert[0] + pert[1] * c2 + pert[2] * s2))
-        return field
-
-    return (trig(_speed_coeffs(a), _speed_coeffs(bk)),
-            trig(_radial_coeffs(a), _radial_coeffs(bk)))
 
 
 def _polar(coeffs) -> tuple:
@@ -389,6 +359,10 @@ def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> Invariant
 
 def boundary_points(arcs: CircleArcSet, n: int, resolution: int) -> np.ndarray:
     """Points just inside the set near its boundary (or spread out if whole)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 points, got n={n}")
+    if not arcs.arcs:
+        raise ValueError("arcs is empty: the set has no boundary")
     h = np.pi / resolution
     if arcs.whole:
         return wrap_angle(np.linspace(0.0, np.pi, n, endpoint=False))
@@ -616,6 +590,8 @@ def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096
     cell of a probed one, so its greedy arrival time is covered by the
     slack.
     """
+    if mesh < 1:
+        raise ValueError(f"need mesh >= 1 starting angles, got mesh={mesh}")
     planar = _Planar(A, B, K, control_range)
     target = angle_of(q_target)
     tol = math.pi / resolution

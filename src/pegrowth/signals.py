@@ -26,11 +26,8 @@ __all__ = [
     "SignalClass",
     "PESignal",
     "PEValidation",
-    "SpliceError",
     "validate_pe",
     "reverse",
-    "splice_periodic",
-    "periodize",
 ]
 
 # Absolute slack on the window-integral constraint; boundary constructions
@@ -53,10 +50,6 @@ class SignalClass:
     def floor(self) -> float:
         """Smallest admissible constant value, mu/T."""
         return self.mu / self.T
-
-
-class SpliceError(RuntimeError):
-    """A constructed signal failed its excitation check (bad prefix)."""
 
 
 @dataclass(frozen=True)
@@ -149,18 +142,6 @@ class PESignal:
     @property
     def n_segments(self) -> int:
         return int(self.values.size)
-
-    def value_at(self, t):
-        """Signal value at time(s) t (periodic wrap or constant extension)."""
-        tt = np.asarray(t, dtype=float)
-        if self.period is not None:
-            r = np.mod(tt, self.period)
-            idx = np.searchsorted(self.breakpoints, r, side="right") - 1
-        else:
-            idx = np.searchsorted(self.breakpoints, tt, side="right") - 1
-            idx = np.clip(idx, 0, self.n_segments - 1)
-        out = self.values[idx]
-        return float(out) if np.isscalar(t) else out
 
     def segments(self, t0: float, t1: float):
         """(value, duration) pairs covering [t0, t1], in time order: the
@@ -432,66 +413,4 @@ def _trusted(vals, durs, period: float | None = None) -> PESignal:
     object.__setattr__(out, "values", _freeze(np.array(vals)))
     object.__setattr__(out, "durations", _freeze(np.array(gaps if period is None else durs)))
     object.__setattr__(out, "period", None if period is None else float(period))
-    return out
-
-
-def splice_periodic(prefix: PESignal, t: float, steering: PESignal, tau: float,
-                    cls: SignalClass) -> PESignal:
-    """Close a prefix into a periodic signal of the same excitation class.
-
-    The output repeats: the prefix on [0, t], full-on padding of length
-    T - mu, the steering segment (values within [mu/T, 1]) of length tau,
-    and a second full-on pad.  The period is exactly ``t + 2(T - mu) + tau``.
-    A validation failure afterwards indicates a prefix that already violated
-    the excitation constraint on [0, t].
-    """
-    if t <= 0.0:
-        raise ValueError("prefix duration t must be positive")
-    if tau < 0.0:
-        raise ValueError("steering duration must be nonnegative")
-    T, mu = cls.T, cls.mu
-    steer_segs = steering.segments(0.0, tau) if tau > 0.0 else []
-    lo = cls.floor - 1e-12
-    if any(v < lo or v > 1.0 for v, _ in steer_segs):
-        raise ValueError("steering values must lie within [mu/T, 1]")
-    segs = list(prefix.segments(0.0, t))
-    segs.append((1.0, T - mu))
-    segs.extend(steer_segs)
-    segs.append((1.0, T - mu))
-    period = t + 2.0 * (T - mu) + tau
-    out = PESignal.from_segments(segs, period=period)
-    check = validate_pe(out, cls)
-    if not check.valid:
-        raise SpliceError(
-            "spliced signal violates the excitation constraint "
-            f"(worst window {check.worst_integral:.6g} < mu={mu:.6g} "
-            f"at t={check.worst_window_start:.6g}); the prefix is not admissible")
-    return out
-
-
-def periodize(s: PESignal, k: float, cls: SignalClass) -> PESignal:
-    """Periodic extension of a finite patch, padded with full-on segments.
-
-    Takes the signal on [-k, k], prepends and appends constant-1 segments of
-    length T - mu each, and repeats with period 2(k + T - mu).  The output
-    starts at the leading pad (a time shift, which does not affect class
-    membership).
-    """
-    if k < 0.0:
-        raise ValueError("need k >= 0")
-    T, mu = cls.T, cls.mu
-    pad = T - mu
-    if k == 0.0 and pad == 0.0:
-        raise ValueError("degenerate construction: zero period")
-    segs = [(1.0, pad)]
-    if k > 0.0:
-        segs.extend(s.segments(-k, k))
-    segs.append((1.0, pad))
-    period = 2.0 * (k + pad)
-    out = PESignal.from_segments(segs, period=period)
-    check = validate_pe(out, cls)
-    if not check.valid:
-        raise SpliceError(
-            "periodized signal violates the excitation constraint "
-            f"(worst window {check.worst_integral:.6g} < mu={mu:.6g})")
     return out

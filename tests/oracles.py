@@ -88,3 +88,43 @@ def reference_family(cls, budget) -> list:
         if cls.floor == 1.0:  # every fill constant is the constant 1
             break
     return [out[key] for key in sorted(out)]
+
+
+def value_at(s, t):
+    """Value of a signal at time(s) t: a periodic signal wraps, an aperiodic
+    one extends its end values.  A scalar t gives a float."""
+    tt = np.asarray(t, dtype=float)
+    if s.period is not None:
+        idx = np.searchsorted(s.breakpoints, np.mod(tt, s.period), side="right") - 1
+    else:
+        idx = np.clip(np.searchsorted(s.breakpoints, tt, side="right") - 1, 0, s.n_segments - 1)
+    out = s.values[idx]
+    return float(out) if np.isscalar(t) else out
+
+
+def angle_field(A, B, K):
+    """(f, g) of the planar system ``x' = M x``, ``M = A + alpha BK``, along
+    ``q = (cos theta, sin theta)``: the angular speed ``f(theta, alpha) =
+    q_perp' M q`` with ``q_perp = (-sin theta, cos theta)``, and the radial
+    log-derivative ``g(theta, alpha) = q' M q``.  Both are read off the
+    matrix entries, with no double-angle form; theta and alpha broadcast."""
+    a = matcore.as_matrix(A, "A")
+    bk = matcore.as_matrix(B, "B") @ matcore.as_matrix(K, "K")
+    if a.shape != (2, 2) or bk.shape != (2, 2):
+        raise ValueError("the angle field needs d = 2")
+
+    def image(theta, alpha):
+        """cos theta, sin theta and the two entries of M q."""
+        c, s = np.cos(theta), np.sin(theta)
+        m = [[a[i, j] + np.multiply(alpha, bk[i, j]) for j in (0, 1)] for i in (0, 1)]
+        return c, s, m[0][0] * c + m[0][1] * s, m[1][0] * c + m[1][1] * s
+
+    def f(theta, alpha):
+        c, s, x, y = image(theta, alpha)
+        return -s * x + c * y
+
+    def g(theta, alpha):
+        c, s, x, y = image(theta, alpha)
+        return c * x + s * y
+
+    return f, g

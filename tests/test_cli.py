@@ -239,6 +239,45 @@ class TestDualityGrid:
         # The family's own passes, then the whole mirror in one.
         assert passes == in_family + [len(family)]
 
+    @staticmethod
+    def spy_draws(monkeypatch):
+        """The size of every ``standard_normal`` call on a generator that
+        ``np.random.default_rng`` makes; a second call fails at once."""
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, size):
+                sizes.append(size)
+                assert len(sizes) == 1, "the gains take one draw"
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Spy(default_rng(seed)))
+        return sizes
+
+    def test_gains_in_one_draw(self, tmp_path, monkeypatch):
+        sizes = self.spy_draws(monkeypatch)
+        assert run("duality-grid", self.grid_config(tmp_path), tmp_path / "g") == 0
+        assert sizes == [(8, 1, 2)]
+
+    def test_grid_no_host_can_hold_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 2^45 gains of shape (1, 2) are 512 TiB, more than the address
+        # space: the one draw fails to allocate before it writes anything
+        sizes = self.spy_draws(monkeypatch)
+        cfg = base_config(K_grid={"count": 2**45, "scale": 1.0})
+        del cfg["K"]
+        assert run("duality-grid", write_config(tmp_path, cfg), tmp_path / "g") == 2
+        assert sizes == [(2**45, 1, 2)]
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the run needs more memory than it can get: "
+                              "Unable to allocate 512. TiB") and err.count("\n") == 1
+
     def test_rd_mirror_is_evaluated_on_its_own_path(self, tmp_path, monkeypatch):
         mirror_family = rates.mirror_family
 

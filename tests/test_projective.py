@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from pegrowth import projective as prj
 from pegrowth import rates
 from pegrowth.matcore import require_square
-from pegrowth.signals import PESignal, SignalClass
+from pegrowth.signals import PESignal, SignalClass, validate_pe
+
+from oracles import angle_field
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 ZERO_IN = (np.zeros((2, 1)), np.zeros((1, 2)))
@@ -94,9 +96,11 @@ def random_pairs(n, seed=11):
 
 class TestAngleDynamics:
     def test_closed_form_matches_project_field(self):
+        # the polar speed that _Planar reads at a control value, and the
+        # oracle's, are the tangential part of the projected field
         rng = np.random.default_rng(8)
         for a, b, k, _ in random_pairs(20, seed=8):
-            f, g = prj.angle_dynamics_d2(a, b, k)
+            f, _ = angle_field(a, b, k)
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
             alpha = rng.uniform(0.0, 1.0, 5)
             # arrays in, arrays out
@@ -111,18 +115,19 @@ class TestAngleDynamics:
                 u = prj.proj_point(q)
                 sgn = float(np.sign(u @ q))
                 speed = sgn * (normal @ project_field(m, q))
+                field = prj._Planar(a, b, k, (0.0, al)).fields[al]
+                assert prj._speed_at(field, t) == pytest.approx(speed, abs=1e-13)
                 assert f(t, al) == pytest.approx(speed, abs=1e-13)
-                assert g(t, al) == pytest.approx(q @ m @ q, abs=1e-13)
 
     def test_pure_rotation(self):
-        f, g = prj.angle_dynamics_d2(ROT, *ZERO_IN)
+        f, g = angle_field(ROT, *ZERO_IN)
         for theta in np.linspace(0, np.pi, 7):
             assert f(theta, 0.3) == pytest.approx(1.0, abs=1e-12)
             assert g(theta, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_formulas(self):
         a_, b_ = 0.7, -1.2
-        f, g = prj.angle_dynamics_d2(np.diag([a_, b_]), *ZERO_IN)
+        f, g = angle_field(np.diag([a_, b_]), *ZERO_IN)
         for theta in np.linspace(0, np.pi, 9):
             assert f(theta, 1.0) == pytest.approx(
                 (b_ - a_) * np.sin(theta) * np.cos(theta), abs=1e-12)
@@ -131,7 +136,7 @@ class TestAngleDynamics:
 
     def test_pi_periodicity(self):
         a, b, k = SADDLE
-        f, g = prj.angle_dynamics_d2(a, b, k)
+        f, g = angle_field(a, b, k)
         rng = np.random.default_rng(3)
         for theta in rng.uniform(0, np.pi, 10):
             assert f(theta + np.pi, 0.5) == pytest.approx(f(theta, 0.5), abs=1e-12)
@@ -140,7 +145,7 @@ class TestAngleDynamics:
     def test_radial_integral_reproduces_log_growth(self):
         a, b, k = SADDLE
         alpha = 0.8
-        f, g = prj.angle_dynamics_d2(a, b, k)
+        f, g = angle_field(a, b, k)
         x0 = np.array([np.cos(0.3), np.sin(0.3)])
         t_end, n = 2.0, 4000
         dt = t_end / n
@@ -171,7 +176,7 @@ def grid_control_set(A, B, K, control_range, resolution):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    f, _ = prj.angle_dynamics_d2(A, B, K)
+    f, _ = angle_field(A, B, K)
     n = int(resolution)
     theta = np.arange(n) * (np.pi / n)
     f_lo, f_hi = f(theta, control_range[0]), f(theta, control_range[1])
@@ -394,7 +399,7 @@ class TestPrunedMembership:
 class TestClosedForms:
     def test_zeros_are_zeros(self):
         for a, b, k, crange in random_pairs(50, seed=3):
-            f, _ = prj.angle_dynamics_d2(a, b, k)
+            f, _ = angle_field(a, b, k)
             planar = prj._Planar(a, b, k, crange)
             for alpha in crange:
                 for z in planar.zeros[alpha]:
@@ -418,7 +423,7 @@ class TestClosedForms:
     def test_arc_time_matches_quadrature(self, m):
         m = np.array(m)
         field = prj._polar(prj._speed_coeffs(m))
-        f, _ = prj.angle_dynamics_d2(m, *ZERO_IN)
+        f, _ = angle_field(m, *ZERO_IN)
         zeros = list(prj._zeros(field))
         lifted = zeros + [z + np.pi for z in zeros]
         rng = np.random.default_rng(4)
@@ -597,7 +602,7 @@ def rk4_audit(A, B, K, control_range, arcs, start_angles, n_signals=50,
     """The fixed-step RK4 audit of the angle field, kept as the reference:
     same random stream, same hold windows, same sampling times."""
     lo, hi = float(control_range[0]), float(control_range[1])
-    f, _ = prj.angle_dynamics_d2(A, B, K)
+    f, _ = angle_field(A, B, K)
     if inflate is None:
         inflate = 2.0 * np.pi / resolution
     rng = np.random.default_rng(seed)
@@ -887,7 +892,7 @@ class TestSteering:
     def test_arrival_time_matches_quadrature(self):
         # integrate 1/f along the greedy path, piece by piece between switches
         a, b, k = SADDLE
-        f, _ = prj.angle_dynamics_d2(a, b, k)
+        f, _ = angle_field(a, b, k)
         planar = prj._Planar(a, b, k, RANGE)
         res = prj.invariant_control_set_d2(a, b, k, RANGE)
         lo, hi = res.arcs.arcs[0]
@@ -921,23 +926,25 @@ class TestSteering:
         # arrives, with the low control throughout; (3.0, 0.1) crosses pi
         a, b, k = ROT, np.array([[1.0], [0.0]]), np.array([[0.0, 0.3]])
         st = prj.steer_d2(prj.point_of(start), prj.point_of(target), a, b, k, RANGE)
-        f, _ = prj.angle_dynamics_d2(a, b, k)
+        f, _ = angle_field(a, b, k)
         end = start + (target - start) % np.pi
         ref = quad(lambda t: 1.0 / f(t, RANGE[0]), start, end, epsabs=0.0, epsrel=1e-13)[0]
         assert st.tau == pytest.approx(ref, rel=1e-10)
         assert st.signal.values.tolist() == [RANGE[0]]
 
     def test_closes_the_splice_loop(self):
-        # steering output is admissible input for the periodic splice
-        from pegrowth.signals import splice_periodic, validate_pe
+        # a steering control takes values in [mu/T, 1], so it closes a
+        # periodic signal of the class: 1 on [0, 1], a full-on pad of
+        # T - mu, the steering segments and a second pad
         a, b, k = SADDLE
         res = prj.invariant_control_set_d2(a, b, k, RANGE)
         lo, hi = res.arcs.arcs[0]
         st = prj.steer_d2([0.0, 1.0], prj.point_of(0.5 * (lo + hi)), a, b, k,
                           RANGE, resolution=2048)
-        if st.tau == 0.0:
-            pytest.skip("start coincided with target")
-        out = splice_periodic(PESignal.constant(1.0), 1.0, st.signal, st.tau, CLS)
+        assert st.tau > 0.0
+        pad = CLS.T - CLS.mu
+        segs = [(1.0, 1.0), (1.0, pad), *st.signal.segments(0.0, st.tau), (1.0, pad)]
+        out = PESignal.from_segments(segs, period=1.0 + 2.0 * pad + st.tau)
         assert validate_pe(out, CLS).valid
 
 
@@ -948,6 +955,25 @@ def test_unreachable_raises():
     with pytest.raises(prj.SteeringError):
         prj.steer_d2([1.0, 1.0], [0.0, 1.0], a, *ZERO_IN, RANGE,
                      resolution=512, max_time=5.0)
+
+
+@pytest.mark.parametrize("arcs", [((0.5, 1.0),), ((0.0, np.pi),)])
+@pytest.mark.parametrize("n", [0, -3])
+def test_boundary_points_need_a_positive_count(arcs, n):
+    with pytest.raises(ValueError, match=r"^need n >= 1 points"):
+        prj.boundary_points(prj.CircleArcSet(arcs=arcs), n, 2048)
+
+
+def test_boundary_points_need_an_arc():
+    with pytest.raises(ValueError, match=r"^arcs is empty"):
+        prj.boundary_points(prj.CircleArcSet(arcs=()), 12, 2048)
+
+
+@pytest.mark.parametrize("mesh", [0, -1])
+def test_steering_time_bound_needs_a_mesh(mesh):
+    target = prj.point_of(0.5 * sum(prj.invariant_control_set_d2(*SADDLE, RANGE).arcs.arcs[0]))
+    with pytest.raises(ValueError, match=r"^need mesh >= 1"):
+        prj.steering_time_bound(*SADDLE, RANGE, target, mesh=mesh)
 
 
 @pytest.mark.parametrize("b, k", [ZERO_IN, (np.array([[1.0], [0.0]]),

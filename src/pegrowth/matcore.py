@@ -10,6 +10,7 @@ choice.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -154,6 +155,16 @@ def canonical_unit(v) -> np.ndarray | None:
         if abs(x) > tol:
             return u if x > 0 else -u
     return u
+
+
+def _integer_arg(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool or a float
+    (even a whole one), and no smaller than ``least``; else a ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={int(value)}")
+    return int(value)
 
 
 def _json_number(value, whole: bool = False) -> bool:

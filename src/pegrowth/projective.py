@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .matcore import canonical_unit, closed_loop
+from .matcore import _integer_arg, canonical_unit, closed_loop
 from .signals import PESignal
 
 __all__ = [
@@ -359,8 +359,7 @@ def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> Invariant
 
 def boundary_points(arcs: CircleArcSet, n: int, resolution: int) -> np.ndarray:
     """Points just inside the set near its boundary (or spread out if whole)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 points, got n={n}")
+    n, resolution = _integer_arg(n, "n", 1), _integer_arg(resolution, "resolution", 1)
     if not arcs.arcs:
         raise ValueError("arcs is empty: the set has no boundary")
     h = np.pi / resolution
@@ -507,12 +506,20 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     its sampling step, and the set is checked at every multiple of ``dt`` up
     to ``ceil(horizon / dt)`` steps.  The audit reads only A, B, K and the
     control range, so it stays independent of the closed forms it checks.
+    An audit that would check nothing (no start, no signal or a horizon
+    that is not positive and finite) raises ``ValueError``.
     """
     lo, hi = _control_range(control_range)
     a, bk = _planar_loop(A, B, K)
-    inflate = 2.0 * np.pi / resolution
+    n_signals = _integer_arg(n_signals, "n_signals", 1)
+    inflate = 2.0 * np.pi / _integer_arg(resolution, "resolution", 1)
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    starts = np.asarray(start_angles, dtype=float)
+    if not starts.size:
+        raise ValueError("start_angles is empty")
     dt = 1.0 / 256.0
-    starts = np.repeat(np.asarray(start_angles, dtype=float), n_signals)
+    starts = np.repeat(starts, n_signals)
     n_traj = starts.size
     steps = int(np.ceil(horizon / dt))
     hold = 8
@@ -571,7 +578,7 @@ def steer_d2(q0, q_target, A, B, K, control_range, resolution: int = 4096,
     """
     theta0 = angle_of(q0)
     target = angle_of(q_target)
-    tol = math.pi / resolution
+    tol = math.pi / _integer_arg(resolution, "resolution", 1)
     tau, segs = _Planar(A, B, K, control_range).fastest(theta0, target, tol, max_time)
     if not math.isfinite(tau):
         raise SteeringError(
@@ -590,11 +597,10 @@ def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096
     cell of a probed one, so its greedy arrival time is covered by the
     slack.
     """
-    if mesh < 1:
-        raise ValueError(f"need mesh >= 1 starting angles, got mesh={mesh}")
+    mesh = _integer_arg(mesh, "mesh", 1)
     planar = _Planar(A, B, K, control_range)
     target = angle_of(q_target)
-    tol = math.pi / resolution
+    tol = math.pi / _integer_arg(resolution, "resolution", 1)
     starts = wrap_angle(np.linspace(0.0, np.pi, mesh, endpoint=False))
     worst = max(planar.fastest(float(t), target, tol, max_time)[0] for t in starts)
     if not math.isfinite(worst):

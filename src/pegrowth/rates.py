@@ -8,27 +8,29 @@ is read off the invariant subspaces of the monodromy.
 
 Every period product comes from ``_family_product``, scaled so that stiff
 and long-period signals give finite logarithms.  It evaluates a whole
-family of signals against a stack of gains in one lockstep pass.  One
-``_expm_stack`` call per pass exponentiates every segment that its factor
-table lacks, for all the gains, with ``scipy.linalg.expm``'s bits, and each
-slice equals the product of that one signal and gain bit for bit.  Each
-estimator computes a family's products once per orientation and reads them
-in batches.  Only *top* quantities are read from them: the log spectral
-radius and the log 2-norm.  A *bottom* quantity is the negated top quantity
-of the reversed tuple (-A, -B, K, reverse(s)), whose period product is the
-inverse.  Negation and ``reverse`` are exact involutions, so the
-convergence estimate of a system and the divergence estimate of its
-reversal on the mirrored family are one computation and agree bit for bit.
+family of signals against a stack of gains in one lockstep pass, a pure
+function of the loop and the family.  One ``_expm_stack`` call per pass
+exponentiates each distinct segment once, for all the gains, with
+``scipy.linalg.expm``'s bits, and each slice equals the product of that one
+signal and gain bit for bit.  Each estimator computes a family's products
+once per orientation and reads them in batches.  Only *top* quantities are
+read from them: the log spectral radius and the log 2-norm.  A *bottom*
+quantity is the negated top quantity of the reversed tuple
+(-A, -B, K, reverse(s)), whose period product is the inverse.  Negation and
+``reverse`` are exact involutions, so the convergence estimate of a system
+and the divergence estimate of its reversal on the mirrored family are one
+computation and agree bit for bit.  The duality checks read both from one
+pass over the family and the reversed mirror, each from its own rows.
 """
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (as_matrix, closed_loop, multiset_residual, opnorm,
+from .matcore import (_integer_arg, as_matrix, closed_loop, multiset_residual, opnorm,
                       parity_matrix, nilpotent_shift, require_square, unit_vector)
 from .signals import _PERIOD_ULPS, PESignal, SignalClass, _pe_valid, _periodic_rows, _reversed
 
@@ -149,7 +151,7 @@ def _pade(work: np.ndarray) -> np.ndarray | None:
     return squarings
 
 
-def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray]:
+def _family_product(a, bks, family) -> tuple[np.ndarray, np.ndarray]:
     """Ordered products of the segment exponentials of every signal and gain,
     as ``(Rn, log_scale)`` with ``R[s, g] = exp(log_scale[s, g]) Rn[s, g]``.
 
@@ -157,14 +159,13 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     ``bks`` stacks the loop gains ``B K`` as ``(G, d, d)``, so ``Rn`` is
     ``(S, G, d, d)``.  A segment's factor ``e^{M dt}``, ``M = a + value bk``,
     is taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
-    abscissa of M, so no factor over- or underflows on its own.  ``table``
-    maps each value to ``(M - sigma I, sigma, {dt: e^{(M - sigma I) dt}})``,
-    each stacked over the gains.  The caller owns the table and may share it
-    between calls with the same ``(a, bks)``.
+    abscissa of M, so no factor over- or underflows on its own.
 
-    The segment keys ``(value, dt)`` are collected first.  The abscissas of
-    every value the table lacks come from one ``eigvals`` call, and every
-    factor it lacks, for all the gains, from one ``_expm_stack`` call.
+    The distinct segment keys ``(value, dt)`` are collected first, in the
+    order they first appear.  The abscissas of every distinct value come
+    from one ``eigvals`` call, and the factors of every key, for all the
+    gains, from one ``_expm_stack`` call.  A key that differs by one ulp is a
+    key of its own.
 
     The signals walk their segments in lockstep: step j gathers the j-th
     factor of every signal that still has one and multiplies the whole
@@ -179,22 +180,16 @@ def _family_product(a, bks, family, table: dict) -> tuple[np.ndarray, np.ndarray
     index: dict = {}
     rows = [[index.setdefault((v, dt), len(index)) for v, dt in segments if dt != 0.0]
             for segments in family]
-    new = [v for v in dict.fromkeys(v for v, _ in index) if v not in table]
-    if new:
-        m = a + np.array(new)[:, None, None, None] * bks
-        sigma = np.linalg.eigvals(m).real.max(axis=-1)
-        generators = m - sigma[:, :, None, None] * np.eye(d)
-        table.update((v, (gen, sig, {})) for v, gen, sig in zip(new, generators, sigma))
-    missing = [(v, dt) for v, dt in index if dt not in table[v][2]]
-    if missing:
-        exps = _expm_stack(np.array([table[v][0] * dt for v, dt in missing]))
-        for (v, dt), factor in zip(missing, exps):
-            table[v][2][dt] = factor
+    values = {v: i for i, v in enumerate(dict.fromkeys(v for v, _ in index))}
+    m = a + np.array(list(values))[:, None, None, None] * bks
+    sigma = np.linalg.eigvals(m).real.max(axis=-1)
+    of = np.array([values[v] for v, _ in index], dtype=np.intp)
+    dts = np.array([dt for _, dt in index])
+    stack = _expm_stack((m - sigma[:, :, None, None] * np.eye(d))[of] * dts[:, None, None, None])
+    step = sigma[of] * dts[:, None]
     pos = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
     for s, row in enumerate(rows):
         pos[s, :len(row)] = row
-    stack = np.array([table[v][2][dt] for v, dt in index])
-    step = np.array([table[v][1] * dt for v, dt in index])
     rn = np.tile(np.eye(d), (len(rows), g, 1, 1))
     shift = np.zeros((len(rows), g))
     exponent = np.zeros((len(rows), g), dtype=np.int64)
@@ -233,9 +228,9 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     [0, t]; deterministic.  Entries beyond the float range saturate to inf.
     """
     a, b, k = closed_loop(A, B, K)
-    if t < 0:
-        raise ValueError("need t >= 0")
-    rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)], {})
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"need a finite t >= 0, got t={t!r}")
+    rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)])
     return _unscaled(rn[0, 0], log_scale[0, 0])
 
 
@@ -265,10 +260,10 @@ def _monodromy(a, b, k, s: PESignal) -> tuple[Monodromy, np.ndarray, float]:
     ``family_rates`` on the one-signal family ``[s]``."""
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
-    fwd = rn, log_scale, _ = _pass(a, b, [k], [s], {})
+    fwd = rn, log_scale, _ = _pass(a, b, [k], [s])
     m = Monodromy(R=_unscaled(rn[0, 0], log_scale[0, 0]), tau=s.period,
                   top_rate=-_neg_tops(*fwd).item(),
-                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]), {})).item())
+                  bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]))).item())
     return m, rn[0, 0], float(log_scale[0, 0])
 
 
@@ -339,7 +334,7 @@ class SearchBudget:
     excitation check are discarded.  Generation is deterministic in ``seed``.
     Every field but ``include_constants`` is an int: a float, even a whole
     one, or a bool raises ``ValueError``, and a numpy integer is kept as an
-    int.
+    int.  ``include_constants`` is a bool.
     """
 
     n_periods: int = 4
@@ -351,10 +346,9 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("n_periods", "max_switches", "time_grid", "size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer_arg(getattr(self, name), name))
+        if not isinstance(self.include_constants, bool):
+            raise ValueError(f"include_constants must be a bool, got {self.include_constants!r}")
         if min(self.n_periods, self.time_grid, self.size) < 1:
             raise ValueError("n_periods, time_grid and size must be positive")
         if self.max_switches < 2:
@@ -365,8 +359,7 @@ class SearchBudget:
 
 def constant_family(cls: SignalClass, n: int) -> list[PESignal]:
     """Constant signals on an n-point grid spanning [mu/T, 1]."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _integer_arg(n, "n", 1)
     levels = np.linspace(cls.floor, 1.0, n) if n > 1 else np.array([1.0])
     return [PESignal.constant(float(v), period=cls.T) for v in levels]
 
@@ -600,16 +593,12 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
     return valid
 
 
-def _pass(a, b, gains, sigs, table: dict):
+def _pass(a, b, gains, sigs):
     """The period products of every signal and gain of (a, b K), in one
     family-engine pass: ``(Rn, log_scale, periods)``, with ``periods``
-    shaped ``(S, 1)`` to divide the ``(S, G)`` reads.  ``table`` is the
-    engine's factor table.  Passes on the same ``(a, b, gains)`` may share
-    one: a factor depends only on its ``(value, duration)`` key, so a hit
-    returns the bits a fresh exponential would, and a key that differs by one
-    ulp misses.  A pass on another loop needs its own."""
+    shaped ``(S, 1)`` to divide the ``(S, G)`` reads."""
     bks = np.stack([b @ k for k in gains])
-    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs], table)
+    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs])
     return rn, log_scale, np.array([[s.period] for s in sigs])
 
 
@@ -642,23 +631,12 @@ def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
             for v, i in zip(values[np.arange(len(best)), best].tolist(), best.tolist())]
 
 
-def _rd_mirror(a, b, ks, cls, mirror, table) -> list[RateEstimate]:
-    """Per gain, ``rd(-a, -b, k)`` on the validated ``mirror`` of a family:
-    the negated tuple on the reversed mirrored family.  That is (a, b k)
-    again, so the pass reuses the ``rc`` pass's factor ``table`` (see
-    ``_pass``).  A segment that the double reversal changed misses the
-    table and is computed afresh, and the pass never reads the ``rc``
-    values, so the equality of the estimates stays a check."""
-    mirrored = _resolve_family(cls, mirror)
-    return _minima(_neg_tops(*_pass(a, b, ks, mirror_family(mirrored), table)), mirrored, "rd")
-
-
 def _family_minimum(A, B, K, cls, family, kind: str) -> RateEstimate:
     a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     if kind == "rd":
-        return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs), {})), sigs, kind)[0]
-    return _minima(_neg_tops(*_pass(a, b, [k], sigs, {})), sigs, kind)[0]
+        return _minima(_neg_tops(*_pass(-a, -b, [k], mirror_family(sigs))), sigs, kind)[0]
+    return _minima(_neg_tops(*_pass(a, b, [k], sigs)), sigs, kind)[0]
 
 
 def rc_estimate(A, B, K, cls: SignalClass, family) -> RateEstimate:
@@ -708,26 +686,29 @@ def duality_check(A, B, K, cls: SignalClass, family,
     convergence estimate of (A, B, K) and the divergence estimate of
     (-A, -B, K) on the mirrored family must coincide exactly.
 
-    The ``rd`` pass (``_rd_mirror``) reuses the ``rc`` pass's factor table;
-    the reversed tuple has other generators and its own table.
+    The mirror is validated on its own.  One pass on (A, BK) runs over the
+    family and the reversal of the validated mirror: ``rc`` is read from the
+    family's rows and ``rd_mirror`` from the rest, so the equality is still a
+    check.  A second pass runs on the reversed tuple.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
     a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
     reversed_sigs = mirror_family(sigs)
-    table = {}
-    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs, table)
-    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs, {})
-    prod = _unscaled(rn_rev[:, 0] @ rn[:, 0], log_scale_rev[:, 0] + log_scale[:, 0])
+    mirrored = _resolve_family(cls, reversed_sigs)
+    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs + mirror_family(mirrored))
+    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs)
+    n = len(sigs)
+    prod = _unscaled(rn_rev[:, 0] @ rn[:n, 0], log_scale_rev[:, 0] + log_scale[:n, 0])
     finite = np.isfinite(prod).all(axis=(1, 2))
     eye = np.eye(a.shape[0])
     # A non-finite product is reported as inf; eye keeps the SVD finite.
     gap = np.where(finite[:, None, None], prod, eye) - eye
     res = np.where(finite, np.linalg.svd(gap, compute_uv=False).max(axis=-1), np.inf).tolist()
     rows = [(i, s.period, r) for i, (s, r) in enumerate(zip(sigs, res))]
-    rc = _minima(_neg_tops(*fwd), sigs, "rc")[0]
-    rd = _rd_mirror(a, b, [k], cls, reversed_sigs, table)[0]
+    neg_tops = _neg_tops(*fwd)
+    rc, rd = _minima(neg_tops[:, :n], sigs, "rc")[0], _minima(neg_tops[:, n:], mirrored, "rd")[0]
     return DualityReport(per_signal=tuple(rows), max_residual=max([0.0] + res),
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
@@ -744,11 +725,11 @@ class DualityGridReport:
 def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     """Time-reversal duality of the estimates over a grid of gains.
 
-    The family and its mirror are validated once each.  ``rc`` is one pass
-    over the family with every gain stacked.  ``rd_mirror`` is a second pass
-    along ``rd_estimate``'s own path (``_rd_mirror``), which reuses the
-    ``rc`` pass's factor table, so each distinct segment is exponentiated
-    once per call.  Each entry equals the corresponding
+    The family and its mirror are validated once each.  One pass with every
+    gain stacked runs over the family and the reversal of the validated
+    mirror, so each distinct segment is exponentiated once per call.
+    ``rc`` is read from the family's rows and ``rd_mirror`` from the rest,
+    never from an ``rc`` row.  Each entry equals the corresponding
     ``rc_estimate``/``rd_estimate`` bit for bit.
     """
     if len(gains) == 0:
@@ -757,9 +738,9 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
     a, b = loops[0][:2]
     ks = [k for _, _, k in loops]
     sigs = _resolve_family(cls, family)
-    table = {}
-    rc = _minima(_neg_tops(*_pass(a, b, ks, sigs, table)), sigs, "rc")
-    rd = _rd_mirror(a, b, ks, cls, mirror_family(sigs), table)
+    mirrored = _resolve_family(cls, mirror_family(sigs))
+    neg_tops, n = _neg_tops(*_pass(a, b, ks, sigs + mirror_family(mirrored))), len(sigs)
+    rc, rd = _minima(neg_tops[:, :n], sigs, "rc"), _minima(neg_tops[:, n:], mirrored, "rd")
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -811,8 +792,8 @@ def family_rates(A, B, K, cls: SignalClass, family) -> FamilyRates:
     """
     a, b, k = closed_loop(A, B, K)
     sigs = _resolve_family(cls, family)
-    fwd = _pass(a, b, [k], sigs, {})
-    rev = _pass(-a, -b, [k], mirror_family(sigs), {})
+    fwd = _pass(a, b, [k], sigs)
+    rev = _pass(-a, -b, [k], mirror_family(sigs))
     neg_tops, bottoms = _neg_tops(*fwd), _neg_tops(*rev)
     return FamilyRates(signals=tuple(sigs), top_rates=tuple((-neg_tops[0]).tolist()),
                        bottom_rates=tuple(bottoms[0].tolist()),
@@ -925,8 +906,8 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
         if not ok:
             raise ValueError(f"family[{i}] fails the excitation check")
     prods = [_unscaled(rn[:, 0], log_scale[:, 0]) for rn, log_scale, _ in (
-        _pass(j, ed, [k.reshape(1, d)], family, {}),
-        _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family), {}))]
+        _pass(j, ed, [k.reshape(1, d)], family),
+        _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family)))]
     # A product that leaves the float range, or a spectrum with no finite
     # inverse, is reported as an inf residual; eye keeps eigvals finite.
     finite = np.isfinite(prods[0]).all(axis=(1, 2)) & np.isfinite(prods[1]).all(axis=(1, 2))

@@ -760,15 +760,34 @@ class TestInvarianceAudit:
 
     def test_empty_starts(self):
         a, b, k, arcs, _ = c12_audit_inputs()
-        audit = prj.forward_invariance_audit(a, b, k, RANGE, arcs, [], horizon=1.0)
-        assert audit == prj.InvarianceAudit(True, 0.0, 2.0 * np.pi / 4096, 0)
+        with pytest.raises(ValueError, match="^start_angles is empty$"):
+            prj.forward_invariance_audit(a, b, k, RANGE, arcs, [], horizon=1.0)
 
     def test_zero_horizon_checks_nothing(self):
+        """Every start is outside the set, but a zero horizon reaches no
+        sampling time, so the audit would pass without a check: it raises."""
         a, b, k, arcs, _ = c12_audit_inputs()
-        # every start is outside the set, but no sampling time is reached
-        audit = prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5, 1.0],
-                                             n_signals=3, horizon=0.0)
-        assert audit == prj.InvarianceAudit(True, 0.0, 2.0 * np.pi / 4096, 6)
+        with pytest.raises(ValueError, match=r"^horizon must be positive and finite, got 0\.0$"):
+            prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5, 1.0],
+                                         n_signals=3, horizon=0.0)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(horizon=-1.0), r"^horizon must be positive and finite, got -1\.0$"),
+        (dict(horizon=np.nan), r"^horizon must be positive and finite, got nan$"),
+        (dict(horizon=np.inf), r"^horizon must be positive and finite, got inf$"),
+        (dict(n_signals=0), r"^need n_signals >= 1, got n_signals=0$"),
+        (dict(n_signals=2.0), r"^n_signals must be an integer, got 2\.0$"),
+        (dict(resolution=0), r"^need resolution >= 1, got resolution=0$"),
+        (dict(resolution=4096.0), r"^resolution must be an integer, got 4096\.0$"),
+    ], ids=["horizon -1", "horizon nan", "horizon inf", "no signals", "float signals",
+            "resolution 0", "float resolution"])
+    def test_an_audit_that_checks_nothing_raises(self, kw, message):
+        """From start 0.5, outside the set: each bad argument alone raises a
+        ``ValueError`` that names it, before any trajectory is followed."""
+        a, b, k, arcs, _ = c12_audit_inputs()
+        assert not arcs._covers(np.array([0.5]), 0.0).any()
+        with pytest.raises(ValueError, match=message):
+            prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5], **{"horizon": 1.0, **kw})
 
     @pytest.mark.parametrize("horizon, steps", [(1.0 / 256.0, 1), (0.1, 26), (0.125, 32)])
     def test_samples_every_step_up_to_the_horizon(self, horizon, steps):
@@ -960,7 +979,7 @@ def test_unreachable_raises():
 @pytest.mark.parametrize("arcs", [((0.5, 1.0),), ((0.0, np.pi),)])
 @pytest.mark.parametrize("n", [0, -3])
 def test_boundary_points_need_a_positive_count(arcs, n):
-    with pytest.raises(ValueError, match=r"^need n >= 1 points"):
+    with pytest.raises(ValueError, match=rf"^need n >= 1, got n={n}$"):
         prj.boundary_points(prj.CircleArcSet(arcs=arcs), n, 2048)
 
 
@@ -974,6 +993,37 @@ def test_steering_time_bound_needs_a_mesh(mesh):
     target = prj.point_of(0.5 * sum(prj.invariant_control_set_d2(*SADDLE, RANGE).arcs.arcs[0]))
     with pytest.raises(ValueError, match=r"^need mesh >= 1"):
         prj.steering_time_bound(*SADDLE, RANGE, target, mesh=mesh)
+
+
+CIRCLE = prj.CircleArcSet(arcs=((0.0, np.pi),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: prj.boundary_points(prj.CircleArcSet(arcs=((0.5, 1.0),)), 2.5, 2048),
+     r"^n must be an integer, got 2\.5$"),
+    (lambda: prj.boundary_points(CIRCLE, 3.0, 2048), r"^n must be an integer, got 3\.0$"),
+    (lambda: prj.boundary_points(CIRCLE, True, 2048), r"^n must be an integer, got True$"),
+    (lambda: prj.boundary_points(prj.CircleArcSet(arcs=((0.5, 1.0),)), 4, 0),
+     r"^need resolution >= 1, got resolution=0$"),
+    (lambda: prj.steering_time_bound(*SADDLE, RANGE, prj.point_of(0.1), mesh=2.5),
+     r"^mesh must be an integer, got 2\.5$"),
+    (lambda: prj.steering_time_bound(*SADDLE, RANGE, prj.point_of(0.1), resolution=0),
+     r"^need resolution >= 1, got resolution=0$"),
+    (lambda: prj.steer_d2(prj.point_of(0.2), prj.point_of(0.1), *SADDLE, RANGE, resolution=0),
+     r"^need resolution >= 1, got resolution=0$"),
+    (lambda: prj.steer_d2(prj.point_of(0.2), prj.point_of(0.1), *SADDLE, RANGE,
+                          resolution=512.5), r"^resolution must be an integer, got 512\.5$"),
+], ids=["arc n 2.5", "circle n 3.0", "n True", "points resolution 0", "mesh 2.5",
+        "bound resolution 0", "steer resolution 0", "steer resolution 512.5"])
+def test_counts_are_integers_of_at_least_one(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_counts_keep_numpy_integers():
+    arcs = prj.CircleArcSet(arcs=((0.5, 1.0),))
+    np.testing.assert_array_equal(prj.boundary_points(arcs, np.int64(5), np.int32(2048)),
+                                  prj.boundary_points(arcs, 5, 2048))
 
 
 @pytest.mark.parametrize("b, k", [ZERO_IN, (np.array([[1.0], [0.0]]),

@@ -57,6 +57,13 @@ class TestFundamentalSolution:
         np.testing.assert_array_equal(rates.fundamental_solution(a, b, k, s, 0.0),
                                       np.eye(2))
 
+    @pytest.mark.parametrize("t", [-1.0, np.inf, np.nan])
+    def test_t_is_finite_and_non_negative(self, t):
+        a, b, k = random_system(2)
+        s = PESignal.constant(1.0, period=1.0)
+        with pytest.raises(ValueError, match=rf"^need a finite t >= 0, got t={t!r}$"):
+            rates.fundamental_solution(a, b, k, s, t)
+
     def test_against_rk4(self):
         a, b, k = random_system(11)
         s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
@@ -225,6 +232,18 @@ class TestFamilies:
         # int64 arithmetic would wrap this product to -2**63
         with pytest.raises(ValueError, match=r"^time_grid \* n_periods must be below 2\*\*63$"):
             rates.SearchBudget(time_grid=np.int64(2**61), n_periods=np.int64(4))
+
+    @pytest.mark.parametrize("value", ["no", None, 1, np.True_])
+    def test_include_constants_is_a_bool(self, value):
+        with pytest.raises(ValueError, match=f"^include_constants must be a bool, got {value!r}$"):
+            rates.SearchBudget(include_constants=value)
+
+    @pytest.mark.parametrize("n, message", [(2.5, r"^n must be an integer, got 2\.5$"),
+                                            (3.0, r"^n must be an integer, got 3\.0$"),
+                                            (0, r"^need n >= 1, got n=0$")])
+    def test_constant_family_counts(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            rates.constant_family(CLS, n)
 
     def test_constant_family_grid(self):
         fam = rates.constant_family(CLS, 5)
@@ -633,12 +652,10 @@ class TestGainStack:
         bks = np.stack([rng.standard_normal((d, 1)) @ rng.standard_normal((1, d))
                         for _ in range(5)])
         fam = rates.bang_bang_family(CLS, rates.SearchBudget(size=8, seed=d))
-        table, single = {}, [{} for _ in bks]
         for s in fam:
-            rn, log_scale = rates._family_product(a, bks, [s.period_segments()], table)
+            rn, log_scale = rates._family_product(a, bks, [s.period_segments()])
             for g, bk in enumerate(bks):
-                rn_g, log_scale_g = rates._family_product(
-                    a, bk[None], [s.period_segments()], single[g])
+                rn_g, log_scale_g = rates._family_product(a, bk[None], [s.period_segments()])
                 np.testing.assert_array_equal(rn[0, g], rn_g[0, 0])
                 assert log_scale[0, g] == log_scale_g[0, 0]
                 assert (rates._top(rn, log_scale, s.period)[0, g]
@@ -651,9 +668,9 @@ class TestSingleGainBranch:
 
     @staticmethod
     def assert_slices(a, bks, segments):
-        rn, log_scale = rates._family_product(a, bks, [segments], {})
+        rn, log_scale = rates._family_product(a, bks, [segments])
         for g, bk in enumerate(bks):
-            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments], {})
+            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments])
             assert rn_g.shape == (1, 1) + bk.shape
             np.testing.assert_array_equal(rn_g[0, 0], rn[0, g])
             assert log_scale_g.tolist() == [[log_scale[0, g]]]
@@ -1044,7 +1061,7 @@ def ragged_family(rng, n, values):
 
 
 def assert_family_slices(a, bks, family, periods):
-    rn, log_scale = rates._family_product(a, bks, family, {})
+    rn, log_scale = rates._family_product(a, bks, family)
     assert rn.shape == (len(family),) + bks.shape and log_scale.shape == rn.shape[:2]
     tau = np.asarray(periods, dtype=float)[:, None]
     tops, norms = rates._top(rn, log_scale, tau), rates._top(rn, log_scale, tau, norm=True)
@@ -1055,7 +1072,7 @@ def assert_family_slices(a, bks, family, periods):
         assert tops[s].tolist() == reference_top(ref_rn, ref_scale, periods[s])
         assert norms[s].tolist() == reference_top(ref_rn, ref_scale, periods[s], norm=True)
         for g, bk in enumerate(bks):
-            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments], {})
+            rn_g, log_scale_g = rates._family_product(a, bk[None], [segments])
             np.testing.assert_array_equal(rn_g[0, 0], rn[s, g])
             assert log_scale_g.tolist() == [[log_scale[s, g]]]
 
@@ -1079,7 +1096,7 @@ class TestFamilyEngine:
         a = np.array([[0.0, 1.0], [-2.0, -0.5]])
         bks = np.array([[[0.0, 0.0], [1.0, 1.0]]])
         family = [[(1.0, 0.0)], [], [(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)]]
-        rn, log_scale = rates._family_product(a, bks, family, {})
+        rn, log_scale = rates._family_product(a, bks, family)
         for s in (0, 1):
             np.testing.assert_array_equal(rn[s, 0], np.eye(2))
             assert log_scale[s, 0] == 0.0
@@ -1245,7 +1262,7 @@ class TestReferenceEquality:
         assert_reference_equality(a, b, k, CLS, fam, [k, -k])
 
 
-# -- one factor table per loop per call --------------------------------------
+# -- one engine pass per loop -----------------------------------------------
 
 
 def distinct_segments(sigs):
@@ -1256,7 +1273,7 @@ def expm_per_pass(monkeypatch):
     """The segment keys exponentiated inside each ``rates._pass``, in call
     order: the slices that pass through ``rates._expm_stack``, counted in
     ``(G, d, d)`` stacks over the gains, one per ``(value, duration)`` key.
-    A pass that calls the kernel more than once fails the test."""
+    A pass that does not call the kernel exactly once fails the test."""
     counts, calls = [], []
     kernel, pass_ = rates._expm_stack, rates._pass
 
@@ -1269,7 +1286,7 @@ def expm_per_pass(monkeypatch):
         counts.append(0)
         calls.append(0)
         out = pass_(*args, **kwargs)
-        assert calls[-1] <= 1, f"one pass made {calls[-1]} kernel calls"
+        assert calls[-1] == 1, f"one pass made {calls[-1]} kernel calls"
         return out
 
     monkeypatch.setattr(rates, "_expm_stack", counted_kernel)
@@ -1295,10 +1312,11 @@ def nudge_reversal(monkeypatch):
     monkeypatch.setattr(rates, "mirror_family", nudged)
 
 
-class TestSharedFactorTable:
-    """``duality_grid`` and ``duality_check`` hand the ``rc`` pass's factor
-    table to the ``rd`` pass, which runs on the same loop (A, BK): each
-    distinct segment is exponentiated once per loop and call."""
+class TestOnePassPerLoop:
+    """``duality_grid`` reads ``rc`` and ``rd_mirror`` from one pass on the
+    loop (A, BK), over the family and the reversal of its mirror: each
+    distinct segment is exponentiated once per call.  ``duality_check``
+    adds one pass on the reversed tuple for its residuals."""
 
     @staticmethod
     def case(d):
@@ -1313,31 +1331,32 @@ class TestSharedFactorTable:
         a, b, gains, fam = self.case(d)
         counts = expm_per_pass(monkeypatch)
         rep = rates.duality_grid(a, b, gains, CLS, fam)
-        assert counts == [len(distinct_segments(fam)), 0]
+        assert counts == [len(distinct_segments(fam))]
         assert all(rc.value == rd.value for rc, rd in zip(rep.rc, rep.rd_mirror))
 
     @pytest.mark.parametrize("d", [2, 5])
-    def test_check_rd_pass_computes_nothing(self, d, monkeypatch):
+    def test_check_makes_two_passes(self, d, monkeypatch):
         a, b, gains, fam = self.case(d)
         counts = expm_per_pass(monkeypatch)
         rep = rates.duality_check(a, b, gains[0], CLS, fam)
-        n = len(distinct_segments(fam))
-        assert counts == [n, len(distinct_segments(rates.mirror_family(fam))), 0]
+        assert counts == [len(distinct_segments(fam)),
+                          len(distinct_segments(rates.mirror_family(fam)))]
         assert rep.estimates_equal
 
-    def test_nudged_reversal_misses_the_table(self, monkeypatch):
-        """A segment that the double reversal moves by one ulp is computed
-        afresh, so the shared table changes no value and the equality of
-        ``rc`` and ``rd`` still fails where the reversal is wrong."""
+    def test_nudged_reversal_is_still_checked(self, monkeypatch):
+        """A segment that the double reversal moves by one ulp is a key of
+        its own in the shared pass, so the ``rd_mirror`` rows are not the
+        ``rc`` rows and the equality of ``rc`` and ``rd`` still fails where
+        the reversal is wrong."""
         a, b, gains, fam = self.case(3)
         nudge_reversal(monkeypatch)
         mirrored = rates._resolve_family(CLS, rates.mirror_family(fam))
-        missed = distinct_segments(rates.mirror_family(mirrored)) - distinct_segments(fam)
+        back = distinct_segments(rates.mirror_family(mirrored))
+        missed = back - distinct_segments(fam)
         counts = expm_per_pass(monkeypatch)
         got = rates.duality_grid(a, b, gains, CLS, fam)
-        assert counts == [len(distinct_segments(fam)), len(missed)] and 0 < len(missed)
-        assert len(missed) < len(distinct_segments(rates.mirror_family(mirrored)))
-        ref =reference_duality_grid(a, b, gains, CLS, fam)
+        assert counts == [len(distinct_segments(fam)) + len(missed)] and 0 < len(missed) < len(back)
+        ref = reference_duality_grid(a, b, gains, CLS, fam)
         for x, y in zip(got.rc + got.rd_mirror, ref.rc + ref.rd_mirror):
             assert_same_estimate(x, y)
         assert any(rc.value != rd.value for rc, rd in zip(got.rc, got.rd_mirror))

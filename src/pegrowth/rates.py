@@ -12,15 +12,20 @@ family of signals against a stack of gains in one lockstep pass, a pure
 function of the loop and the family.  One ``_expm_stack`` call per pass
 exponentiates each distinct segment once, for all the gains, with
 ``scipy.linalg.expm``'s bits, and each slice equals the product of that one
-signal and gain bit for bit.  Each estimator computes a family's products
-once per orientation and reads them in batches.  Only *top* quantities are
-read from them: the log spectral radius and the log 2-norm.  A *bottom*
-quantity is the negated top quantity of the reversed tuple
-(-A, -B, K, reverse(s)), whose period product is the inverse.  Negation and
-``reverse`` are exact involutions, so the convergence estimate of a system
-and the divergence estimate of its reversal on the mirrored family are one
-computation and agree bit for bit.  The duality checks read both from one
-pass over the family and the reversed mirror, each from its own rows.
+signal and gain bit for bit.  A pass computes each distinct row, a signal's
+``(value, duration)`` segments with its period, once.  Each estimator
+computes a family's products once per orientation and reads them in
+batches.  Only *top* quantities are read from them: the log spectral radius
+and the log 2-norm.  A *bottom* quantity is the negated top quantity of the
+reversed tuple (-A, -B, K, reverse(s)), whose period product is the
+inverse.  Negation and ``reverse`` are exact involutions, so the
+convergence estimate of a system and the divergence estimate of its
+reversal on the mirrored family are one computation and agree bit for bit.
+The duality checks read both from one pass over the family and the
+reversed mirror.  Where the double reversal gives the family back bit for
+bit, the mirror's rows are the family's rows; a row whose value, duration
+or period it changes is a row of its own, so the equality still checks the
+reversal.
 """
 
 from __future__ import annotations
@@ -152,14 +157,15 @@ def _pade(work: np.ndarray) -> np.ndarray | None:
 
 
 def _family_product(a, bks, family) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered products of the segment exponentials of every signal and gain,
+    """Ordered products of the segment exponentials of every row and gain,
     as ``(Rn, log_scale)`` with ``R[s, g] = exp(log_scale[s, g]) Rn[s, g]``.
 
-    ``family`` lists each signal's ``(value, duration)`` segments and
-    ``bks`` stacks the loop gains ``B K`` as ``(G, d, d)``, so ``Rn`` is
-    ``(S, G, d, d)``.  A segment's factor ``e^{M dt}``, ``M = a + value bk``,
-    is taken as ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral
-    abscissa of M, so no factor over- or underflows on its own.
+    ``family`` lists the ``(value, duration)`` segments of each row (the
+    distinct signals of a pass) and ``bks`` stacks the loop gains ``B K``
+    as ``(G, d, d)``, so ``Rn`` is ``(S, G, d, d)``.  A segment's factor
+    ``e^{M dt}``, ``M = a + value bk``, is taken as
+    ``e^{sigma dt} e^{(M - sigma I) dt}`` with sigma the spectral abscissa
+    of M, so no factor over- or underflows on its own.
 
     The distinct segment keys ``(value, dt)`` are collected first, in the
     order they first appear.  The abscissas of every distinct value come
@@ -167,14 +173,14 @@ def _family_product(a, bks, family) -> tuple[np.ndarray, np.ndarray]:
     gains, from one ``_expm_stack`` call.  A key that differs by one ulp is a
     key of its own.
 
-    The signals walk their segments in lockstep: step j gathers the j-th
-    factor of every signal that still has one and multiplies the whole
+    The rows walk their segments in lockstep: step j gathers the j-th
+    factor of every row that still has one and multiplies the whole
     ``(S, G, d, d)`` stack at once.  Zero-duration segments are skipped, and
-    a signal whose segments have run out drops out of the step.  Each
+    a row whose segments have run out drops out of the step.  Each
     running product is then renormalised by the power of two of its own
     peak, which is exact barring underflow of tiny entries.  Its shifts
     ``sigma dt`` and exponents are summed in segment order, so every slice
-    equals the product of that one signal and gain bit for bit.
+    equals the product of that one row and gain bit for bit.
     """
     g, d = bks.shape[0], a.shape[0]
     index: dict = {}
@@ -260,11 +266,11 @@ def _monodromy(a, b, k, s: PESignal) -> tuple[Monodromy, np.ndarray, float]:
     ``family_rates`` on the one-signal family ``[s]``."""
     if s.period is None:
         raise ValueError("monodromy needs a periodic signal")
-    fwd = rn, log_scale, _ = _pass(a, b, [k], [s])
-    m = Monodromy(R=_unscaled(rn[0, 0], log_scale[0, 0]), tau=s.period,
+    fwd = rn, log_scale, _, (row,) = _pass(a, b, [k], [s])
+    m = Monodromy(R=_unscaled(rn[row, 0], log_scale[row, 0]), tau=s.period,
                   top_rate=-_neg_tops(*fwd).item(),
                   bottom_rate=_neg_tops(*_pass(-a, -b, [k], mirror_family([s]))).item())
-    return m, rn[0, 0], float(log_scale[0, 0])
+    return m, rn[row, 0], float(log_scale[row, 0])
 
 
 # -- per-vector exponents ---------------------------------------------------
@@ -334,7 +340,7 @@ class SearchBudget:
     excitation check are discarded.  Generation is deterministic in ``seed``.
     Every field but ``include_constants`` is an int: a float, even a whole
     one, or a bool raises ``ValueError``, and a numpy integer is kept as an
-    int.  ``include_constants`` is a bool.
+    int.  ``seed`` is non-negative and ``include_constants`` is a bool.
     """
 
     n_periods: int = 4
@@ -345,8 +351,9 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_periods", "max_switches", "time_grid", "size", "seed"):
+        for name in ("n_periods", "max_switches", "time_grid", "size"):
             object.__setattr__(self, name, _integer_arg(getattr(self, name), name))
+        object.__setattr__(self, "seed", _integer_arg(self.seed, "seed", 0))
         if not isinstance(self.include_constants, bool):
             raise ValueError(f"include_constants must be a bool, got {self.include_constants!r}")
         if min(self.n_periods, self.time_grid, self.size) < 1:
@@ -594,25 +601,32 @@ def _resolve_family(cls: SignalClass, family) -> list[PESignal]:
 
 
 def _pass(a, b, gains, sigs):
-    """The period products of every signal and gain of (a, b K), in one
-    family-engine pass: ``(Rn, log_scale, periods)``, with ``periods``
-    shaped ``(S, 1)`` to divide the ``(S, G)`` reads."""
+    """The period products of the signals and gains of (a, b K), in one
+    family-engine pass: ``(Rn, log_scale, periods, inverse)``.  A row is
+    computed once per distinct signal, keyed by its ``(value, duration)``
+    period segments and its period with the float equality of the engine's
+    segment keys; ``inverse[s]`` is the row of signal s, which every reader
+    gathers through.  ``periods`` is shaped ``(U, 1)`` to divide the
+    ``(U, G)`` reads of the U distinct rows."""
     bks = np.stack([b @ k for k in gains])
-    rn, log_scale = _family_product(a, bks, [s.period_segments() for s in sigs])
-    return rn, log_scale, np.array([[s.period] for s in sigs])
+    index: dict = {}
+    inverse = np.array([index.setdefault((tuple(s.period_segments()), s.period), len(index))
+                        for s in sigs], dtype=np.intp)
+    rn, log_scale = _family_product(a, bks, [segments for segments, _ in index])
+    return rn, log_scale, np.array([[period] for _, period in index]), inverse
 
 
-def _neg_tops(rn, log_scale, periods) -> np.ndarray:
+def _neg_tops(rn, log_scale, periods, inverse) -> np.ndarray:
     """Per gain, the negated top exponent of every signal of a pass, as a
-    ``(G, S)`` array.  Kind "rc" of a family reads it on (a, b); kind "rd",
-    the bottom exponents, reads it on the reversed tuple (-a, -b) and the
-    mirrored family."""
-    return (-_top(rn, log_scale, periods)).T
+    ``(G, S)`` array read once per distinct row.  Kind "rc" of a family
+    reads it on (a, b); kind "rd", the bottom exponents, reads it on the
+    reversed tuple (-a, -b) and the mirrored family."""
+    return (-_top(rn, log_scale, periods))[inverse].T
 
 
-def _log_norms(rn, log_scale, periods) -> list[float]:
+def _log_norms(rn, log_scale, periods, inverse) -> list[float]:
     """The log 2-norm rate of every signal of a one-gain pass."""
-    return _top(rn, log_scale, periods, norm=True)[:, 0].tolist()
+    return _top(rn, log_scale, periods, norm=True)[inverse, 0].tolist()
 
 
 def _minima(per_gain, sigs, kind: str) -> list[RateEstimate]:
@@ -688,8 +702,12 @@ def duality_check(A, B, K, cls: SignalClass, family,
 
     The mirror is validated on its own.  One pass on (A, BK) runs over the
     family and the reversal of the validated mirror: ``rc`` is read from the
-    family's rows and ``rd_mirror`` from the rest, so the equality is still a
-    check.  A second pass runs on the reversed tuple.
+    family's signals and ``rd_mirror`` from the rest.  The pass computes
+    each distinct row once, so a reversed mirror signal that equals its
+    family signal shares its row, and one that differs in any value,
+    duration or the period gets its own: the equality checks that the
+    double reversal is exact.  A second pass runs on the reversed
+    tuple, and the residuals gather both passes' rows.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
@@ -697,10 +715,11 @@ def duality_check(A, B, K, cls: SignalClass, family,
     sigs = _resolve_family(cls, family)
     reversed_sigs = mirror_family(sigs)
     mirrored = _resolve_family(cls, reversed_sigs)
-    fwd = rn, log_scale, _ = _pass(a, b, [k], sigs + mirror_family(mirrored))
-    rn_rev, log_scale_rev, _ = _pass(-a, -b, [k], reversed_sigs)
+    fwd = rn, log_scale, _, at = _pass(a, b, [k], sigs + mirror_family(mirrored))
+    rn_rev, log_scale_rev, _, at_rev = _pass(-a, -b, [k], reversed_sigs)
     n = len(sigs)
-    prod = _unscaled(rn_rev[:, 0] @ rn[:n, 0], log_scale_rev[:, 0] + log_scale[:n, 0])
+    at = at[:n]
+    prod = _unscaled(rn_rev[at_rev, 0] @ rn[at, 0], log_scale_rev[at_rev, 0] + log_scale[at, 0])
     finite = np.isfinite(prod).all(axis=(1, 2))
     eye = np.eye(a.shape[0])
     # A non-finite product is reported as inf; eye keeps the SVD finite.
@@ -727,9 +746,12 @@ def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
 
     The family and its mirror are validated once each.  One pass with every
     gain stacked runs over the family and the reversal of the validated
-    mirror, so each distinct segment is exponentiated once per call.
-    ``rc`` is read from the family's rows and ``rd_mirror`` from the rest,
-    never from an ``rc`` row.  Each entry equals the corresponding
+    mirror, so each distinct segment is exponentiated once per call, and
+    each distinct row, the family's own where the double reversal is exact,
+    is multiplied out and read once.  ``rc`` is read from the family's
+    signals and ``rd_mirror`` from the rest; a mirror signal whose value,
+    duration or period the reversal changed is a row of its own, so the
+    equality still checks the reversal.  Each entry equals the corresponding
     ``rc_estimate``/``rd_estimate`` bit for bit.
     """
     if len(gains) == 0:
@@ -905,7 +927,7 @@ def parity_duality_check(K, family, cls: SignalClass | None = None) -> ParityDua
             raise ValueError(f"family[{i}] is not periodic")
         if not ok:
             raise ValueError(f"family[{i}] fails the excitation check")
-    prods = [_unscaled(rn[:, 0], log_scale[:, 0]) for rn, log_scale, _ in (
+    prods = [_unscaled(rn[at, 0], log_scale[at, 0]) for rn, log_scale, _, at in (
         _pass(j, ed, [k.reshape(1, d)], family),
         _pass(j, ed, [k_minus.reshape(1, d)], mirror_family(family)))]
     # A product that leaves the float range, or a spectrum with no finite

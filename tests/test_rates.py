@@ -238,6 +238,12 @@ class TestFamilies:
         with pytest.raises(ValueError, match=f"^include_constants must be a bool, got {value!r}$"):
             rates.SearchBudget(include_constants=value)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_seed_is_non_negative(self, seed):
+        # numpy's own error for a negative seed does not name the field
+        with pytest.raises(ValueError, match=f"^need seed >= 0, got seed={int(seed)}$"):
+            rates.SearchBudget(seed=seed)
+
     @pytest.mark.parametrize("n, message", [(2.5, r"^n must be an integer, got 2\.5$"),
                                             (3.0, r"^n must be an integer, got 3\.0$"),
                                             (0, r"^need n >= 1, got n=0$")])
@@ -1315,8 +1321,10 @@ def nudge_reversal(monkeypatch):
 class TestOnePassPerLoop:
     """``duality_grid`` reads ``rc`` and ``rd_mirror`` from one pass on the
     loop (A, BK), over the family and the reversal of its mirror: each
-    distinct segment is exponentiated once per call.  ``duality_check``
-    adds one pass on the reversed tuple for its residuals."""
+    distinct segment is exponentiated once per call, and each distinct
+    ``(segments, period)`` row is multiplied out and read once per pass.
+    ``duality_check`` adds one pass on the reversed tuple for its
+    residuals."""
 
     @staticmethod
     def case(d):
@@ -1342,6 +1350,43 @@ class TestOnePassPerLoop:
         assert counts == [len(distinct_segments(fam)),
                           len(distinct_segments(rates.mirror_family(fam)))]
         assert rep.estimates_equal
+
+    def test_mirror_rows_are_the_family_rows(self, monkeypatch):
+        """The reversal of the mirror is the family bit for bit, so a grid
+        pass multiplies out S rows, not 2S, and its ``eigvals`` read holds
+        S x G slices; ``duality_check``'s two passes are S rows each."""
+        a, b, gains, fam = self.case(3)
+        assert len(rates._resolve_family(CLS, rates.mirror_family(fam))) == len(fam)
+        rows, reads = [], []
+        product, top = rates._family_product, rates._top
+        monkeypatch.setattr(rates, "_family_product",
+                            lambda a, bks, family: rows.append(len(family)) or product(a, bks, family))
+        monkeypatch.setattr(rates, "_top",
+                            lambda rn, *args, **kw: reads.append(rn.shape[:2]) or top(rn, *args, **kw))
+        rep = rates.duality_grid(a, b, gains, CLS, fam)
+        assert rows == [len(fam)] and reads == [(len(fam), len(gains))]
+        assert [e.value for e in rep.rc] == [e.value for e in rep.rd_mirror]
+        rows.clear()
+        reads.clear()
+        assert rates.duality_check(a, b, gains[0], CLS, fam).ok
+        assert rows == [len(fam)] * 2 and reads == [(len(fam), 1)]
+
+    def test_period_one_ulp_apart_is_a_row_of_its_own(self):
+        """Rows are keyed by their segments and their period, which the
+        reads divide by: a period one ulp longer is a row of its own, and a
+        repeated signal is not."""
+        a, b, gains, _ = self.case(3)
+        segments = [(1.0, 0.25), (0.4, 0.5), (1.0, 0.25)]
+        s, t = (PESignal.from_segments(segments, period=p) for p in (1.0, np.nextafter(1.0, 2.0)))
+        assert s.period_segments() == t.period_segments() and s.period != t.period
+        rn, log_scale, periods, inverse = rates._pass(a, b, gains, [s, t, s])
+        assert rn.shape[0] == 2 and inverse.tolist() == [0, 1, 0]
+        tops = -rates._neg_tops(rn, log_scale, periods, inverse)
+        bks = np.stack([b @ k for k in gains])
+        ref_rn, ref_scale = reference_product(a, bks, segments)
+        for i, sig in enumerate((s, t, s)):
+            assert tops[:, i].tolist() == reference_top(ref_rn, ref_scale, sig.period)
+        assert tops[:, 0].tolist() != tops[:, 1].tolist()
 
     def test_nudged_reversal_is_still_checked(self, monkeypatch):
         """A segment that the double reversal moves by one ulp is a key of

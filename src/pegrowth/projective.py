@@ -81,10 +81,24 @@ def angle_distance(a, b):
 
 
 def angle_of(q) -> float:
-    u = proj_point(q)
-    if u.size != 2:
+    """Angle in [0, pi] of the planar projective point q: the bits of
+    ``wrap_angle(np.arctan2(u[1], u[0]))``, ``u = proj_point(q)``, in one
+    pass over two floats.  The norm stays the BLAS dot of ``np.linalg.norm``
+    and the angle numpy's ``arctan2``: ``math.sqrt(x*x + y*y)`` and
+    ``math.atan2`` round otherwise on some inputs."""
+    tol = 1e-12
+    v = np.asarray(q, dtype=float).ravel()
+    n = math.sqrt(v.dot(v))
+    if n <= tol:
+        raise ValueError("cannot project the zero vector")
+    if v.size != 2:
         raise ValueError("angles are defined for d = 2")
-    return float(wrap_angle(np.arctan2(u[1], u[0])))
+    x, y = v.tolist()
+    x, y = x / n, y / n
+    if (x < -tol) if abs(x) > tol else (y < -tol):
+        x, y = -x, -y
+    r = math.fmod(float(np.arctan2(y, x)), math.pi)
+    return r + math.pi if r < 0.0 else r + 0.0
 
 
 def point_of(theta) -> np.ndarray:
@@ -98,11 +112,27 @@ def _speed_coeffs(m) -> tuple:
     return (m10 - m01) / 2.0, (m10 + m01) / 2.0, (m11 - m00) / 2.0
 
 
+def _finite(m) -> bool:
+    return all(map(math.isfinite, m.ravel().tolist()))
+
+
 def _planar_loop(A, B, K):
-    a, b, k = closed_loop(A, B, K)
-    if a.shape != (2, 2):
-        raise ValueError("angle dynamics need d = 2")
-    return a, b @ k
+    """``(A, BK)`` of a planar closed loop as float64 arrays, with the checks
+    and messages of ``matcore.closed_loop``, then d = 2.  A valid triple
+    (K may be a 1-D row, as ``as_matrix`` reads it) costs a few shape tests
+    and one pass over its floats, each matrix checked before the next is
+    read; any other raises ``closed_loop``'s message or the d = 2 one."""
+    a = np.asarray(A, dtype=float)
+    if a.shape == (2, 2) and _finite(a):
+        b = np.asarray(B, dtype=float)
+        if b.ndim == 2 and b.shape[0] == 2 and _finite(b):
+            k = np.asarray(K, dtype=float)
+            if k.ndim < 2:
+                k = k.reshape(1, -1)
+            if k.shape == (b.shape[1], 2) and _finite(k):
+                return a, b @ k
+    closed_loop(A, B, K)
+    raise ValueError("angle dynamics need d = 2")
 
 
 def _control_range(control_range) -> tuple[float, float]:
@@ -116,7 +146,7 @@ def _control_range(control_range) -> tuple[float, float]:
 def _polar(coeffs) -> tuple:
     """(big, small, shift) of the speed ``c0 + c1 cos 2theta + c2 sin 2theta``:
     it equals ``big cos^2 v + small sin^2 v`` with ``v = theta - shift``."""
-    c0, c1, c2 = (float(c) for c in coeffs)
+    c0, c1, c2 = map(float, coeffs)
     rho = math.hypot(c1, c2)
     return c0 + rho, c0 - rho, 0.5 * math.atan2(c2, c1)
 
@@ -142,7 +172,10 @@ def _zeros(field) -> tuple:
     if big * small > 0.0 or (big == 0.0 and small == 0.0):
         return ()
     v0 = math.atan2(math.sqrt(big), math.sqrt(-small))  # big >= 0 >= small
-    return tuple(sorted({_wrap(shift + v0), _wrap(shift - v0)}))
+    z1, z2 = _wrap(shift + v0), _wrap(shift - v0)
+    if z1 == z2:
+        return (z1,)
+    return (z2, z1) if z2 < z1 else (z1, z2)
 
 
 def _atanh(x: float) -> float:
@@ -233,13 +266,16 @@ class _Planar:
 
     def __init__(self, A, B, K, control_range):
         # Python floats: the same IEEE bits as numpy scalars, at less cost
-        ca, cb = (_speed_coeffs(m.tolist()) for m in _planar_loop(A, B, K))
-        self.lo, self.hi = _control_range(control_range)
+        a, bk = _planar_loop(A, B, K)
+        (a0, a1, a2), cb = _speed_coeffs(a.tolist()), _speed_coeffs(bk.tolist())
+        b0, b1, b2 = cb
+        self.lo, self.hi = lo, hi = _control_range(control_range)
         self.switch = _polar(cb)
         self.cuts = _zeros(self.switch)
-        self.fields = {v: _polar(tuple(x + v * y for x, y in zip(ca, cb)))
-                       for v in (self.lo, self.hi)}
-        self.zeros = {v: _zeros(f) for v, f in self.fields.items()}
+        f_lo = _polar((a0 + lo * b0, a1 + lo * b1, a2 + lo * b2))
+        f_hi = _polar((a0 + hi * b0, a1 + hi * b1, a2 + hi * b2))
+        self.fields = {lo: f_lo, hi: f_hi}
+        self.zeros = {lo: _zeros(f_lo), hi: _zeros(f_hi)}
 
     def sink_arcs(self) -> tuple:
         """Sink strongly connected components of the zero/arc graph, as arcs.
@@ -307,19 +343,25 @@ class _Planar:
         """
         end = theta0 + sigma * _wrap(sigma * (target - theta0))
         pts = [theta0]
-        pts += sorted((c for c in (theta0 + sigma * _wrap(sigma * (z - theta0))
-                                   for z in self.cuts)
-                       if sigma * (end - c) > 0.0 and c != theta0), key=lambda c: sigma * c)
+        for z in self.cuts:  # at most two; put in the order of travel below
+            c = theta0 + sigma * _wrap(sigma * (z - theta0))
+            if sigma * (end - c) > 0.0 and c != theta0:
+                pts.append(c)
+        if len(pts) == 3 and sigma * pts[2] < sigma * pts[1]:
+            pts[1], pts[2] = pts[2], pts[1]
         pts.append(end)
+        lo, hi, switch, fields, zeros = self.lo, self.hi, self.switch, self.fields, self.zeros
         total, segs = 0.0, []
         for t1, t2 in zip(pts, pts[1:]):
             mid = 0.5 * (t1 + t2)
-            alpha = self.hi if sigma * _speed_at(self.switch, mid) >= 0.0 else self.lo
-            field = self.fields[alpha]
-            left, right = min(t1, t2), max(t1, t2)
-            if (sigma * _speed_at(field, mid) <= 0.0
-                    or any(left + _wrap(z - left) <= right for z in self.zeros[alpha])):
+            alpha = hi if sigma * _speed_at(switch, mid) >= 0.0 else lo
+            field = fields[alpha]
+            if sigma * _speed_at(field, mid) <= 0.0:
                 return math.inf, []
+            left, right = min(t1, t2), max(t1, t2)
+            for z in zeros[alpha]:
+                if left + _wrap(z - left) <= right:
+                    return math.inf, []
             dt = _arc_time(field, t1, t2)
             total += dt
             if not total <= max_time:
@@ -329,10 +371,12 @@ class _Planar:
 
     def fastest(self, theta0: float, target: float, tol: float, max_time: float):
         """The faster sense as (tau, segments); (0, []) within ``tol``."""
-        if abs(angle_distance(target, theta0)) <= tol:
+        half = 0.5 * math.pi  # angle_distance in floats: % has np.mod's bits
+        if abs((target - theta0 + half) % math.pi - half) <= tol:
             return 0.0, []
-        return min(self.sense(theta0, target, +1.0, max_time),
-                   self.sense(theta0, target, -1.0, max_time), key=lambda r: r[0])
+        fwd = self.sense(theta0, target, +1.0, max_time)
+        bwd = self.sense(theta0, target, -1.0, max_time)
+        return bwd if bwd[0] < fwd[0] else fwd
 
 
 def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> InvariantSetResult:
@@ -392,6 +436,8 @@ class InvarianceAudit:
 
 # most trajectory-steps one block of the audit holds in memory
 _AUDIT_BLOCK = 1 << 14
+# most trajectory-steps one audit takes (17 times the 5000 x 1536 of C12)
+_AUDIT_STEPS = 1 << 27
 
 
 def _projective_steps(m, times) -> list:
@@ -507,7 +553,8 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     to ``ceil(horizon / dt)`` steps.  The audit reads only A, B, K and the
     control range, so it stays independent of the closed forms it checks.
     An audit that would check nothing (no start, no signal or a horizon
-    that is not positive and finite) raises ``ValueError``.
+    that is not positive and finite) raises ``ValueError``, and so does one
+    of more than ``_AUDIT_STEPS`` trajectory-steps.
     """
     lo, hi = _control_range(control_range)
     a, bk = _planar_loop(A, B, K)
@@ -521,7 +568,10 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     dt = 1.0 / 256.0
     starts = np.repeat(starts, n_signals)
     n_traj = starts.size
-    steps = int(np.ceil(horizon / dt))
+    steps = math.ceil(horizon / dt)
+    if n_traj * steps > _AUDIT_STEPS:
+        raise ValueError(f"horizon={horizon!r} takes {n_traj} trajectories over {steps} steps, "
+                         f"more than the {_AUDIT_STEPS} trajectory-steps an audit may take")
     hold = 8
     windows = -(-steps // hold)
     rng = np.random.default_rng(seed)
@@ -602,7 +652,7 @@ def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096
     target = angle_of(q_target)
     tol = math.pi / _integer_arg(resolution, "resolution", 1)
     starts = wrap_angle(np.linspace(0.0, np.pi, mesh, endpoint=False))
-    worst = max(planar.fastest(float(t), target, tol, max_time)[0] for t in starts)
+    worst = max(planar.fastest(t, target, tol, max_time)[0] for t in starts.tolist())
     if not math.isfinite(worst):
         raise SteeringError("some mesh starts cannot reach the target",
                             best_distance=np.nan)

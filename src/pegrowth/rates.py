@@ -227,15 +227,24 @@ def _top(rn: np.ndarray, log_scale, tau, norm: bool = False) -> np.ndarray:
     return (np.asarray(log_scale) + np.log(peak)) / tau
 
 
+# most segments that ``fundamental_solution`` walks through a periodic signal
+_WALK_SEGMENTS = 1 << 16
+
+
 def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     """Solution at time t of R' = (A + alpha(t) B K) R, R(0) = I.
 
     Exact product of per-segment matrix exponentials over the segments of
     [0, t]; deterministic.  Entries beyond the float range saturate to inf.
+    A periodic signal is walked period by period, so a t of more than
+    ``_WALK_SEGMENTS`` segments raises ``ValueError``.
     """
     a, b, k = closed_loop(A, B, K)
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"need a finite t >= 0, got t={t!r}")
+    if s.period is not None and t / s.period * s.n_segments > _WALK_SEGMENTS:
+        raise ValueError(f"t={t!r} spans {t / s.period:.6g} periods of {s.n_segments} segments, "
+                         f"more than the {_WALK_SEGMENTS} segments a solution may walk")
     rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)])
     return _unscaled(rn[0, 0], log_scale[0, 0])
 

@@ -6,9 +6,11 @@ them.  Each reads the package's kernels through their module, so a test
 that patches a kernel sees the oracle's calls too.
 """
 
+import math
+
 import numpy as np
 
-from pegrowth import matcore, rates, signals
+from pegrowth import matcore, projective, rates, signals
 
 
 def span_rank(family, tol: float = matcore.DEFAULT_RANK_TOL) -> int:
@@ -128,3 +130,72 @@ def angle_field(A, B, K):
         return c * x + s * y
 
     return f, g
+
+
+def reference_angle_of(q) -> float:
+    """``projective.angle_of`` on numpy arrays and scalars: the unit vector
+    of ``matcore.canonical_unit``, ``np.arctan2`` on it and ``wrap_angle``."""
+    u = matcore.canonical_unit(q)
+    if u is None:
+        raise ValueError("cannot project the zero vector")
+    if u.size != 2:
+        raise ValueError("angles are defined for d = 2")
+    return float(projective.wrap_angle(np.arctan2(u[1], u[0])))
+
+
+def _reference_zeros(field) -> tuple:
+    big, small, shift = field
+    if big * small > 0.0 or (big == 0.0 and small == 0.0):
+        return ()
+    v0 = math.atan2(math.sqrt(big), math.sqrt(-small))
+    return tuple(sorted({projective._wrap(shift + v0), projective._wrap(shift - v0)}))
+
+
+class ReferencePlanar(projective._Planar):
+    """``projective._Planar`` set up through ``matcore.closed_loop`` and
+    numpy scalars, with the greedy senses written with ``sorted``, ``any``,
+    ``min`` and ``angle_distance``: the same arithmetic as the package's
+    float pass, in the form it had before that pass."""
+
+    def __init__(self, A, B, K, control_range):
+        a, b, k = matcore.closed_loop(A, B, K)
+        if a.shape != (2, 2):
+            raise ValueError("angle dynamics need d = 2")
+        bk = b @ k
+        ca = ((a[1, 0] - a[0, 1]) / 2.0, (a[1, 0] + a[0, 1]) / 2.0, (a[1, 1] - a[0, 0]) / 2.0)
+        cb = ((bk[1, 0] - bk[0, 1]) / 2.0, (bk[1, 0] + bk[0, 1]) / 2.0, (bk[1, 1] - bk[0, 0]) / 2.0)
+        self.lo, self.hi = projective._control_range(control_range)
+        self.switch = projective._polar(cb)
+        self.cuts = _reference_zeros(self.switch)
+        self.fields = {v: projective._polar(tuple(x + v * y for x, y in zip(ca, cb)))
+                       for v in (self.lo, self.hi)}
+        self.zeros = {v: _reference_zeros(f) for v, f in self.fields.items()}
+
+    def sense(self, theta0, target, sigma, max_time):
+        wrap, speed_at = projective._wrap, projective._speed_at
+        end = theta0 + sigma * wrap(sigma * (target - theta0))
+        pts = [theta0]
+        pts += sorted((c for c in (theta0 + sigma * wrap(sigma * (z - theta0)) for z in self.cuts)
+                       if sigma * (end - c) > 0.0 and c != theta0), key=lambda c: sigma * c)
+        pts.append(end)
+        total, segs = 0.0, []
+        for t1, t2 in zip(pts, pts[1:]):
+            mid = 0.5 * (t1 + t2)
+            alpha = self.hi if sigma * speed_at(self.switch, mid) >= 0.0 else self.lo
+            field = self.fields[alpha]
+            left, right = min(t1, t2), max(t1, t2)
+            if (sigma * speed_at(field, mid) <= 0.0
+                    or any(left + wrap(z - left) <= right for z in self.zeros[alpha])):
+                return math.inf, []
+            dt = projective._arc_time(field, t1, t2)
+            total += dt
+            if not total <= max_time:
+                return math.inf, []
+            segs.append((alpha, dt))
+        return total, segs
+
+    def fastest(self, theta0, target, tol, max_time):
+        if abs(projective.angle_distance(target, theta0)) <= tol:
+            return 0.0, []
+        return min(self.sense(theta0, target, +1.0, max_time),
+                   self.sense(theta0, target, -1.0, max_time), key=lambda r: r[0])

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 
 from pegrowth import projective as prj
 from pegrowth import rates
-from pegrowth.matcore import require_square
+from pegrowth.matcore import closed_loop, require_square
 from pegrowth.signals import PESignal, SignalClass, validate_pe
 
-from oracles import angle_field
+from oracles import ReferencePlanar, angle_field, reference_angle_of
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 ZERO_IN = (np.zeros((2, 1)), np.zeros((1, 2)))
@@ -789,6 +789,18 @@ class TestInvarianceAudit:
         with pytest.raises(ValueError, match=message):
             prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5], **{"horizon": 1.0, **kw})
 
+    def test_a_horizon_past_the_ceiling_raises_at_once(self):
+        a, b, k = SADDLE
+        arcs = prj.CircleArcSet(arcs=((0.5, 1.0),))
+        with pytest.raises(ValueError, match=r"^horizon=1e\+300 takes 8 trajectories over "
+                                             r"256\d+ steps, more than the 134217728 "):
+            prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5], n_signals=8,
+                                         horizon=1e300)
+        # 2^27 trajectory-steps are allowed, one more step per trajectory is not
+        with pytest.raises(ValueError, match=r"^horizon=16384\.00390625 takes 32 "):
+            prj.forward_invariance_audit(a, b, k, RANGE, arcs, [0.5], n_signals=32,
+                                         horizon=16384.0 + 1.0 / 256.0)
+
     @pytest.mark.parametrize("horizon, steps", [(1.0 / 256.0, 1), (0.1, 26), (0.125, 32)])
     def test_samples_every_step_up_to_the_horizon(self, horizon, steps):
         # a pure rotation turns at unit speed: the last sample, at
@@ -857,6 +869,152 @@ class TestPlanarSetup:
         fast = self.steer_outputs(triple)
         monkeypatch.setattr(prj, "_Planar", self.NumpyScalarPlanar)
         assert fast == self.steer_outputs(triple)
+
+
+def _outcome(call):
+    """A call's result, or its error's type, message and ``best_distance``;
+    floats as their bytes, so that the sign of a zero or a NaN counts."""
+    def bits(x):
+        return np.float64(x).tobytes() if isinstance(x, float) else x
+    try:
+        out = call()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    except prj.SteeringError as exc:
+        return "SteeringError", str(exc), bits(exc.best_distance)
+    if isinstance(out, prj.SteerResult):
+        return bits(out.tau), bits(out.final_distance), out.signal.to_json()
+    return bits(out)
+
+
+def _angle_inputs(rng, n):
+    """n planar vectors: Gaussian at scales 1e-6 to 1e20, exact zero
+    coordinates, coordinates and norms near 1e-12, nan and inf."""
+    v = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-6.0, 20.0, (n, 1))
+    part = n // 8
+    v[np.arange(part), rng.integers(0, 2, part)] = 0.0  # one exact zero coordinate
+    signs = rng.choice([-1.0, 1.0], (part, 2))
+    near = 1e-12 * (1.0 + rng.integers(-4, 5, (part, 2)) * 2.0 ** -52)
+    v[part:2 * part] = signs * np.where(rng.random((part, 2)) < 0.5, near,
+                                        rng.standard_normal((part, 2)))
+    v[2 * part:3 * part] *= 1e-12 / np.linalg.norm(v[2 * part:3 * part], axis=1)[:, None]
+    v[2 * part:3 * part] *= 1.0 + rng.integers(-3, 4, (part, 1)) * 2.0 ** -52
+    odd = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1e-12], (part, 2))
+    v[3 * part:4 * part] = odd
+    return v
+
+
+class TestFloatPass:
+    """The float pass of a steering query against the numpy path it
+    replaces (``oracles.reference_angle_of`` and ``ReferencePlanar``)."""
+
+    def test_angle_of_has_the_bits_of_the_numpy_path(self):
+        rng = np.random.default_rng(29)
+        vecs = _angle_inputs(rng, 100_000)
+        shapes = [(2,), (2, 1), (1, 2)]
+        inputs = [v.reshape(shapes[i % 3]) for i, v in enumerate(vecs)]
+        inputs += list(_angle_inputs(rng, 3_000).reshape(-1, 3))  # d = 3
+        inputs += [np.zeros(3), [0.0, -0.0], [1e-13, -1e-13], [0.0, 0.0, 5e-13]]
+        got = [_outcome(lambda q=q: prj.angle_of(q)) for q in inputs]
+        with np.errstate(all="ignore"):  # inf / inf in canonical_unit
+            want = [_outcome(lambda q=q: reference_angle_of(q)) for q in inputs]
+        assert got == want
+        messages = {w[1] for w in want if isinstance(w, tuple)}
+        assert messages == {"cannot project the zero vector", "angles are defined for d = 2"}
+
+    def test_planar_loop_checks_as_closed_loop(self):
+        def reference(A, B, K):
+            a, b, k = closed_loop(A, B, K)
+            if a.shape != (2, 2):
+                raise ValueError("angle dynamics need d = 2")
+            return a, b @ k
+
+        a, b, k = SADDLE
+        cases = [
+            (a, b, k), (a, b, k[0]), (a, b, k.tolist()), (a, np.ones((2, 2)), np.ones((2, 2))),
+            (a, np.ones((2, 0)), np.ones((0, 2))), (a, b, np.ones((1, 3))),
+            (np.eye(3), np.ones((3, 1)), np.ones((1, 3))), (1.0, 1.0, 1.0), (a[0], b, k),
+            (a.ravel(), b, k), (np.ones((2, 2, 2)), b, k), (a, np.ones((2, 1, 1)), k),
+            (a, b, np.ones((1, 2, 1))), (a, b[0], k), (a, b.T, k), (a, b, k.T), (a, b, 0.5),
+            (np.eye(1), np.ones((1, 1)), np.ones((1, 1))), (a, np.ones((3, 1)), k),
+            ([[1.0, np.nan], [0.0, 1.0]], b, k), (a, [[np.inf], [1.0]], k),
+            (a, b, [[1.0, -np.inf]]), ([[np.nan]], [[np.inf, 1.0]], k),
+            (np.ones((2, 3)), [[np.nan]], k), ([[1.0, 2.0], [3.0]], b, k),
+            (np.ones((3, 3, 3)), [[1.0], [2.0, 3.0]], k), (a, [[1.0], [2.0, 3.0]], k),
+            (a, b, [[1.0], [2.0, 3.0]]), (a, b, "x"),
+        ]
+        for case in cases:
+            def arrays(out):
+                return [(m.dtype, m.shape, m.tobytes()) for m in out]
+            try:
+                want = arrays(reference(*case))
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = arrays(prj._planar_loop(*case))
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, case
+
+    @staticmethod
+    def _queries(rng, n):
+        """n random planar queries: one or two inputs, control ranges inside
+        [0, 1], start and target directions, and time limits short enough
+        that some targets are out of reach."""
+        out = []
+        for i in range(n):
+            m = 1 + i % 2
+            a = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-2, 2)
+            b, k = rng.standard_normal((2, m)), rng.standard_normal((m, 2))
+            lo = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+            crange = (lo, float(rng.choice([1.0, rng.uniform(lo + 0.05, 1.0)])))
+            q0, q1 = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3, (2, 1))
+            out.append((a, b, k, crange, q0, q1, float(rng.choice([0.5, 5.0, 50.0]))))
+        return out
+
+    def test_steering_has_the_bits_of_the_numpy_path(self, monkeypatch):
+        rng = np.random.default_rng(2029)
+        queries = self._queries(rng, 2_000)
+        # every message that the validation of a query can raise
+        bad = [(SADDLE[0][0], *SADDLE[1:], RANGE), (np.eye(3), *SADDLE[1:], RANGE),
+               (SADDLE[0], np.ones((3, 1)), SADDLE[2], RANGE),
+               (np.full((2, 2), np.nan), *SADDLE[1:], RANGE),
+               (np.ones((2, 2, 1)), *SADDLE[1:], RANGE), (np.ones((2, 3)), *SADDLE[1:], RANGE),
+               (np.eye(1), [[1.0]], [[1.0]], RANGE), (*SADDLE, (0.5, 0.5)), (*SADDLE, (-0.1, 1.0))]
+
+        def run():
+            out = []
+            for a, b, k, crange, q0, q1, max_time in queries:
+                out.append(_outcome(lambda: prj.steer_d2(q0, q1, a, b, k, crange,
+                                                         max_time=max_time)))
+                out.append(_outcome(lambda: prj.steer_d2(q0, q1, a, b, k, crange,
+                                                         resolution=16, max_time=max_time)))
+            for a, b, k, crange, q0, q1, max_time in queries[:500]:
+                out.append(_outcome(lambda: prj.steering_time_bound(a, b, k, crange, q1, mesh=6,
+                                                                    max_time=max_time)))
+            for triple in bad:
+                out.append(_outcome(lambda: prj.steer_d2([1.0, 0.0], [0.0, 1.0], *triple)))
+                out.append(_outcome(lambda: prj.steering_time_bound(*triple, [0.0, 1.0])))
+            for q in ([0.0, 0.0], [1.0, 2.0, 3.0]):
+                out.append(_outcome(lambda: prj.steer_d2(q, [1.0, 0.0], *SADDLE, RANGE)))
+                out.append(_outcome(lambda: prj.steer_d2([1.0, 0.0], q, *SADDLE, RANGE)))
+            return out
+
+        got = run()
+        monkeypatch.setattr(prj, "_Planar", ReferencePlanar)
+        monkeypatch.setattr(prj, "angle_of", reference_angle_of)
+        want = run()
+        assert got == want
+        kinds = [w[0] if isinstance(w, tuple) and isinstance(w[0], str) else "ok" for w in want]
+        assert kinds.count("SteeringError") > 1_000 and kinds.count("ok") > 1_000
+        assert {w[1] for w in want if isinstance(w, tuple) and w[0] == "ValueError"} == {
+            "A must be square, got shape (1, 2)",
+            "angle dynamics need d = 2", "inconsistent shapes: A (2, 2), B (3, 1), K (1, 2)",
+            "inconsistent shapes: A (3, 3), B (2, 1), K (1, 2)",
+            "A contains non-finite entries", "A must be 2-D, got 3-D",
+            "A must be square, got shape (2, 3)",
+            "control range must be a nondegenerate subinterval of [0, 1]",
+            "cannot project the zero vector", "angles are defined for d = 2"}
 
 
 class TestSteering:

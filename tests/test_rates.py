@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import struct
 import sys
 from pathlib import Path
@@ -63,6 +64,18 @@ class TestFundamentalSolution:
         s = PESignal.constant(1.0, period=1.0)
         with pytest.raises(ValueError, match=rf"^need a finite t >= 0, got t={t!r}$"):
             rates.fundamental_solution(a, b, k, s, t)
+
+    @pytest.mark.parametrize("t, periods", [(1e300, "1e+300"), (32768.5, "32768.5")])
+    def test_a_walk_past_the_ceiling_raises(self, t, periods):
+        a, b, k = random_system(2)
+        s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+        message = f"t={t!r} spans {periods} periods of 2 segments, more than the 65536 segments"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            rates.fundamental_solution(a, b, k, s, t)
+        assert rates.fundamental_solution(a, b, k, s, 32768.0).shape == (2, 2)
+        # an aperiodic signal has no periods to walk
+        free = PESignal.from_segments([(1.0, 0.5), (0.0, 0.5)])
+        assert rates.fundamental_solution(a, b, k, free, 1e5).shape == (2, 2)
 
     def test_against_rk4(self):
         a, b, k = random_system(11)

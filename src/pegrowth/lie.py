@@ -2,10 +2,12 @@
 
 LARC holds when Lie(A, BK) spans all d x d matrices; LARC0 when the
 traceless parts of A and BK generate sl(d); PLARC when the fields induced on
-real projective space span the full tangent space at every point.  PLARC is
-certified numerically at a finite sample of directions, so a true verdict is
-evidence at the sampled points rather than a proof (the sample count is part
-of the certificate).
+real projective space span the full tangent space at every point.  A closure
+that contains sl(d) decides PLARC: sl(d) acts transitively on the sphere
+(Boothby & Wilson, SIAM J. Control Optim. 17, 1979), so the verdict is true
+and no direction is sampled.  Any other closure is certified numerically at
+a finite sample of directions, so a true verdict is evidence at the sampled
+points rather than a proof (the sample count is part of the certificate).
 
 For generators X_1, ..., X_n, Lie(X_1, ..., X_n) = span{X_i} + D, where D is
 the span of the nested brackets of length >= 2.  The identity is central, so
@@ -14,9 +16,10 @@ D is the same for (A + lambda*I, BK), (A, BK) and the traceless parts
 of the [X_i, X_j] with the traceless X_i and kept orthogonal to the identity.
 ``lie_closure`` is D + span{X_i}; LARC is dim(D + span{A + lambda*I, BK}),
 LARC0 is dim(D + span{A0, F0}), at most d*d - 1 by construction, and PLARC
-samples the basis of D + span{A, BK}.  ``inclusion_chain_audit`` computes D
-once for all three, so LARC => LARC0 holds by construction: both sides add
-two generators with the same traceless parts to the same D.
+reads D + span{A, BK}: true when it contains sl(d), sampled on its basis
+otherwise.  ``inclusion_chain_audit`` computes D once for all three, so
+LARC => LARC0 holds by construction: both sides add two generators with the
+same traceless parts to the same D.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ class RankCertificate:
     verdict: bool
     dim: int
     failing_samples: tuple = ()
-    n_samples: int = 0
+    n_samples: int = 0  # PLARC's sampled directions; 0 when the closure decides
     tol: ClassVar[float] = DEFAULT_RANK_TOL  # the rank cutoff of every certificate
 
     def to_json(self) -> dict:
@@ -256,18 +259,24 @@ def _quasi_uniform_directions(d: int, n: int, seed: int) -> list[np.ndarray]:
 
 def check_plarc(A, B, K, seed: int = 0, *,
                 derived: _OrthoBasis | None = None) -> RankCertificate:
-    """Sampled certificate for the projected rank condition.
+    """Certificate for the projected rank condition.
 
-    At each sampled direction x the vectors ``Mx - (x'Mx)x`` over the closure
-    basis must span the full tangent space (rank d-1).  The sample set mixes
-    ``max(2d, 64)`` quasi-uniform directions with the eigendirections of A,
-    A + BK, and of a few random elements of the closure itself: rank
-    deficiency lives on invariant subspaces, and eigendirections of algebra
-    elements land inside them even when the uniform samples miss.  At d = 2
-    the uniform samples are left out: rank 1 fails only at a common
-    eigendirection of the whole algebra, which is an eigendirection of A,
-    or of A + BK when A is scalar.  The closure basis is that of
-    D + span{A, BK}; ``derived`` as in ``check_larc``.
+    When the closure D + span{A, BK} contains sl(d) (D is all of sl(d), or
+    the closure is all of gl(d)), the verdict is true, with no samples
+    (``n_samples`` is 0).  For orthonormal rows E_k of such a closure and a
+    unit x, sum_k (P E_k x)(P E_k x)' = P with P = I - xx', so the tangent
+    stack below has d - 1 singular values equal to 1 at every direction.
+
+    Otherwise, at each sampled direction x the vectors ``Mx - (x'Mx)x`` over
+    the closure basis must span the full tangent space (rank d-1).  The
+    sample set mixes ``max(2d, 64)`` quasi-uniform directions with the
+    eigendirections of A, A + BK, and of a few random elements of the
+    closure itself: rank deficiency lives on invariant subspaces, and
+    eigendirections of algebra elements land inside them even when the
+    uniform samples miss.  At d = 2 the uniform samples are left out: rank 1
+    fails only at a common eigendirection of the whole algebra, which is an
+    eigendirection of A, or of A + BK when A is scalar.  The closure basis
+    is that of D + span{A, BK}; ``derived`` as in ``check_larc``.
     """
     a, b, k = closed_loop(A, B, K)
     f = b @ k
@@ -277,6 +286,8 @@ def check_plarc(A, B, K, seed: int = 0, *,
     basis = _plus_span(derived, [a, f], False)
     if basis.k == 0:
         return RankCertificate("PLARC", False, 0)
+    if derived.k == d * d or basis.k == d * d:  # the closure contains sl(d)
+        return RankCertificate("PLARC", True, basis.k)
     L = basis.rows.reshape(-1, d, d)
 
     pts = _quasi_uniform_directions(d, max(2 * d, 64), seed) if d != 2 else []
@@ -323,8 +334,10 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, seed: int = 0) -> ChainAu
     """Check LARC(A + shift*I, B) => LARC0(A, B) => PLARC(A, B) on one triple.
 
     The derived algebra D is computed once and shared by the three
-    certificates.  Violations are reported, not raised; an empty list means
-    the implication chain held at certificate level.
+    certificates.  When LARC0 holds, D is sl(d) (sl(d) is its own derived
+    algebra), so the closure decides PLARC without samples (``check_plarc``).
+    Violations are reported, not raised; an empty list means the implication
+    chain held at certificate level.
     """
     a, b, k = closed_loop(A, B, K)
     f = b @ k

@@ -212,10 +212,11 @@ def _family_product(a, bks, family) -> tuple[np.ndarray, np.ndarray]:
 
 def _unscaled(rn: np.ndarray, log_scale) -> np.ndarray:
     """``exp(log_scale) rn`` per slice, saturating entrywise to 0 or inf,
-    never nan."""
+    never nan.  The power of two is clipped to +-2^20 before its int64
+    cast, past which ``ldexp`` saturates every finite entry anyway."""
     whole, frac = np.divmod(np.asarray(log_scale)[..., None, None], _LN2)
     with np.errstate(over="ignore"):
-        return np.ldexp(rn * np.exp(frac), whole.astype(np.int64))
+        return np.ldexp(rn * np.exp(frac), whole.clip(-2.0**20, 2.0**20).astype(np.int64))
 
 
 def _top(rn: np.ndarray, log_scale, tau, norm: bool = False) -> np.ndarray:

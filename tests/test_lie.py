@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -359,6 +361,104 @@ class TestPlarc:
         cert = lie.check_plarc(np.diag([1.0, 2.0]), np.zeros((2, 1)), [[1.0, 1.0]])
         obj = cert.to_json()
         assert set(obj) == {"kind", "verdict", "dim", "failing_samples", "tol"}
+
+
+def sweep_pairs():
+    """(A, BK) pairs whose closure contains sl(d): for d = 2..10, Gaussian
+    triples at the centres of the lowest, middle and highest of
+    ``triple_sweep``'s 8 log-scale strata over [0.3, 30], and the traceless
+    parts of one more triple (the closure is then sl(d) itself)."""
+    rng = np.random.default_rng(31)
+    lo, hi = np.log(0.3), np.log(30.0)
+    pairs = []
+    for d in range(2, 11):
+        for j in (0, 4, 7):
+            scale = np.exp(lo + (j + 0.5) / 8 * (hi - lo))
+            a = scale * rng.standard_normal((d, d)) / np.sqrt(d)
+            f = rng.standard_normal((d, 1)) @ (scale * rng.standard_normal((1, d)) / np.sqrt(d))
+            pairs.append((a, f))
+        a, f = rng.standard_normal((2, d, d))
+        pairs.append((a - np.trace(a) / d * np.eye(d), f - np.trace(f) / d * np.eye(d)))
+    return pairs
+
+
+def sampled_pairs():
+    """(A, BK) pairs whose closure does not contain sl(d): B = 0, integer
+    block-triangular pairs, pairs with one shared eigendirection, and the
+    50 non-controllable pairs of acceptance criterion C5."""
+    rng = np.random.default_rng(32)
+    pairs = []
+    for d in range(2, 6):
+        pairs.append((rng.standard_normal((d, d)), np.zeros((d, d))))
+    for d in range(3, 7):
+        a, f = rng.integers(-3, 4, size=(2, d, d)).astype(float)
+        a[d // 2:, :d // 2] = f[d // 2:, :d // 2] = 0.0
+        pairs.append((a, f))
+    for d in range(2, 6):
+        a, f = rng.standard_normal((2, d, d))
+        a[1:, 0] = f[1:, 0] = 0.0  # both fix the line of e_1
+        p = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        pinv = np.linalg.inv(p)
+        pairs.append((p @ a @ pinv, p @ f @ pinv))
+    for i in range(50):  # as built in tests/test_acceptance.py::test_c05
+        d = 2 if i < 25 else 3
+        rng = np.random.default_rng(5000 + i)
+        r = int(rng.integers(1, d))
+        a_block = np.zeros((d, d))
+        a_block[:r, :] = rng.standard_normal((r, d))
+        a_block[r:, r:] = rng.standard_normal((d - r, d - r))
+        b_block = np.zeros((d, 1))
+        b_block[:r, 0] = rng.standard_normal(r)
+        if np.linalg.norm(b_block) < 0.3:
+            b_block[0, 0] = 1.0
+        p = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+        pairs.append((p @ a_block @ np.linalg.inv(p),
+                      (p @ b_block) @ rng.standard_normal((1, d))))
+    return pairs
+
+
+class TestClosureDecidedPlarc:
+    """A closure W that contains sl(d) decides PLARC without samples.  For
+    orthonormal rows E_k of W and a unit x, sum_k (P E_k x)(P E_k x)' = P
+    with P = I - xx', so the tangent stack at every direction has d - 1
+    singular values 1 and one 0: the sampled rule passes everywhere."""
+
+    def test_verdict_and_dim_are_the_sampled_ones(self):
+        for i, (a, f) in enumerate(sweep_pairs()):
+            d = a.shape[0]
+            cert = lie.check_plarc(a, np.eye(d), f, seed=i)
+            assert (cert.n_samples, cert.failing_samples) == (0, ()), i
+            assert (cert.verdict, cert.dim) == reference_plarc(a, f, seed=i), i
+            assert cert.dim >= d * d - 1
+
+    def test_tangent_stack_is_the_projector(self):
+        for i, (a, f) in enumerate(sweep_pairs()):
+            d = a.shape[0]
+            L = np.array(lie.lie_closure([a, f]).basis)
+            X = lie._quasi_uniform_directions(d, max(2 * d, 64), i) if d != 2 else []
+            X = np.array(X + lie._real_eig_directions(a) + lie._real_eig_directions(a + f))
+            lx = np.einsum("kij,nj->nki", L, X)
+            tang = lx - np.einsum("nki,ni->nk", lx, X)[:, :, None] * X[:, None, :]
+            sv = np.linalg.svd(tang, compute_uv=False)
+            assert np.abs(sv[:, :d - 1] - 1.0).max() <= 1e-12, i
+            assert sv[:, d - 1].max() <= 1e-12, i
+
+    def test_other_closures_keep_their_sampled_certificates(self):
+        """Verdict, dim, failing samples and sample count of every pair,
+        pinned by a digest recorded on the program before closures decided
+        the verdict."""
+        h = hashlib.sha256()
+        verdicts = set()
+        for i, (a, f) in enumerate(sampled_pairs()):
+            d = a.shape[0]
+            cert = lie.check_plarc(a, np.eye(d), f, seed=i)
+            assert cert.n_samples > 0, i
+            verdicts.add(cert.verdict)
+            h.update(repr((cert.verdict, cert.dim, cert.n_samples)).encode())
+            h.update(np.array(cert.failing_samples, dtype=float).tobytes())
+        assert verdicts == {True, False}
+        assert h.hexdigest() == (
+            "28bef6a63ad7316297ef3d51e1d6851ef5adf2c8a5b20f6e7446d7bd6d73468c")
 
 
 class TestChainAudit:

@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,19 @@ class TestStiffAndLongPeriod:
                             PESignal.constant(1.0, period=200.0))
         assert (m.top_rate, m.bottom_rate) == (pytest.approx(5.0, abs=1e-12),
                                                pytest.approx(-5.0, abs=1e-12))
+
+    def test_log_scale_past_int64_saturates(self):
+        """A log scale past the int64 range saturates to inf or 0, without
+        a warning, where the cast of its power of two used to wrap."""
+        s = PESignal.from_segments([(1.0, 0.5), (0.0, 0.5)], period=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e1 = unit_vector(2, 0).reshape(2, 1)
+            m = rates.monodromy(np.diag([1e19, -1.0]), e1, e1.T, s)
+            assert m.top_rate == 1e19 and m.R[0, 0] == np.inf
+            ones = np.ones((1, 2, 2))
+            assert (rates._unscaled(ones, np.array([1e300])) == np.inf).all()
+            assert (rates._unscaled(ones, np.array([-1e300])) == 0.0).all()
 
     def test_overflowing_residual_reported_as_inf(self):
         a, b, k = 100 * self.STIFF_A, 100 * E2, self.STIFF_K

@@ -24,8 +24,8 @@ from .rates import (DeltaReport, DualityGridReport, DualityReport, FamilyRates,
                     shift_law_check)
 from .projective import (CircleArcSet, InvariantSetResult, SteerResult,
                          SteeringError, angle_of, forward_invariance_audit,
-                         invariant_control_set_d2, point_of, proj_point,
-                         steer_d2, steering_time_bound)
+                         invariant_control_set_d2, point_of, steer_d2,
+                         steering_time_bound)
 from . import spinchk
 
 __version__ = "0.1.0"

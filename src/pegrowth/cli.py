@@ -371,7 +371,3 @@ def main(argv=None) -> int:
         # ValueError covers numpy's LinAlgError and NotControllableError
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

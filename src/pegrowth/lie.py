@@ -173,6 +173,14 @@ def _plus_span(derived: _OrthoBasis, gens, keep_identity: bool) -> _OrthoBasis:
     return basis
 
 
+def _closure_of(A, B, K, derived: _OrthoBasis | None) -> tuple:
+    """``(a, BK, D)`` of a triple: the checked loop matrix, the loop gain
+    and ``derived``, or the D of ``(a, BK)`` when that is None."""
+    a, b, k = closed_loop(A, B, K)
+    f = b @ k
+    return a, f, _derived_algebra([a, f])[0] if derived is None else derived
+
+
 @dataclass(frozen=True)
 class RankCertificate:
     """Outcome of one of the three rank checks."""
@@ -200,13 +208,9 @@ def check_larc(A, B, K, *, derived: _OrthoBasis | None = None) -> RankCertificat
     ``derived`` is the D of ``(A, BK)`` when the caller has it already
     (``inclusion_chain_audit`` shares one among the three certificates).
     """
-    a, b, k = closed_loop(A, B, K)
-    f = b @ k
-    d = a.shape[0]
-    if derived is None:
-        derived = _derived_algebra([a, f])[0]
+    a, f, derived = _closure_of(A, B, K, derived)
     dim = _plus_span(derived, [a, f], False).k
-    return RankCertificate("LARC", dim == d * d, dim)
+    return RankCertificate("LARC", dim == a.size, dim)
 
 
 def check_larc0(A, B, K, *, derived: _OrthoBasis | None = None) -> RankCertificate:
@@ -215,13 +219,9 @@ def check_larc0(A, B, K, *, derived: _OrthoBasis | None = None) -> RankCertifica
     The dimension is that of D + span{A0, F0}, orthogonal to the identity
     and so at most d*d - 1.  ``derived`` as in ``check_larc``.
     """
-    a, b, k = closed_loop(A, B, K)
-    f = b @ k
-    d = a.shape[0]
-    if derived is None:
-        derived = _derived_algebra([a, f])[0]
+    a, f, derived = _closure_of(A, B, K, derived)
     dim = _plus_span(derived, [_traceless(a), _traceless(f)], True).k - 1
-    return RankCertificate("LARC0", dim == d * d - 1, dim)
+    return RankCertificate("LARC0", dim == a.size - 1, dim)
 
 
 def _real_eig_directions(M) -> list[np.ndarray]:
@@ -278,11 +278,8 @@ def check_plarc(A, B, K, seed: int = 0, *,
     eigendirection of A, or of A + BK when A is scalar.  The closure basis
     is that of D + span{A, BK}; ``derived`` as in ``check_larc``.
     """
-    a, b, k = closed_loop(A, B, K)
-    f = b @ k
+    a, f, derived = _closure_of(A, B, K, derived)
     d = a.shape[0]
-    if derived is None:
-        derived = _derived_algebra([a, f])[0]
     basis = _plus_span(derived, [a, f], False)
     if basis.k == 0:
         return RankCertificate("PLARC", False, 0)
@@ -339,11 +336,10 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, seed: int = 0) -> ChainAu
     Violations are reported, not raised; an empty list means the implication
     chain held at certificate level.
     """
-    a, b, k = closed_loop(A, B, K)
-    f = b @ k
-    d = a.shape[0]
-    derived = _derived_algebra([a, f])[0]
-    larc = check_larc(a + shift * np.eye(d), B, K, derived=derived)
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    a, _, derived = _closure_of(A, B, K, None)
+    larc = check_larc(a + shift * np.eye(a.shape[0]), B, K, derived=derived)
     larc0 = check_larc0(a, B, K, derived=derived)
     plarc = check_plarc(a, B, K, seed=seed, derived=derived)
     violations = []

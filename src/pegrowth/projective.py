@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .matcore import _integer_arg, canonical_unit, closed_loop
+from .matcore import _integer_arg, closed_loop
 from .signals import PESignal
 
 __all__ = [
-    "proj_point",
     "angle_of",
     "point_of",
     "wrap_angle",
@@ -49,18 +48,6 @@ __all__ = [
     "steer_d2",
     "steering_time_bound",
 ]
-
-
-def proj_point(x) -> np.ndarray:
-    """Canonical unit representative of a projective point.
-
-    Normalises and flips sign so the first nonzero coordinate is positive
-    (antipodal identification); see ``matcore.canonical_unit``.
-    """
-    u = canonical_unit(x)
-    if u is None:
-        raise ValueError("cannot project the zero vector")
-    return u
 
 
 def wrap_angle(theta):
@@ -82,10 +69,11 @@ def angle_distance(a, b):
 
 def angle_of(q) -> float:
     """Angle in [0, pi] of the planar projective point q: the bits of
-    ``wrap_angle(np.arctan2(u[1], u[0]))``, ``u = proj_point(q)``, in one
-    pass over two floats.  The norm stays the BLAS dot of ``np.linalg.norm``
-    and the angle numpy's ``arctan2``: ``math.sqrt(x*x + y*y)`` and
-    ``math.atan2`` round otherwise on some inputs."""
+    ``wrap_angle(np.arctan2(u[1], u[0]))``, ``u = matcore.canonical_unit(q)``,
+    in one pass over two floats.  The norm stays the BLAS dot of
+    ``np.linalg.norm`` and the angle numpy's ``arctan2``:
+    ``math.sqrt(x*x + y*y)`` and ``math.atan2`` round otherwise on some
+    inputs."""
     tol = 1e-12
     v = np.asarray(q, dtype=float).ravel()
     n = math.sqrt(v.dot(v))

@@ -238,7 +238,9 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
     Exact product of per-segment matrix exponentials over the segments of
     [0, t]; deterministic.  Entries beyond the float range saturate to inf.
     A periodic signal is walked period by period, so a t of more than
-    ``_WALK_SEGMENTS`` segments raises ``ValueError``.
+    ``_WALK_SEGMENTS`` segments raises ``ValueError``, and so does a t whose
+    segment exponentials leave the float range as nan (an unbounded last
+    segment of an aperiodic signal at t near 1e39, say).
     """
     a, b, k = closed_loop(A, B, K)
     if not (t >= 0 and math.isfinite(t)):
@@ -247,6 +249,8 @@ def fundamental_solution(A, B, K, s: PESignal, t: float) -> np.ndarray:
         raise ValueError(f"t={t!r} spans {t / s.period:.6g} periods of {s.n_segments} segments, "
                          f"more than the {_WALK_SEGMENTS} segments a solution may walk")
     rn, log_scale = _family_product(a, (b @ k)[None], [s.segments(0.0, t)])
+    if np.isnan(rn).any() or np.isnan(log_scale).any():
+        raise ValueError(f"t={t!r} takes a segment exponential past the float range")
     return _unscaled(rn[0, 0], log_scale[0, 0])
 
 
@@ -699,6 +703,29 @@ class DualityReport:
 _RESIDUAL_TOL = 1e-8
 
 
+def _duality_pass(a, b, ks, cls: SignalClass, family):
+    """``(sigs, mirror, pass, rc, rd_mirror)`` of the checked loop (a, b):
+    the validated family, its reversal, the one pass that reads both sides
+    of the duality, and the per-gain estimates.
+
+    The family and its reversal are validated once each.  ``rd(-A, -B, K)``
+    on the mirror is (a, b) again on the reversed mirror, so the pass runs
+    over the family followed by the reversal of the validated mirror:
+    ``rc`` is read from the family's rows and ``rd_mirror`` from the rest.
+    Each distinct row is computed once, so a reversed mirror signal that
+    equals its family signal shares its row, and one that differs in any
+    value, duration or the period gets its own: the equality checks that
+    the double reversal is exact.
+    """
+    sigs = _resolve_family(cls, family)
+    mirror = mirror_family(sigs)
+    mirrored = _resolve_family(cls, mirror)
+    fwd = _pass(a, b, ks, sigs + mirror_family(mirrored))
+    neg_tops, n = _neg_tops(*fwd), len(sigs)
+    return (sigs, mirror, fwd, _minima(neg_tops[:, :n], sigs, "rc"),
+            _minima(neg_tops[:, n:], mirrored, "rd"))
+
+
 def duality_check(A, B, K, cls: SignalClass, family,
                   tol: float = _RESIDUAL_TOL) -> DualityReport:
     """Verify time-reversal duality on a family of periodic signals.
@@ -710,25 +737,15 @@ def duality_check(A, B, K, cls: SignalClass, family,
     convergence estimate of (A, B, K) and the divergence estimate of
     (-A, -B, K) on the mirrored family must coincide exactly.
 
-    The mirror is validated on its own.  One pass on (A, BK) runs over the
-    family and the reversal of the validated mirror: ``rc`` is read from the
-    family's signals and ``rd_mirror`` from the rest.  The pass computes
-    each distinct row once, so a reversed mirror signal that equals its
-    family signal shares its row, and one that differs in any value,
-    duration or the period gets its own: the equality checks that the
-    double reversal is exact.  A second pass runs on the reversed
-    tuple, and the residuals gather both passes' rows.
+    ``rc``, ``rd_mirror`` and the forward products are ``_duality_pass``'s;
+    the residuals also gather the rows of a pass of the reversed tuple.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
     a, b, k = closed_loop(A, B, K)
-    sigs = _resolve_family(cls, family)
-    reversed_sigs = mirror_family(sigs)
-    mirrored = _resolve_family(cls, reversed_sigs)
-    fwd = rn, log_scale, _, at = _pass(a, b, [k], sigs + mirror_family(mirrored))
-    rn_rev, log_scale_rev, _, at_rev = _pass(-a, -b, [k], reversed_sigs)
-    n = len(sigs)
-    at = at[:n]
+    sigs, mirror, (rn, log_scale, _, at), (rc,), (rd,) = _duality_pass(a, b, [k], cls, family)
+    rn_rev, log_scale_rev, _, at_rev = _pass(-a, -b, [k], mirror)
+    at = at[:len(sigs)]
     prod = _unscaled(rn_rev[at_rev, 0] @ rn[at, 0], log_scale_rev[at_rev, 0] + log_scale[at, 0])
     finite = np.isfinite(prod).all(axis=(1, 2))
     eye = np.eye(a.shape[0])
@@ -736,8 +753,6 @@ def duality_check(A, B, K, cls: SignalClass, family,
     gap = np.where(finite[:, None, None], prod, eye) - eye
     res = np.where(finite, np.linalg.svd(gap, compute_uv=False).max(axis=-1), np.inf).tolist()
     rows = [(i, s.period, r) for i, (s, r) in enumerate(zip(sigs, res))]
-    neg_tops = _neg_tops(*fwd)
-    rc, rd = _minima(neg_tops[:, :n], sigs, "rc")[0], _minima(neg_tops[:, n:], mirrored, "rd")[0]
     return DualityReport(per_signal=tuple(rows), max_residual=max([0.0] + res),
                          rc=rc, rd_mirror=rd,
                          estimates_equal=bool(rc.value == rd.value), tol=tol)
@@ -752,27 +767,15 @@ class DualityGridReport:
 
 
 def duality_grid(A, B, gains, cls: SignalClass, family) -> DualityGridReport:
-    """Time-reversal duality of the estimates over a grid of gains.
-
-    The family and its mirror are validated once each.  One pass with every
-    gain stacked runs over the family and the reversal of the validated
-    mirror, so each distinct segment is exponentiated once per call, and
-    each distinct row, the family's own where the double reversal is exact,
-    is multiplied out and read once.  ``rc`` is read from the family's
-    signals and ``rd_mirror`` from the rest; a mirror signal whose value,
-    duration or period the reversal changed is a row of its own, so the
-    equality still checks the reversal.  Each entry equals the corresponding
-    ``rc_estimate``/``rd_estimate`` bit for bit.
+    """Time-reversal duality of the estimates over a grid of gains, from the
+    one pass of ``_duality_pass`` with every gain stacked, so each distinct
+    segment is exponentiated once per call.  Each entry equals the
+    corresponding ``rc_estimate``/``rd_estimate`` bit for bit.
     """
     if len(gains) == 0:
         raise ValueError("need at least one gain")
     loops = [closed_loop(A, B, K) for K in gains]
-    a, b = loops[0][:2]
-    ks = [k for _, _, k in loops]
-    sigs = _resolve_family(cls, family)
-    mirrored = _resolve_family(cls, mirror_family(sigs))
-    neg_tops, n = _neg_tops(*_pass(a, b, ks, sigs + mirror_family(mirrored))), len(sigs)
-    rc, rd = _minima(neg_tops[:, :n], sigs, "rc"), _minima(neg_tops[:, n:], mirrored, "rd")
+    *_, rc, rd = _duality_pass(*loops[0][:2], [k for _, _, k in loops], cls, family)
     return DualityGridReport(rc=tuple(rc), rd_mirror=tuple(rd))
 
 
@@ -850,6 +853,8 @@ def shift_law_check(A, B, K, shift: float, s: PESignal, x0,
     ``x0``; optionally also the convergence estimate over a family (which
     shifts the other way).
     """
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
     a, b, k = closed_loop(A, B, K)
     d = a.shape[0]
     shifted = a + shift * np.eye(d)

@@ -277,13 +277,21 @@ def _layout(sigs):
     Each real entry goes through the floating-point operations of a pass
     over its signal alone, so a result does not depend on which signals
     share the layout."""
-    sizes = np.array([s.values.size for s in sigs])[:, None]
-    real = np.arange(sizes.max()) < sizes
-    bk, vals, durs = (np.full(real.shape, fill) for fill in (np.inf, 0.0, 0.0))
-    bk[real] = np.concatenate([s.breakpoints for s in sigs])
-    vals[real] = np.concatenate([s.values for s in sigs])
-    durs[real] = np.concatenate([s.durations for s in sigs])
+    bk, vals, durs = _padded([[s.breakpoints for s in sigs], [s.values for s in sigs],
+                              [s.durations for s in sigs]], (np.inf, 0.0, 0.0))
     return _rows_layout(bk, vals, durs, [s.period for s in sigs])
+
+
+def _padded(lists, fills) -> list[np.ndarray]:
+    """Each list of 1-d arrays in ``lists`` as the rows of one ``(S, n)``
+    array, padded at their ends with its entry of ``fills``.  Row s has the
+    same size in every list, so one mask places them all."""
+    sizes = np.array([r.size for r in lists[0]])[:, None]
+    real = np.arange(sizes.max()) < sizes
+    out = [np.full(real.shape, fill) for fill in fills]
+    for a, rows in zip(out, lists):
+        a[real] = np.concatenate(rows)
+    return out
 
 
 def _rows_layout(bk, vals, durs, periods):
@@ -336,12 +344,9 @@ def _reversed(sigs) -> list[PESignal]:
         raise ValueError("time reversal is defined for periodic signals only")
     if not sigs:
         return []
-    sizes = np.array([s.values.size for s in sigs])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    vals, durs = np.zeros(real.shape), np.zeros(real.shape)
-    vals[real] = np.concatenate([s.values[::-1] for s in sigs])
-    durs[real] = np.concatenate([s.durations[::-1] for s in sigs])
-    out = _periodic_rows(vals, durs, sizes, [s.period for s in sigs])
+    vals, durs = _padded([[s.values[::-1] for s in sigs], [s.durations[::-1] for s in sigs]],
+                         (0.0, 0.0))
+    out = _periodic_rows(vals, durs, [s.values.size for s in sigs], [s.period for s in sigs])
     return [r if r is not None
             else _trusted(s.values[::-1].tolist(), s.durations[::-1].tolist(), s.period)
             for r, s in zip(out, sigs)]
@@ -377,18 +382,9 @@ def _periodic_rows(vals, durs, sizes, periods, cls: SignalClass | None = None
         trusted[at] = _least_windows(layout, cls)[2]
     for a in (bk, vals, durs):
         a.setflags(write=False)
-    out = []
-    for i, n, per, ok in zip(rows.tolist(), sizes.tolist(), periods.tolist(), trusted.tolist()):
-        if not ok:
-            out.append(None)
-            continue
-        r = object.__new__(PESignal)
-        object.__setattr__(r, "breakpoints", bk[i, :n])
-        object.__setattr__(r, "values", vals[i, :n])
-        object.__setattr__(r, "durations", durs[i, :n])
-        object.__setattr__(r, "period", per)
-        out.append(r)
-    return out
+    return [_bare(bk[i, :n], vals[i, :n], durs[i, :n], per) if ok else None
+            for i, n, per, ok in zip(rows.tolist(), sizes.tolist(), periods.tolist(),
+                                     trusted.tolist())]
 
 
 def _trusted(vals, durs, period: float | None = None) -> PESignal:
@@ -408,9 +404,16 @@ def _trusted(vals, durs, period: float | None = None) -> PESignal:
     if (not all(0.0 <= v <= 1.0 for v in vals) or not math.isfinite(bk[-1])
             or not all(g > 0.0 for g in gaps) or not (period is None or bk[-1] < period)):
         return PESignal(np.array(bk), vals, period)
+    return _bare(_freeze(np.array(bk)), _freeze(np.array(vals)),
+                 _freeze(np.array(gaps if period is None else durs)),
+                 None if period is None else float(period))
+
+
+def _bare(bk, vals, durs, period) -> PESignal:
+    """The signal with these frozen fields, past the validating constructor."""
     out = object.__new__(PESignal)
-    object.__setattr__(out, "breakpoints", _freeze(np.array(bk)))
-    object.__setattr__(out, "values", _freeze(np.array(vals)))
-    object.__setattr__(out, "durations", _freeze(np.array(gaps if period is None else durs)))
-    object.__setattr__(out, "period", None if period is None else float(period))
+    object.__setattr__(out, "breakpoints", bk)
+    object.__setattr__(out, "values", vals)
+    object.__setattr__(out, "durations", durs)
+    object.__setattr__(out, "period", period)
     return out

@@ -132,6 +132,15 @@ def angle_field(A, B, K):
     return f, g
 
 
+def proj_point(x) -> np.ndarray:
+    """Canonical unit representative of a projective point: normalised, with
+    its first nonzero coordinate positive (``matcore.canonical_unit``)."""
+    u = matcore.canonical_unit(x)
+    if u is None:
+        raise ValueError("cannot project the zero vector")
+    return u
+
+
 def reference_angle_of(q) -> float:
     """``projective.angle_of`` on numpy arrays and scalars: the unit vector
     of ``matcore.canonical_unit``, ``np.arctan2`` on it and ``wrap_angle``."""

@@ -474,6 +474,12 @@ class TestChainAudit:
         assert not audit.larc_shifted.verdict
         assert not audit.violations
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_shift_is_finite(self, shift):
+        with pytest.raises(ValueError, match=rf"^shift must be finite, got {shift!r}$"):
+            lie.inclusion_chain_audit(J2, unit_vector(2, 1).reshape(2, 1), [[1.0, 1.0]],
+                                      shift=shift)
+
     def test_random_controllable_no_violations(self):
         rng = np.random.default_rng(4)
         for i in range(15):

@@ -11,7 +11,7 @@ from pegrowth import rates
 from pegrowth.matcore import closed_loop, require_square
 from pegrowth.signals import PESignal, SignalClass, validate_pe
 
-from oracles import ReferencePlanar, angle_field, reference_angle_of
+from oracles import ReferencePlanar, angle_field, proj_point, reference_angle_of
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 ZERO_IN = (np.zeros((2, 1)), np.zeros((1, 2)))
@@ -24,17 +24,6 @@ SADDLE = (np.array([[1.0, 0.0], [0.0, -1.0]]),
           np.array([[-0.6, 0.2]]))
 
 
-class TestProjPoint:
-    def test_canonical_sign(self):
-        u = prj.proj_point([-1.0, 2.0])
-        assert u[0] > 0
-        np.testing.assert_allclose(np.linalg.norm(u), 1.0, atol=1e-12)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            prj.proj_point([0.0, 0.0])
-
-
 def project_field(M, q) -> np.ndarray:
     """Tangent vector of the projected linear field at a unit direction.
 
@@ -42,7 +31,7 @@ def project_field(M, q) -> np.ndarray:
     multiple of the identity to M leaves the result unchanged.
     """
     m = require_square(M, "M")
-    x = prj.proj_point(q)
+    x = proj_point(q)
     if x.size != m.shape[0]:
         raise ValueError("dimension mismatch")
     mx = m @ x
@@ -51,7 +40,7 @@ def project_field(M, q) -> np.ndarray:
 
 class TestProjectField:
     def test_identity_projects_to_zero(self):
-        q = prj.proj_point([1.0, 2.0, -1.0])
+        q = proj_point([1.0, 2.0, -1.0])
         np.testing.assert_allclose(project_field(np.eye(3), q),
                                    np.zeros(3), atol=1e-14)
 
@@ -60,7 +49,7 @@ class TestProjectField:
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-14)
 
     def test_saddle_at_diagonal(self):
-        q = prj.proj_point([1.0, 1.0])
+        q = proj_point([1.0, 1.0])
         out = project_field(np.diag([1.0, -1.0]), q)
         # radial part cancels; tangent pushes toward e1
         assert out[0] > 0 and out[1] < 0
@@ -69,7 +58,7 @@ class TestProjectField:
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((3, 3))
-        q = prj.proj_point(rng.standard_normal(3))
+        q = proj_point(rng.standard_normal(3))
         for lam in (-2.0, 0.5, 10.0):
             np.testing.assert_allclose(
                 project_field(m + lam * np.eye(3), q),
@@ -112,7 +101,7 @@ class TestAngleDynamics:
                 normal = np.array([-np.sin(t), np.cos(t)])
                 # project_field picks the canonical sign; the angular speed
                 # is sign-free
-                u = prj.proj_point(q)
+                u = proj_point(q)
                 sgn = float(np.sign(u @ q))
                 speed = sgn * (normal @ project_field(m, q))
                 field = prj._Planar(a, b, k, (0.0, al)).fields[al]
@@ -655,8 +644,8 @@ class TestProjectiveStep:
         for t in (1.0 / 256.0, 0.1, 1.0, 3.7):
             step = projective_step(m, t)
             for x in rng.standard_normal((4, 2)):
-                np.testing.assert_allclose(prj.proj_point(step @ x),
-                                           prj.proj_point(expm(m * t) @ x), rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(proj_point(step @ x),
+                                           proj_point(expm(m * t) @ x), rtol=0.0, atol=1e-12)
 
     def test_stacks_match_single_matrices(self):
         rng = np.random.default_rng(7)
@@ -672,7 +661,7 @@ class TestProjectiveStep:
         saddle = scale * np.diag([1.0, -1.0])
         step = projective_step(saddle, 1.0)
         assert np.isfinite(step).all()
-        np.testing.assert_allclose(prj.proj_point(step @ [0.3, 0.8]), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(proj_point(step @ [0.3, 0.8]), [1.0, 0.0], atol=1e-15)
         # the rotation by r t = scale keeps unit length
         rot = scale * ROT
         step = projective_step(rot, 1.0)

@@ -3,6 +3,7 @@ the defaulted parameters of its modules' public functions and dataclasses,
 and exactly the command-line flags of each subcommand."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import re
@@ -13,6 +14,7 @@ import pegrowth
 from pegrowth import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "pegrowth"
 MODULES = ("matcore", "signals", "lie", "control", "rates", "projective", "spinchk")
 
 
@@ -31,6 +33,37 @@ def test_table_lists_every_exported_name():
     exported = {n for n, v in vars(pegrowth).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert set(names) == exported
+
+
+def references_in_package() -> set:
+    """The names and attributes that the package's modules read, outside
+    ``__init__.py``, ``__all__`` and the top-level ``def`` or ``class`` that
+    a name is itself: a name read only in its own body has no reader."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+                continue
+            own = getattr(top, "name", None) if isinstance(
+                top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    found.add(name)
+    return found
+
+
+def test_package_consumers_are_real():
+    """A row whose consumer is the package names a function or type that
+    some other code of the package reads."""
+    rows = re.findall(r"^\| `(\w+)` \| `\w+` \| ([^|]*) \|$", section("Public surface"), re.M)
+    claimed = [name for name, consumer in rows if "package" in consumer]
+    assert claimed
+    assert sorted(set(claimed) - references_in_package()) == []
 
 
 def test_settings_table_lists_every_defaulted_parameter():

@@ -78,6 +78,17 @@ class TestFundamentalSolution:
         free = PESignal.from_segments([(1.0, 0.5), (0.0, 0.5)])
         assert rates.fundamental_solution(a, b, k, free, 1e5).shape == (2, 2)
 
+    @pytest.mark.parametrize("t", [1e42, 1e300])
+    def test_a_factor_past_the_float_range_raises(self, t):
+        # the exponential of the unbounded last segment is nan, not inf
+        a, k = np.array([[0.3, 1.0], [0.0, -0.2]]), np.array([[-1.0, 0.5]])
+        free = PESignal([0.0, 0.5], [1.0, 0.0])
+        message = f"t={t!r} takes a segment exponential past the float range"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            rates.fundamental_solution(a, E2, k, free, t)
+        assert rates.fundamental_solution(a, E2, k, free, 1e10).ravel().tolist() == [
+            -np.inf, np.inf, 0.0, 0.0]
+
     def test_against_rk4(self):
         a, b, k = random_system(11)
         s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
@@ -862,6 +873,13 @@ class TestShiftLaw:
         rates.shift_law_check(a, b, k, 1.0, PESignal([0.0, 0.5], [1.0, 0.0], period=1.0),
                               [1.0, 0.5])
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_shift_is_finite(self, shift):
+        a, b, k = random_system(16)
+        s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+        with pytest.raises(ValueError, match=rf"^shift must be finite, got {shift!r}$"):
+            rates.shift_law_check(a, b, k, shift, s, [1.0, 0.5])
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, 0.5, 0.2]], ids=["zero", "wrong-length"])
     def test_x0_is_checked(self, x0):

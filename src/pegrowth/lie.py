@@ -29,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .matcore import (DEFAULT_RANK_TOL, canonical_unit, closed_loop, fronorm,
+from .matcore import (DEFAULT_RANK_TOL, _integer_arg, canonical_unit, closed_loop, fronorm,
                       require_square)
 
 __all__ = [
@@ -276,8 +276,10 @@ def check_plarc(A, B, K, seed: int = 0, *,
     uniform samples miss.  At d = 2 the uniform samples are left out: rank 1
     fails only at a common eigendirection of the whole algebra, which is an
     eigendirection of A, or of A + BK when A is scalar.  The closure basis
-    is that of D + span{A, BK}; ``derived`` as in ``check_larc``.
+    is that of D + span{A, BK}; ``derived`` as in ``check_larc``.  ``seed``
+    is a non-negative integer, whether or not the closure samples.
     """
+    seed = _integer_arg(seed, "seed", 0)
     a, f, derived = _closure_of(A, B, K, derived)
     d = a.shape[0]
     basis = _plus_span(derived, [a, f], False)
@@ -338,6 +340,7 @@ def inclusion_chain_audit(A, B, K, shift: float = 0.0, seed: int = 0) -> ChainAu
     """
     if not np.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
+    seed = _integer_arg(seed, "seed", 0)
     a, _, derived = _closure_of(A, B, K, None)
     larc = check_larc(a + shift * np.eye(a.shape[0]), B, K, derived=derived)
     larc0 = check_larc0(a, B, K, derived=derived)

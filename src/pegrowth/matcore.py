@@ -37,10 +37,13 @@ DEFAULT_RANK_TOL = 1e-9
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 2-D array (1-D input becomes a row)."""
-    m = np.atleast_2d(np.asarray(a, dtype=float))
-    if m.ndim != 2:
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        m = m.reshape(1, -1)
+    elif m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")
-    if not np.isfinite(m).all():
+    # one pass over Python floats: numpy's isfinite costs more on d <= 10
+    if not all(map(math.isfinite, m.ravel().tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

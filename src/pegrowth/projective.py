@@ -51,15 +51,11 @@ __all__ = [
 
 
 def wrap_angle(theta):
-    """Reduce an angle modulo pi into [0, pi].
-
-    The same bits as ``np.mod(theta, pi)`` (``fmod``, plus pi where that is
-    negative, and ``+ 0.0`` turning -0 into +0) at a third of its cost.
-    Like ``np.mod`` it gives pi itself where a tiny negative angle rounds
-    up: ``wrap_angle(-1e-17)`` is pi, where ``_wrap`` gives 0.
+    """Reduce an angle modulo pi into [0, pi]: ``np.mod(theta, pi)``, which
+    gives pi itself where a tiny negative angle rounds up:
+    ``wrap_angle(-1e-17)`` is pi, where ``_wrap`` gives 0.
     """
-    r = np.fmod(theta, np.pi)
-    return r + (r < 0.0) * np.pi
+    return np.mod(theta, np.pi)
 
 
 def angle_distance(a, b):
@@ -100,32 +96,23 @@ def _speed_coeffs(m) -> tuple:
     return (m10 - m01) / 2.0, (m10 + m01) / 2.0, (m11 - m00) / 2.0
 
 
-def _finite(m) -> bool:
-    return all(map(math.isfinite, m.ravel().tolist()))
-
-
 def _planar_loop(A, B, K):
-    """``(A, BK)`` of a planar closed loop as float64 arrays, with the checks
-    and messages of ``matcore.closed_loop``, then d = 2.  A valid triple
-    (K may be a 1-D row, as ``as_matrix`` reads it) costs a few shape tests
-    and one pass over its floats, each matrix checked before the next is
-    read; any other raises ``closed_loop``'s message or the d = 2 one."""
-    a = np.asarray(A, dtype=float)
-    if a.shape == (2, 2) and _finite(a):
-        b = np.asarray(B, dtype=float)
-        if b.ndim == 2 and b.shape[0] == 2 and _finite(b):
-            k = np.asarray(K, dtype=float)
-            if k.ndim < 2:
-                k = k.reshape(1, -1)
-            if k.shape == (b.shape[1], 2) and _finite(k):
-                return a, b @ k
-    closed_loop(A, B, K)
-    raise ValueError("angle dynamics need d = 2")
+    """``(A, BK)`` of a closed loop checked by ``matcore.closed_loop``, then
+    to be planar."""
+    a, b, k = closed_loop(A, B, K)
+    if a.shape != (2, 2):
+        raise ValueError("angle dynamics need d = 2")
+    return a, b @ k
 
 
 def _control_range(control_range) -> tuple[float, float]:
-    """``(lo, hi)`` as floats, checked to be a nondegenerate subinterval of [0, 1]."""
-    lo, hi = float(control_range[0]), float(control_range[1])
+    """``(lo, hi)`` as floats, checked to be a pair that is a nondegenerate
+    subinterval of [0, 1]."""
+    try:
+        lo, hi = control_range
+        lo, hi = float(lo), float(hi)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"control range must be a pair (lo, hi), got {control_range!r}") from exc
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("control range must be a nondegenerate subinterval of [0, 1]")
     return lo, hi
@@ -378,7 +365,8 @@ def invariant_control_set_d2(A, B, K, control_range, seed: int = 0) -> Invariant
     endpoints.  Requires the projected rank certificate; otherwise the
     result is flagged not applicable.  A control range that is not a
     nondegenerate subinterval of [0, 1], or a pair with d != 2, raises
-    ``ValueError`` either way, before the certificate runs.
+    ``ValueError`` either way, before the certificate runs; the certificate
+    first rejects a ``seed`` that is not a non-negative integer.
     """
     _control_range(control_range)
     _planar_loop(A, B, K)
@@ -397,20 +385,11 @@ def boundary_points(arcs: CircleArcSet, n: int, resolution: int) -> np.ndarray:
     h = np.pi / resolution
     if arcs.whole:
         return wrap_angle(np.linspace(0.0, np.pi, n, endpoint=False))
-    ends = []
-    for lo, hi in arcs.arcs:
-        ends.append((lo, +1.0))
-        ends.append((hi, -1.0))
-    pts = []
-    offsets = np.linspace(0.25 * h, 1.25 * h, max(1, n // len(ends)) + 1)
-    for endpoint, direction in ends:
-        for off in offsets:
-            pts.append(wrap_angle(endpoint + direction * off))
-            if len(pts) >= n:
-                return np.asarray(pts)
-    while len(pts) < n:
-        pts.append(pts[len(pts) % len(ends)])
-    return np.asarray(pts)
+    # E = 2 len(arcs) ends with n // E + 1 offsets each: E (n // E + 1) > n
+    offsets = np.linspace(0.25 * h, 1.25 * h, max(1, n // (2 * len(arcs.arcs))) + 1)
+    pts = [wrap_angle(end + sign * off) for lo, hi in arcs.arcs
+           for end, sign in ((lo, +1.0), (hi, -1.0)) for off in offsets]
+    return np.asarray(pts[:n])
 
 
 @dataclass(frozen=True)
@@ -510,9 +489,9 @@ def _flow_block(m, x0, x1, dt: float, hold: int):
 
 def _wrap_arctan2(theta):
     """``wrap_angle`` of angles in [-pi, pi], such as those of ``arctan2``:
-    there ``fmod(theta, pi)`` is theta itself except at +-pi, so the wrap
-    adds pi to the negative angles and maps pi to 0.  A tiny negative angle
-    whose sum with pi rounds to pi stays pi, as in ``wrap_angle``."""
+    there the wrap adds pi to the negative angles and maps pi to 0.  A tiny
+    negative angle whose sum with pi rounds to pi stays pi, as in
+    ``wrap_angle``."""
     t = theta + (theta < 0.0) * np.pi
     t[theta == np.pi] = 0.0
     return t
@@ -542,17 +521,21 @@ def forward_invariance_audit(A, B, K, control_range, arcs: CircleArcSet,
     control range, so it stays independent of the closed forms it checks.
     An audit that would check nothing (no start, no signal or a horizon
     that is not positive and finite) raises ``ValueError``, and so does one
-    of more than ``_AUDIT_STEPS`` trajectory-steps.
+    of more than ``_AUDIT_STEPS`` trajectory-steps, and so do a non-finite
+    start and a ``seed`` that is not a non-negative integer.
     """
     lo, hi = _control_range(control_range)
     a, bk = _planar_loop(A, B, K)
     n_signals = _integer_arg(n_signals, "n_signals", 1)
+    seed = _integer_arg(seed, "seed", 0)
     inflate = 2.0 * np.pi / _integer_arg(resolution, "resolution", 1)
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     starts = np.asarray(start_angles, dtype=float)
     if not starts.size:
         raise ValueError("start_angles is empty")
+    if not np.isfinite(starts).all():
+        raise ValueError("start_angles contains non-finite entries")
     dt = 1.0 / 256.0
     starts = np.repeat(starts, n_signals)
     n_traj = starts.size
@@ -612,11 +595,13 @@ def steer_d2(q0, q_target, A, B, K, control_range, resolution: int = 4096,
     with the exact switch times as its segments.  The path ends on the
     target; a start within ``pi / resolution`` of it counts as already
     there.  Raises ``SteeringError`` when neither sense arrives within
-    ``max_time``.
+    ``max_time``, and ``ValueError`` when ``max_time`` is not positive.
     """
     theta0 = angle_of(q0)
     target = angle_of(q_target)
     tol = math.pi / _integer_arg(resolution, "resolution", 1)
+    if not max_time > 0.0:
+        raise ValueError(f"max_time must be positive, got {max_time!r}")
     tau, segs = _Planar(A, B, K, control_range).fastest(theta0, target, tol, max_time)
     if not math.isfinite(tau):
         raise SteeringError(
@@ -633,9 +618,11 @@ def steering_time_bound(A, B, K, control_range, q_target, resolution: int = 4096
     Takes the exact greedy arrival times from a mesh of starting angles and
     returns ``1.25 * worst + 1``; a fresh starting point lies within one mesh
     cell of a probed one, so its greedy arrival time is covered by the
-    slack.
+    slack.  ``max_time`` must be positive.
     """
     mesh = _integer_arg(mesh, "mesh", 1)
+    if not max_time > 0.0:
+        raise ValueError(f"max_time must be positive, got {max_time!r}")
     planar = _Planar(A, B, K, control_range)
     target = angle_of(q_target)
     tol = math.pi / _integer_arg(resolution, "resolution", 1)

@@ -330,6 +330,8 @@ def _per_vector_exponent(rn: np.ndarray, log_scale: float, tau: float, x0) -> fl
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != rn.shape[0] or np.linalg.norm(x) == 0.0:
         raise ValueError("x0 must be a nonzero vector of matching dimension")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be a finite nonzero vector of matching dimension")
     classes = _modulus_classes(np.log(np.abs(np.linalg.eigvals(rn))))
     level = classes[-1]
     for i, c in enumerate(classes[:-1]):
@@ -894,6 +896,10 @@ def coordinate_invariance_check(A, B, K, P, V, s: PESignal) -> CoordinateInvaria
     a, b, k = closed_loop(A, B, K)
     p = require_square(P, "P")
     v = require_square(V, "V")
+    if p.shape[0] != a.shape[0]:
+        raise ValueError(f"P must be d x d with d = {a.shape[0]}, got shape {p.shape}")
+    if v.shape[0] != b.shape[1]:
+        raise ValueError(f"V must be m x m with m = {b.shape[1]}, got shape {v.shape}")
     pinv = np.linalg.inv(p)
     vinv = np.linalg.inv(v)
     m = monodromy(a, b, k, s)

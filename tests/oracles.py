@@ -30,6 +30,17 @@ def span_rank(family, tol: float = matcore.DEFAULT_RANK_TOL) -> int:
         matcore.singular_values(np.vstack([m.ravel() for m in mats])), tol)
 
 
+def reference_as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``matcore.as_matrix`` checked by numpy: ``np.atleast_2d`` for the
+    shape and the ``np.isfinite`` ufunc for the entries."""
+    m = np.atleast_2d(np.asarray(a, dtype=float))
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got {m.ndim}-D")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
 def bracket(M, N) -> np.ndarray:
     """Commutator MN - NM of two square matrices of one shape."""
     m = matcore.require_square(M, "M")

@@ -513,3 +513,42 @@ class TestChainAudit:
         assert audit.plarc.dim == 49 and audit.plarc.verdict
         assert not audit.violations, audit.violations
         assert lie.check_larc0(PINNED_A, PINNED_B, PINNED_K).dim == 48
+
+
+BAD_SEEDS = [(-1, r"^need seed >= 0, got seed=-1$"), (1.5, r"^seed must be an integer, got 1\.5$"),
+             (True, r"^seed must be an integer, got True$")]
+
+
+class TestSeedRule:
+    """The PLARC entry points take a non-negative integer seed, at every d
+    and whether the closure samples or decides, and name it otherwise."""
+
+    @staticmethod
+    def triples():
+        """Closures that sample (B = 0) at d = 2, 3 and 4, and the chain
+        pair at d = 3, whose closure decides."""
+        rng = np.random.default_rng(33)
+        out = [(rng.standard_normal((d, d)), np.zeros((d, 1)), np.zeros((1, d)))
+               for d in (2, 3, 4)]
+        out.append((nilpotent_shift(3), unit_vector(3, 2).reshape(3, 1), np.ones((1, 3))))
+        return out
+
+    @pytest.mark.parametrize("seed, message", BAD_SEEDS, ids=["negative", "float", "bool"])
+    def test_bad_seeds_are_named(self, seed, message):
+        for a, b, k in self.triples():
+            with pytest.raises(ValueError, match=message):
+                lie.check_plarc(a, b, k, seed=seed)
+            with pytest.raises(ValueError, match=message):
+                lie.inclusion_chain_audit(a, b, k, seed=seed)
+
+    def test_numpy_integer_seeds_keep_their_certificates(self):
+        def fields(cert):
+            return (cert.verdict, cert.dim, cert.n_samples,
+                    np.array(cert.failing_samples, dtype=float).tobytes())
+
+        samples = []
+        for a, b, k in self.triples():
+            cert = lie.check_plarc(a, b, k, seed=np.int64(7))
+            assert fields(cert) == fields(lie.check_plarc(a, b, k, seed=7))
+            samples.append(cert.n_samples)
+        assert samples[-1] == 0 and min(samples[:-1]) > 0

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import matrix_to_json, span_rank
+from oracles import matrix_to_json, reference_as_matrix, span_rank
 from pegrowth import lie, matcore, projective, rates
 from pegrowth.signals import PESignal
 
@@ -180,3 +180,48 @@ class TestCanonicalUnit:
             assert np.linalg.norm(v) <= 1e-12
         else:
             np.testing.assert_array_equal(u, matcore.canonical_unit(-v))
+
+
+def _as_matrix_inputs():
+    """0-d to 4-d inputs: scalars, lists, empty, read-only, strided and
+    integer arrays, ragged lists and strings, and nan, inf and -inf at every
+    position of a 0-d, 1-d, 2-d and 3-d array."""
+    ro = np.arange(6.0).reshape(2, 3)
+    ro.setflags(write=False)
+    ro_row = np.arange(3.0)
+    ro_row.setflags(write=False)
+    out = [1.0, np.float64(2.5), np.array(3.0), 0, True, -0.0, [1.0, 2.0], [[1.0, 2.0]],
+           [[1, 2], [3, 4]], [[[1.0]]], [], [[]], np.array([]), np.empty((0, 0)),
+           np.empty((0, 3)), np.empty((3, 0)), np.empty((0, 2, 2)), np.ones((2, 2, 2)),
+           np.ones((1, 1, 1, 1)), ro, ro_row, ro.T, np.arange(6.0)[::2], np.arange(12.0)[::-1],
+           np.arange(9).reshape(3, 3), np.ones((2, 2), dtype=np.float32),
+           [[1.0], [2.0, 3.0]], "x", [1e308, -1e308], [5e-324, -0.0]]
+    for shape in [(), (3,), (2, 3), (1, 1), (2, 1, 2)]:
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(max(1, int(np.prod(shape)))):
+                m = np.ones(shape)
+                m.flat[i] = bad
+                out.append(m)
+                out.append(m.tolist())
+    return out
+
+
+class TestAsMatrix:
+    def test_same_result_as_the_numpy_checks(self):
+        """The float pass gives the bits, shape, writeability and memory of
+        numpy's ``atleast_2d`` and ``isfinite``, or the same message."""
+        def outcome(check, a):
+            try:
+                m = check(a, "B")
+            except ValueError as exc:
+                return str(exc)
+            shares = isinstance(a, np.ndarray) and np.shares_memory(m, a)
+            return m.dtype.str, m.shape, m.tobytes(), m.flags.writeable, shares
+
+        inputs = _as_matrix_inputs()
+        got = [outcome(matcore.as_matrix, a) for a in inputs]
+        assert got == [outcome(reference_as_matrix, a) for a in inputs]
+        messages = {g for g in got if isinstance(g, str)}
+        assert {"B must be 2-D, got 3-D", "B must be 2-D, got 4-D",
+                "B contains non-finite entries"} <= messages
+        assert sum(isinstance(g, tuple) for g in got) == 24

@@ -1267,3 +1267,75 @@ class TestGoldenPlanar:
     @pytest.mark.parametrize("name", sorted(TRIPLES))
     def test_planar_bytes(self, tmp_path, name):
         assert self.outputs(name, tmp_path) == self.DIGESTS[name]
+
+
+def _planar_calls(crange=RANGE, seed=0, starts=(0.5,), max_time=100.0):
+    """The four planar entry points on c12, with the given arguments."""
+    arcs = prj.invariant_control_set_d2(*SADDLE, RANGE).arcs
+    target = prj.point_of(0.5 * sum(arcs.arcs[0]))
+    return {
+        "invariant_control_set_d2": lambda: prj.invariant_control_set_d2(*SADDLE, crange,
+                                                                         seed=seed),
+        "steering_time_bound": lambda: prj.steering_time_bound(*SADDLE, crange, target,
+                                                               max_time=max_time),
+        "steer_d2": lambda: prj.steer_d2([1.0, 0.0], target, *SADDLE, crange,
+                                         max_time=max_time),
+        "forward_invariance_audit": lambda: prj.forward_invariance_audit(
+            *SADDLE, crange, arcs, list(starts), n_signals=2, horizon=0.5, seed=seed),
+    }
+
+
+class TestPlanarArguments:
+    ENTRIES = sorted(_planar_calls())
+
+    @pytest.mark.parametrize("crange", [(0.4, 1.0, 2.0), (0.4,), 0.5, "ab"],
+                             ids=["three", "one", "scalar", "string"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_control_range_is_a_pair(self, entry, crange):
+        with pytest.raises(ValueError, match=r"^control range must be a pair \(lo, hi\), got "):
+            _planar_calls(crange=crange)[entry]()
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, r"^need seed >= 0, got seed=-1$"), (1.5, r"^seed must be an integer, got 1\.5$"),
+        (True, r"^seed must be an integer, got True$")], ids=["negative", "float", "bool"])
+    @pytest.mark.parametrize("entry", ["invariant_control_set_d2", "forward_invariance_audit"])
+    def test_seed_is_a_non_negative_integer(self, entry, seed, message):
+        with pytest.raises(ValueError, match=message):
+            _planar_calls(seed=seed)[entry]()
+
+    @pytest.mark.parametrize("max_time", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ["steer_d2", "steering_time_bound"])
+    def test_max_time_is_positive(self, entry, max_time):
+        with pytest.raises(ValueError, match=r"^max_time must be positive, got "):
+            _planar_calls(max_time=max_time)[entry]()
+
+    @pytest.mark.parametrize("starts", [[np.nan], [np.inf], [0.5, -np.inf]],
+                             ids=["nan", "inf", "second -inf"])
+    def test_start_angles_are_finite(self, starts):
+        with pytest.raises(ValueError, match=r"^start_angles contains non-finite entries$"):
+            _planar_calls(starts=starts)["forward_invariance_audit"]()
+
+
+class TestBoundaryPoints:
+    ARC_SETS = (((0.5, 1.2),), ((0.3, 0.9), (2.0, 3.5)),
+                ((0.0, 0.4), (1.0, 1.5), (2.5, 2.9)), ((0.0, np.pi),))
+
+    def test_whole_set_spreads_its_points(self):
+        for n in (1, 7, 96):
+            pts = prj.boundary_points(CIRCLE, n, 4096)
+            np.testing.assert_array_equal(pts, np.linspace(0.0, np.pi, n, endpoint=False))
+
+    def test_recorded_points(self):
+        """n = 1..300 on one, two (one wrapping past pi) and three arcs and
+        the whole set, at two resolutions: the bytes of every point set,
+        pinned by a digest recorded on the program before its padding loop
+        went."""
+        h = hashlib.sha256()
+        for arcs in self.ARC_SETS:
+            for resolution in (64, 4096):
+                for n in range(1, 301):
+                    pts = prj.boundary_points(prj.CircleArcSet(arcs=arcs), n, resolution)
+                    assert pts.shape == (n,) and pts.dtype == np.float64
+                    h.update(pts.tobytes())
+        assert h.hexdigest() == (
+            "4529a9b5eb67dbe7be5b806411765cd790bb60d0a294baf56ba4ea126f859a97")

@@ -1600,3 +1600,24 @@ class TestMirrorFamily:
             rates.mirror_family([PESignal.constant(0.5, period=1.0), s])
         with pytest.raises(ValueError, match="periodic signals only"):
             rates.mirror_family([PESignal.constant(0.5, period=1.0), PESignal([0.0], [1.0])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shift_law_x0_is_finite(bad):
+    """A vector with a non-finite entry has no exponent to compare."""
+    a, b, k = random_system(16)
+    s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+    with pytest.raises(ValueError, match=r"^x0 must be a finite nonzero vector of matching "
+                                         r"dimension$"):
+        rates.shift_law_check(a, b, k, 1.0, s, [bad, 1.0])
+
+
+@pytest.mark.parametrize("p, v, message", [
+    (np.eye(3), np.eye(1), r"^P must be d x d with d = 2, got shape \(3, 3\)$"),
+    (np.eye(2), np.eye(2), r"^V must be m x m with m = 1, got shape \(2, 2\)$")],
+    ids=["P", "V"])
+def test_coordinate_change_has_the_loop_sizes(p, v, message):
+    a, b, k = random_system(19)
+    s = PESignal([0.0, 0.5], [1.0, 0.0], period=1.0)
+    with pytest.raises(ValueError, match=message):
+        rates.coordinate_invariance_check(a, b, k, p, v, s)
